@@ -238,6 +238,8 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
     c_const = math.prod(1.0 / f.c for f in space.factors[:-1])
     lower = [c_const * v for v in partial_sums(sched, sv, t_u, cps)]
 
+    # memoryviews hand fsum Python floats, not one numpy scalar per term
+    terms, exact_terms = memoryview(terms), memoryview(exact_terms)
     partials = tuple((N, math.fsum(terms[:N])) for N in cps)
     exact = tuple((N, math.fsum(exact_terms[:N])) for N in cps)
     return FiberSumResult(
@@ -309,9 +311,13 @@ def divergence_tail_bound_test(expectations: Sequence[float], trials: int,
     while done < trials:
         m = min(chunk, trials - done)
         draws = rng.random((m, p.size)) < p[None, :]
-        csum = np.cumsum(draws, axis=1)
+        # per-trial running counts, one column segment per checkpoint
+        running = np.zeros(m, dtype=np.int64)
+        prev = 0
         for j, N in enumerate(cps):
-            sums[done: done + m, j] = csum[:, N - 1]
+            running += np.count_nonzero(draws[:, prev:N], axis=1)
+            sums[done: done + m, j] = running
+            prev = N
         done += m
 
     rows = []
@@ -373,6 +379,9 @@ class DensityReport:
         }
 
 
+MAX_DENSITY_CELLS = 1 << 20
+
+
 def _factor_cells(factor, delta: float) -> int:
     if isinstance(factor, Cantor):
         depth = 0
@@ -391,6 +400,10 @@ def density_check(stream: OmegaStream, delta: float, horizon: int,
     optional radius sequence is echoed in the report for context (the limsup
     set over a cell is non-trivial only while radii stay positive); it does
     not enter the counting.
+
+    A delta whose cell count exceeds MAX_DENSITY_CELLS, or that needs more
+    Cantor digits than the factor's sampling depth, is a domain error raised
+    before anything is drawn or allocated.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -399,11 +412,21 @@ def density_check(stream: OmegaStream, delta: float, horizon: int,
     space = stream.space
     cell_specs = []  # (factor, width, cells) per factor
     total_cells = 1
-    for factor in space.factors:
+    for i, factor in enumerate(space.factors):
         width = _factor_cells(factor, delta)
+        if isinstance(factor, Cantor) and width > factor.default_depth:
+            raise ValueError(
+                f"delta={delta} needs {width} digits of Cantor factor {i}, more "
+                f"than its sampling depth {factor.default_depth}"
+            )
         cells = 2**width if isinstance(factor, Cantor) else width
         cell_specs.append((factor, width, cells))
         total_cells *= cells
+    if total_cells > MAX_DENSITY_CELLS:
+        raise ValueError(
+            f"delta={delta} gives {total_cells} cells over {space.dim} factors, "
+            f"more than the cap of {MAX_DENSITY_CELLS}"
+        )
 
     def counts_at(N: int) -> np.ndarray:
         if N == 0:
@@ -481,10 +504,27 @@ class TailCoverProfile:
         }
 
 
+def _below_n_min(sched: RadiusSchedule, n0: int, n1: int) -> tuple[int, int] | None:
+    """(n, n_min) for the first index n in [n0, n1] whose radius tuple cannot
+    be built because the power model has a radius above 1 before its n_min;
+    None when every tuple in the window can be built."""
+    first, power = 1, sched
+    if isinstance(sched, ExplicitSchedule):
+        first, power = len(sched.tuples) + 1, sched.tail
+    if not isinstance(power, PowerLawSchedule):
+        return None
+    n = max(n0, first)
+    return (n, power.n_min) if n < power.n_min and n <= n1 else None
+
+
 def tail_cover_sum(stream: OmegaStream, sched: RadiusSchedule,
                    s: Sequence[float], t: float,
                    window: tuple[int, int]) -> TailCoverProfile:
-    """Construct the window's rectangle covers and sum their contributions."""
+    """Construct the window's rectangle covers and sum their contributions.
+
+    Every index in the window needs a radius tuple, so a window that reaches
+    below the power model's n_min is a domain error.
+    """
     space = stream.space
     sv = _require_matching_regularity(space, s)
     total = math.fsum(sv)
@@ -493,6 +533,12 @@ def tail_cover_sum(stream: OmegaStream, sched: RadiusSchedule,
     n0, n1 = int(window[0]), int(window[1])
     if n0 < 1 or n1 < n0:
         raise ValueError("window must satisfy 1 <= N0 <= N1")
+    below = _below_n_min(sched, n0, n1)
+    if below is not None:
+        raise ValueError(
+            f"window [{n0}, {n1}] includes index {below[0]} below "
+            f"n_min={below[1]}, where some radius exceeds 1"
+        )
 
     c_big = math.prod(4.0**f.s * f.c**2 for f in space.factors)
     ns = np.arange(n0, n1 + 1, dtype=np.int64)
@@ -596,7 +642,8 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
     methods, tail-cover domination with growth slopes on both sides of t*,
     fiber hit-sum divergence below t*, and the projection inequality.  A
     method disagreement beyond tolerance is reported as a failing check, not
-    swallowed.
+    swallowed.  A cover window that reaches below the power model's n_min is
+    moved to start there, keeping its length.
     """
     cfg = config or VerdictConfig()
     sv = _require_matching_regularity(space, s)
@@ -623,18 +670,23 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
         checks.append(CheckResult(
             "method-agreement", "SKIPPED", "no power-law model to cross-check"))
 
-    # tail-cover domination on a modest constructed window
+    # tail-cover domination on a modest constructed window, moved past any
+    # indices below the power model's n_min with its length kept
+    window = cfg.cover_window
+    below = _below_n_min(sched, *window)
+    if below is not None:
+        window = (below[1], window[1] + below[1] - window[0])
     t_probes = sorted({v for v in (0.5 * predicted, predicted,
                                    0.5 * (predicted + total)) if 0.0 < v <= total})
     violations = []
     for t in t_probes:
-        prof = tail_cover_sum(OmegaStream(seeds[0], space), sched, sv, t, cfg.cover_window)
+        prof = tail_cover_sum(OmegaStream(seeds[0], space), sched, sv, t, window)
         if not prof.ok:
             violations.append((t, prof.value, prof.reference))
     checks.append(CheckResult(
         "cover-domination",
         "FAIL" if violations else "PASS",
-        f"window={list(cfg.cover_window)} t_probes={[round(t, 6) for t in t_probes]}"
+        f"window={list(window)} t_probes={[round(t, 6) for t in t_probes]}"
         + (f" violations={violations}" if violations else ""),
     ))
 

@@ -19,6 +19,14 @@ n^{-e(t)} up to bounded prefactors, where e is a convex piecewise-linear
 exponent profile; the series converges iff e(t) > 1, so t* solves e(t) = 1.
 Two independent routes to t* are provided: bisection on e(t) = 1 and a
 closed-form minimum over pieces.  Everything here is pure and deterministic.
+
+Series terms are evaluated in batches of rows by ``log_phi_rows``, which
+works on the d columns of the log-radii: a stable odd-even transposition
+sort of the columns, running sums added column after column, and the piece
+picked with np.where.  No row is sorted on its own, yet each float operation
+is the one a stable per-row argsort followed by row cumsums would do, in the
+same order, so the terms are bit-identical to that route.  Partial sums are
+exactly rounded by math.fsum, fed through a memoryview.
 """
 
 from __future__ import annotations
@@ -131,23 +139,51 @@ def log_phi_rows(log_r: np.ndarray, s: np.ndarray, t: float) -> np.ndarray:
     ``log_r`` has shape (N, d); ``s`` has shape (d,).  Each row is sorted
     non-increasingly by radius (stable, so ties keep original order) and the
     piecewise product is accumulated in log space.  Returns shape (N,).
+
+    The work runs on the d columns, never per row: an odd-even transposition
+    sort of d passes, whose compare-exchanges swap two neighbouring columns
+    only where the left radius is strictly smaller, carries each exponent
+    with its radius.  Swapping only strict inversions keeps ties in input
+    order, so every row ends in its unique stable non-increasing order.  The
+    running sums then add column after column from the first, as a row-wise
+    cumsum does, and the piece's values are picked with np.where.  Each float
+    operation is the one a stable argsort, row cumsum and gather would do, in
+    the same order, so the result matches that route bit for bit, signed
+    zeros included (``tests/oracles.py`` keeps it as the reference).
     """
     total = math.fsum(s)
     if not (0.0 <= t <= total):
         raise ValueError(f"t={t} outside [0, {total}]")
     log_r = np.atleast_2d(np.asarray(log_r, dtype=float))
-    # stable argsort of -log_r == non-increasing radii with index tie-break
-    order = np.argsort(-log_r, axis=1, kind="stable")
-    log_sorted = np.take_along_axis(log_r, order, axis=1)
-    s_sorted = np.take_along_axis(np.broadcast_to(s, log_r.shape), order, axis=1)
-    csum_s = np.cumsum(s_sorted, axis=1)
-    csum_sl = np.cumsum(s_sorted * log_sorted, axis=1)
-    # leftmost piece i with csum_s[i] >= t
-    piece = np.minimum((csum_s < t).sum(axis=1), log_r.shape[1] - 1)
-    rows = np.arange(log_r.shape[0])
-    prev_s = np.where(piece > 0, csum_s[rows, piece - 1], 0.0)
-    prev_sl = np.where(piece > 0, csum_sl[rows, piece - 1], 0.0)
-    return prev_sl + (t - prev_s) * log_sorted[rows, piece]
+    d = log_r.shape[1]
+    ss = list(np.asarray(s, dtype=float))
+    if len(ss) != d:
+        raise ValueError(f"dimension mismatch: {d} log-radii per row vs {len(ss)} exponents")
+    ls = [log_r[:, i] for i in range(d)]
+    for p in range(d):
+        for i in range(p % 2, d - 1, 2):
+            swap = ls[i] < ls[i + 1]
+            # power-law rows keep one order past some n: most chunks swap nothing
+            if not swap.any():
+                continue
+            ls[i], ls[i + 1] = (np.where(swap, ls[i + 1], ls[i]),
+                                np.where(swap, ls[i], ls[i + 1]))
+            ss[i], ss[i + 1] = (np.where(swap, ss[i + 1], ss[i]),
+                                np.where(swap, ss[i], ss[i + 1]))
+    csum_s = [ss[0]]
+    csum_sl = [ss[0] * ls[0]]
+    for k in range(1, d):
+        csum_s.append(csum_s[-1] + ss[k])
+        csum_sl.append(csum_sl[-1] + ss[k] * ls[k])
+    # leftmost piece k with csum_s[k] >= t
+    piece = np.minimum(sum(c < t for c in csum_s), d - 1)
+    prev_s, prev_sl, l_piece = 0.0, 0.0, ls[0]
+    for k in range(1, d):
+        at = piece == k
+        prev_s = np.where(at, csum_s[k - 1], prev_s)
+        prev_sl = np.where(at, csum_sl[k - 1], prev_sl)
+        l_piece = np.where(at, ls[k], l_piece)
+    return prev_sl + (t - prev_s) * l_piece
 
 
 def singular_value(r: RadiusTuple | Sequence[float],
@@ -267,12 +303,17 @@ class PowerLawSchedule:
         return len(self.alphas)
 
     def log_radii(self, ns: np.ndarray) -> np.ndarray:
-        """(N, d) array of log r_{n,i} for the given indices (any n >= 1)."""
+        """(N, d) array of log r_{n,i} for the given indices (any n >= 1).
+
+        The array is column-major: each factor's column is contiguous, the
+        layout the column-wise kernels read.
+        """
         ns = np.asarray(ns, dtype=float)
         if np.any(ns < 1):
             raise ValueError("schedule indices start at 1")
-        logn = np.log(ns)[:, None]
-        return np.log(self.coefficients)[None, :] - logn * np.asarray(self.alphas)[None, :]
+        logn = np.log(ns)[None, :]
+        return (np.log(self.coefficients)[:, None]
+                - np.asarray(self.alphas)[:, None] * logn).T
 
     def radius_tuple(self, n: int) -> RadiusTuple:
         if n < self.n_min:
@@ -535,7 +576,7 @@ def _phi_terms(sched: RadiusSchedule, s: np.ndarray, t: float,
         stop = min(start + _CHUNK - 1, n1)
         ns = np.arange(start, stop + 1, dtype=np.int64)
         logs = sched.log_radii(ns)
-        out[pos: pos + ns.size] = np.exp(log_phi_rows(logs, s, t))
+        np.exp(log_phi_rows(logs, s, t), out=out[pos: pos + ns.size])
         pos += ns.size
     return out
 
@@ -546,12 +587,13 @@ def partial_sum(sched: RadiusSchedule,
     """Truncated series S_N(t) = sum_{n<=N} Phi_{r_n}^s(t), exactly rounded.
 
     Summation uses math.fsum over the vectorised terms, so the result does not
-    depend on any internal partitioning.
+    depend on any internal partitioning.  The terms go to fsum through a
+    memoryview, which yields Python floats without a numpy scalar per term.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     sv = _as_regularity_array(s)
-    return math.fsum(_phi_terms(sched, sv, float(t), 1, N))
+    return math.fsum(memoryview(_phi_terms(sched, sv, float(t), 1, N)))
 
 
 def partial_sums(sched: RadiusSchedule,
@@ -564,7 +606,7 @@ def partial_sums(sched: RadiusSchedule,
     if order[0] < 1:
         raise ValueError("checkpoints must be >= 1")
     sv = _as_regularity_array(s)
-    terms = _phi_terms(sched, sv, float(t), 1, order[-1])
+    terms = memoryview(_phi_terms(sched, sv, float(t), 1, order[-1]))
     by_N = {N: math.fsum(terms[:N]) for N in order}
     return [by_N[int(N)] for N in Ns]
 

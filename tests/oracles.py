@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's evaluation paths: the singular value
 function is checked against a brute-force maximisation over a grid of
-exponent allocations, series convergence against dyadic-block growth of
+exponent allocations, its batched log-space kernel against a per-row
+argsort evaluation, series convergence against dyadic-block growth of
 plain partial sums, and Cantor ball masses against full cylinder
 enumeration.
 """
@@ -54,6 +55,29 @@ def allocation_oracle(r, s, t, grid=GRID):
         )
         return float(vals.max())
     raise ValueError("oracle supports d <= 3")
+
+
+def argsort_log_phi_rows(log_r, s, t):
+    """log Phi per row by a stable per-row argsort, row cumsums and a gather.
+
+    The batched kernel in ``limsupdim.svf.log_phi_rows`` does the same float
+    operations in the same order without sorting rows, so the two must agree
+    bit for bit, signed zeros included.
+    """
+    log_r = np.atleast_2d(np.asarray(log_r, dtype=float))
+    s = np.asarray(s, dtype=float)
+    # stable argsort of -log_r == non-increasing radii with index tie-break
+    order = np.argsort(-log_r, axis=1, kind="stable")
+    log_sorted = np.take_along_axis(log_r, order, axis=1)
+    s_sorted = np.take_along_axis(np.broadcast_to(s, log_r.shape), order, axis=1)
+    csum_s = np.cumsum(s_sorted, axis=1)
+    csum_sl = np.cumsum(s_sorted * log_sorted, axis=1)
+    # leftmost piece i with csum_s[i] >= t
+    piece = np.minimum((csum_s < t).sum(axis=1), log_r.shape[1] - 1)
+    rows = np.arange(log_r.shape[0])
+    prev_s = np.where(piece > 0, csum_s[rows, piece - 1], 0.0)
+    prev_sl = np.where(piece > 0, csum_sl[rows, piece - 1], 0.0)
+    return prev_sl + (t - prev_s) * log_sorted[rows, piece]
 
 
 def dyadic_block_divergence(term, t, levels=(10, 12, 14, 16)):

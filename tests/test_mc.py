@@ -250,6 +250,25 @@ def test_divergence_validates_inputs(rng):
         divergence_tail_bound_test([0.5], 10, rng)
 
 
+def test_divergence_sums_match_full_cumsum():
+    p = np.linspace(0.0, 1.0, 300)
+    cps = [1, 3, 50, 299, 300]
+    res = divergence_tail_bound_test(p, 1000, np.random.default_rng(11), cps, chunk=384)
+    # reference: same draws in the same chunks, counted by a full cumsum
+    rng = np.random.default_rng(11)
+    sums = np.concatenate([
+        np.cumsum(rng.random((m, p.size)) < p, axis=1)[:, [N - 1 for N in cps]]
+        for m in (384, 384, 232)
+    ])
+    rows = []
+    for j, N in enumerate(cps):
+        col = np.sort(sums[:, j])
+        for M in range(1, math.floor(0.5 * math.fsum(p[:N])) + 1):
+            rows.append((N, M, float(np.searchsorted(col, M, side="right")) / 1000))
+    assert len(rows) > 10
+    assert [(N, M, emp) for (N, M, _, _, emp, _) in res.rows] == rows
+
+
 # ---------------------------------------------------------------------------
 # density
 # ---------------------------------------------------------------------------
@@ -283,6 +302,20 @@ def test_density_product_cells():
     rep = density_check(st, 0.25, 2000)
     assert rep.cell_count == 16
     assert rep.passed
+
+
+def test_density_rejects_too_many_cells(torus2):
+    st = OmegaStream(6, torus2)
+    with pytest.raises(ValueError, match=r"100000000 cells over 2 factors.*cap"):
+        density_check(st, 1e-4, 10)
+
+
+def test_density_rejects_delta_below_cantor_sampling_depth():
+    can = Cantor(1 / 3)
+    st = OmegaStream(6, ProductSpace((can,)))
+    delta = can.lam ** (can.default_depth + 1)
+    with pytest.raises(ValueError, match=f"more than its sampling depth {can.default_depth}"):
+        density_check(st, delta, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +383,17 @@ def test_tail_cover_bad_window(torus2):
         tail_cover_sum(st, PowerLawSchedule((2, 3)), (1, 1), 0.5, (5, 4))
 
 
+def test_tail_cover_window_below_n_min(torus2):
+    st = OmegaStream(5, torus2)
+    sched = PowerLawSchedule((1, 2), (2, 1))
+    with pytest.raises(ValueError, match="n_min=2"):
+        tail_cover_sum(st, sched, (1, 1), 0.5, (1, 4))
+    explicit = ExplicitSchedule(((0.5, 0.25),), PowerLawSchedule((1, 2), (3, 1)))
+    with pytest.raises(ValueError, match="includes index 2 below n_min=3"):
+        tail_cover_sum(st, explicit, (1, 1), 0.5, (1, 4))
+    assert tail_cover_sum(st, explicit, (1, 1), 0.5, (3, 6)).ok
+
+
 # ---------------------------------------------------------------------------
 # verdict
 # ---------------------------------------------------------------------------
@@ -413,3 +457,16 @@ def test_verdict_statistics_reproducible(torus2):
     a = dimension_verdict(PowerLawSchedule((2, 3)), (1, 1), torus2, [42], FAST_VERDICT)
     b = dimension_verdict(PowerLawSchedule((2, 3)), (1, 1), torus2, [42], FAST_VERDICT)
     assert a.statistics() == b.statistics()
+
+
+@pytest.mark.parametrize("sched, start", [
+    (PowerLawSchedule((1, 2), (2, 1)), 2),
+    (ExplicitSchedule(((0.5, 0.25),), PowerLawSchedule((1, 2), (3, 1))), 3),
+])
+def test_verdict_cover_window_starts_at_n_min(torus2, sched, start):
+    rep = dimension_verdict(sched, (1, 1), torus2, [1, 2, 3], FAST_VERDICT)
+    assert rep.predicted_dimension == pytest.approx(1.0, abs=1e-8)
+    assert rep.passed
+    cover = next(c for c in rep.checks if c.name == "cover-domination")
+    assert cover.status == "PASS"
+    assert f"window={[start, start + 47]}" in cover.detail

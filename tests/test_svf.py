@@ -20,7 +20,14 @@ from limsupdim import (
     svf_profile,
 )
 
-from oracles import allocation_oracle, dyadic_block_divergence, powerlaw_phi_term
+from limsupdim.svf import log_phi_rows
+
+from oracles import (
+    allocation_oracle,
+    argsort_log_phi_rows,
+    dyadic_block_divergence,
+    powerlaw_phi_term,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +129,40 @@ def test_allocation_oracle_agreement(data):
     t = t_units / grid
     expected = allocation_oracle(radii, s, t)
     assert singular_value(radii, s, t) == pytest.approx(expected, rel=1e-6)
+
+
+# a few values drawn over and over, so rows carry many ties and signed zeros
+_TIED_LOG_RADII = st.sampled_from([0.0, -0.0, -0.5, -1.0, -2.0, -1e-300, -40.0])
+_TIED_EXPONENTS = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1.5])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_log_phi_rows_bit_identical_to_argsort_oracle(data):
+    d = data.draw(st.integers(1, 5))
+    rows = data.draw(st.integers(1, 40))
+    value = st.one_of(_TIED_LOG_RADII, st.floats(-50.0, 0.0))
+    log_r = np.array(data.draw(
+        st.lists(st.lists(value, min_size=d, max_size=d), min_size=rows, max_size=rows)
+    ))
+    s = np.array(data.draw(st.lists(
+        st.one_of(_TIED_EXPONENTS, st.floats(0.0, 2.0)), min_size=d, max_size=d
+    )))
+    total = math.fsum(s)
+    breaks = [float(v) for v in np.cumsum(s)]
+    t = data.draw(st.one_of(
+        st.just(0.0), st.just(total), st.sampled_from(breaks),
+        st.floats(0.0, total),
+    ))
+    got = log_phi_rows(log_r, s, t)
+    want = argsort_log_phi_rows(log_r, s, t)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_log_phi_rows_dimension_mismatch_raises():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        log_phi_rows(np.zeros((3, 2)), np.array([1.0, 1.0, 1.0]), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +379,26 @@ def test_partial_sums_checkpoints_match_single_calls():
     many = partial_sums(sched, (1, 1), 0.7, [10, 100, 1000])
     singles = [partial_sum(sched, (1, 1), 0.7, N) for N in (10, 100, 1000)]
     assert many == singles  # bit-identical: same terms, same exact summation
+
+
+# explicit tuples: both routes take the log of the same radii, so every term
+# is the same float and the exactly rounded sums must be equal
+_TUPLES = tuple(
+    RadiusTuple(r) for r in np.random.default_rng(7).choice(
+        [1.0, 0.77, 0.5, 0.3, 0.01, 1e-5], size=(60, 3))
+)
+
+
+@pytest.mark.parametrize("s, t", [
+    ((1.0, 1.0, 1.0), 1.3), ((0.5, 0.0, 2.0), 2.5), ((1.0, 1.0, 1.0), 0.0),
+    ((0.3, 0.3, 0.3), 0.45),
+])
+def test_partial_sums_match_fsum_of_singular_values(s, t):
+    sched = ExplicitSchedule(_TUPLES, tail="constant")
+    Ns = [1, 2, 7, 60, 80]
+    terms = [singular_value(sched.radius_tuple(n), s, t) for n in range(1, Ns[-1] + 1)]
+    assert partial_sums(sched, s, t, Ns) == [math.fsum(terms[:N]) for N in Ns]
+    assert partial_sum(sched, s, t, Ns[-1]) == math.fsum(terms)
 
 
 def test_growth_slope_divergent():
