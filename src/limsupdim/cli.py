@@ -13,6 +13,7 @@ digits so byte-level reproducibility checks are exact.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -33,12 +34,12 @@ from .mc import (
     tail_cover_sum,
 )
 from .spaces import (
-    Cantor,
     ProductSpace,
     cover_ball,
     cover_rectangle,
+    factor_from_token,
     max_sparse_subset,
-    space_from_descriptor,
+    sparse_bounds,
     verify_cover,
 )
 from .svf import (
@@ -131,23 +132,10 @@ def _ints(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def parse_space(text: str):
-    """Parse factor descriptors: "interval", "circle", "cantor:<lam>",
-    products comma-separated (e.g. "circle,circle")."""
-    descs = []
-    for token in text.split(","):
-        token = token.strip()
-        if token == "interval":
-            descs.append({"kind": "interval"})
-        elif token == "circle":
-            descs.append({"kind": "circle"})
-        elif token.startswith("cantor:"):
-            descs.append({"kind": "cantor", "lam": float(token.split(":", 1)[1])})
-        else:
-            raise ValueError(f"unknown space factor {token!r}")
-    if len(descs) == 1:
-        return space_from_descriptor(descs[0])
-    return space_from_descriptor({"kind": "product", "factors": descs})
+def parse_space(text: str) -> ProductSpace:
+    """Parse comma-separated factor tokens ("interval", "circle",
+    "cantor:<lam>") into a product with one factor per token."""
+    return ProductSpace(tuple(factor_from_token(t.strip()) for t in text.split(",")))
 
 
 def parse_schedule(cfg: RunConfig):
@@ -175,28 +163,12 @@ def parse_schedule(cfg: RunConfig):
     raise ValueError(f"unknown schedule {text!r}")
 
 
-def _parse_point(factor, token: str):
-    if isinstance(factor, Cantor):
-        if token.startswith("digits:"):
-            digs = tuple(int(c) for c in token.split(":", 1)[1]) if len(token) > 7 else ()
-            return factor.point(digs)
-        digs = tuple(int(c) for c in token) if token else ()
-        return factor.point(digs)
-    return float(token)
-
-
-def parse_points(space, text: str) -> tuple:
-    factors = space.factors if isinstance(space, ProductSpace) else (space,)
+def parse_points(factors, text: str) -> tuple:
+    """One point per factor from comma-separated coordinate tokens."""
     tokens = text.split(",")
     if len(tokens) != len(factors):
         raise ValueError(f"expected {len(factors)} coordinates, got {len(tokens)}")
-    return tuple(_parse_point(f, tok.strip()) for f, tok in zip(factors, tokens))
-
-
-def _point_repr(point) -> str:
-    if hasattr(point, "digits"):
-        return "".join(str(d) for d in point.digits) or "()"
-    return fmt17(point)
+    return tuple(f.parse_point(tok.strip()) for f, tok in zip(factors, tokens))
 
 
 def _window(cfg: RunConfig) -> tuple[int, int]:
@@ -285,15 +257,12 @@ def _run_dim_predict(cfg: RunConfig) -> RunOutcome:
     return RunOutcome(0 if agree else 1, lines)
 
 
-def _cover_outcome(cfg: RunConfig, report, space, started) -> RunOutcome:
+def _cover_outcome(cfg: RunConfig, report, space, factors, started) -> RunOutcome:
     sound = verify_cover(space, report)
     rows = []
-    for idx, (center, radius) in enumerate(report.iter_elements()):
-        if isinstance(center, tuple):
-            center_text = ";".join(_point_repr(c) for c in center)
-        else:
-            center_text = _point_repr(center)
-        rows.append([idx, center_text, radius])
+    for idx, combo in enumerate(itertools.product(*report.factor_centers)):
+        center_text = ";".join(f.format_point(c) for f, c in zip(factors, combo))
+        rows.append([idx, center_text, report.radius])
     body = csv_body(["index", "center", "radius"], rows)
     stats = {"count": report.count, "bound": report.bound, "sound": sound}
     manifest = _manifest(cfg, cfg.command, stats, space=space, started=started)
@@ -310,11 +279,12 @@ def _run_cover_ball(cfg: RunConfig) -> RunOutcome:
     if not (cfg.space and cfg.x and cfg.R is not None and cfg.radius is not None):
         raise ValueError("cover-ball requires space, x, R and radius")
     space = parse_space(cfg.space)
-    if isinstance(space, ProductSpace):
+    if space.dim != 1:
         raise ValueError("cover-ball takes a single factor space; use cover-rect")
-    (x,) = parse_points(space, cfg.x)
-    report = cover_ball(space, x, cfg.R, cfg.radius)
-    return _cover_outcome(cfg, report, space, started)
+    (factor,) = space.factors
+    (x,) = parse_points(space.factors, cfg.x)
+    report = cover_ball(factor, x, cfg.R, cfg.radius)
+    return _cover_outcome(cfg, report, factor, space.factors, started)
 
 
 def _run_cover_rect(cfg: RunConfig) -> RunOutcome:
@@ -322,11 +292,9 @@ def _run_cover_rect(cfg: RunConfig) -> RunOutcome:
     if not (cfg.space and cfg.x and cfg.r and cfg.radius is not None):
         raise ValueError("cover-rect requires space, x (center), r (radii) and radius")
     space = parse_space(cfg.space)
-    if not isinstance(space, ProductSpace):
-        space = ProductSpace((space,))
-    center = parse_points(space, cfg.x)
+    center = parse_points(space.factors, cfg.x)
     report = cover_rectangle(space, center, _floats(cfg.r), cfg.radius)
-    return _cover_outcome(cfg, report, space, started)
+    return _cover_outcome(cfg, report, space, space.factors, started)
 
 
 def _run_sparse(cfg: RunConfig) -> RunOutcome:
@@ -334,19 +302,18 @@ def _run_sparse(cfg: RunConfig) -> RunOutcome:
     if not (cfg.space and cfg.x and cfg.R is not None and cfg.radius is not None):
         raise ValueError("sparse requires space, x0, R and radius")
     space = parse_space(cfg.space)
-    if isinstance(space, ProductSpace):
+    if space.dim != 1:
         raise ValueError("sparse subsets are built per factor space")
-    (x0,) = parse_points(space, cfg.x)
+    (factor,) = space.factors
+    (x0,) = parse_points(space.factors, cfg.x)
     rng = np.random.default_rng(cfg.seed) if cfg.seed is not None else None
-    points = max_sparse_subset(space, x0, cfg.R, cfg.radius, rng)
-    from .spaces import sparse_bounds
-
-    lo, hi = sparse_bounds(space, cfg.R, cfg.radius)
-    rows = [[i, _point_repr(p)] for i, p in enumerate(points)]
+    points = max_sparse_subset(factor, x0, cfg.R, cfg.radius, rng)
+    lo, hi = sparse_bounds(factor, cfg.R, cfg.radius)
+    rows = [[i, factor.format_point(p)] for i, p in enumerate(points)]
     body = csv_body(["index", "point"], rows)
     ok = lo <= len(points) <= hi
     stats = {"count": len(points), "lower": lo, "upper": hi, "ok": ok}
-    manifest = _manifest(cfg, "sparse", stats, space=space, started=started)
+    manifest = _manifest(cfg, "sparse", stats, space=factor, started=started)
     lines = [f"count={len(points)}", f"bounds=[{fmt17(lo)}, {fmt17(hi)}]", f"ok={ok}"]
     return RunOutcome(0 if ok else 1, lines, csv=body, manifest=manifest)
 
@@ -356,15 +323,14 @@ def _run_fiber_sum(cfg: RunConfig) -> RunOutcome:
     if not (cfg.space and cfg.schedule and cfg.s and cfg.u and cfg.checkpoints and cfg.x):
         raise ValueError("mc-fiber-sum requires space, schedule, s, u, x (anchor), checkpoints")
     space = parse_space(cfg.space)
-    if not isinstance(space, ProductSpace):
+    if space.dim < 2:
         raise ValueError("fiber sums need a product space")
     sched = parse_schedule(cfg)
     s = _floats(cfg.s)
     us = _floats(cfg.u)
     if len(us) != 1:
         raise ValueError("mc-fiber-sum takes a single u")
-    anchor_space = ProductSpace(space.factors[:-1])
-    anchor = parse_points(anchor_space, cfg.x)
+    anchor = parse_points(space.factors[:-1], cfg.x)
     stream = OmegaStream(cfg.seed, space)
     result = fiber_hit_sum(stream, sched, s, anchor, us[0], _ints(cfg.checkpoints))
     body = csv_body(["N", "statistic", "reference", "ratio"], result.csv_rows())
@@ -398,8 +364,6 @@ def _run_density(cfg: RunConfig) -> RunOutcome:
     if not (cfg.space and cfg.delta is not None and cfg.horizon is not None):
         raise ValueError("mc-density requires space, delta and horizon")
     space = parse_space(cfg.space)
-    if not isinstance(space, ProductSpace):
-        space = ProductSpace((space,))
     stream = OmegaStream(cfg.seed, space)
     report = density_check(stream, cfg.delta, cfg.horizon)
     body = csv_body(["cell", "statistic", "reference", "ratio"], report.csv_rows())
@@ -419,8 +383,6 @@ def _run_tail_cover(cfg: RunConfig) -> RunOutcome:
     if not (cfg.space and cfg.schedule and cfg.s and cfg.t and cfg.window):
         raise ValueError("mc-tail-cover requires space, schedule, s, t and window")
     space = parse_space(cfg.space)
-    if not isinstance(space, ProductSpace):
-        space = ProductSpace((space,))
     sched = parse_schedule(cfg)
     s = _floats(cfg.s)
     window = _window(cfg)
@@ -446,8 +408,6 @@ def _run_verdict(cfg: RunConfig) -> RunOutcome:
     if not (cfg.space and cfg.schedule and cfg.s and cfg.seeds):
         raise ValueError("mc-verdict requires space, schedule, s and seeds")
     space = parse_space(cfg.space)
-    if not isinstance(space, ProductSpace):
-        space = ProductSpace((space,))
     sched = parse_schedule(cfg)
     s = _floats(cfg.s)
     seeds = _ints(cfg.seeds)
@@ -797,8 +757,6 @@ def mc_verdict(ctx, space, alphas, coefficients, s, seeds, tol, config_path, out
 @click.pass_context
 def report_cmd(ctx, manifests, out):
     """Merge compatible run manifests into one plot-ready CSV."""
-    if not manifests:
-        raise click.UsageError("report requires at least one manifest path")
     cfg = RunConfig(command="report", inputs=",".join(manifests), out=out)
     try:
         outcome = run(cfg)

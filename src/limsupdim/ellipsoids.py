@@ -13,7 +13,6 @@ axis-aligned semiaxis data; alignment arguments affect constants only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .svf import DEFAULT_BISECTION_TOL, PowerLawSchedule, critical_exponent_series
@@ -27,13 +26,12 @@ class EllipsoidSchedule:
     kappa_i * n^{-alpha_i}, listed in non-increasing order (alphas
     non-decreasing, coefficients non-increasing).  ``dilation`` is the factor
     by which the circumscribed copy is scaled and must equal the ambient
-    dimension; ``body_tag`` is documentation only.
+    dimension.
     """
 
     alphas: tuple[float, ...]
     coefficients: tuple[float, ...] = ()
     dilation: int | None = None
-    body_tag: str = ""
 
     def __post_init__(self):
         sched = PowerLawSchedule(self.alphas, self.coefficients)  # validates entries
@@ -55,20 +53,6 @@ class EllipsoidSchedule:
 
     def inner_schedule(self) -> PowerLawSchedule:
         return PowerLawSchedule(self.alphas, self.coefficients)
-
-    def dilated_schedule(self) -> PowerLawSchedule:
-        return PowerLawSchedule(
-            self.alphas, tuple(k * self.dilation for k in self.coefficients)
-        )
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": "ellipsoid",
-            "alphas": list(self.alphas),
-            "coefficients": list(self.coefficients),
-            "dilation": self.dilation,
-            "body_tag": self.body_tag,
-        }
 
 
 def convex_body_dimension(sched: EllipsoidSchedule,

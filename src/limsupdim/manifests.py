@@ -39,12 +39,6 @@ def csv_body(header: Iterable[str], rows: Iterable[Iterable]) -> str:
     return buf.getvalue()
 
 
-def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> str:
-    body = csv_body(header, rows)
-    Path(path).write_text(body, encoding="utf-8")
-    return body
-
-
 @dataclass
 class RunManifest:
     """Reproducibility record of one operation run."""

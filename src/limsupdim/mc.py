@@ -16,13 +16,12 @@ actually controls -- hit sums along fibers and cover sums along the tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import rng as crng
-from .spaces import Cantor, Circle, Interval, ProductSpace, cover_rectangle
+from .spaces import ProductSpace, cover_rectangle
 from .svf import (
     ExplicitSchedule,
     PowerLawSchedule,
@@ -70,35 +69,12 @@ class OmegaStream:
         ns = np.asarray(ns, dtype=np.int64)
         if np.any(ns < 1):
             raise ValueError("stream indices start at 1")
-        factor = self.space.factors[i]
-        if isinstance(factor, Cantor):
-            digits = crng.bits(self.seed, i, ns, factor.default_depth)
-            return digits.astype(float) @ factor.weights(factor.default_depth)
-        return crng.uniform01(self.seed, i, ns)
-
-    def factor_digits(self, i: int, ns: np.ndarray, depth: int) -> np.ndarray:
-        """Leading digits of Cantor-factor samples (for cylinder binning)."""
-        factor = self.space.factors[i]
-        if not isinstance(factor, Cantor):
-            raise ValueError(f"factor {i} is not a Cantor space")
-        if depth > factor.default_depth:
-            raise ValueError("requested depth exceeds the sampling depth")
-        return crng.bits(self.seed, i, np.asarray(ns, dtype=np.int64),
-                         factor.default_depth)[:, :depth]
+        return self.space.factors[i].stream_coords(self.seed, i, ns)
 
     def omega(self, n: int) -> tuple:
         """The n-th center as a tuple of factor points."""
-        out = []
-        for i, factor in enumerate(self.space.factors):
-            if isinstance(factor, Cantor):
-                digits = crng.bits(self.seed, i, np.array([n]), factor.default_depth)[0]
-                out.append(factor.point(digits))
-            else:
-                out.append(float(crng.uniform01(self.seed, i, np.array([n]))[0]))
-        return tuple(out)
-
-    def descriptor(self) -> dict:
-        return {"seed": self.seed, "space": self.space.descriptor()}
+        return tuple(f.stream_point(self.seed, i, n)
+                     for i, f in enumerate(self.space.factors))
 
 
 def _require_matching_regularity(space: ProductSpace, s: Sequence[float]) -> np.ndarray:
@@ -132,23 +108,6 @@ def _require_sorted_schedule(sched: RadiusSchedule) -> None:
                 raise ValueError(f"tuple #{idx} is not non-increasing; relabel first")
         if isinstance(sched.tail, PowerLawSchedule):
             _require_sorted_schedule(sched.tail)
-
-
-def _radii_block(sched: RadiusSchedule, n0: int, n1: int) -> np.ndarray:
-    ns = np.arange(n0, n1 + 1, dtype=np.int64)
-    return np.exp(sched.log_radii(ns))
-
-
-def _ball_measure_array(factor, x, rs: np.ndarray) -> np.ndarray:
-    """Vectorised exact ball measures mu(B(x, r)) over an array of radii."""
-    if isinstance(factor, Interval):
-        xv = float(x)
-        return np.maximum(
-            0.0, np.minimum(xv + rs, 1.0) - np.maximum(xv - rs, 0.0)
-        )
-    if isinstance(factor, Circle):
-        return np.minimum(2.0 * rs, 1.0)
-    return np.array([factor.ball_measure(x, float(r)) for r in rs])
 
 
 @dataclass(frozen=True)
@@ -221,10 +180,11 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
         raise ValueError("checkpoints must be positive integers")
     n_max = cps[-1]
 
-    radii = _radii_block(sched, 1, n_max)
+    ns = np.arange(1, n_max + 1, dtype=np.int64)
+    radii = np.exp(sched.log_radii(ns))
     hits = np.ones(n_max, dtype=bool)
     for i, factor in enumerate(space.factors[:-1]):
-        coords = stream.factor_coords(i, np.arange(1, n_max + 1))
+        coords = stream.factor_coords(i, ns)
         dist = factor.distance_to_array(coords, anchor[i])
         hits &= dist <= radii[:, i]
     weights = radii[:, -1] ** u
@@ -232,7 +192,7 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
 
     exact_terms = weights.copy()
     for i, factor in enumerate(space.factors[:-1]):
-        exact_terms = exact_terms * _ball_measure_array(factor, anchor[i], radii[:, i])
+        exact_terms = exact_terms * factor.ball_measure_array(anchor[i], radii[:, i])
 
     t_u = min(math.fsum(sv[:-1]) + u, math.fsum(sv))
     c_const = math.prod(1.0 / f.c for f in space.factors[:-1])
@@ -348,7 +308,6 @@ class DensityReport:
     cell_count: int
     counts_half: tuple[int, ...]
     counts_full: tuple[int, ...]
-    radii_note: str
 
     @property
     def min_counts(self) -> tuple[int, int]:
@@ -382,46 +341,23 @@ class DensityReport:
 MAX_DENSITY_CELLS = 1 << 20
 
 
-def _factor_cells(factor, delta: float) -> int:
-    if isinstance(factor, Cantor):
-        depth = 0
-        while factor.lam**depth > delta:
-            depth += 1
-        return depth  # number of digits; cell count is 2**depth
-    return max(1, math.ceil(1.0 / delta))
-
-
-def density_check(stream: OmegaStream, delta: float, horizon: int,
-                  radii: Sequence[float] | None = None) -> DensityReport:
+def density_check(stream: OmegaStream, delta: float, horizon: int) -> DensityReport:
     """Count centers per cell of a delta-net at horizon and horizon // 2.
 
-    Cells are products of per-factor cells: uniform arcs/intervals of length
-    at most delta, or Cantor cylinders of diameter at most delta.  The
-    optional radius sequence is echoed in the report for context (the limsup
-    set over a cell is non-trivial only while radii stay positive); it does
-    not enter the counting.
+    Cells are products of per-factor cells of diameter at most delta (each
+    factor's cell_count and stream_cells).
 
-    A delta whose cell count exceeds MAX_DENSITY_CELLS, or that needs more
-    Cantor digits than the factor's sampling depth, is a domain error raised
-    before anything is drawn or allocated.
+    A delta whose cell count exceeds MAX_DENSITY_CELLS, or finer than a
+    factor's stream resolves, is a domain error raised before anything is
+    drawn or allocated.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     space = stream.space
-    cell_specs = []  # (factor, width, cells) per factor
-    total_cells = 1
-    for i, factor in enumerate(space.factors):
-        width = _factor_cells(factor, delta)
-        if isinstance(factor, Cantor) and width > factor.default_depth:
-            raise ValueError(
-                f"delta={delta} needs {width} digits of Cantor factor {i}, more "
-                f"than its sampling depth {factor.default_depth}"
-            )
-        cells = 2**width if isinstance(factor, Cantor) else width
-        cell_specs.append((factor, width, cells))
-        total_cells *= cells
+    cells = [factor.cell_count(delta) for factor in space.factors]
+    total_cells = math.prod(cells)
     if total_cells > MAX_DENSITY_CELLS:
         raise ValueError(
             f"delta={delta} gives {total_cells} cells over {space.dim} factors, "
@@ -433,34 +369,18 @@ def density_check(stream: OmegaStream, delta: float, horizon: int,
             return np.zeros(total_cells, dtype=np.int64)
         ns = np.arange(1, N + 1)
         index = np.zeros(N, dtype=np.int64)
-        for i, (factor, width, cells) in enumerate(cell_specs):
-            if isinstance(factor, Cantor):
-                digits = stream.factor_digits(i, ns, width)
-                cell = np.zeros(N, dtype=np.int64)
-                for k in range(width):
-                    cell = cell * 2 + digits[:, k]
-            else:
-                coords = stream.factor_coords(i, ns)
-                cell = np.minimum((coords * cells).astype(np.int64), cells - 1)
-            index = index * cells + cell
+        for i, (factor, count) in enumerate(zip(space.factors, cells)):
+            index = index * count + factor.stream_cells(stream.seed, i, ns, delta)
         return np.bincount(index, minlength=total_cells)
 
     half = horizon // 2
-    note = "" if radii is None else (
-        f"radii r_1={fmt_float(radii[0])}..r_N={fmt_float(radii[-1])}" if len(radii) else ""
-    )
     return DensityReport(
         delta=delta,
         horizons=(half, horizon),
         cell_count=total_cells,
         counts_half=tuple(int(v) for v in counts_at(half)),
         counts_full=tuple(int(v) for v in counts_at(horizon)),
-        radii_note=note,
     )
-
-
-def fmt_float(x: float) -> str:
-    return format(float(x), ".6g")
 
 
 @dataclass(frozen=True)

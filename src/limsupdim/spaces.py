@@ -21,6 +21,16 @@ Products carry the max metric, under which a rectangle with equal side radii
 is exactly a ball (a cube).  Sparse subsets and covers are constructed
 greedily over finite probe nets of resolution r/4; maximality and cover
 soundness are certified against the same nets.
+
+Factor protocol.  Everything that differs between kinds lives on the kind's
+class, so the Monte Carlo layer and the CLI never name a kind.  A new
+regular factor subclasses RegularSpace; sets kind, params (the constructor
+arguments, read from descriptors and from CLI tokens such as "cantor:0.25"),
+c, s and diameter; and implements embed, distance, distance_to_array,
+validate_point, net, ball_measure, sample, the counter stream (stream_coords,
+stream_point), density cells (cell_count, stream_cells), text (parse_point,
+format_point), anchor and descriptor.  Defaults serve ball_measure_array (a
+per-radius loop) and wrap_clash (needed only by a metric that wraps around).
 """
 
 from __future__ import annotations
@@ -31,6 +41,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from . import rng as crng
 
 __all__ = [
     "RegularSpace",
@@ -48,6 +60,7 @@ __all__ = [
     "cover_rectangle",
     "verify_cover",
     "space_from_descriptor",
+    "factor_from_token",
 ]
 
 _MASS_DEPTH_CAP = 60  # unresolved boundary slivers weigh <= 2^-60 each
@@ -70,9 +83,11 @@ class CantorPoint:
 
 
 class RegularSpace:
-    """Base for the concrete space kinds; subclasses fix (c, s, diameter)."""
+    """Base of the factor kinds; subclasses fix (c, s, diameter) and
+    implement the factor protocol described in the module docstring."""
 
     kind: str
+    params: tuple[str, ...] = ()
     c: float
     s: float
     diameter: float
@@ -94,7 +109,29 @@ class RegularSpace:
     def ball_measure(self, x, r: float) -> float:
         raise NotImplementedError
 
+    def ball_measure_array(self, x, rs: np.ndarray) -> np.ndarray:
+        """Exact ball measures mu(B(x, r)) over an array of radii."""
+        return np.array([self.ball_measure(x, float(r)) for r in rs])
+
     def sample(self, rng: np.random.Generator):
+        raise NotImplementedError
+
+    def stream_coords(self, seed: int, lane: int, ns: np.ndarray) -> np.ndarray:
+        """Embedded coordinates of the counter stream keyed (seed, lane) at
+        the indices ns; each value is a function of (seed, lane, n) alone."""
+        raise NotImplementedError
+
+    def stream_point(self, seed: int, lane: int, n: int):
+        """The stream's point at index n; it embeds to stream_coords' value."""
+        raise NotImplementedError
+
+    def cell_count(self, delta: float) -> int:
+        """Number of density cells, each of diameter at most delta."""
+        raise NotImplementedError
+
+    def stream_cells(self, seed: int, lane: int, ns: np.ndarray,
+                     delta: float) -> np.ndarray:
+        """Cell index in [0, cell_count(delta)) of each stream index."""
         raise NotImplementedError
 
     def net(self, x0, R: float, resolution: float):
@@ -107,6 +144,23 @@ class RegularSpace:
         """
         raise NotImplementedError
 
+    def wrap_clash(self, point, first, latest, r: float) -> bool:
+        """Extra rejection test of the sorted first-fit greedy: a candidate
+        closer than r to the first or latest accepted point.  Only a metric
+        that wraps around needs it; on a line the sorted gaps decide alone."""
+        return False
+
+    def anchor(self):
+        """A canonical point of the space."""
+        raise NotImplementedError
+
+    def parse_point(self, token: str):
+        """The point that format_point writes as ``token``."""
+        raise NotImplementedError
+
+    def format_point(self, point) -> str:
+        raise NotImplementedError
+
     def descriptor(self) -> dict:
         raise NotImplementedError
 
@@ -114,7 +168,43 @@ class RegularSpace:
         return f"{type(self).__name__}(c={self.c}, s={self.s})"
 
 
-class Interval(RegularSpace):
+class _UnitCoordinateSpace(RegularSpace):
+    """Kinds whose points are floats and whose measure is uniform on [0, 1):
+    the interval and the circle share sampling, the counter stream, density
+    cells of equal length, the anchor 0.5, the text form and the descriptor."""
+
+    def sample(self, rng: np.random.Generator) -> float:
+        return float(rng.random())
+
+    def stream_coords(self, seed: int, lane: int, ns: np.ndarray) -> np.ndarray:
+        return crng.uniform01(seed, lane, ns)
+
+    def stream_point(self, seed: int, lane: int, n: int) -> float:
+        return float(self.stream_coords(seed, lane, np.array([n]))[0])
+
+    def cell_count(self, delta: float) -> int:
+        return max(1, math.ceil(1.0 / delta))
+
+    def stream_cells(self, seed: int, lane: int, ns: np.ndarray,
+                     delta: float) -> np.ndarray:
+        cells = self.cell_count(delta)
+        coords = self.stream_coords(seed, lane, ns)
+        return np.minimum((coords * cells).astype(np.int64), cells - 1)
+
+    def anchor(self) -> float:
+        return 0.5
+
+    def parse_point(self, token: str) -> float:
+        return float(token)
+
+    def format_point(self, point) -> str:
+        return format(float(point), ".17g")
+
+    def descriptor(self) -> dict:
+        return {"kind": self.kind, "c": self.c, "s": self.s}
+
+
+class Interval(_UnitCoordinateSpace):
     """The unit interval [0, 1] with Euclidean metric and length measure."""
 
     kind = "interval"
@@ -141,8 +231,11 @@ class Interval(RegularSpace):
         _check_radius(r, self.diameter)
         return max(0.0, min(float(x) + r, 1.0) - max(float(x) - r, 0.0))
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.random())
+    def ball_measure_array(self, x, rs: np.ndarray) -> np.ndarray:
+        xv = float(x)
+        return np.maximum(
+            0.0, np.minimum(xv + rs, 1.0) - np.maximum(xv - rs, 0.0)
+        )
 
     def net(self, x0, R: float, resolution: float):
         lo = max(0.0, float(x0) - R)
@@ -150,11 +243,8 @@ class Interval(RegularSpace):
         coords = _linspace_net(lo, hi, resolution)
         return coords, [float(v) for v in coords]
 
-    def descriptor(self) -> dict:
-        return {"kind": "interval", "c": self.c, "s": self.s}
 
-
-class Circle(RegularSpace):
+class Circle(_UnitCoordinateSpace):
     """Circle of circumference 1; arc-length metric capped at 1/2."""
 
     kind = "circle"
@@ -182,8 +272,8 @@ class Circle(RegularSpace):
             return 0.0
         return min(2.0 * r, 1.0)
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.random())
+    def ball_measure_array(self, x, rs: np.ndarray) -> np.ndarray:
+        return np.minimum(2.0 * rs, 1.0)
 
     def net(self, x0, R: float, resolution: float):
         R = min(R, self.diameter)
@@ -191,8 +281,10 @@ class Circle(RegularSpace):
         coords = _linspace_net(x - R, x + R, resolution)
         return coords, [float(v % 1.0) for v in coords]
 
-    def descriptor(self) -> dict:
-        return {"kind": "circle", "c": self.c, "s": self.s}
+    def wrap_clash(self, point, first, latest, r: float) -> bool:
+        # the wrap gap to the first point is what shrinks along the arc, so
+        # these two checks imply all pairwise ones
+        return self.distance(point, first) < r or self.distance(point, latest) < r
 
 
 class Cantor(RegularSpace):
@@ -204,6 +296,7 @@ class Cantor(RegularSpace):
     """
 
     kind = "cantor"
+    params = ("lam",)
     diameter = 1.0
 
     def __init__(self, lam: float):
@@ -215,6 +308,7 @@ class Cantor(RegularSpace):
         self.c = 2.0 * (1.0 + lam) / (1.0 - lam)
         # digits beyond this depth cannot move the float embedding
         self.default_depth = min(64, math.ceil(53.0 * math.log(2.0) / math.log(1.0 / lam)) + 2)
+        self._stream_weights = self.weights(self.default_depth).tolist()
         self._pow = np.power(lam, np.arange(_MASS_DEPTH_CAP + 2))
 
     def weights(self, depth: int) -> np.ndarray:
@@ -274,6 +368,46 @@ class Cantor(RegularSpace):
         digits = rng.integers(0, 2, size=depth)
         return self.point(digits)
 
+    def _stream_embed(self, digits):
+        """The stream's embedding from one int per digit (a point) or one
+        column array per digit (a block).  Both add the weighted digits in
+        digit order by the same float operations, so a value does not depend
+        on its block, as a BLAS matrix-vector product's does."""
+        value = 0.0
+        for d, w in zip(digits, self._stream_weights):
+            value = value + d * w
+        return value
+
+    def stream_coords(self, seed: int, lane: int, ns: np.ndarray) -> np.ndarray:
+        return self._stream_embed(crng.bits(seed, lane, ns, self.default_depth).T)
+
+    def stream_point(self, seed: int, lane: int, n: int) -> CantorPoint:
+        digits = crng.bits(seed, lane, np.array([n]), self.default_depth)[0].tolist()
+        return CantorPoint(tuple(digits), self._stream_embed(digits))
+
+    def _cell_depth(self, delta: float) -> int:
+        """Digits that resolve cylinders of diameter <= delta; a depth past
+        the stream's sampling depth is a domain error."""
+        depth = 0
+        while self.lam**depth > delta:
+            depth += 1
+        if depth > self.default_depth:
+            raise ValueError(
+                f"delta={delta} needs {depth} digits of {self!r}, more than "
+                f"its sampling depth {self.default_depth}"
+            )
+        return depth
+
+    def cell_count(self, delta: float) -> int:
+        return 2 ** self._cell_depth(delta)
+
+    def stream_cells(self, seed: int, lane: int, ns: np.ndarray,
+                     delta: float) -> np.ndarray:
+        depth = self._cell_depth(delta)
+        digits = crng.bits(seed, lane, ns, self.default_depth)[:, :depth]
+        # the leading digits read as a binary number, first digit highest
+        return digits.astype(np.int64) @ (1 << np.arange(depth - 1, -1, -1))
+
     def cylinders_in(self, a: float, b: float, depth: int) -> list[tuple[int, ...]]:
         """Digit prefixes of all depth-``depth`` cylinders meeting [a, b]."""
         out: list[tuple[int, ...]] = []
@@ -303,11 +437,25 @@ class Cantor(RegularSpace):
         coords = np.array([p.value for p in pts], dtype=float)
         return coords, pts
 
+    def anchor(self) -> CantorPoint:
+        return self.point(())
+
+    def parse_point(self, token: str) -> CantorPoint:
+        # digit string, optionally after "digits:"; "()" is the empty string
+        text = token[len("digits:"):] if token.startswith("digits:") else token
+        return self.point(int(c) for c in ("" if text == "()" else text))
+
+    def format_point(self, point) -> str:
+        return "".join(str(d) for d in point.digits) or "()"
+
     def descriptor(self) -> dict:
         return {"kind": "cantor", "lam": self.lam, "c": self.c, "s": self.s}
 
     def __repr__(self) -> str:
         return f"Cantor(lam={self.lam}, c={self.c:.6g}, s={self.s:.6g})"
+
+
+_KINDS = {cls.kind: cls for cls in (Interval, Circle, Cantor)}
 
 
 @dataclass(frozen=True)
@@ -338,10 +486,6 @@ class ProductSpace:
         return math.fsum(f.s for f in self.factors)
 
     @property
-    def c_vector(self) -> tuple[float, ...]:
-        return tuple(f.c for f in self.factors)
-
-    @property
     def c_product(self) -> float:
         return math.prod(f.c for f in self.factors) * 2.0 ** self.s_total
 
@@ -359,16 +503,10 @@ class ProductSpace:
             f.validate_point(coord)
 
     def center(self) -> tuple:
-        """A canonical anchor point: the midpoint coordinate of each factor
-        (all-zero digits followed by a 1... is not needed; for Cantor the
-        left endpoint 0 is used)."""
-        out = []
-        for f in self.factors:
-            if isinstance(f, Cantor):
-                out.append(f.point(()))
-            else:
-                out.append(0.5)
-        return tuple(out)
+        """The canonical anchor point: the anchor of each factor, which is
+        the midpoint 0.5 of the interval and the circle and the left
+        endpoint 0 (the empty digit string) of a Cantor set."""
+        return tuple(f.anchor() for f in self.factors)
 
     def sample(self, rng: np.random.Generator) -> tuple:
         return tuple(f.sample(rng) for f in self.factors)
@@ -419,14 +557,12 @@ def _greedy_sorted(space: RegularSpace, coords: np.ndarray, points: list,
     Consecutive accepted coordinates differ by >= r in the same arithmetic
     the verification uses, so all pairs do.  The searchsorted jump aims a few
     ulps low and advances linearly, so borderline points are neither skipped
-    nor accepted by rounding of prev + r.  On the circle, candidates are
-    additionally checked (with the space's own circular distance) against the
-    first and latest accepted points; the wrap gap to the first point is what
-    shrinks along the arc, so those two checks imply all pairwise ones.
+    nor accepted by rounding of prev + r.  A space whose metric wraps around
+    (the circle) also rejects a candidate through ``wrap_clash``, checked
+    against the first and latest accepted points.
     """
     if coords.size == 0:
         return []
-    circle = isinstance(space, Circle)
     accepted = [0]
     prev = coords[0]
     j = 1
@@ -441,8 +577,7 @@ def _greedy_sorted(space: RegularSpace, coords: np.ndarray, points: list,
             j += 1
         if j >= n:
             break
-        if circle and (space.distance(points[j], points[accepted[0]]) < r
-                       or space.distance(points[j], points[accepted[-1]]) < r):
+        if space.wrap_clash(points[j], points[accepted[0]], points[accepted[-1]], r):
             j += 1
             continue
         accepted.append(j)
@@ -627,12 +762,19 @@ def verify_cover(space: RegularSpace | ProductSpace, report: CoverReport,
 def space_from_descriptor(desc: dict) -> RegularSpace | ProductSpace:
     """Inverse of the descriptor() methods, for manifests and configs."""
     kind = desc.get("kind")
-    if kind == "interval":
-        return Interval()
-    if kind == "circle":
-        return Circle()
-    if kind == "cantor":
-        return Cantor(desc["lam"])
     if kind == "product":
         return ProductSpace(tuple(space_from_descriptor(f) for f in desc["factors"]))
-    raise ValueError(f"unknown space kind {kind!r}")
+    cls = _KINDS.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown space kind {kind!r}")
+    return cls(*(desc[p] for p in cls.params))
+
+
+def factor_from_token(token: str) -> RegularSpace:
+    """Parse a CLI factor token: the kind, then each constructor parameter
+    after a colon ("interval", "circle", "cantor:0.25")."""
+    kind, *args = token.split(":")
+    cls = _KINDS.get(kind)
+    if cls is None or len(args) != len(cls.params):
+        raise ValueError(f"unknown space factor {token!r}")
+    return cls(*(float(a) for a in args))

@@ -58,7 +58,32 @@ DEFAULT_BISECTION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class RadiusTuple:
+class _FloatTuple:
+    """A non-empty tuple of floats; a subclass names it (``_name``) and
+    gives the entry check ``_ok`` with its ``_domain`` text."""
+
+    values: tuple[float, ...]
+
+    def __init__(self, values: Iterable[float]):
+        vals = tuple(float(v) for v in values)
+        if not vals:
+            raise ValueError(f"{self._name} must be non-empty")
+        for v in vals:
+            if not self._ok(v):
+                raise ValueError(f"{self._domain}, got {v}")
+        object.__setattr__(self, "values", vals)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __getitem__(self, i: int) -> float:
+        return self.values[i]
+
+
+class RadiusTuple(_FloatTuple):
     """Side radii of a rectangle, one positive entry per factor space.
 
     Standalone radii must lie in (0, 1]; when attached to a space each entry
@@ -66,71 +91,57 @@ class RadiusTuple:
     of attachment, not here).
     """
 
-    values: tuple[float, ...]
-
-    def __init__(self, values: Iterable[float]):
-        vals = tuple(float(v) for v in values)
-        if not vals:
-            raise ValueError("radius tuple must be non-empty")
-        for v in vals:
-            if not (0.0 < v <= 1.0) or math.isnan(v):
-                raise ValueError(f"radii must lie in (0, 1], got {v}")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
+    _name = "radius tuple"
+    _ok = staticmethod(lambda v: 0.0 < v <= 1.0)  # false for NaN too
+    _domain = "radii must lie in (0, 1]"
 
 
-@dataclass(frozen=True)
-class RegularityVector:
+class RegularityVector(_FloatTuple):
     """Regularity exponents (s_1, ..., s_d), non-negative with finite total."""
 
-    values: tuple[float, ...]
-
-    def __init__(self, values: Iterable[float]):
-        vals = tuple(float(v) for v in values)
-        if not vals:
-            raise ValueError("regularity vector must be non-empty")
-        for v in vals:
-            if v < 0.0 or not math.isfinite(v):
-                raise ValueError(f"regularity exponents must be finite and >= 0, got {v}")
-        object.__setattr__(self, "values", vals)
+    _name = "regularity vector"
+    _ok = staticmethod(lambda v: 0.0 <= v < math.inf)  # false for NaN too
+    _domain = "regularity exponents must be finite and >= 0"
 
     def total(self) -> float:
         return math.fsum(self.values)
 
-    def __len__(self) -> int:
-        return len(self.values)
 
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
+# (name, entry check, domain text) of the arrays that _as_array accepts
+_RADII = ("radii", lambda v: v > 0.0, "strictly positive")
+_EXPONENTS = ("regularity exponents", lambda v: v >= 0.0, ">= 0")
 
 
-def _as_radius_array(r: RadiusTuple | Sequence[float]) -> np.ndarray:
-    vals = np.asarray(r.values if isinstance(r, RadiusTuple) else r, dtype=float)
+def _as_array(values: _FloatTuple | Sequence[float], spec: tuple) -> np.ndarray:
+    """A tuple or sequence as a non-empty 1-d float array, entries checked."""
+    name, ok, domain = spec
+    vals = np.asarray(values.values if isinstance(values, _FloatTuple) else values,
+                      dtype=float)
     if vals.ndim != 1 or vals.size == 0:
-        raise ValueError("radii must form a non-empty 1-d sequence")
-    if not np.all(vals > 0.0):
-        raise ValueError("all radii must be strictly positive")
+        raise ValueError(f"{name} must form a non-empty 1-d sequence")
+    if not np.all(ok(vals)):
+        raise ValueError(f"all {name} must be {domain}")
     return vals
 
 
-def _as_regularity_array(s: RegularityVector | Sequence[float]) -> np.ndarray:
-    vals = np.asarray(s.values if isinstance(s, RegularityVector) else s, dtype=float)
-    if vals.ndim != 1 or vals.size == 0:
-        raise ValueError("regularity exponents must form a non-empty 1-d sequence")
-    if not np.all(vals >= 0.0):
-        raise ValueError("all regularity exponents must be >= 0")
-    return vals
+def _radii_and_exponents(r, s) -> tuple[np.ndarray, np.ndarray]:
+    rv, sv = _as_array(r, _RADII), _as_array(s, _EXPONENTS)
+    if rv.shape != sv.shape:
+        raise ValueError(f"dimension mismatch: {rv.size} radii vs {sv.size} exponents")
+    return rv, sv
+
+
+def _piecewise_linear(breakpoints: Sequence[tuple[float, float]],
+                      slopes: Sequence[float], t: float) -> float:
+    """Value at t of the piecewise-linear function through ``breakpoints``,
+    sorted (t, y) pairs from t = 0, with slope ``slopes[i]`` on piece i."""
+    ts = [b[0] for b in breakpoints]
+    if not (0.0 <= t <= ts[-1]):
+        raise ValueError(f"t={t} outside [0, {ts[-1]}]")
+    i = int(np.searchsorted(ts, t, side="left"))
+    if ts[i] == t:
+        return breakpoints[i][1]
+    return breakpoints[i - 1][1] + (t - ts[i - 1]) * slopes[i - 1]
 
 
 def log_phi_rows(log_r: np.ndarray, s: np.ndarray, t: float) -> np.ndarray:
@@ -198,10 +209,7 @@ def singular_value(r: RadiusTuple | Sequence[float],
     Raises ValueError on dimension mismatch, radii <= 0, or t outside
     [0, sum(s)].
     """
-    rv = _as_radius_array(r)
-    sv = _as_regularity_array(s)
-    if rv.shape != sv.shape:
-        raise ValueError(f"dimension mismatch: {rv.size} radii vs {sv.size} exponents")
+    rv, sv = _radii_and_exponents(r, s)
     return float(np.exp(log_phi_rows(np.log(rv)[None, :], sv, float(t))[0]))
 
 
@@ -223,18 +231,16 @@ class SingularValueProfile:
     def total(self) -> float:
         return self.breakpoints[-1][0]
 
+    @property
+    def slopes(self) -> tuple[float, ...]:
+        """Rise over run of each piece; a piece of zero width is never
+        evaluated and gets slope 0."""
+        pieces = zip(self.breakpoints, self.breakpoints[1:])
+        return tuple((y1 - y0) / (t1 - t0) if t1 > t0 else 0.0
+                     for (t0, y0), (t1, y1) in pieces)
+
     def log_value(self, t: float) -> float:
-        ts = [b[0] for b in self.breakpoints]
-        ys = [b[1] for b in self.breakpoints]
-        if not (0.0 <= t <= ts[-1]):
-            raise ValueError(f"t={t} outside [0, {ts[-1]}]")
-        i = np.searchsorted(ts, t, side="left")
-        if ts[i] == t:
-            return ys[i]
-        lo, hi = i - 1, i
-        width = ts[hi] - ts[lo]
-        slope = (ys[hi] - ys[lo]) / width
-        return ys[lo] + (t - ts[lo]) * slope
+        return _piecewise_linear(self.breakpoints, self.slopes, t)
 
     def value(self, t: float) -> float:
         return float(math.exp(self.log_value(t)))
@@ -243,10 +249,7 @@ class SingularValueProfile:
 def svf_profile(r: RadiusTuple | Sequence[float],
                 s: RegularityVector | Sequence[float]) -> SingularValueProfile:
     """Full piecewise-linear profile of log Phi_r^s, breakpoints included."""
-    rv = _as_radius_array(r)
-    sv = _as_regularity_array(s)
-    if rv.shape != sv.shape:
-        raise ValueError(f"dimension mismatch: {rv.size} radii vs {sv.size} exponents")
+    rv, sv = _radii_and_exponents(r, s)
     log_r = np.log(rv)
     order = np.argsort(-log_r, kind="stable")
     s_sorted = sv[order]
@@ -442,14 +445,7 @@ class ExponentProfile:
         return self.breakpoints[-1][0]
 
     def value(self, t: float) -> float:
-        ts = [b[0] for b in self.breakpoints]
-        es = [b[1] for b in self.breakpoints]
-        if not (0.0 <= t <= ts[-1]):
-            raise ValueError(f"t={t} outside [0, {ts[-1]}]")
-        i = int(np.searchsorted(ts, t, side="left"))
-        if ts[i] == t:
-            return es[i]
-        return es[i - 1] + (t - ts[i - 1]) * self.slopes[i - 1]
+        return _piecewise_linear(self.breakpoints, self.slopes, t)
 
     def level_crossing(self, level: float) -> float | None:
         """Smallest t with e(t) = level by direct piecewise solve, or None if
@@ -474,7 +470,7 @@ def exponent_profile(sched: PowerLawSchedule,
     Exact when all prefactors are 1; otherwise it describes the asymptotic
     exponent, with the prefactors carried separately.
     """
-    sv = _as_regularity_array(s)
+    sv = _as_array(s, _EXPONENTS)
     if sv.size != sched.dim:
         raise ValueError(f"dimension mismatch: {sched.dim} alphas vs {sv.size} exponents")
     alphas = np.asarray(sched.alphas, dtype=float)
@@ -508,7 +504,7 @@ def critical_exponent_series(sched: RadiusSchedule,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    sv = _as_regularity_array(s)
+    sv = _as_array(s, _EXPONENTS)
     total = math.fsum(sv)
     if isinstance(sched, ExplicitSchedule):
         if sched.tail is None:
@@ -546,7 +542,7 @@ def closed_form_dimension(sched: PowerLawSchedule,
     capped at sum(s).  Must agree with critical_exponent_series within the
     bisection tolerance on every valid schedule.
     """
-    sv = _as_regularity_array(s)
+    sv = _as_array(s, _EXPONENTS)
     if sv.size != sched.dim:
         raise ValueError(f"dimension mismatch: {sched.dim} alphas vs {sv.size} exponents")
     alphas = np.asarray(sched.alphas, dtype=float)
@@ -592,7 +588,7 @@ def partial_sum(sched: RadiusSchedule,
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    sv = _as_regularity_array(s)
+    sv = _as_array(s, _EXPONENTS)
     return math.fsum(memoryview(_phi_terms(sched, sv, float(t), 1, N)))
 
 
@@ -605,7 +601,7 @@ def partial_sums(sched: RadiusSchedule,
     order = sorted(set(int(N) for N in Ns))
     if order[0] < 1:
         raise ValueError("checkpoints must be >= 1")
-    sv = _as_regularity_array(s)
+    sv = _as_array(s, _EXPONENTS)
     terms = memoryview(_phi_terms(sched, sv, float(t), 1, order[-1]))
     by_N = {N: math.fsum(terms[:N]) for N in order}
     return [by_N[int(N)] for N in Ns]

