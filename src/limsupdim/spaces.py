@@ -27,10 +27,13 @@ class, so the Monte Carlo layer and the CLI never name a kind.  A new
 regular factor subclasses RegularSpace; sets kind, params (the constructor
 arguments, read from descriptors and from CLI tokens such as "cantor:0.25"),
 c, s and diameter; and implements embed, distance, distance_to_array,
-validate_point, net, ball_measure, sample, the counter stream (stream_coords,
-stream_point), density cells (cell_count, stream_cells), text (parse_point,
-format_point), anchor and descriptor.  Defaults serve ball_measure_array (a
-per-radius loop) and wrap_clash (needed only by a metric that wraps around).
+validate_point, net, ball_measure and ball_measure_array (one radius and a
+whole array of radii, bit for bit the same masses), sample, the counter
+stream (stream_coords, stream_point), density cells (cell_count,
+stream_cells), text (parse_point, format_point), anchor and descriptor.  A
+default serves wrap_clash, needed only by a metric that wraps around.
+Interval and Circle measure balls in closed form; Cantor walks its cylinder
+tree level by level for a block of radii at once.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ __all__ = [
 ]
 
 _MASS_DEPTH_CAP = 60  # unresolved boundary slivers weigh <= 2^-60 each
+_MASS_BLOCK = 2048  # radii per ball-mass kernel pass: frontier memory is O(block)
 
 
 @dataclass(frozen=True)
@@ -110,8 +114,8 @@ class RegularSpace:
         raise NotImplementedError
 
     def ball_measure_array(self, x, rs: np.ndarray) -> np.ndarray:
-        """Exact ball measures mu(B(x, r)) over an array of radii."""
-        return np.array([self.ball_measure(x, float(r)) for r in rs])
+        """Exact ball measures mu(B(x, r)) over a 1-d array of radii."""
+        raise NotImplementedError
 
     def sample(self, rng: np.random.Generator):
         raise NotImplementedError
@@ -308,16 +312,25 @@ class Cantor(RegularSpace):
         self.c = 2.0 * (1.0 + lam) / (1.0 - lam)
         # digits beyond this depth cannot move the float embedding
         self.default_depth = min(64, math.ceil(53.0 * math.log(2.0) / math.log(1.0 / lam)) + 2)
-        self._stream_weights = self.weights(self.default_depth).tolist()
+        self._weights = self.weights(self.default_depth).tolist()
         self._pow = np.power(lam, np.arange(_MASS_DEPTH_CAP + 2))
 
     def weights(self, depth: int) -> np.ndarray:
         """Embedding weights (1-lam) * lam^k for digit positions k < depth."""
         return (1.0 - self.lam) * np.power(self.lam, np.arange(depth))
 
-    def embed_digits(self, digits: Sequence[int]) -> float:
-        digits = np.asarray(digits, dtype=float)
-        return float(np.dot(digits, self.weights(digits.size)))
+    def embed_digits(self, digits) -> float:
+        """The embedding of one int per digit (a point), or of one column
+        array per digit (a block of stream points).  Both add the weighted
+        digits in digit order by the same float operations, so a value
+        depends neither on its block nor on the route (stream, point, text)
+        that built it, as a BLAS dot product's does."""
+        weights = (self._weights if len(digits) <= self.default_depth
+                   else self.weights(len(digits)).tolist())
+        value = 0.0
+        for d, w in zip(digits, weights):
+            value = value + d * w
+        return value
 
     def point(self, digits: Sequence[int]) -> CantorPoint:
         digs = tuple(int(d) for d in digits)
@@ -339,51 +352,94 @@ class Cantor(RegularSpace):
             raise ValueError("Cantor space points must be CantorPoint instances")
 
     def ball_measure(self, x, r: float) -> float:
-        _check_radius(r, self.diameter)
-        a = self.embed(x) - r
-        b = self.embed(x) + r
-        if r == 0.0:
-            return 0.0
-        return self._interval_mass(0.0, 0, a, b)
+        return float(self.ball_measure_array(x, np.array([float(r)]))[0])
 
-    def _interval_mass(self, lo: float, depth: int, a: float, b: float) -> float:
-        """Exact mass of C(lam) inside [a, b], recursing through cylinders.
+    def ball_measure_array(self, x, rs: np.ndarray) -> np.ndarray:
+        """Exact ball measures by the level-order kernel ``_interval_masses``,
+        one block of at most _MASS_BLOCK radii at a time."""
+        rs = np.asarray(rs, dtype=float)
+        out = np.empty(rs.shape)
+        if rs.size == 0:
+            return out
+        # min and max propagate NaN, so two comparisons cover the domain
+        # without an O(N) mask; the loop names the first radius outside it
+        if not (rs.min() >= 0.0 and rs.max() <= 2.0 * self.diameter):
+            for r in rs:
+                _check_radius(float(r), self.diameter)
+        xv = self.embed(x)
+        if not math.isfinite(xv):
+            # a NaN centre would leave every cylinder partial at every depth
+            raise ValueError(f"ball centre must be finite, got {xv}")
+        for start in range(0, rs.size, _MASS_BLOCK):
+            r = rs[start:start + _MASS_BLOCK]
+            mass = self._interval_masses(xv - r, xv + r)
+            mass[r == 0.0] = 0.0
+            out[start:start + r.size] = mass
+        return out
 
-        Boundary cylinders unresolved at the depth cap contribute half their
-        mass; the error is below 2^-60 per endpoint, under one ulp here.
+    def _interval_masses(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Exact mass of C(lam) inside each [a_k, b_k], level by level.
+
+        The walk descends the cylinder tree one depth at a time for all
+        intervals at once.  The frontier holds the partial cylinders, each
+        with its left end and the ends of its interval.  Each child is
+        classified as empty, full or partial by the float expressions of a
+        depth-first recursion (``hi = lo + lam^d``, ``right_lo = lo + lam^d -
+        lam^(d+1)``, the same ``<`` and ``<=`` tests), and a child still
+        partial at the depth cap weighs half its mass.  The partial children
+        form the next frontier, in order, so each level's mask points from a
+        node to its children.  Below one ulp neighbouring cylinders round
+        onto each other, and more than two per interval can be partial at
+        one depth, so the frontier has no fixed width.  The reduction then
+        runs deepest level first, each node's mass the sum of its left and
+        right child's: these are the recursion's additions, so the masses
+        are its, bit for bit
+        (``tests/oracles.py`` keeps the recursion as the reference).
         """
-        hi = lo + self._pow[depth]
-        if b < lo or hi < a:
-            return 0.0
-        if a <= lo and hi <= b:
-            return 2.0 ** -depth
-        if depth >= _MASS_DEPTH_CAP:
-            return 2.0 ** -(depth + 1)
-        right_lo = lo + self._pow[depth] - self._pow[depth + 1]
-        return (self._interval_mass(lo, depth + 1, a, b)
-                + self._interval_mass(right_lo, depth + 1, a, b))
+        pw = self._pow
+        full = (a <= 0.0) & (pw[0] <= b)
+        partial = ~(full | (b < 0.0) | (pw[0] < a))
+        root = np.where(full, 1.0, 0.0)
+        lo = np.zeros(np.count_nonzero(partial))
+        a, b = a[partial], b[partial]
+        levels = []
+        for depth in range(_MASS_DEPTH_CAP):
+            if lo.size == 0:
+                break
+            child_lo = np.empty((lo.size, 2))
+            child_lo[:, 0] = lo
+            child_lo[:, 1] = lo + pw[depth] - pw[depth + 1]
+            hi = child_lo + pw[depth + 1]
+            ca, cb = a[:, None], b[:, None]
+            inside = (ca <= child_lo) & (hi <= cb)
+            cut = ~(inside | (cb < child_lo) | (hi < ca))
+            mass = inside * 2.0 ** -(depth + 1)
+            if depth + 1 >= _MASS_DEPTH_CAP:
+                mass[cut] = 2.0 ** -(depth + 2)
+                cut[:] = False
+            levels.append((mass, cut))
+            # flat child k is child k % 2 of frontier node k // 2
+            child = np.flatnonzero(cut)
+            parent = child >> 1
+            lo, a, b = child_lo.ravel()[child], a[parent], b[parent]
+        sums = np.empty(0)
+        for mass, cut in reversed(levels):
+            mass[cut] = sums
+            sums = mass[:, 0] + mass[:, 1]
+        root[partial] = sums
+        return root
 
     def sample(self, rng: np.random.Generator, depth: int | None = None) -> CantorPoint:
         depth = self.default_depth if depth is None else depth
         digits = rng.integers(0, 2, size=depth)
         return self.point(digits)
 
-    def _stream_embed(self, digits):
-        """The stream's embedding from one int per digit (a point) or one
-        column array per digit (a block).  Both add the weighted digits in
-        digit order by the same float operations, so a value does not depend
-        on its block, as a BLAS matrix-vector product's does."""
-        value = 0.0
-        for d, w in zip(digits, self._stream_weights):
-            value = value + d * w
-        return value
-
     def stream_coords(self, seed: int, lane: int, ns: np.ndarray) -> np.ndarray:
-        return self._stream_embed(crng.bits(seed, lane, ns, self.default_depth).T)
+        return self.embed_digits(crng.bits(seed, lane, ns, self.default_depth).T)
 
     def stream_point(self, seed: int, lane: int, n: int) -> CantorPoint:
         digits = crng.bits(seed, lane, np.array([n]), self.default_depth)[0].tolist()
-        return CantorPoint(tuple(digits), self._stream_embed(digits))
+        return self.point(digits)
 
     def _cell_depth(self, delta: float) -> int:
         """Digits that resolve cylinders of diameter <= delta; a depth past

@@ -243,7 +243,8 @@ class SingularValueProfile:
         return _piecewise_linear(self.breakpoints, self.slopes, t)
 
     def value(self, t: float) -> float:
-        return float(math.exp(self.log_value(t)))
+        # np.exp, as singular_value: the two agree at every breakpoint
+        return float(np.exp(self.log_value(t)))
 
 
 def svf_profile(r: RadiusTuple | Sequence[float],
@@ -252,11 +253,12 @@ def svf_profile(r: RadiusTuple | Sequence[float],
     rv, sv = _radii_and_exponents(r, s)
     log_r = np.log(rv)
     order = np.argsort(-log_r, kind="stable")
-    s_sorted = sv[order]
-    l_sorted = log_r[order]
-    # same accumulation as the evaluator, so breakpoint values coincide
-    ts = [0.0] + [float(v) for v in np.cumsum(s_sorted)]
-    ys = [0.0] + [float(v) for v in np.cumsum(s_sorted * l_sorted)]
+    # a running sum of the exponents can round above their exactly rounded
+    # total, the upper end of the evaluator's domain: clamp to it
+    total = math.fsum(sv)
+    ts = [0.0] + [min(float(v), total) for v in np.cumsum(sv[order])]
+    # each breakpoint's value is the evaluator's at that t
+    ys = [0.0] + [float(log_phi_rows(log_r[None, :], sv, t)[0]) for t in ts[1:]]
     return SingularValueProfile(
         breakpoints=tuple(zip(ts, ys)),
         sorted_permutation=tuple(int(i) for i in order),

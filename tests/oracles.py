@@ -5,7 +5,8 @@ function is checked against a brute-force maximisation over a grid of
 exponent allocations, its batched log-space kernel against a per-row
 argsort evaluation, series convergence against dyadic-block growth of
 plain partial sums, and Cantor ball masses against full cylinder
-enumeration.
+enumeration and against the depth-first recursion that the library's
+level-order kernel replaced.
 """
 
 import itertools
@@ -145,6 +146,34 @@ def cantor_mass_bruteforce(space, x, r, depth=10):
         elif lo < b and hi > a and not (a <= lo and hi <= b):
             mass += 2.0 ** -(depth + 1)
     return mass
+
+
+def recursive_cantor_mass(space, x, r, depth_cap=60):
+    """mu(B(x, r)) on C(lam) by depth-first recursion through cylinders.
+
+    The library's level-order kernel classifies each cylinder by the same
+    float expressions (``hi = lo + lam^d``, ``right_lo = lo + lam^d -
+    lam^(d+1)``, the same ``<``/``<=`` tests, half mass at the depth cap)
+    and adds each node's two children, so the two must agree bit for bit.
+    """
+    pw = np.power(space.lam, np.arange(depth_cap + 2))
+    a = space.embed(x) - r
+    b = space.embed(x) + r
+
+    def mass(lo, depth):
+        hi = lo + pw[depth]
+        if b < lo or hi < a:
+            return 0.0
+        if a <= lo and hi <= b:
+            return 2.0 ** -depth
+        if depth >= depth_cap:
+            return 2.0 ** -(depth + 1)
+        right_lo = lo + pw[depth] - pw[depth + 1]
+        return mass(lo, depth + 1) + mass(right_lo, depth + 1)
+
+    if r == 0.0:
+        return 0.0
+    return mass(0.0, 0)
 
 
 def harmonic_number(N):

@@ -1,8 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limsupdim import (
     Cantor,
@@ -20,7 +23,7 @@ from limsupdim import (
 )
 from limsupdim.spaces import factor_from_token, space_from_descriptor
 
-from oracles import cantor_mass_bruteforce
+from oracles import cantor_mass_bruteforce, recursive_cantor_mass
 
 ALL_KINDS = [Interval(), Circle(), Cantor(1 / 3), Cantor(0.25), Cantor(0.4)]
 
@@ -88,6 +91,93 @@ def test_cantor_mass_matches_bruteforce_enumeration(lam, rng):
         exact = ball_measure(space, x, r)
         brute = cantor_mass_bruteforce(space, x, r, depth=10)
         assert exact == pytest.approx(brute, abs=2 * 2.0**-10)
+
+
+def _cylinder_ends(space, digits):
+    """Left and right ends of each cylinder along a digit string, by the
+    float expressions of the mass recursion."""
+    pw = np.power(space.lam, np.arange(62))
+    lo, ends = 0.0, [0.0, 1.0]
+    for depth, digit in enumerate(digits[:60]):
+        if digit:
+            lo = lo + pw[depth] - pw[depth + 1]
+        ends += [lo, lo + pw[depth + 1]]
+    return ends
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_cantor_masses_bit_identical_to_recursion(data):
+    lam = data.draw(st.floats(0.01, 0.49), label="lam")
+    space = Cantor(lam)
+    digits = data.draw(st.lists(st.integers(0, 1), max_size=space.default_depth + 4),
+                       label="digits")
+    x = space.point(digits)
+    special = [0.0, 5e-324, 1.0 - lam, 1.0, 2.0]
+    special += [lam**k for k in data.draw(
+        st.lists(st.integers(0, 61), max_size=4), label="k")]
+    special += [10.0**e for e in data.draw(
+        st.lists(st.floats(-20.0, 0.3), max_size=6), label="log10 r")]
+    # radii putting x - r or x + r exactly on an end of one of x's own
+    # cylinders: x - e is exact once e >= x / 2, as deep ends are
+    ends = _cylinder_ends(space, digits)
+    special += [abs(x.value - e) for e in data.draw(
+        st.lists(st.sampled_from(ends), max_size=4), label="ends")]
+    rs = np.array([r for r in special if r <= 2.0])
+    got = space.ball_measure_array(x, rs)
+    want = np.array([recursive_cantor_mass(space, x, float(r)) for r in rs])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_cantor_masses_on_cylinder_ends_and_below_one_ulp():
+    # ends met exactly, deep cylinders that collapse onto one float for
+    # lam near 1/2, and the half mass of a sliver left at the depth cap
+    for lam in (0.2, 1 / 3, 0.45, 0.49):
+        space = Cantor(lam)
+        digits = ((1, 0, 1, 1, 0) * 20)[:space.default_depth + 4]
+        x = space.point(digits)
+        ends = _cylinder_ends(space, digits)
+        rs = np.array([abs(x.value - e) for e in ends]
+                      + [5e-324, 1e-300, 1e-17] + [lam**k for k in range(62)])
+        landed = sum(x.value - r in ends or x.value + r in ends for r in rs)
+        assert landed >= len(ends) // 2
+        want = [recursive_cantor_mass(space, x, float(r)) for r in rs]
+        assert space.ball_measure_array(x, rs).tolist() == want
+    # lam near 1/2 leaves gaps below one ulp: here eight cylinders of one
+    # depth are partial at once, not the two an exact walk would meet
+    space = Cantor(0.49)
+    x = space.point(int(d) for d in "000100110001000000011101000100110011000011100")
+    r = 3.445521474652939e-12
+    assert space.ball_measure(x, r) == recursive_cantor_mass(space, x, r)
+    left = Cantor(0.25).point(())
+    assert Cantor(0.25).ball_measure(left, 5e-324) == 2.0**-61
+
+
+def test_cantor_mass_kernel_memory_does_not_grow_with_n(cantor_third, rng):
+    x = sample(cantor_third, rng)
+    peaks = []
+    for n in (20_000, 200_000):
+        rs = 10.0 ** np.random.default_rng(7).uniform(-12.0, 0.0, n)
+        tracemalloc.start()
+        out = cantor_third.ball_measure_array(x, rs)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        peaks.append(peak - out.nbytes)
+    # an O(N) temporary would be ten times larger at the larger N
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+def test_cantor_ball_measure_domain():
+    space = Cantor(1 / 3)
+    x = space.point((0, 1))
+    for bad in (-0.1, math.nan, 2.5):
+        with pytest.raises(ValueError, match="radius"):
+            space.ball_measure(x, bad)
+        with pytest.raises(ValueError, match="radius"):
+            space.ball_measure_array(x, np.array([0.5, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        space.ball_measure(math.nan, 0.5)
+    assert space.ball_measure_array(x, np.empty(0)).shape == (0,)
 
 
 def test_cantor_point_validation(cantor_third):
@@ -331,20 +421,19 @@ def test_factor_protocol_conformance(space, rng):
             space.ball_measure(x, float(r)) for r in rs]
 
     # the counter stream: one point, a one-index block and a long block
-    # embed to the same value
-    ns = np.arange(1, 101)
+    # embed to the same value, and a stream point written as text parses
+    # back to the same point, its value included
+    ns = np.arange(1, 301)
     block = space.stream_coords(9, 2, ns)
     for n, v in zip(ns, block):
         point = space.stream_point(9, 2, int(n))
         space.validate_point(point)
         assert space.embed(point) == space.stream_coords(9, 2, np.array([n]))[0] == v
+        assert space.parse_point(space.format_point(point)) == point
 
-    # text: a point round-trips through format_point and parse_point, and
-    # a stream point's text through parse_point and format_point
+    # text: a point round-trips through format_point and parse_point
     for point in (anchor, sampled):
         assert space.parse_point(space.format_point(point)) == point
-    text = space.format_point(space.stream_point(9, 2, 7))
-    assert space.format_point(space.parse_point(text)) == text
 
     # density cells: a coarse delta hits every cell by N = 10^4, cells are
     # numbered from left to right, and each cell's coordinates lie within

@@ -206,6 +206,17 @@ def test_profile_matches_singular_value_everywhere():
         )
 
 
+def test_profile_total_is_in_the_evaluator_domain():
+    # the running sum of these exponents rounds one ulp above math.fsum(s),
+    # which singular_value rejected as outside its domain
+    r, s = (0.5, 0.25, 0.125, 0.0625), (0, 1, 1e-5, 1.81793365278356)
+    prof = svf_profile(r, s)
+    assert prof.total == math.fsum(s)
+    assert singular_value(r, s, prof.total) == prof.value(prof.total)
+    for t, _ in prof.breakpoints:
+        assert singular_value(r, s, t) == prof.value(t)
+
+
 def test_profile_breakpoint_continuity_within_4_ulp():
     radii = (0.9, 0.2, 0.35)
     s = (0.8, 1.1, 0.5)
