@@ -1,21 +1,27 @@
-"""Reproducible experiment harness.
+"""Reproducible experiment harness, driven by one command table.
 
-Subcommands mirror the library operations: ``svf eval``, ``svf profile``,
-``dim predict``, ``cover ball|rect``, ``sparse``, ``mc fiber-sum``,
-``mc divergence``, ``mc density``, ``mc tail-cover``, ``mc verdict`` and
-``report``.  Every run is described by a flat, versioned RunConfig; stochastic
-commands require an explicit seed, write a CSV table plus a JSON-lines
-manifest (even when a check fails), and exit 0 when all checks pass, 1 when a
-check fails, 2 on invalid input.  All floats are printed with 17 significant
-digits so byte-level reproducibility checks are exact.
+Each ``COMMANDS`` entry gives a command's handler, help, flags (each sets one
+``RunConfig`` field, whose annotation and default give the flag's type and
+default), required fields (``seed`` or ``seeds`` for stochastic commands),
+whether it takes ``--config`` and whether ``--out`` names a file; the click
+commands are built from it.  Runs from flags, from ``--config`` files and from
+``RunConfig`` objects passed to ``run`` are all checked by ``RunConfig.validate``
+and end in ``_finish``: lines, then the CSV table, go to stdout, or with
+``--out DIR`` the table goes to ``DIR/<command>.csv`` and a manifest line to
+``DIR/manifest.jsonl`` (even when a check fails); ``report --out FILE`` writes
+its merged CSV to the file FILE.  Exit codes: 0 when all checks pass, 1 when a
+check fails, 2 on bad input, which never ends in a traceback.  Floats are
+printed with 17 significant digits so byte-level replays are exact.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,8 +59,6 @@ from .svf import (
 )
 
 CONFIG_VERSION = 1
-
-_STOCHASTIC = {"mc-fiber-sum", "mc-divergence", "mc-density", "mc-tail-cover"}
 
 
 @dataclass
@@ -94,20 +98,47 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError("a config must be a JSON object")
+        unknown = set(data) - set(_FIELD_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "command" not in data:
             raise ValueError("config is missing the 'command' key")
         cfg = cls(**data)
-        if cfg.version != CONFIG_VERSION:
-            raise ValueError(f"unsupported config version {cfg.version}")
-        if cfg.command in _STOCHASTIC and cfg.seed is None:
-            raise ValueError(f"command {cfg.command!r} requires an explicit seed")
-        if cfg.command == "mc-verdict" and cfg.seeds is None:
-            raise ValueError("command 'mc-verdict' requires explicit seeds")
+        cfg.validate()
         return cfg
+
+    def validate(self) -> "Command":
+        """Check the run and return its command's table entry.
+
+        Each set field must have its annotated type (an int is accepted, not
+        converted, for a float field; a bool is never a number), the command
+        and version must be known and the command's required fields set."""
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            accepted = (int, float) if kind is float else kind
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, accepted)):
+                raise ValueError(f"field {name!r} must be {kind.__name__}, "
+                                 f"got {type(value).__name__} {value!r}")
+        spec = COMMANDS.get(self.command)
+        if spec is None:
+            raise ValueError(f"unknown command {self.command!r}")
+        if self.version != CONFIG_VERSION:
+            raise ValueError(f"unsupported config version {self.version}")
+        decls = {flag.field: flag.decl for flag in spec.flags}
+        missing = [f"{name} ({decls[name]})" for name in spec.required
+                   if getattr(self, name) in (None, "")]
+        if missing:
+            raise ValueError(f"{self.command} requires {', '.join(missing)}")
+        return spec
+
+
+# the annotated type of each field: str for "str | None"
+_FIELD_TYPES = {name: (typing.get_args(hint) or (hint,))[0]
+                for name, hint in typing.get_type_hints(RunConfig).items()}
+_FIELD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 
 
 @dataclass
@@ -139,8 +170,6 @@ def parse_space(text: str) -> ProductSpace:
 
 
 def parse_schedule(cfg: RunConfig):
-    if cfg.schedule is None:
-        raise ValueError("a schedule is required (e.g. --alphas via 'power:2,3')")
     text = cfg.schedule.strip()
     if text.startswith("power:"):
         alphas = _floats(text.split(":", 1)[1])
@@ -172,8 +201,6 @@ def parse_points(factors, text: str) -> tuple:
 
 
 def _window(cfg: RunConfig) -> tuple[int, int]:
-    if not cfg.window:
-        raise ValueError("a window 'N0:N1' is required")
     parts = cfg.window.split(":")
     if len(parts) != 2:
         raise ValueError(f"window must be 'N0:N1', got {cfg.window!r}")
@@ -181,8 +208,6 @@ def _window(cfg: RunConfig) -> tuple[int, int]:
 
 
 def _expectations(cfg: RunConfig) -> np.ndarray:
-    if not cfg.p or cfg.N is None:
-        raise ValueError("divergence test requires 'p' and 'N'")
     n = np.arange(1, cfg.N + 1, dtype=float)
     text = cfg.p.strip()
     if text == "harmonic":
@@ -201,23 +226,20 @@ def _expectations(cfg: RunConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _manifest(cfg: RunConfig, operation: str, statistics: dict,
-              space=None, schedule=None, window=None, started=None) -> RunManifest:
+def _manifest(cfg: RunConfig, statistics: dict, space=None, schedule=None,
+              window=None) -> RunManifest:
     return RunManifest(
-        operation=operation,
+        operation=cfg.command,
         seed=cfg.seed,
         space=space.descriptor() if space is not None else None,
         schedule=schedule.descriptor() if schedule is not None else None,
         params={"config": cfg.to_dict()},
         window=list(window) if window else None,
         statistics=statistics,
-        metadata={"wall_clock": time.time() - started if started else None},
     )
 
 
 def _run_svf_eval(cfg: RunConfig) -> RunOutcome:
-    if not (cfg.r and cfg.s and cfg.t):
-        raise ValueError("svf-eval requires r, s and t")
     ts = _floats(cfg.t)
     if len(ts) != 1:
         raise ValueError("svf-eval takes a single t")
@@ -226,8 +248,6 @@ def _run_svf_eval(cfg: RunConfig) -> RunOutcome:
 
 
 def _run_svf_profile(cfg: RunConfig) -> RunOutcome:
-    if not (cfg.r and cfg.s):
-        raise ValueError("svf-profile requires r and s")
     prof = svf_profile(_floats(cfg.r), _floats(cfg.s))
     rows = [[t, logv, math.exp(logv)] for t, logv in prof.breakpoints]
     body = csv_body(["t", "log_value", "value"], rows)
@@ -236,11 +256,12 @@ def _run_svf_profile(cfg: RunConfig) -> RunOutcome:
 
 
 def _run_dim_predict(cfg: RunConfig) -> RunOutcome:
-    if not (cfg.schedule and cfg.s):
-        raise ValueError("dim-predict requires a schedule and s")
     sched = parse_schedule(cfg)
     s = _floats(cfg.s)
     methods = [m.strip() for m in cfg.method.split(",") if m.strip()]
+    unknown = sorted(set(methods) - {"closed-form", "series"})
+    if unknown:
+        raise ValueError(f"unknown method {', '.join(unknown)}; valid methods: closed-form, series")
     values = {}
     if "series" in methods or isinstance(sched, ExplicitSchedule):
         values["series"] = critical_exponent_series(sched, s, cfg.tol)
@@ -257,7 +278,13 @@ def _run_dim_predict(cfg: RunConfig) -> RunOutcome:
     return RunOutcome(0 if agree else 1, lines)
 
 
-def _cover_outcome(cfg: RunConfig, report, space, factors, started) -> RunOutcome:
+def _run_convex_body(cfg: RunConfig) -> RunOutcome:
+    sched = EllipsoidSchedule(_floats(cfg.schedule.removeprefix("power:")),
+                              _floats(cfg.coefficients) if cfg.coefficients else ())
+    return RunOutcome(0, [fmt17(convex_body_dimension(sched, cfg.tol))])
+
+
+def _cover_outcome(cfg: RunConfig, report, space, factors) -> RunOutcome:
     sound = verify_cover(space, report)
     rows = []
     for idx, combo in enumerate(itertools.product(*report.factor_centers)):
@@ -265,7 +292,7 @@ def _cover_outcome(cfg: RunConfig, report, space, factors, started) -> RunOutcom
         rows.append([idx, center_text, report.radius])
     body = csv_body(["index", "center", "radius"], rows)
     stats = {"count": report.count, "bound": report.bound, "sound": sound}
-    manifest = _manifest(cfg, cfg.command, stats, space=space, started=started)
+    manifest = _manifest(cfg, stats, space=space)
     lines = [
         f"count={report.count}",
         f"bound={fmt17(report.bound)}",
@@ -275,32 +302,23 @@ def _cover_outcome(cfg: RunConfig, report, space, factors, started) -> RunOutcom
 
 
 def _run_cover_ball(cfg: RunConfig) -> RunOutcome:
-    started = time.time()
-    if not (cfg.space and cfg.x and cfg.R is not None and cfg.radius is not None):
-        raise ValueError("cover-ball requires space, x, R and radius")
     space = parse_space(cfg.space)
     if space.dim != 1:
         raise ValueError("cover-ball takes a single factor space; use cover-rect")
     (factor,) = space.factors
     (x,) = parse_points(space.factors, cfg.x)
     report = cover_ball(factor, x, cfg.R, cfg.radius)
-    return _cover_outcome(cfg, report, factor, space.factors, started)
+    return _cover_outcome(cfg, report, factor, space.factors)
 
 
 def _run_cover_rect(cfg: RunConfig) -> RunOutcome:
-    started = time.time()
-    if not (cfg.space and cfg.x and cfg.r and cfg.radius is not None):
-        raise ValueError("cover-rect requires space, x (center), r (radii) and radius")
     space = parse_space(cfg.space)
     center = parse_points(space.factors, cfg.x)
     report = cover_rectangle(space, center, _floats(cfg.r), cfg.radius)
-    return _cover_outcome(cfg, report, space, space.factors, started)
+    return _cover_outcome(cfg, report, space, space.factors)
 
 
 def _run_sparse(cfg: RunConfig) -> RunOutcome:
-    started = time.time()
-    if not (cfg.space and cfg.x and cfg.R is not None and cfg.radius is not None):
-        raise ValueError("sparse requires space, x0, R and radius")
     space = parse_space(cfg.space)
     if space.dim != 1:
         raise ValueError("sparse subsets are built per factor space")
@@ -313,15 +331,12 @@ def _run_sparse(cfg: RunConfig) -> RunOutcome:
     body = csv_body(["index", "point"], rows)
     ok = lo <= len(points) <= hi
     stats = {"count": len(points), "lower": lo, "upper": hi, "ok": ok}
-    manifest = _manifest(cfg, "sparse", stats, space=factor, started=started)
+    manifest = _manifest(cfg, stats, space=factor)
     lines = [f"count={len(points)}", f"bounds=[{fmt17(lo)}, {fmt17(hi)}]", f"ok={ok}"]
     return RunOutcome(0 if ok else 1, lines, csv=body, manifest=manifest)
 
 
 def _run_fiber_sum(cfg: RunConfig) -> RunOutcome:
-    started = time.time()
-    if not (cfg.space and cfg.schedule and cfg.s and cfg.u and cfg.checkpoints and cfg.x):
-        raise ValueError("mc-fiber-sum requires space, schedule, s, u, x (anchor), checkpoints")
     space = parse_space(cfg.space)
     if space.dim < 2:
         raise ValueError("fiber sums need a product space")
@@ -334,9 +349,8 @@ def _run_fiber_sum(cfg: RunConfig) -> RunOutcome:
     stream = OmegaStream(cfg.seed, space)
     result = fiber_hit_sum(stream, sched, s, anchor, us[0], _ints(cfg.checkpoints))
     body = csv_body(["N", "statistic", "reference", "ratio"], result.csv_rows())
-    manifest = _manifest(cfg, "mc-fiber-sum", result.statistics(), space=space,
-                         schedule=sched, window=[1, result.checkpoints[-1]],
-                         started=started)
+    manifest = _manifest(cfg, result.statistics(), space=space, schedule=sched,
+                         window=[1, result.checkpoints[-1]])
     ratio = result.ratio()
     lines = [
         f"hits={result.hit_count}",
@@ -346,29 +360,22 @@ def _run_fiber_sum(cfg: RunConfig) -> RunOutcome:
 
 
 def _run_divergence(cfg: RunConfig) -> RunOutcome:
-    started = time.time()
-    if cfg.trials is None:
-        raise ValueError("mc-divergence requires trials")
     p = _expectations(cfg)
     checkpoints = _ints(cfg.checkpoints) if cfg.checkpoints else None
     rng = np.random.default_rng(cfg.seed)
     result = divergence_tail_bound_test(p, cfg.trials, rng, checkpoints)
     body = csv_body(["N", "M", "statistic", "reference", "ratio"], result.csv_rows())
-    manifest = _manifest(cfg, "mc-divergence", result.statistics(), started=started)
+    manifest = _manifest(cfg, result.statistics())
     lines = [f"rows={len(result.rows)}", f"passed={result.passed}"]
     return RunOutcome(0 if result.passed else 1, lines, csv=body, manifest=manifest)
 
 
 def _run_density(cfg: RunConfig) -> RunOutcome:
-    started = time.time()
-    if not (cfg.space and cfg.delta is not None and cfg.horizon is not None):
-        raise ValueError("mc-density requires space, delta and horizon")
     space = parse_space(cfg.space)
     stream = OmegaStream(cfg.seed, space)
     report = density_check(stream, cfg.delta, cfg.horizon)
     body = csv_body(["cell", "statistic", "reference", "ratio"], report.csv_rows())
-    manifest = _manifest(cfg, "mc-density", report.statistics(), space=space,
-                         window=[0, cfg.horizon], started=started)
+    manifest = _manifest(cfg, report.statistics(), space=space, window=[0, cfg.horizon])
     mh, mf = report.min_counts
     lines = [
         f"cells={report.cell_count}",
@@ -379,9 +386,6 @@ def _run_density(cfg: RunConfig) -> RunOutcome:
 
 
 def _run_tail_cover(cfg: RunConfig) -> RunOutcome:
-    started = time.time()
-    if not (cfg.space and cfg.schedule and cfg.s and cfg.t and cfg.window):
-        raise ValueError("mc-tail-cover requires space, schedule, s, t and window")
     space = parse_space(cfg.space)
     sched = parse_schedule(cfg)
     s = _floats(cfg.s)
@@ -397,37 +401,33 @@ def _run_tail_cover(cfg: RunConfig) -> RunOutcome:
         for row in prof.csv_rows():
             all_rows.append([t] + row)
     body = csv_body(["t", "N", "statistic", "reference", "ratio"], all_rows)
-    manifest = _manifest(cfg, "mc-tail-cover", {"profiles": stats}, space=space,
-                         schedule=sched, window=list(window), started=started)
+    manifest = _manifest(cfg, {"profiles": stats}, space=space, schedule=sched,
+                         window=list(window))
     lines = [f"profiles={len(stats)}", f"dominated={ok}"]
     return RunOutcome(0 if ok else 1, lines, csv=body, manifest=manifest)
 
 
 def _run_verdict(cfg: RunConfig) -> RunOutcome:
-    started = time.time()
-    if not (cfg.space and cfg.schedule and cfg.s and cfg.seeds):
-        raise ValueError("mc-verdict requires space, schedule, s and seeds")
     space = parse_space(cfg.space)
     sched = parse_schedule(cfg)
     s = _floats(cfg.s)
     seeds = _ints(cfg.seeds)
     report = dimension_verdict(sched, s, space, seeds, VerdictConfig(tol=cfg.tol))
     body = csv_body(["check", "status", "detail"], report.csv_rows())
-    manifest = _manifest(cfg, "mc-verdict", report.statistics(), space=space,
-                         schedule=sched, started=started)
+    manifest = _manifest(cfg, report.statistics(), space=space, schedule=sched)
     lines = [f"predicted_dimension={fmt17(report.predicted_dimension)}"]
     lines += [f"{c.name}: {c.status}" for c in report.checks]
     return RunOutcome(0 if report.passed else 1, lines, csv=body, manifest=manifest)
 
 
 def _run_report(cfg: RunConfig) -> RunOutcome:
-    if not cfg.inputs:
-        raise ValueError("report requires at least one manifest path")
     paths = [p for p in cfg.inputs.split(",") if p]
     manifests: list[RunManifest] = []
     for path in paths:
         if not Path(path).exists():
             raise ValueError(f"manifest file not found: {path}")
+        if not Path(path).is_file():
+            raise ValueError(f"manifest path is not a file: {path}")
         manifests.extend(read_manifests(path))
     if not manifests:
         raise ValueError("no manifests found in the given files")
@@ -440,6 +440,7 @@ def _run_report(cfg: RunConfig) -> RunOutcome:
     keys = {(str(m.schedule), str(m.space)) for m in manifests}
     if len(keys) != 1:
         raise ValueError("incompatible manifests: schedule/space descriptors differ")
+    rows = []
     if op == "mc-fiber-sum":
         cps = {tuple(m.statistics["checkpoints"]) for m in manifests}
         us = {m.statistics["u"] for m in manifests}
@@ -448,13 +449,11 @@ def _run_report(cfg: RunConfig) -> RunOutcome:
         checkpoints = list(cps.pop())
         header = (["N"] + [f"seed_{m.seed}" for m in manifests]
                   + ["reference", "log10_N", "log10_reference"])
-        rows = []
         ref = manifests[0].statistics["expectation_exact"]
         for i, N in enumerate(checkpoints):
             row = [N] + [m.statistics["observed"][i] for m in manifests]
             row += [ref[i], math.log10(N), math.log10(ref[i]) if ref[i] > 0 else math.nan]
             rows.append(row)
-        body = csv_body(header, rows)
     else:
         stats = [m.statistics["profiles"] for m in manifests]
         ts = {tuple(p["t"] for p in profs) for profs in stats}
@@ -463,82 +462,192 @@ def _run_report(cfg: RunConfig) -> RunOutcome:
             raise ValueError("incompatible manifests: t grids or windows differ")
         header = (["t"] + [f"seed_{m.seed}" for m in manifests]
                   + ["reference", "log10_reference"])
-        rows = []
         for j, t in enumerate(ts.pop()):
             row = [t] + [profs[j]["value"] for profs in stats]
             ref = stats[0][j]["reference"]
             row += [ref, math.log10(ref) if ref > 0 else math.nan]
             rows.append(row)
-        body = csv_body(header, rows)
-    return RunOutcome(0, [f"merged {len(manifests)} manifests"], csv=body)
+    return RunOutcome(0, [f"merged {len(manifests)} manifests"], csv=csv_body(header, rows))
 
 
-_HANDLERS = {
-    "svf-eval": _run_svf_eval,
-    "svf-profile": _run_svf_profile,
-    "dim-predict": _run_dim_predict,
-    "cover-ball": _run_cover_ball,
-    "cover-rect": _run_cover_rect,
-    "sparse": _run_sparse,
-    "mc-fiber-sum": _run_fiber_sum,
-    "mc-divergence": _run_divergence,
-    "mc-density": _run_density,
-    "mc-tail-cover": _run_tail_cover,
-    "mc-verdict": _run_verdict,
-    "report": _run_report,
-}
+class Flag(typing.NamedTuple):
+    """One command-line parameter and the RunConfig field it sets.
+
+    A ``decl`` without leading dashes is a positional argument taking any
+    number of paths.  ``convert`` maps the given value to the field's."""
+
+    decl: str
+    field: str
+    help: str | None = None
+    convert: typing.Callable | None = None
+
+
+class Command(typing.NamedTuple):
+    """One CLI command.  ``name`` is the RunConfig ``command``; a name like
+    ``mc-fiber-sum`` is command ``fiber-sum`` of group ``mc``."""
+
+    name: str
+    handler: typing.Callable[[RunConfig], RunOutcome]
+    help: str | None
+    flags: tuple[Flag, ...]
+    required: tuple[str, ...]
+    config: bool = False      # takes --config
+    out_file: bool = False    # --out names a file, not a directory
+
+
+def _alphas(text=None):
+    return Flag("--alphas", "schedule", text, "power:{}".format)
+
+
+_SPACE = Flag("--space", "space")
+_S = Flag("--s", "s")
+_COEFFICIENTS = Flag("--coefficients", "coefficients")
+_BIG_RADIUS = Flag("--big-radius", "R", "Ball radius R")
+_SEED = Flag("--seed", "seed")
+_TOL = Flag("--tol", "tol")
+_OUT = Flag("--out", "out")
+_MC_OUT = Flag("--out", "out", "Output directory")
+
+COMMANDS = {c.name: c for c in (
+    Command("svf-eval", _run_svf_eval, "Print Phi_r^s(t).",
+            (Flag("--r", "r", "Radii, comma-separated"),
+             Flag("--s", "s", "Regularity exponents"), Flag("--t", "t", "Total exponent t")),
+            ("r", "s", "t")),
+    Command("svf-profile", _run_svf_profile,
+            "Breakpoints of the piecewise-linear log profile.",
+            (Flag("--r", "r"), _S, _OUT),
+            ("r", "s")),
+    Command("dim-predict", _run_dim_predict,
+            "Predicted almost-sure dimension by both methods; exit 1 on disagreement.",
+            (_alphas("Power-law decay exponents"),
+             Flag("--coefficients", "coefficients", "Power-law prefactors"),
+             _S, Flag("--method", "method"), _TOL),
+            ("schedule", "s")),
+    Command("dim-convex-body", _run_convex_body,
+            "Predicted dimension from inscribed-ellipsoid semiaxis data.",
+            (_alphas("Semiaxis decay exponents, sorted ascending"),
+             Flag("--coefficients", "coefficients", "Semiaxis prefactors, non-increasing"),
+             _TOL),
+            ("schedule",)),
+    Command("cover-ball", _run_cover_ball, None,
+            (_SPACE, Flag("--x", "x", "Ball center"), _BIG_RADIUS,
+             Flag("--radius", "radius", "Covering radius r"), _OUT),
+            ("space", "x", "R", "radius")),
+    Command("cover-rect", _run_cover_rect, None,
+            (_SPACE, Flag("--x", "x", "Rectangle center coordinates"),
+             Flag("--r", "r", "Side radii"), Flag("--radius", "radius", "Cube radius"), _OUT),
+            ("space", "x", "r", "radius")),
+    Command("sparse", _run_sparse,
+            "Maximal sparse subset of a ball, with cardinality bounds.",
+            (_SPACE, Flag("--x", "x", "Ball center x0"), _BIG_RADIUS,
+             Flag("--radius", "radius", "Sparseness radius r"),
+             Flag("--seed", "seed", "Shuffle candidate order with this seed"), _OUT),
+            ("space", "x", "R", "radius")),
+    Command("mc-fiber-sum", _run_fiber_sum,
+            "Fiber hit-sum against its exact expectation curve.",
+            (Flag("--space", "space", "Product space factors"),
+             _alphas("Power-law decay exponents"), _COEFFICIENTS, _S, Flag("--u", "u"),
+             Flag("--anchor", "x", "Anchor coordinates (first d-1 factors)"),
+             Flag("--checkpoints", "checkpoints"), _SEED, _MC_OUT),
+            ("space", "schedule", "s", "u", "x", "checkpoints", "seed"), config=True),
+    Command("mc-divergence", _run_divergence,
+            "Empirical tail-bound table for sums of independent [0,1] variables.",
+            (Flag("--p", "p", "Expectation model: harmonic | constant:<v> | power:<a>"),
+             Flag("--n", "N", "Number of variables"), Flag("--trials", "trials"),
+             Flag("--checkpoints", "checkpoints"), _SEED, _MC_OUT),
+            ("p", "N", "trials", "seed"), config=True),
+    Command("mc-density", _run_density,
+            "Cell occupancy of centers over a delta-net at two horizons.",
+            (_SPACE, Flag("--delta", "delta"), Flag("--horizon", "horizon"), _SEED, _MC_OUT),
+            ("space", "delta", "horizon", "seed"), config=True),
+    Command("mc-tail-cover", _run_tail_cover,
+            "Constructed cover sums against the series reference.",
+            (_SPACE, _alphas(), _COEFFICIENTS, _S,
+             Flag("--t", "t", "Exponent grid, comma-separated"),
+             Flag("--window", "window", "N0:N1"), _SEED, _MC_OUT),
+            ("space", "schedule", "s", "t", "window", "seed"), config=True),
+    Command("mc-verdict", _run_verdict,
+            "Aggregate PASS/FAIL verdict for a schedule on a space.",
+            (_SPACE, _alphas(), _COEFFICIENTS, _S,
+             Flag("--seeds", "seeds", "Comma-separated seed list"), _TOL, _MC_OUT),
+            ("space", "schedule", "s", "seeds"), config=True),
+    Command("report", _run_report,
+            "Merge compatible run manifests into one plot-ready CSV.",
+            (Flag("manifests", "inputs", convert=",".join), _OUT),
+            ("inputs",), out_file=True),
+)}
 
 
 def run(config: RunConfig) -> RunOutcome:
     """Validate and dispatch a run; outputs are deterministic given the seed."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        raise ValueError(f"unknown command {config.command!r}")
-    if config.command in _STOCHASTIC and config.seed is None:
-        raise ValueError(f"command {config.command!r} requires an explicit seed")
-    if config.command == "mc-verdict" and config.seeds is None:
-        raise ValueError("command 'mc-verdict' requires explicit seeds")
-    return handler(config)
-
-
-def _csv_name(command: str) -> str:
-    return command.replace("-", "_") + ".csv"
+    started = time.time()
+    outcome = config.validate().handler(config)
+    if outcome.manifest is not None:
+        outcome.manifest.metadata["wall_clock"] = time.time() - started
+    return outcome
 
 
 def _finish(ctx: click.Context, cfg: RunConfig) -> None:
+    """Run ``cfg``, print its lines and route its CSV and manifest; bad
+    input, an unreadable input file or an unwritable ``--out`` is exit 2."""
     try:
         outcome = run(cfg)
-    except ValueError as exc:
+        for line in outcome.lines:
+            click.echo(line)
+        if cfg.out is None:
+            if outcome.csv is not None:
+                click.echo(outcome.csv, nl=False)
+        else:
+            out = Path(cfg.out)
+            csv_path = (out if COMMANDS[cfg.command].out_file
+                        else out / (cfg.command.replace("-", "_") + ".csv"))
+            csv_path.parent.mkdir(parents=True, exist_ok=True)
+            if outcome.csv is not None:
+                csv_path.write_text(outcome.csv, encoding="utf-8")
+            if outcome.manifest is not None:
+                append_manifest(out / "manifest.jsonl", outcome.manifest)
+    except (OSError, ValueError) as exc:
         raise click.UsageError(str(exc))
-    for line in outcome.lines:
-        click.echo(line)
-    if cfg.out is not None:
-        out_dir = Path(cfg.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if outcome.csv is not None:
-            (out_dir / _csv_name(cfg.command)).write_text(outcome.csv, encoding="utf-8")
-        if outcome.manifest is not None:
-            append_manifest(out_dir / "manifest.jsonl", outcome.manifest)
-    elif outcome.csv is not None:
-        click.echo(outcome.csv, nl=False)
     ctx.exit(outcome.exit_code)
 
 
-def _load_config(config_path: str | None, command: str, **fields) -> RunConfig:
-    if config_path is not None:
-        import json
+def _click_param(flag: Flag, required: bool) -> click.Parameter:
+    if not flag.decl.startswith("--"):
+        return click.Argument([flag.decl], nargs=-1, type=click.Path())
+    default = _FIELD_DEFAULTS[flag.field]
+    extra = {} if default is None else {"default": default, "show_default": True}
+    kind = click.Path() if flag.field == "out" else _FIELD_TYPES[flag.field]
+    return click.Option([flag.decl, flag.field], type=kind, required=required,
+                        help=flag.help, **extra)
 
-        data = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        try:
-            cfg = RunConfig.from_dict(data)
-        except (ValueError, TypeError) as exc:
-            raise click.UsageError(f"{config_path}: {exc}")
-        if cfg.command != command:
-            raise click.UsageError(
-                f"{config_path}: config command {cfg.command!r} does not match {command!r}"
-            )
-        return cfg
-    return RunConfig(command=command, **{k: v for k, v in fields.items() if v is not None})
+
+def _click_command(spec: Command, name: str) -> click.Command:
+    params = [_click_param(f, f.field in spec.required and not spec.config) for f in spec.flags]
+    if spec.config:
+        params.append(click.Option(["--config", "config_path"], type=click.Path(exists=True),
+                                   help="Load a RunConfig JSON file instead of flags"))
+
+    @click.pass_context
+    def callback(ctx, config_path=None, **given):
+        if config_path is not None:
+            try:
+                text = Path(config_path).read_text(encoding="utf-8")
+                cfg = RunConfig.from_dict(json.loads(text))
+            except (OSError, ValueError) as exc:
+                raise click.UsageError(f"{config_path}: {exc}")
+            if cfg.command != spec.name:
+                raise click.UsageError(f"{config_path}: config command {cfg.command!r} "
+                                       f"does not match {spec.name!r}")
+        else:
+            fields = {}
+            for flag, param in zip(spec.flags, params):
+                value = given[param.name]
+                if value is not None:
+                    fields[flag.field] = flag.convert(value) if flag.convert else value
+            cfg = RunConfig(command=spec.name, **fields)
+        _finish(ctx, cfg)
+
+    return click.Command(name, params=params, callback=callback, help=spec.help)
 
 
 @click.group()
@@ -547,229 +656,17 @@ def main():
     of rectangles."""
 
 
-@main.group()
-def svf():
-    """Singular value function evaluation."""
-
-
-@svf.command("eval")
-@click.option("--r", "r", required=True, help="Radii, comma-separated")
-@click.option("--s", "s", required=True, help="Regularity exponents")
-@click.option("--t", "t", required=True, help="Total exponent t")
-@click.pass_context
-def svf_eval(ctx, r, s, t):
-    """Print Phi_r^s(t)."""
-    _finish(ctx, _load_config(None, "svf-eval", r=r, s=s, t=t))
-
-
-@svf.command("profile")
-@click.option("--r", "r", required=True)
-@click.option("--s", "s", required=True)
-@click.option("--out", type=click.Path())
-@click.pass_context
-def svf_profile_cmd(ctx, r, s, out):
-    """Breakpoints of the piecewise-linear log profile."""
-    _finish(ctx, _load_config(None, "svf-profile", r=r, s=s, out=out))
-
-
-@main.group()
-def dim():
-    """Dimension predictions."""
-
-
-@dim.command("predict")
-@click.option("--alphas", help="Power-law decay exponents")
-@click.option("--coefficients", help="Power-law prefactors")
-@click.option("--s", "s", required=True)
-@click.option("--method", default="closed-form,series", show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.pass_context
-def dim_predict(ctx, alphas, coefficients, s, method, tol):
-    """Predicted almost-sure dimension by both methods; exit 1 on disagreement."""
-    if alphas is None:
-        raise click.UsageError("dim predict requires --alphas")
-    _finish(ctx, RunConfig(command="dim-predict", schedule=f"power:{alphas}",
-                           coefficients=coefficients, s=s, method=method, tol=tol))
-
-
-@dim.command("convex-body")
-@click.option("--alphas", required=True, help="Semiaxis decay exponents, sorted ascending")
-@click.option("--coefficients", help="Semiaxis prefactors, non-increasing")
-@click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.pass_context
-def dim_convex_body(ctx, alphas, coefficients, tol):
-    """Predicted dimension from inscribed-ellipsoid semiaxis data."""
-    try:
-        sched = EllipsoidSchedule(_floats(alphas),
-                                  _floats(coefficients) if coefficients else ())
-        value = convex_body_dimension(sched, tol)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    click.echo(fmt17(value))
-    ctx.exit(0)
-
-
-@main.group()
-def cover():
-    """Explicit covers with certified cardinality bounds."""
-
-
-@cover.command("ball")
-@click.option("--space", required=True)
-@click.option("--x", required=True, help="Ball center")
-@click.option("--big-radius", "R", type=float, required=True, help="Ball radius R")
-@click.option("--radius", type=float, required=True, help="Covering radius r")
-@click.option("--out", type=click.Path())
-@click.pass_context
-def cover_ball_cmd(ctx, space, x, R, radius, out):
-    _finish(ctx, _load_config(None, "cover-ball", space=space, x=x, R=R,
-                              radius=radius, out=out))
-
-
-@cover.command("rect")
-@click.option("--space", required=True)
-@click.option("--x", required=True, help="Rectangle center coordinates")
-@click.option("--r", "r", required=True, help="Side radii")
-@click.option("--radius", type=float, required=True, help="Cube radius")
-@click.option("--out", type=click.Path())
-@click.pass_context
-def cover_rect_cmd(ctx, space, x, r, radius, out):
-    _finish(ctx, _load_config(None, "cover-rect", space=space, x=x, r=r,
-                              radius=radius, out=out))
-
-
-@main.command("sparse")
-@click.option("--space", required=True)
-@click.option("--x", required=True, help="Ball center x0")
-@click.option("--big-radius", "R", type=float, required=True, help="Ball radius R")
-@click.option("--radius", type=float, required=True, help="Sparseness radius r")
-@click.option("--seed", type=int, help="Shuffle candidate order with this seed")
-@click.option("--out", type=click.Path())
-@click.pass_context
-def sparse_cmd(ctx, space, x, R, radius, seed, out):
-    """Maximal sparse subset of a ball, with cardinality bounds."""
-    _finish(ctx, _load_config(None, "sparse", space=space, x=x, R=R,
-                              radius=radius, seed=seed, out=out))
-
-
-@main.group()
-def mc():
-    """Seeded Monte Carlo experiments."""
-
-
-def _mc_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(exists=True),
-                      help="Load a RunConfig JSON file instead of flags")(fn)
-    fn = click.option("--out", type=click.Path(), help="Output directory")(fn)
-    return fn
-
-
-@mc.command("fiber-sum")
-@click.option("--space", help="Product space factors")
-@click.option("--alphas", help="Power-law decay exponents")
-@click.option("--coefficients")
-@click.option("--s", "s")
-@click.option("--u", "u")
-@click.option("--anchor", "x", help="Anchor coordinates (first d-1 factors)")
-@click.option("--checkpoints")
-@click.option("--seed", type=int)
-@_mc_options
-@click.pass_context
-def mc_fiber_sum(ctx, space, alphas, coefficients, s, u, x, checkpoints, seed,
-                 config_path, out):
-    """Fiber hit-sum against its exact expectation curve."""
-    cfg = _load_config(config_path, "mc-fiber-sum", space=space,
-                       schedule=f"power:{alphas}" if alphas else None,
-                       coefficients=coefficients, s=s, u=u, x=x,
-                       checkpoints=checkpoints, seed=seed, out=out)
-    _finish(ctx, cfg)
-
-
-@mc.command("divergence")
-@click.option("--p", "p", help="Expectation model: harmonic | constant:<v> | power:<a>")
-@click.option("--n", "N", type=int, help="Number of variables")
-@click.option("--trials", type=int)
-@click.option("--checkpoints")
-@click.option("--seed", type=int)
-@_mc_options
-@click.pass_context
-def mc_divergence(ctx, p, N, trials, checkpoints, seed, config_path, out):
-    """Empirical tail-bound table for sums of independent [0,1] variables."""
-    cfg = _load_config(config_path, "mc-divergence", p=p, N=N, trials=trials,
-                       checkpoints=checkpoints, seed=seed, out=out)
-    _finish(ctx, cfg)
-
-
-@mc.command("density")
-@click.option("--space")
-@click.option("--delta", type=float)
-@click.option("--horizon", type=int)
-@click.option("--seed", type=int)
-@_mc_options
-@click.pass_context
-def mc_density(ctx, space, delta, horizon, seed, config_path, out):
-    """Cell occupancy of centers over a delta-net at two horizons."""
-    cfg = _load_config(config_path, "mc-density", space=space, delta=delta,
-                       horizon=horizon, seed=seed, out=out)
-    _finish(ctx, cfg)
-
-
-@mc.command("tail-cover")
-@click.option("--space")
-@click.option("--alphas")
-@click.option("--coefficients")
-@click.option("--s", "s")
-@click.option("--t", "t", help="Exponent grid, comma-separated")
-@click.option("--window", help="N0:N1")
-@click.option("--seed", type=int)
-@_mc_options
-@click.pass_context
-def mc_tail_cover(ctx, space, alphas, coefficients, s, t, window, seed,
-                  config_path, out):
-    """Constructed cover sums against the series reference."""
-    cfg = _load_config(config_path, "mc-tail-cover", space=space,
-                       schedule=f"power:{alphas}" if alphas else None,
-                       coefficients=coefficients, s=s, t=t, window=window,
-                       seed=seed, out=out)
-    _finish(ctx, cfg)
-
-
-@mc.command("verdict")
-@click.option("--space")
-@click.option("--alphas")
-@click.option("--coefficients")
-@click.option("--s", "s")
-@click.option("--seeds", help="Comma-separated seed list")
-@click.option("--tol", type=float, default=1e-9, show_default=True)
-@_mc_options
-@click.pass_context
-def mc_verdict(ctx, space, alphas, coefficients, s, seeds, tol, config_path, out):
-    """Aggregate PASS/FAIL verdict for a schedule on a space."""
-    cfg = _load_config(config_path, "mc-verdict", space=space,
-                       schedule=f"power:{alphas}" if alphas else None,
-                       coefficients=coefficients, s=s, seeds=seeds, tol=tol, out=out)
-    _finish(ctx, cfg)
-
-
-@main.command("report")
-@click.argument("manifests", nargs=-1, type=click.Path())
-@click.option("--out", type=click.Path())
-@click.pass_context
-def report_cmd(ctx, manifests, out):
-    """Merge compatible run manifests into one plot-ready CSV."""
-    cfg = RunConfig(command="report", inputs=",".join(manifests), out=out)
-    try:
-        outcome = run(cfg)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    for line in outcome.lines:
-        click.echo(line)
-    if out is not None:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(outcome.csv or "", encoding="utf-8")
-    elif outcome.csv:
-        click.echo(outcome.csv, nl=False)
-    ctx.exit(outcome.exit_code)
+for _name, _help in (("svf", "Singular value function evaluation."),
+                     ("dim", "Dimension predictions."),
+                     ("cover", "Explicit covers with certified cardinality bounds."),
+                     ("mc", "Seeded Monte Carlo experiments.")):
+    main.add_command(click.Group(_name, help=_help))
+for _name, _spec in COMMANDS.items():
+    _group, _, _leaf = _name.partition("-")
+    if _group in main.commands:
+        main.commands[_group].add_command(_click_command(_spec, _leaf))
+    else:
+        main.add_command(_click_command(_spec, _name))
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 import json
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from limsupdim.cli import RunConfig, main, run
+from limsupdim import cli
+from limsupdim.cli import RunConfig, RunOutcome, main, run
 from limsupdim.manifests import RunManifest, read_manifests
 
 
@@ -228,16 +230,224 @@ def test_run_unknown_command():
         run(RunConfig(command="not-a-command"))
 
 
-def test_replay_from_manifest_config(runner, tmp_path):
-    res = runner.invoke(main, [
-        "mc", "fiber-sum", "--space", "circle,circle", "--alphas", "1,2",
-        "--s", "1,1", "--u", "0", "--anchor", "0.5", "--checkpoints", "100",
-        "--seed", "9", "--out", str(tmp_path / "orig")])
-    assert res.exit_code == 0
+# One small run of each command that writes a manifest.
+MANIFEST_RUNS = {
+    "cover-ball": ["cover", "ball", "--space", "interval", "--x", "0.3",
+                   "--big-radius", "0.2", "--radius", "0.01"],
+    "cover-rect": ["cover", "rect", "--space", "interval,circle", "--x", "0.5,0.25",
+                   "--r", "0.4,0.05", "--radius", "0.05"],
+    "sparse": ["sparse", "--space", "cantor:0.3333333333333333", "--x", "0110",
+               "--big-radius", "0.3", "--radius", "0.01", "--seed", "3"],
+    "mc-fiber-sum": ["mc", "fiber-sum", "--space", "circle,circle", "--alphas", "1,2",
+                     "--s", "1,1", "--u", "0", "--anchor", "0.5", "--checkpoints", "100",
+                     "--seed", "9"],
+    "mc-divergence": ["mc", "divergence", "--p", "harmonic", "--n", "200",
+                      "--trials", "1000", "--checkpoints", "50,200", "--seed", "4"],
+    "mc-density": ["mc", "density", "--space", "circle", "--delta", "0.25",
+                   "--horizon", "500", "--seed", "3"],
+    "mc-tail-cover": ["mc", "tail-cover", "--space", "circle,circle", "--alphas", "2,3",
+                      "--s", "1,1", "--t", "0.5,1.0", "--window", "1:16", "--seed", "3"],
+    "mc-verdict": ["mc", "verdict", "--space", "circle,circle", "--alphas", "2,3",
+                   "--s", "1,1", "--seeds", "101"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_RUNS))
+def test_replay_from_manifest_config(runner, tmp_path, command):
+    res = runner.invoke(main, MANIFEST_RUNS[command] + ["--out", str(tmp_path / "orig")])
+    assert res.exit_code == 0, res.output
     manifest = read_manifests(tmp_path / "orig" / "manifest.jsonl")[0]
+    assert manifest.operation == command
     replay_cfg = RunConfig.from_dict(manifest.params["config"])
     outcome = run(replay_cfg)
     assert outcome.manifest.statistics == manifest.statistics
     # bytes, not read_text(): universal newlines would fold the CSV's CRLF
-    stored = (tmp_path / "orig" / "mc_fiber_sum.csv").read_bytes().decode("utf-8")
+    csv_name = command.replace("-", "_") + ".csv"
+    stored = (tmp_path / "orig" / csv_name).read_bytes().decode("utf-8")
     assert outcome.csv == stored
+
+
+@pytest.mark.parametrize("command", sorted(c for c in MANIFEST_RUNS if c.startswith("mc-")))
+def test_config_file_replays_each_mc_command(runner, tmp_path, command):
+    first = runner.invoke(main, MANIFEST_RUNS[command] + ["--out", str(tmp_path / "a")])
+    assert first.exit_code == 0, first.output
+    manifest = read_manifests(tmp_path / "a" / "manifest.jsonl")[0]
+    config = dict(manifest.params["config"], out=str(tmp_path / "b"))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    again = runner.invoke(main, command.split("-", 1) + ["--config", str(path)])
+    assert again.exit_code == 0 and again.output == first.output
+    csv_name = command.replace("-", "_") + ".csv"
+    assert (tmp_path / "b" / csv_name).read_bytes() == (tmp_path / "a" / csv_name).read_bytes()
+    replayed = read_manifests(tmp_path / "b" / "manifest.jsonl")[0]
+    assert replayed.statistics == manifest.statistics
+    assert replayed.params["config"] == config
+
+
+def test_dim_predict_unknown_method_exit_2(runner):
+    result = runner.invoke(main, ["dim", "predict", "--alphas", "2,3", "--s", "1,1",
+                                  "--method", "closed-form,seires"])
+    assert result.exit_code == 2
+    assert "seires" in result.output and "closed-form, series" in result.output
+
+
+@pytest.mark.parametrize("text, field", [
+    ("{bad", None),
+    ('{"command": "mc-density", "space": "circle", "delta": 0.2, "horizon": "100", '
+     '"seed": 5}', "horizon"),
+    ('{"command": "mc-density", "space": "circle", "delta": 0.2, "horizon": 100, '
+     '"seed": "x"}', "seed"),
+    ('{"command": "mc-density", "space": "circle", "delta": 0.2, "horizon": true, '
+     '"seed": 5}', "horizon"),
+], ids=["not-json", "horizon-str", "seed-str", "horizon-bool"])
+def test_config_file_bad_input_exit_2(runner, tmp_path, text, field):
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    result = runner.invoke(main, ["mc", "density", "--config", str(path)])
+    assert result.exit_code == 2
+    assert "run.json" in result.output
+    if field is not None:
+        assert repr(field) in result.output
+
+
+def test_config_int_for_float_field_is_kept():
+    cfg = RunConfig.from_dict({"command": "mc-density", "space": "circle", "delta": 1,
+                               "horizon": 10, "seed": 1})
+    assert type(cfg.to_dict()["delta"]) is int
+
+
+def test_run_validates_direct_configs():
+    with pytest.raises(ValueError, match="seed"):
+        run(RunConfig(command="mc-density", space="circle", delta=0.1, horizon=10))
+    with pytest.raises(ValueError, match="'horizon'"):
+        run(RunConfig(command="mc-density", space="circle", delta=0.1, horizon="10", seed=1))
+
+
+def test_report_on_a_directory_exit_2(runner, tmp_path):
+    result = runner.invoke(main, ["report", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "not a file" in result.output
+
+
+def test_report_out_names_a_file(runner, tmp_path):
+    for seed, sub in ((9, "a"), (10, "b")):
+        res = runner.invoke(main, MANIFEST_RUNS["mc-fiber-sum"][:-1]
+                            + [str(seed), "--out", str(tmp_path / sub)])
+        assert res.exit_code == 0
+    inputs = [str(tmp_path / sub / "manifest.jsonl") for sub in ("a", "b")]
+    printed = runner.invoke(main, ["report"] + inputs)
+    merged = tmp_path / "x" / "merged.csv"
+    written = runner.invoke(main, ["report"] + inputs + ["--out", str(merged)])
+    assert written.exit_code == 0 and written.output == "merged 2 manifests\n"
+    # the runner's output folds CRLF; the file keeps the CSV's CRLF endings
+    assert printed.output == written.output + merged.read_text(encoding="utf-8")
+    assert merged.read_bytes().endswith(b"\r\n")
+    # an --out that cannot be written is bad input, not a crash
+    unwritable = runner.invoke(main, ["report"] + inputs + ["--out", str(tmp_path / "a")])
+    assert unwritable.exit_code == 2
+
+
+# Each command's parameters as the hand-written click commands declared
+# them: (flag, RunConfig field, click type, default, required).  The one
+# difference is "[required]" on dim predict --alphas, which those commands
+# enforced in the command body with the same exit code 2.
+CLI_SURFACE = {
+    "svf eval": [("--r", "r", "text", None, True), ("--s", "s", "text", None, True),
+                 ("--t", "t", "text", None, True)],
+    "svf profile": [("--r", "r", "text", None, True), ("--s", "s", "text", None, True),
+                    ("--out", "out", "path", None, False)],
+    "dim predict": [("--alphas", "schedule", "text", None, True),
+                    ("--coefficients", "coefficients", "text", None, False),
+                    ("--s", "s", "text", None, True),
+                    ("--method", "method", "text", "closed-form,series", False),
+                    ("--tol", "tol", "float", 1e-9, False)],
+    "dim convex-body": [("--alphas", "schedule", "text", None, True),
+                        ("--coefficients", "coefficients", "text", None, False),
+                        ("--tol", "tol", "float", 1e-9, False)],
+    "cover ball": [("--space", "space", "text", None, True), ("--x", "x", "text", None, True),
+                   ("--big-radius", "R", "float", None, True),
+                   ("--radius", "radius", "float", None, True),
+                   ("--out", "out", "path", None, False)],
+    "cover rect": [("--space", "space", "text", None, True), ("--x", "x", "text", None, True),
+                   ("--r", "r", "text", None, True), ("--radius", "radius", "float", None, True),
+                   ("--out", "out", "path", None, False)],
+    "sparse": [("--space", "space", "text", None, True), ("--x", "x", "text", None, True),
+               ("--big-radius", "R", "float", None, True),
+               ("--radius", "radius", "float", None, True),
+               ("--seed", "seed", "integer", None, False), ("--out", "out", "path", None, False)],
+    "mc fiber-sum": [("--space", "space", "text", None, False),
+                     ("--alphas", "schedule", "text", None, False),
+                     ("--coefficients", "coefficients", "text", None, False),
+                     ("--s", "s", "text", None, False), ("--u", "u", "text", None, False),
+                     ("--anchor", "x", "text", None, False),
+                     ("--checkpoints", "checkpoints", "text", None, False),
+                     ("--seed", "seed", "integer", None, False),
+                     ("--out", "out", "path", None, False),
+                     ("--config", None, "path", None, False)],
+    "mc divergence": [("--p", "p", "text", None, False), ("--n", "N", "integer", None, False),
+                      ("--trials", "trials", "integer", None, False),
+                      ("--checkpoints", "checkpoints", "text", None, False),
+                      ("--seed", "seed", "integer", None, False),
+                      ("--out", "out", "path", None, False),
+                      ("--config", None, "path", None, False)],
+    "mc density": [("--space", "space", "text", None, False),
+                   ("--delta", "delta", "float", None, False),
+                   ("--horizon", "horizon", "integer", None, False),
+                   ("--seed", "seed", "integer", None, False),
+                   ("--out", "out", "path", None, False),
+                   ("--config", None, "path", None, False)],
+    "mc tail-cover": [("--space", "space", "text", None, False),
+                      ("--alphas", "schedule", "text", None, False),
+                      ("--coefficients", "coefficients", "text", None, False),
+                      ("--s", "s", "text", None, False), ("--t", "t", "text", None, False),
+                      ("--window", "window", "text", None, False),
+                      ("--seed", "seed", "integer", None, False),
+                      ("--out", "out", "path", None, False),
+                      ("--config", None, "path", None, False)],
+    "mc verdict": [("--space", "space", "text", None, False),
+                   ("--alphas", "schedule", "text", None, False),
+                   ("--coefficients", "coefficients", "text", None, False),
+                   ("--s", "s", "text", None, False), ("--seeds", "seeds", "text", None, False),
+                   ("--tol", "tol", "float", 1e-9, False), ("--out", "out", "path", None, False),
+                   ("--config", None, "path", None, False)],
+    "report": [("manifests", "inputs", "path", None, False),
+               ("--out", "out", "path", None, False)],
+}
+
+
+def _leaf_commands(group, prefix=()):
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from _leaf_commands(command, prefix + (name,))
+        else:
+            yield " ".join(prefix + (name,)), command
+
+
+def test_cli_surface_matches_declared_flags(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or RunOutcome(0, [], csv=""))
+    commands = dict(_leaf_commands(main))
+    assert sorted(commands) == sorted(CLI_SURFACE)
+    for path, rows in CLI_SURFACE.items():
+        got = [(p.opts[0] if isinstance(p, click.Option) else p.name, p.type.name,
+                p.default if isinstance(p.default, (str, float)) else None, p.required)
+               for p in commands[path].params]
+        assert got == [(flag, kind, default, req) for flag, _, kind, default, req in rows], path
+        # every flag must land in its field (--alphas as "power:<value>")
+        args, expected = [], {}
+        for i, (flag, field, kind, _, _) in enumerate(rows):
+            if field is None:
+                continue
+            value = {"integer": i + 1, "float": i + 0.5}.get(kind, f"v{i}x")
+            args += [flag, str(value)] if flag.startswith("--") else [str(value)]
+            expected[field] = value
+        result = CliRunner().invoke(main, path.split() + args)
+        assert result.exit_code == 0, (path, result.output)
+        cfg = seen.pop()
+        assert cfg.command == path.replace(" ", "-")
+        for field, value in expected.items():
+            if isinstance(value, str):
+                assert value in getattr(cfg, field), (path, field)
+            else:
+                assert getattr(cfg, field) == value, (path, field)
