@@ -4,9 +4,11 @@ Each ``COMMANDS`` entry gives a command's handler, help, flags (each sets one
 ``RunConfig`` field, whose annotation and default give the flag's type and
 default), required fields (``seed`` or ``seeds`` for stochastic commands),
 whether it takes ``--config`` and whether ``--out`` names a file; the click
-commands are built from it.  Runs from flags, from ``--config`` files and from
-``RunConfig`` objects passed to ``run`` are all checked by ``RunConfig.validate``
-and end in ``_finish``: lines, then the CSV table, go to stdout, or with
+commands are built from it.  A ``--config`` file gives the run's fields, and
+each flag typed next to it overrides its field (flags left at their defaults
+do not).  Runs from flags, from ``--config`` files and from ``RunConfig``
+objects passed to ``run`` are all checked by ``RunConfig.validate`` and end in
+``_finish``: lines, then the CSV table, go to stdout, or with
 ``--out DIR`` the table goes to ``DIR/<command>.csv`` and a manifest line to
 ``DIR/manifest.jsonl`` (even when a check fails); ``report --out FILE`` writes
 its merged CSV to the file FILE.  Exit codes: 0 when all checks pass, 1 when a
@@ -27,6 +29,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .ellipsoids import EllipsoidSchedule, convex_body_dimension
 from .manifests import RunManifest, append_manifest, csv_body, fmt17, read_manifests
@@ -90,7 +93,7 @@ class RunConfig:
     trials: int | None = None
     tol: float = 1e-9
     method: str = "closed-form,series"
-    inputs: str | None = None         # manifest paths for `report`
+    inputs: tuple[str, ...] | None = None  # manifest paths for `report`
     out: str | None = None
 
     def to_dict(self) -> dict:
@@ -113,13 +116,12 @@ class RunConfig:
         """Check the run and return its command's table entry.
 
         Each set field must have its annotated type (an int is accepted, not
-        converted, for a float field; a bool is never a number), the command
-        and version must be known and the command's required fields set."""
+        converted, for a float field; a bool is never a number; a
+        ``tuple[str, ...]`` field holds strings), the command and version must
+        be known and the command's required fields set."""
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
-            accepted = (int, float) if kind is float else kind
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, accepted)):
+            if value is not None and not _has_type(value, kind):
                 raise ValueError(f"field {name!r} must be {kind.__name__}, "
                                  f"got {type(value).__name__} {value!r}")
         spec = COMMANDS.get(self.command)
@@ -129,10 +131,18 @@ class RunConfig:
             raise ValueError(f"unsupported config version {self.version}")
         decls = {flag.field: flag.decl for flag in spec.flags}
         missing = [f"{name} ({decls[name]})" for name in spec.required
-                   if getattr(self, name) in (None, "")]
+                   if getattr(self, name) in (None, "", ())]
         if missing:
             raise ValueError(f"{self.command} requires {', '.join(missing)}")
         return spec
+
+
+def _has_type(value, kind) -> bool:
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return isinstance(value, tuple) and all(_has_type(v, item) for v in value)
+    accepted = (int, float) if kind is float else kind
+    return isinstance(value, accepted) and not isinstance(value, bool)
 
 
 # the annotated type of each field: str for "str | None"
@@ -263,9 +273,11 @@ def _run_dim_predict(cfg: RunConfig) -> RunOutcome:
     if unknown:
         raise ValueError(f"unknown method {', '.join(unknown)}; valid methods: closed-form, series")
     values = {}
-    if "series" in methods or isinstance(sched, ExplicitSchedule):
+    # the closed form is the schedule's own only when it is its power model
+    closed = sched.power_model is sched
+    if "series" in methods or not closed:
         values["series"] = critical_exponent_series(sched, s, cfg.tol)
-    if "closed-form" in methods and isinstance(sched, PowerLawSchedule):
+    if "closed-form" in methods and closed:
         values["closed-form"] = closed_form_dimension(sched, s)
     if not values:
         raise ValueError(f"no applicable method among {methods}")
@@ -421,9 +433,8 @@ def _run_verdict(cfg: RunConfig) -> RunOutcome:
 
 
 def _run_report(cfg: RunConfig) -> RunOutcome:
-    paths = [p for p in cfg.inputs.split(",") if p]
     manifests: list[RunManifest] = []
-    for path in paths:
+    for path in cfg.inputs:
         if not Path(path).exists():
             raise ValueError(f"manifest file not found: {path}")
         if not Path(path).is_file():
@@ -573,7 +584,7 @@ COMMANDS = {c.name: c for c in (
             ("space", "schedule", "s", "seeds"), config=True),
     Command("report", _run_report,
             "Merge compatible run manifests into one plot-ready CSV.",
-            (Flag("manifests", "inputs", convert=",".join), _OUT),
+            (Flag("manifests", "inputs"), _OUT),
             ("inputs",), out_file=True),
 )}
 
@@ -629,22 +640,22 @@ def _click_command(spec: Command, name: str) -> click.Command:
 
     @click.pass_context
     def callback(ctx, config_path=None, **given):
-        if config_path is not None:
-            try:
-                text = Path(config_path).read_text(encoding="utf-8")
-                cfg = RunConfig.from_dict(json.loads(text))
-            except (OSError, ValueError) as exc:
-                raise click.UsageError(f"{config_path}: {exc}")
-            if cfg.command != spec.name:
-                raise click.UsageError(f"{config_path}: config command {cfg.command!r} "
-                                       f"does not match {spec.name!r}")
-        else:
-            fields = {}
-            for flag, param in zip(spec.flags, params):
+        # the file's fields, or none, under the flags typed on the command line
+        typed = {}
+        for flag, param in zip(spec.flags, params):
+            if ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE:
                 value = given[param.name]
-                if value is not None:
-                    fields[flag.field] = flag.convert(value) if flag.convert else value
-            cfg = RunConfig(command=spec.name, **fields)
+                typed[flag.field] = flag.convert(value) if flag.convert else value
+        try:
+            data = {"command": spec.name}
+            if config_path is not None:
+                data = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            cfg = RunConfig.from_dict({**data, **typed} if isinstance(data, dict) else data)
+        except (OSError, ValueError) as exc:
+            raise click.UsageError(f"{config_path}: {exc}" if config_path else str(exc))
+        if cfg.command != spec.name:
+            raise click.UsageError(f"{config_path}: config command {cfg.command!r} "
+                                   f"does not match {spec.name!r}")
         _finish(ctx, cfg)
 
     return click.Command(name, params=params, callback=callback, help=spec.help)

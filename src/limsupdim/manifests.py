@@ -69,7 +69,13 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, line: str) -> "RunManifest":
+        """Parse one manifest line; bad JSON, a value that is not an object
+        and a missing ``operation`` raise ValueError."""
         data = json.loads(line)
+        if not isinstance(data, dict):
+            raise ValueError("a manifest must be a JSON object")
+        if "operation" not in data:
+            raise ValueError("manifest has no 'operation'")
         known = {"version", "operation", "seed", "space", "schedule", "params",
                  "window", "statistics", "metadata"}
         unknown = set(data) - known
@@ -94,8 +100,14 @@ def append_manifest(path: str | Path, manifest: RunManifest) -> None:
 
 
 def read_manifests(path: str | Path) -> list[RunManifest]:
+    """The manifests of a JSON-lines file; a bad line raises ValueError
+    naming ``path:line``."""
     out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, start=1):
         if line.strip():
-            out.append(RunManifest.from_json(line))
+            try:
+                out.append(RunManifest.from_json(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from exc
     return out

@@ -23,7 +23,6 @@ import numpy as np
 
 from .spaces import ProductSpace, cover_rectangle
 from .svf import (
-    ExplicitSchedule,
     PowerLawSchedule,
     RadiusSchedule,
     closed_form_dimension,
@@ -87,29 +86,6 @@ def _require_matching_regularity(space: ProductSpace, s: Sequence[float]) -> np.
     return sv
 
 
-def _require_sorted_schedule(sched: RadiusSchedule) -> None:
-    """Fiber sums need r_{n,1} >= ... >= r_{n,d} for every n; relabel the
-    factors before calling if the schedule is ordered differently."""
-    if isinstance(sched, PowerLawSchedule):
-        a = sched.alphas
-        k = sched.coefficients
-        if any(a2 < a1 for a1, a2 in zip(a, a[1:])) or any(
-            k2 > k1 for k1, k2 in zip(k, k[1:])
-        ):
-            raise ValueError(
-                "schedule must have non-increasing radii per index: "
-                "sort decay exponents ascending (coefficients non-increasing) "
-                "and relabel the factor spaces to match"
-            )
-    else:
-        for idx, tup in enumerate(sched.tuples, start=1):
-            vals = tup.values
-            if any(v2 > v1 for v1, v2 in zip(vals, vals[1:])):
-                raise ValueError(f"tuple #{idx} is not non-increasing; relabel first")
-        if isinstance(sched.tail, PowerLawSchedule):
-            _require_sorted_schedule(sched.tail)
-
-
 @dataclass(frozen=True)
 class FiberSumResult:
     """Hit-sum along the fiber over an anchor x' in the first d-1 factors.
@@ -169,7 +145,7 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
     sv = _require_matching_regularity(space, s)
     if not (0.0 <= u <= sv[-1]):
         raise ValueError(f"u={u} outside [0, {sv[-1]}]")
-    _require_sorted_schedule(sched)
+    sched.check_non_increasing()
     anchor = tuple(anchor)
     if len(anchor) != d - 1:
         raise ValueError(f"anchor must have {d - 1} coordinates, got {len(anchor)}")
@@ -243,17 +219,22 @@ class DivergenceTestResult:
         }
 
 
+# bytes of uniform draws held at once by divergence_tail_bound_test
+_DRAW_BYTES = 1 << 22
+
+
 def divergence_tail_bound_test(expectations: Sequence[float], trials: int,
                                rng: np.random.Generator,
-                               checkpoints: Sequence[int] | None = None,
-                               chunk: int = 512) -> DivergenceTestResult:
+                               checkpoints: Sequence[int] | None = None) -> DivergenceTestResult:
     """Simulate independent Bernoulli(p_n) and test the tail bound.
 
     For each checkpoint N and every admissible M (integers with
     1 <= M <= (1/2) sum_{n<=N} p_n) the empirical P{sum <= M} must not exceed
     2/M + 3 sigma.  Expectations of 0 or 1 are allowed ([0, 1] is the
     contract); with all p_n = 0 there is no admissible M and the table is
-    empty.
+    empty.  Trials are drawn in blocks of rows of about _DRAW_BYTES; blocks
+    take the generator's numbers in the order one full matrix would, so the
+    table does not depend on the block size.
     """
     p = np.asarray(list(expectations), dtype=float)
     if p.size == 0:
@@ -267,9 +248,10 @@ def divergence_tail_bound_test(expectations: Sequence[float], trials: int,
         raise ValueError("checkpoints must lie in [1, len(expectations)]")
 
     sums = np.zeros((trials, len(cps)), dtype=np.int64)
+    block = max(1, _DRAW_BYTES // (8 * p.size))
     done = 0
     while done < trials:
-        m = min(chunk, trials - done)
+        m = min(block, trials - done)
         draws = rng.random((m, p.size)) < p[None, :]
         # per-trial running counts, one column segment per checkpoint
         running = np.zeros(m, dtype=np.int64)
@@ -424,19 +406,6 @@ class TailCoverProfile:
         }
 
 
-def _below_n_min(sched: RadiusSchedule, n0: int, n1: int) -> tuple[int, int] | None:
-    """(n, n_min) for the first index n in [n0, n1] whose radius tuple cannot
-    be built because the power model has a radius above 1 before its n_min;
-    None when every tuple in the window can be built."""
-    first, power = 1, sched
-    if isinstance(sched, ExplicitSchedule):
-        first, power = len(sched.tuples) + 1, sched.tail
-    if not isinstance(power, PowerLawSchedule):
-        return None
-    n = max(n0, first)
-    return (n, power.n_min) if n < power.n_min and n <= n1 else None
-
-
 def tail_cover_sum(stream: OmegaStream, sched: RadiusSchedule,
                    s: Sequence[float], t: float,
                    window: tuple[int, int]) -> TailCoverProfile:
@@ -453,11 +422,12 @@ def tail_cover_sum(stream: OmegaStream, sched: RadiusSchedule,
     n0, n1 = int(window[0]), int(window[1])
     if n0 < 1 or n1 < n0:
         raise ValueError("window must satisfy 1 <= N0 <= N1")
-    below = _below_n_min(sched, n0, n1)
-    if below is not None:
+    unbuildable = sched.unbuildable
+    blocked = range(max(n0, unbuildable.start), min(n1 + 1, unbuildable.stop))
+    if blocked:
         raise ValueError(
-            f"window [{n0}, {n1}] includes index {below[0]} below "
-            f"n_min={below[1]}, where some radius exceeds 1"
+            f"window [{n0}, {n1}] includes index {blocked.start} below "
+            f"n_min={unbuildable.stop}, where some radius exceeds 1"
         )
 
     c_big = math.prod(4.0**f.s * f.c**2 for f in space.factors)
@@ -495,15 +465,21 @@ def tail_cover_sum(stream: OmegaStream, sched: RadiusSchedule,
 # ---------------------------------------------------------------------------
 
 
+# verdict thresholds: the largest |slope - target| a growth slope may miss
+# by, the band of observed/expected fiber ratios that counts as in band, and
+# the share of conclusive seeds that must be in band
+SLOPE_TOL = 0.05
+RATIO_BAND = (0.25, 4.0)
+FIBER_PASS_FRACTION = 0.9
+
+
 @dataclass(frozen=True)
 class VerdictConfig:
-    """Knobs for dimension_verdict; defaults match the acceptance budgets."""
+    """Tolerance and sizes for dimension_verdict; defaults match the
+    acceptance budgets.  The pass thresholds are module constants."""
 
     tol: float = 1e-9
-    slope_tol: float = 0.05
-    ratio_band: tuple[float, float] = (0.25, 4.0)
     fiber_checkpoints: tuple[int, ...] = (1000, 10_000, 100_000)
-    fiber_pass_fraction: float = 0.9
     cover_window: tuple[int, int] = (1, 128)
     slope_blocks: tuple[int, ...] = (10_000, 100_000, 1_000_000)
 
@@ -538,19 +514,13 @@ class VerdictReport:
         }
 
 
-def _projection_pair(sched: PowerLawSchedule, sv: np.ndarray) -> tuple[float, float]:
-    """Predicted dimensions for the schedule and its last-coordinate drop,
-    computed by the exact closed form with coordinates sorted so radii are
-    non-increasing."""
-    order = np.argsort(np.asarray(sched.alphas), kind="stable")
-    alphas = tuple(float(sched.alphas[i]) for i in order)
-    coeffs = tuple(float(sched.coefficients[i]) for i in order)
-    ss = sv[order]
-    full = closed_form_dimension(PowerLawSchedule(alphas, coeffs), ss)
-    if len(alphas) == 1:
-        return full, full
-    sub = closed_form_dimension(PowerLawSchedule(alphas[:-1], coeffs[:-1]), ss[:-1])
-    return full, sub
+def _projected_dimension(power: PowerLawSchedule, sv: np.ndarray) -> float:
+    """Closed-form dimension after dropping the coordinate whose radii are
+    smallest, the last once coordinates are stably sorted so radii are
+    non-increasing (the closed form never reads the prefactors)."""
+    keep = np.argsort(np.asarray(power.alphas), kind="stable")[:-1]
+    return closed_form_dimension(
+        PowerLawSchedule(tuple(power.alphas[i] for i in keep)), sv[keep])
 
 
 def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
@@ -570,10 +540,7 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
     total = math.fsum(sv)
     checks: list[CheckResult] = []
 
-    power = sched if isinstance(sched, PowerLawSchedule) else (
-        sched.tail if isinstance(sched, ExplicitSchedule)
-        and isinstance(sched.tail, PowerLawSchedule) else None
-    )
+    power = sched.power_model
 
     predicted = critical_exponent_series(sched, sv, cfg.tol)
     if power is not None:
@@ -593,9 +560,9 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
     # tail-cover domination on a modest constructed window, moved past any
     # indices below the power model's n_min with its length kept
     window = cfg.cover_window
-    below = _below_n_min(sched, *window)
-    if below is not None:
-        window = (below[1], window[1] + below[1] - window[0])
+    unbuildable = sched.unbuildable
+    if range(max(window[0], unbuildable.start), min(window[1] + 1, unbuildable.stop)):
+        window = (unbuildable.stop, window[1] + unbuildable.stop - window[0])
     t_probes = sorted({v for v in (0.5 * predicted, predicted,
                                    0.5 * (predicted + total)) if 0.0 < v <= total})
     violations = []
@@ -618,7 +585,7 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
             t_minus = 0.5 * total
         slope = estimate_sum_growth(sched, sv, t_minus, cfg.slope_blocks)
         target = max(0.0, 1.0 - prof.value(t_minus))
-        ok = abs(slope - target) <= cfg.slope_tol
+        ok = abs(slope - target) <= SLOPE_TOL
         checks.append(CheckResult(
             "divergent-slope",
             "PASS" if ok else "FAIL",
@@ -627,7 +594,7 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
         if predicted < total:
             t_plus = predicted + 0.75 * (total - predicted)
             slope = estimate_sum_growth(sched, sv, t_plus, cfg.slope_blocks)
-            ok = abs(slope) <= cfg.slope_tol
+            ok = abs(slope) <= SLOPE_TOL
             checks.append(CheckResult(
                 "convergent-slope",
                 "PASS" if ok else "FAIL",
@@ -656,7 +623,7 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
                 continue
             conclusive += 1
             ratio = res.ratio()
-            if ratio is not None and cfg.ratio_band[0] <= ratio <= cfg.ratio_band[1]:
+            if ratio is not None and RATIO_BAND[0] <= ratio <= RATIO_BAND[1]:
                 in_band += 1
         if conclusive == 0:
             checks.append(CheckResult(
@@ -664,7 +631,7 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
                 f"u={u!r}: zero hits in every window"))
         else:
             frac = in_band / conclusive
-            ok = frac >= cfg.fiber_pass_fraction
+            ok = frac >= FIBER_PASS_FRACTION
             checks.append(CheckResult(
                 "fiber-divergence",
                 "PASS" if ok else "FAIL",
@@ -677,7 +644,9 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
 
     # projection inequality on the closed-form outputs
     if power is not None and d >= 2:
-        full, sub = _projection_pair(power, sv)
+        # the closed form re-sorts stably and fsum is exact, so the full
+        # schedule's value is cf itself
+        full, sub = cf, _projected_dimension(power, sv)
         ok = full >= sub - 1e-12
         checks.append(CheckResult(
             "projection-inequality",

@@ -429,10 +429,8 @@ class Cantor(RegularSpace):
         root[partial] = sums
         return root
 
-    def sample(self, rng: np.random.Generator, depth: int | None = None) -> CantorPoint:
-        depth = self.default_depth if depth is None else depth
-        digits = rng.integers(0, 2, size=depth)
-        return self.point(digits)
+    def sample(self, rng: np.random.Generator) -> CantorPoint:
+        return self.point(rng.integers(0, 2, size=self.default_depth))
 
     def stream_coords(self, seed: int, lane: int, ns: np.ndarray) -> np.ndarray:
         return self.embed_digits(crng.bits(seed, lane, ns, self.default_depth).T)
@@ -698,7 +696,6 @@ class CoverReport:
     ``count`` is their number, guaranteed <= ``bound``.
     """
 
-    target: str
     center: object
     target_radii: tuple[float, ...]
     radius: float
@@ -735,7 +732,6 @@ def cover_ball(space: RegularSpace, x, R: float, r: float) -> CoverReport:
     centers = _sparse_greedy(space, x, min(R, space.diameter), r, rng=None)
     bound = 4.0**space.s * space.c**2 * (R / r) ** space.s
     return CoverReport(
-        target=f"{space.kind} ball R={R!r}",
         center=x,
         target_radii=(R,),
         radius=r,
@@ -772,7 +768,6 @@ def cover_rectangle(space: ProductSpace, center: Sequence, radii, r: float) -> C
         factor_centers.append(tuple(centers))
     count = math.prod(len(fc) for fc in factor_centers)
     return CoverReport(
-        target=f"rectangle radii={radii_vals!r}",
         center=tuple(center),
         target_radii=radii_vals,
         radius=r,
@@ -782,18 +777,15 @@ def cover_rectangle(space: ProductSpace, center: Sequence, radii, r: float) -> C
     )
 
 
-def verify_cover(space: RegularSpace | ProductSpace, report: CoverReport,
-                 resolution: float | None = None) -> bool:
-    """Probe-net soundness of a cover: every net point of the target lies in
-    a cover element, and count <= bound.
+def verify_cover(space: RegularSpace | ProductSpace, report: CoverReport) -> bool:
+    """Probe-net soundness of a cover: every point of the target's probe net
+    at resolution radius/4 lies in a cover element, and count <= bound.
 
     A product point lies in some cube iff each coordinate lies in some factor
-    ball, so rectangle verification reduces to per-factor containment.  The
-    net resolution defaults to radius/4.
+    ball, so rectangle verification reduces to per-factor containment.
     """
     if report.count > report.bound * (1.0 + 1e-12):
         return False
-    res = report.radius / 4.0 if resolution is None else resolution
     # a few ulps of slack: boundary-exact containments (e.g. a kept center
     # with side radius equal to the cube radius) must not fail by rounding
     slack = 16.0 * np.spacing(max(1.0, report.radius))
@@ -802,7 +794,7 @@ def verify_cover(space: RegularSpace | ProductSpace, report: CoverReport,
     center = report.center if isinstance(space, ProductSpace) else (report.center,)
     for factor, x_i, R_i, centers in zip(factors, center, report.target_radii,
                                          centers_per_factor):
-        coords, points = factor.net(x_i, min(R_i, factor.diameter), res)
+        coords, points = factor.net(x_i, min(R_i, factor.diameter), report.radius / 4.0)
         if coords.size == 0:
             continue
         covered = np.zeros(coords.size, dtype=bool)

@@ -327,6 +327,28 @@ class PowerLawSchedule:
             k * float(n) ** -a for a, k in zip(self.alphas, self.coefficients)
         )
 
+    @property
+    def power_model(self) -> PowerLawSchedule:
+        """The power law that decides t*: the schedule itself."""
+        return self
+
+    @property
+    def unbuildable(self) -> range:
+        """Indices whose radius tuple cannot be built: those below n_min."""
+        return range(1, self.n_min)
+
+    def check_non_increasing(self) -> None:
+        """Raise unless r_{n,1} >= ... >= r_{n,d} for every n."""
+        a, k = self.alphas, self.coefficients
+        if any(a2 < a1 for a1, a2 in zip(a, a[1:])) or any(
+            k2 > k1 for k1, k2 in zip(k, k[1:])
+        ):
+            raise ValueError(
+                "schedule must have non-increasing radii per index: "
+                "sort decay exponents ascending (coefficients non-increasing) "
+                "and relabel the factor spaces to match"
+            )
+
     def descriptor(self) -> dict:
         return {
             "kind": "power-law",
@@ -405,20 +427,37 @@ class ExplicitSchedule:
             return self.tuples[-1]
         return self.tail.radius_tuple(n)
 
+    @property
+    def power_model(self) -> PowerLawSchedule | None:
+        """The power-law tail, which decides t*; None for the other tails."""
+        return self.tail if isinstance(self.tail, PowerLawSchedule) else None
+
+    @property
+    def unbuildable(self) -> range:
+        """Indices past the listed tuples but below a power tail's n_min."""
+        if self.power_model is None:
+            return range(0)
+        return range(len(self.tuples) + 1, self.power_model.n_min)
+
+    def check_non_increasing(self) -> None:
+        """Raise unless every listed tuple, and a power tail, is non-increasing."""
+        for idx, tup in enumerate(self.tuples, start=1):
+            vals = tup.values
+            if any(v2 > v1 for v1, v2 in zip(vals, vals[1:])):
+                raise ValueError(f"tuple #{idx} is not non-increasing; relabel first")
+        if self.power_model is not None:
+            self.power_model.check_non_increasing()
+
     def descriptor(self) -> dict:
-        if self.tail is None:
-            tail: dict | str | None = None
-        elif self.tail == "constant":
-            tail = "constant"
-        else:
-            tail = self.tail.descriptor()
         return {
             "kind": "explicit",
             "tuples": [list(t.values) for t in self.tuples],
-            "tail": tail,
+            "tail": self.power_model.descriptor() if self.power_model is not None else self.tail,
         }
 
 
+# Both kinds answer power_model, unbuildable and check_non_increasing(), so
+# callers never test which kind they hold.
 RadiusSchedule = PowerLawSchedule | ExplicitSchedule
 
 
@@ -500,24 +539,22 @@ def critical_exponent_series(sched: RadiusSchedule,
 
     The series sum_n n^{-e(t)} converges iff e(t) > 1 and e is non-decreasing,
     so t* is the unique crossing when e(sum(s)) > 1 and sum(s) otherwise.
-    Prefactors never change t*.  Explicit schedules need a declared tail: a
-    power-law tail decides t*, a constant tail diverges at every t (returns
-    sum(s)), and no tail is a domain error.
+    Prefactors never change t*.  The schedule's ``power_model`` decides t*;
+    an explicit schedule without one needs a declared tail: a constant tail
+    diverges at every t (returns sum(s)), and no tail is a domain error.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     sv = _as_array(s, _EXPONENTS)
     total = math.fsum(sv)
-    if isinstance(sched, ExplicitSchedule):
+    if sched.power_model is None:
         if sched.tail is None:
             raise ValueError(
                 "critical exponent undecidable from finitely many terms; "
                 "declare a tail model or use estimate_sum_growth"
             )
-        if sched.tail == "constant":
-            return total
-        sched = sched.tail
-    prof = exponent_profile(sched, sv)
+        return total  # a constant tail
+    prof = exponent_profile(sched.power_model, sv)
     if prof.value(total) <= 1.0:
         return total
     lo, hi = 0.0, total
@@ -582,22 +619,22 @@ def _phi_terms(sched: RadiusSchedule, s: np.ndarray, t: float,
 def partial_sum(sched: RadiusSchedule,
                 s: RegularityVector | Sequence[float],
                 t: float, N: int) -> float:
-    """Truncated series S_N(t) = sum_{n<=N} Phi_{r_n}^s(t), exactly rounded.
-
-    Summation uses math.fsum over the vectorised terms, so the result does not
-    depend on any internal partitioning.  The terms go to fsum through a
-    memoryview, which yields Python floats without a numpy scalar per term.
-    """
+    """Truncated series S_N(t) = sum_{n<=N} Phi_{r_n}^s(t), exactly rounded:
+    partial_sums at the one checkpoint N."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    sv = _as_array(s, _EXPONENTS)
-    return math.fsum(memoryview(_phi_terms(sched, sv, float(t), 1, N)))
+    return partial_sums(sched, s, t, [N])[0]
 
 
 def partial_sums(sched: RadiusSchedule,
                  s: RegularityVector | Sequence[float],
                  t: float, Ns: Sequence[int]) -> list[float]:
-    """S_N(t) at several checkpoints, sharing one pass over the terms."""
+    """S_N(t) at several checkpoints, sharing one pass over the terms.
+
+    Each sum is math.fsum over the vectorised terms, so it does not depend on
+    any internal partitioning.  The terms go to fsum through a memoryview,
+    which yields Python floats without a numpy scalar per term.
+    """
     if not Ns:
         return []
     order = sorted(set(int(N) for N in Ns))

@@ -45,6 +45,14 @@ def test_dim_predict_disagreement_is_exit_1(runner):
     assert "DISAGREE" in result.output
 
 
+def test_dim_predict_closed_form_only_for_a_power_law():
+    # an explicit schedule's power tail decides t*, but only the series runs
+    cfg = RunConfig(command="dim-predict", schedule="explicit", tuples="0.5,0.25",
+                    tail="power:0.5,1", s="1,1")
+    assert [line.split("=")[0] for line in run(cfg).lines] == ["series", "dimension",
+                                                                 "agreement"]
+
+
 def test_dim_convex_body(runner):
     result = runner.invoke(main, ["dim", "convex-body", "--alphas", "2,3"])
     assert result.exit_code == 0
@@ -451,3 +459,60 @@ def test_cli_surface_matches_declared_flags(monkeypatch, tmp_path):
                 assert value in getattr(cfg, field), (path, field)
             else:
                 assert getattr(cfg, field) == value, (path, field)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("{}", "manifest has no 'operation'"),
+    ("[1, 2]", "a manifest must be a JSON object"),
+    ("{bad", "Expecting property name"),
+], ids=["no-operation", "not-an-object", "not-json"])
+def test_report_malformed_manifest_exit_2(runner, tmp_path, line, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"operation": "mc-fiber-sum"}\n' + line + "\n")
+    result = runner.invoke(main, ["report", str(path)])
+    assert result.exit_code == 2
+    assert f"{path}:2: {message}" in result.output
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_config_file_under_typed_flags(runner, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"command": "mc-density", "space": "circle", "delta": 0.25,
+                                "horizon": 1000, "seed": 3}))
+    result = runner.invoke(main, ["mc", "density", "--config", str(path),
+                                  "--seed", "4", "--out", str(tmp_path / "d")])
+    assert result.exit_code == 0
+    assert "cell,statistic" not in result.output  # the table went to --out
+    assert (tmp_path / "d" / "mc_density.csv").exists()
+    manifest = read_manifests(tmp_path / "d" / "manifest.jsonl")[0]
+    assert manifest.seed == 4
+    assert manifest.params["config"] == {**RunConfig(command="mc-density").to_dict(),
+                                         "space": "circle", "delta": 0.25, "horizon": 1000,
+                                         "seed": 4, "out": str(tmp_path / "d")}
+
+
+def test_config_file_tol_survives_the_flag_default(runner, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"command": "mc-verdict", "space": "circle,circle",
+                                "schedule": "power:2,3", "s": "1,1", "seeds": "101",
+                                "tol": 1e-6}))
+    result = runner.invoke(main, ["mc", "verdict", "--config", str(path),
+                                  "--out", str(tmp_path / "v")])
+    assert result.exit_code == 0, result.output
+    manifest = read_manifests(tmp_path / "v" / "manifest.jsonl")[0]
+    assert manifest.params["config"]["tol"] == 1e-6
+    assert "tol=1e-06" in manifest.statistics["checks"][0][2]
+
+
+def test_report_path_with_a_comma(runner, tmp_path):
+    out = tmp_path / "x,y"
+    res = runner.invoke(main, MANIFEST_RUNS["mc-fiber-sum"] + ["--out", str(out)])
+    assert res.exit_code == 0
+    result = runner.invoke(main, ["report", str(out / "manifest.jsonl")])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("merged 1 manifests\n")
+    assert run(RunConfig(command="report", inputs=(str(out / "manifest.jsonl"),))).exit_code == 0
+    for inputs in (str(out / "manifest.jsonl"), (str(out / "manifest.jsonl"), 1)):
+        with pytest.raises(ValueError, match="field 'inputs' must be tuple"):
+            run(RunConfig(command="report", inputs=inputs))

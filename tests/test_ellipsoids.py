@@ -20,7 +20,7 @@ def test_spherical_bodies(a, d):
 def test_dilation_invariance_exact():
     inner = EllipsoidSchedule((2.0, 3.0), (0.5, 0.25))
     dilated = EllipsoidSchedule(
-        inner.alphas, tuple(k * inner.dilation for k in inner.coefficients)
+        inner.alphas, tuple(k * inner.dim for k in inner.coefficients)
     )
     assert convex_body_dimension(inner) == convex_body_dimension(dilated)
     sched = EllipsoidSchedule((1.0, 2.0), (1.0, 0.5))
@@ -59,9 +59,3 @@ def test_validation_rejects_increasing_semiaxes():
         EllipsoidSchedule((3.0, 2.0))  # radii increasing in i
     with pytest.raises(ValueError):
         EllipsoidSchedule((1.0, 2.0), (0.5, 1.0))  # coefficients increasing
-
-
-def test_validation_rejects_wrong_dilation():
-    with pytest.raises(ValueError):
-        EllipsoidSchedule((1.0, 2.0), dilation=3)
-    assert EllipsoidSchedule((1.0, 2.0)).dilation == 2

@@ -20,6 +20,7 @@ from limsupdim import (
     fiber_hit_sum,
     tail_cover_sum,
 )
+from limsupdim import mc
 
 from oracles import harmonic_number
 
@@ -253,16 +254,15 @@ def test_divergence_validates_inputs(rng):
         divergence_tail_bound_test([0.5], 10, rng)
 
 
-def test_divergence_sums_match_full_cumsum():
+def test_divergence_sums_match_full_cumsum(monkeypatch):
     p = np.linspace(0.0, 1.0, 300)
     cps = [1, 3, 50, 299, 300]
-    res = divergence_tail_bound_test(p, 1000, np.random.default_rng(11), cps, chunk=384)
-    # reference: same draws in the same chunks, counted by a full cumsum
-    rng = np.random.default_rng(11)
-    sums = np.concatenate([
-        np.cumsum(rng.random((m, p.size)) < p, axis=1)[:, [N - 1 for N in cps]]
-        for m in (384, 384, 232)
-    ])
+    # blocks of 384 rows: 384, 384 and 232 of the 1000 trials
+    monkeypatch.setattr(mc, "_DRAW_BYTES", 384 * 8 * p.size)
+    res = divergence_tail_bound_test(p, 1000, np.random.default_rng(11), cps)
+    # reference: one unblocked draw matrix, counted by a full cumsum
+    draws = np.random.default_rng(11).random((1000, p.size)) < p
+    sums = np.cumsum(draws, axis=1)[:, [N - 1 for N in cps]]
     rows = []
     for j, N in enumerate(cps):
         col = np.sort(sums[:, j])

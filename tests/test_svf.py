@@ -364,6 +364,39 @@ def test_n_min_reflects_prefactors():
     assert max(sched.radius_tuple(3).values) <= 1.0
 
 
+_TAIL = PowerLawSchedule((1.0, 2.0), (3.0, 1.0))  # n_min = 3
+
+
+@pytest.mark.parametrize("sched, unbuildable, power", [
+    (_TAIL, range(1, 3), _TAIL),
+    (ExplicitSchedule(((0.5, 0.25),), _TAIL), range(2, 3), _TAIL),
+    (ExplicitSchedule(((0.5, 0.25),), "constant"), range(0), None),
+    (ExplicitSchedule(((0.5, 0.25), (0.4, 0.1))), range(0), None),
+], ids=["power-prefactors", "explicit-power-tail", "explicit-constant-tail",
+        "explicit-no-tail"])
+def test_schedule_answers_unbuildable_and_power_model(sched, unbuildable, power):
+    assert sched.unbuildable == unbuildable
+    assert sched.power_model is power
+    sched.check_non_increasing()
+    for n in unbuildable:
+        with pytest.raises(ValueError, match="n_min"):
+            sched.radius_tuple(n)
+    # the first index past the unbuildable ones has its tuple
+    assert max(sched.radius_tuple(unbuildable.stop or 1).values) <= 1.0
+
+
+@pytest.mark.parametrize("sched, message", [
+    (PowerLawSchedule((3.0, 2.0)), "sort decay exponents ascending"),
+    (PowerLawSchedule((1.0, 2.0), (0.5, 1.0)), "coefficients non-increasing"),
+    (ExplicitSchedule(((0.5, 0.25), (0.1, 0.4)), "constant"), "tuple #2 is not non-increasing"),
+    (ExplicitSchedule(((0.5, 0.25),), PowerLawSchedule((2.0, 1.0))),
+     "sort decay exponents ascending"),
+], ids=["alphas", "coefficients", "explicit-tuple", "explicit-power-tail"])
+def test_check_non_increasing_names_the_order_rule(sched, message):
+    with pytest.raises(ValueError, match=message):
+        sched.check_non_increasing()
+
+
 # ---------------------------------------------------------------------------
 # partial sums and growth
 # ---------------------------------------------------------------------------
