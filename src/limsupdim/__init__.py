@@ -31,11 +31,9 @@ from .spaces import (
     CoverReport,
     Interval,
     ProductSpace,
-    ball_measure,
     cover_ball,
     cover_rectangle,
     max_sparse_subset,
-    sample,
     sparse_bounds,
     verify_cover,
 )
@@ -44,7 +42,6 @@ from .svf import (
     ExponentProfile,
     PowerLawSchedule,
     RadiusTuple,
-    RegularityVector,
     SingularValueProfile,
     closed_form_dimension,
     critical_exponent_series,
@@ -60,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RadiusTuple",
-    "RegularityVector",
     "SingularValueProfile",
     "PowerLawSchedule",
     "ExplicitSchedule",
@@ -79,8 +75,6 @@ __all__ = [
     "CantorPoint",
     "ProductSpace",
     "CoverReport",
-    "sample",
-    "ball_measure",
     "max_sparse_subset",
     "sparse_bounds",
     "cover_ball",

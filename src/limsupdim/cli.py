@@ -179,12 +179,16 @@ def parse_space(text: str) -> ProductSpace:
     return ProductSpace(tuple(factor_from_token(t.strip()) for t in text.split(",")))
 
 
+def _power_law(text: str, cfg: RunConfig, kind=PowerLawSchedule):
+    """The power law "power:<alphas>" with the run's coefficients."""
+    coeffs = _floats(cfg.coefficients) if cfg.coefficients else ()
+    return kind(_floats(text.removeprefix("power:")), coeffs)
+
+
 def parse_schedule(cfg: RunConfig):
     text = cfg.schedule.strip()
     if text.startswith("power:"):
-        alphas = _floats(text.split(":", 1)[1])
-        coeffs = _floats(cfg.coefficients) if cfg.coefficients else ()
-        return PowerLawSchedule(alphas, coeffs)
+        return _power_law(text, cfg)
     if text == "explicit":
         if not cfg.tuples:
             raise ValueError("explicit schedule requires 'tuples'")
@@ -195,7 +199,7 @@ def parse_schedule(cfg: RunConfig):
         elif tail_text == "constant":
             tail = "constant"
         elif tail_text.startswith("power:"):
-            tail = PowerLawSchedule(_floats(tail_text.split(":", 1)[1]))
+            tail = _power_law(tail_text, cfg)
         else:
             raise ValueError(f"unknown tail model {tail_text!r}")
         return ExplicitSchedule(tups, tail)
@@ -291,8 +295,7 @@ def _run_dim_predict(cfg: RunConfig) -> RunOutcome:
 
 
 def _run_convex_body(cfg: RunConfig) -> RunOutcome:
-    sched = EllipsoidSchedule(_floats(cfg.schedule.removeprefix("power:")),
-                              _floats(cfg.coefficients) if cfg.coefficients else ())
+    sched = _power_law(cfg.schedule, cfg, EllipsoidSchedule)
     return RunOutcome(0, [fmt17(convex_body_dimension(sched, cfg.tol))])
 
 
@@ -432,6 +435,23 @@ def _run_verdict(cfg: RunConfig) -> RunOutcome:
     return RunOutcome(0 if report.passed else 1, lines, csv=body, manifest=manifest)
 
 
+# the statistics keys that report reads, per operation, and per profile of a
+# tail-cover manifest
+_REPORT_KEYS = {"mc-fiber-sum": ("checkpoints", "u", "observed", "expectation_exact"),
+                "mc-tail-cover": ("profiles",)}
+_PROFILE_KEYS = ("t", "window", "value", "reference")
+
+
+def _missing_key(m: RunManifest) -> str | None:
+    """The first statistics key that report reads from ``m`` and ``m`` lacks."""
+    need = [(m.statistics, _REPORT_KEYS.get(m.operation, ()))]
+    if m.operation == "mc-tail-cover" and isinstance(m.statistics, dict):
+        profiles = m.statistics.get("profiles")
+        need += [(p, _PROFILE_KEYS) for p in (profiles if isinstance(profiles, list) else [None])]
+    return next((k for obj, keys in need for k in keys
+                 if not isinstance(obj, dict) or k not in obj), None)
+
+
 def _run_report(cfg: RunConfig) -> RunOutcome:
     manifests: list[RunManifest] = []
     for path in cfg.inputs:
@@ -439,7 +459,11 @@ def _run_report(cfg: RunConfig) -> RunOutcome:
             raise ValueError(f"manifest file not found: {path}")
         if not Path(path).is_file():
             raise ValueError(f"manifest path is not a file: {path}")
-        manifests.extend(read_manifests(path))
+        for m in read_manifests(path):
+            missing = _missing_key(m)
+            if missing is not None:
+                raise ValueError(f"{path}: {m.operation} manifest lacks statistics key {missing!r}")
+            manifests.append(m)
     if not manifests:
         raise ValueError("no manifests found in the given files")
     ops = {m.operation for m in manifests}

@@ -70,12 +70,14 @@ class RunManifest:
     @classmethod
     def from_json(cls, line: str) -> "RunManifest":
         """Parse one manifest line; bad JSON, a value that is not an object
-        and a missing ``operation`` raise ValueError."""
+        and a missing or non-string ``operation`` raise ValueError."""
         data = json.loads(line)
         if not isinstance(data, dict):
             raise ValueError("a manifest must be a JSON object")
         if "operation" not in data:
             raise ValueError("manifest has no 'operation'")
+        if not isinstance(data["operation"], str):
+            raise ValueError(f"manifest 'operation' must be a string, got {data['operation']!r}")
         known = {"version", "operation", "seed", "space", "schedule", "params",
                  "window", "statistics", "metadata"}
         unknown = set(data) - known

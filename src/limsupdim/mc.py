@@ -239,8 +239,9 @@ def divergence_tail_bound_test(expectations: Sequence[float], trials: int,
     p = np.asarray(list(expectations), dtype=float)
     if p.size == 0:
         raise ValueError("expectations must be non-empty")
-    if np.any((p < 0.0) | (p > 1.0)):
-        raise ValueError("expectations must lie in [0, 1]")
+    bad = p[~((p >= 0.0) & (p <= 1.0))]
+    if bad.size:
+        raise ValueError(f"expectations must lie in [0, 1], got {float(bad[0])}")
     if trials < 1000:
         raise ValueError("need at least 10^3 trials")
     cps = sorted(set(int(N) for N in (checkpoints or [p.size])))
@@ -333,8 +334,8 @@ def density_check(stream: OmegaStream, delta: float, horizon: int) -> DensityRep
     factor's stream resolves, is a domain error raised before anything is
     drawn or allocated.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     space = stream.space
@@ -484,6 +485,10 @@ class VerdictConfig:
     slope_blocks: tuple[int, ...] = (10_000, 100_000, 1_000_000)
 
 
+# the status of a check from its outcome: passed, failed, or not applicable
+_STATUS = {True: "PASS", False: "FAIL", None: "SKIPPED"}
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -540,22 +545,21 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
     total = math.fsum(sv)
     checks: list[CheckResult] = []
 
+    def check(name: str, ok, detail: str) -> None:
+        # ok is True, False or None (PASS, FAIL, SKIPPED), or INCONCLUSIVE
+        checks.append(CheckResult(name, _STATUS.get(ok, ok), detail))
+
     power = sched.power_model
 
     predicted = critical_exponent_series(sched, sv, cfg.tol)
     if power is not None:
         cf = closed_form_dimension(power, sv)
         agree = abs(cf - predicted) <= cfg.tol
-        checks.append(CheckResult(
-            "method-agreement",
-            "PASS" if agree else "FAIL",
-            f"series={predicted!r} closed-form={cf!r} tol={cfg.tol}",
-        ))
+        check("method-agreement", agree, f"series={predicted!r} closed-form={cf!r} tol={cfg.tol}")
         if agree:
             predicted = cf
     else:
-        checks.append(CheckResult(
-            "method-agreement", "SKIPPED", "no power-law model to cross-check"))
+        check("method-agreement", None, "no power-law model to cross-check")
 
     # tail-cover domination on a modest constructed window, moved past any
     # indices below the power model's n_min with its length kept
@@ -570,12 +574,9 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
         prof = tail_cover_sum(OmegaStream(seeds[0], space), sched, sv, t, window)
         if not prof.ok:
             violations.append((t, prof.value, prof.reference))
-    checks.append(CheckResult(
-        "cover-domination",
-        "FAIL" if violations else "PASS",
-        f"window={list(window)} t_probes={[round(t, 6) for t in t_probes]}"
-        + (f" violations={violations}" if violations else ""),
-    ))
+    check("cover-domination", not violations,
+          f"window={list(window)} t_probes={[round(t, 6) for t in t_probes]}"
+          + (f" violations={violations}" if violations else ""))
 
     # growth slopes of the series partial sums on both sides of t*
     if power is not None:
@@ -585,28 +586,18 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
             t_minus = 0.5 * total
         slope = estimate_sum_growth(sched, sv, t_minus, cfg.slope_blocks)
         target = max(0.0, 1.0 - prof.value(t_minus))
-        ok = abs(slope - target) <= SLOPE_TOL
-        checks.append(CheckResult(
-            "divergent-slope",
-            "PASS" if ok else "FAIL",
-            f"t={t_minus!r} slope={slope!r} target={target!r}",
-        ))
+        check("divergent-slope", abs(slope - target) <= SLOPE_TOL,
+              f"t={t_minus!r} slope={slope!r} target={target!r}")
         if predicted < total:
             t_plus = predicted + 0.75 * (total - predicted)
             slope = estimate_sum_growth(sched, sv, t_plus, cfg.slope_blocks)
-            ok = abs(slope) <= SLOPE_TOL
-            checks.append(CheckResult(
-                "convergent-slope",
-                "PASS" if ok else "FAIL",
-                f"t={t_plus!r} slope={slope!r} target=0.0",
-            ))
+            check("convergent-slope", abs(slope) <= SLOPE_TOL,
+                  f"t={t_plus!r} slope={slope!r} target=0.0")
         else:
-            checks.append(CheckResult(
-                "convergent-slope", "SKIPPED",
-                "series diverges up to total(s); no convergent side"))
+            check("convergent-slope", None, "series diverges up to total(s); no convergent side")
     else:
-        checks.append(CheckResult("divergent-slope", "SKIPPED", "no exponent profile"))
-        checks.append(CheckResult("convergent-slope", "SKIPPED", "no exponent profile"))
+        check("divergent-slope", None, "no exponent profile")
+        check("convergent-slope", None, "no exponent profile")
 
     # fiber hit-sum divergence below t*
     d = space.dim
@@ -626,36 +617,22 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
             if ratio is not None and RATIO_BAND[0] <= ratio <= RATIO_BAND[1]:
                 in_band += 1
         if conclusive == 0:
-            checks.append(CheckResult(
-                "fiber-divergence", "INCONCLUSIVE",
-                f"u={u!r}: zero hits in every window"))
+            check("fiber-divergence", "INCONCLUSIVE", f"u={u!r}: zero hits in every window")
         else:
-            frac = in_band / conclusive
-            ok = frac >= FIBER_PASS_FRACTION
-            checks.append(CheckResult(
-                "fiber-divergence",
-                "PASS" if ok else "FAIL",
-                f"u={u!r} in-band {in_band}/{conclusive} over seeds",
-            ))
+            check("fiber-divergence", in_band / conclusive >= FIBER_PASS_FRACTION,
+                  f"u={u!r} in-band {in_band}/{conclusive} over seeds")
     else:
-        checks.append(CheckResult(
-            "fiber-divergence", "SKIPPED",
-            f"t* - sum(s') = {u_star!r} not positive" if d >= 2 else "d = 1"))
+        check("fiber-divergence", None,
+              f"t* - sum(s') = {u_star!r} not positive" if d >= 2 else "d = 1")
 
     # projection inequality on the closed-form outputs
     if power is not None and d >= 2:
         # the closed form re-sorts stably and fsum is exact, so the full
         # schedule's value is cf itself
         full, sub = cf, _projected_dimension(power, sv)
-        ok = full >= sub - 1e-12
-        checks.append(CheckResult(
-            "projection-inequality",
-            "PASS" if ok else "FAIL",
-            f"full={full!r} projected={sub!r}",
-        ))
+        check("projection-inequality", full >= sub - 1e-12,
+              f"full={full!r} projected={sub!r}")
     else:
-        checks.append(CheckResult(
-            "projection-inequality", "SKIPPED",
-            "needs a power-law model and d >= 2"))
+        check("projection-inequality", None, "needs a power-law model and d >= 2")
 
     return VerdictReport(predicted_dimension=predicted, checks=tuple(checks))

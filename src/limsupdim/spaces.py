@@ -38,7 +38,6 @@ tree level by level for a block of radii at once.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -55,19 +54,19 @@ __all__ = [
     "ProductSpace",
     "CantorPoint",
     "CoverReport",
-    "sample",
-    "ball_measure",
     "max_sparse_subset",
     "sparse_bounds",
     "cover_ball",
     "cover_rectangle",
     "verify_cover",
-    "space_from_descriptor",
     "factor_from_token",
 ]
 
 _MASS_DEPTH_CAP = 60  # unresolved boundary slivers weigh <= 2^-60 each
 _MASS_BLOCK = 2048  # radii per ball-mass kernel pass: frontier memory is O(block)
+# the most points a probe net may hold; a finer net is a domain error raised
+# from a count taken before anything is allocated
+MAX_NET_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -268,7 +267,9 @@ class Circle(_UnitCoordinateSpace):
         return np.minimum(delta, 1.0 - delta)
 
     def validate_point(self, point) -> None:
-        float(point)
+        x = float(point)
+        if not math.isfinite(x):
+            raise ValueError(f"circle point {x} is not finite")
 
     def ball_measure(self, x, r: float) -> float:
         _check_radius(r, self.diameter)
@@ -483,6 +484,9 @@ class Cantor(RegularSpace):
         depth = 0
         while self._pow[depth] > resolution and depth < _MASS_DEPTH_CAP:
             depth += 1
+        # the depth-k cylinders meeting the ball lie in B(x0, R + lam^k) and
+        # weigh 2^-k each, so regularity bounds their number by this count
+        _check_net_size(self.c * (R + self._pow[depth]) ** self.s * 2.0**depth, resolution)
         x = self.embed(x0)
         prefixes = self.cylinders_in(x - R, x + R, depth)
         pts = [self.point(p) for p in prefixes]
@@ -536,14 +540,6 @@ class ProductSpace:
         return tuple(f.s for f in self.factors)
 
     @property
-    def s_total(self) -> float:
-        return math.fsum(f.s for f in self.factors)
-
-    @property
-    def c_product(self) -> float:
-        return math.prod(f.c for f in self.factors) * 2.0 ** self.s_total
-
-    @property
     def diameter(self) -> float:
         return max(f.diameter for f in self.factors)
 
@@ -576,25 +572,23 @@ def _check_radius(r: float, diameter: float) -> None:
         raise ValueError(f"radius {r} exceeds 2 * diameter = {2.0 * diameter}")
 
 
+def _check_net_size(count: float, resolution: float) -> None:
+    if not count <= MAX_NET_POINTS:
+        raise ValueError(f"a probe net at resolution {resolution!r} needs {count:.6g} "
+                         f"points, more than MAX_NET_POINTS = {MAX_NET_POINTS}")
+
+
 def _linspace_net(lo: float, hi: float, resolution: float) -> np.ndarray:
-    if resolution <= 0.0:
-        raise ValueError("net resolution must be positive")
+    if not resolution > 0.0:
+        raise ValueError(f"net resolution must be positive, got {resolution}")
     if hi < lo:
         raise ValueError("empty net range")
     if hi == lo:
         return np.array([lo], dtype=float)
-    m = max(1, math.ceil((hi - lo) / resolution))
-    return np.linspace(lo, hi, m + 1)
-
-
-def sample(space: RegularSpace | ProductSpace, rng: np.random.Generator):
-    """Draw one point distributed as the space's natural measure."""
-    return space.sample(rng)
-
-
-def ball_measure(space: RegularSpace, x, r: float) -> float:
-    """Exact measure of the ball B(x, r); open and closed agree here."""
-    return space.ball_measure(x, r)
+    # gaps + 1 <= MAX_NET_POINTS exactly when ceil(gaps) + 1 points fit
+    gaps = (hi - lo) / resolution
+    _check_net_size(gaps + 1.0, resolution)
+    return np.linspace(lo, hi, max(1, math.ceil(gaps)) + 1)
 
 
 def sparse_bounds(space: RegularSpace, R: float, r: float) -> tuple[float, float]:
@@ -604,39 +598,35 @@ def sparse_bounds(space: RegularSpace, R: float, r: float) -> tuple[float, float
     return ratio / space.c**2, 4.0**space.s * space.c**2 * ratio
 
 
+def _check_radii(R: float, r: float) -> None:
+    """Ball radius R and inner radius r: positive, finite, r <= 2R."""
+    if not (0.0 < r < math.inf and 0.0 < R < math.inf):
+        raise ValueError(f"radii must be positive and finite, got R={R}, r={r}")
+    if r > 2.0 * R:
+        raise ValueError(f"need r <= 2R, got r={r}, R={R}")
+
+
 def _greedy_sorted(space: RegularSpace, coords: np.ndarray, points: list,
                    r: float) -> list:
     """First-fit greedy over a sorted net; exact float distance checks.
 
-    Consecutive accepted coordinates differ by >= r in the same arithmetic
-    the verification uses, so all pairs do.  The searchsorted jump aims a few
-    ulps low and advances linearly, so borderline points are neither skipped
-    nor accepted by rounding of prev + r.  A space whose metric wraps around
-    (the circle) also rejects a candidate through ``wrap_clash``, checked
-    against the first and latest accepted points.
+    A candidate is accepted when its coordinate minus the latest accepted
+    one is >= r, the subtraction the verification does, never a comparison
+    with a rounded prev + r; consecutive accepted coordinates are then r
+    apart in the verifier's arithmetic, so all pairs are.  A space whose
+    metric wraps around (the circle) also rejects a candidate through
+    ``wrap_clash``, checked against the first and latest accepted points.
     """
-    if coords.size == 0:
+    vals = coords.tolist()
+    if not vals:
         return []
     accepted = [0]
-    prev = coords[0]
-    j = 1
-    n = coords.size
-    while j < n:
-        target = prev + r
-        jump = int(np.searchsorted(
-            coords, target - 8.0 * np.spacing(max(1.0, abs(target))), side="left"
-        ))
-        j = max(j, jump)  # never move backwards past a rejected candidate
-        while j < n and coords[j] - prev < r:
-            j += 1
-        if j >= n:
-            break
-        if space.wrap_clash(points[j], points[accepted[0]], points[accepted[-1]], r):
-            j += 1
-            continue
-        accepted.append(j)
-        prev = coords[j]
-        j += 1
+    prev = vals[0]
+    for j in range(1, len(vals)):
+        if vals[j] - prev >= r and not space.wrap_clash(
+                points[j], points[accepted[0]], points[accepted[-1]], r):
+            accepted.append(j)
+            prev = vals[j]
     return [points[i] for i in accepted]
 
 
@@ -677,10 +667,7 @@ def max_sparse_subset(space: RegularSpace, x0, R: float, r: float,
     different (equally valid) maximal set; without it the construction is the
     deterministic first-fit over the sorted net.
     """
-    if r <= 0.0 or R <= 0.0:
-        raise ValueError("radii must be positive")
-    if r > 2.0 * R:
-        raise ValueError(f"need r <= 2R, got r={r}, R={R}")
+    _check_radii(R, r)
     if R > space.diameter:
         raise ValueError(f"need R <= diameter, got R={R} > {space.diameter}")
     space.validate_point(x0)
@@ -703,20 +690,6 @@ class CoverReport:
     count: int
     bound: float
 
-    def iter_elements(self):
-        """Yield (center, radius) pairs; centers are points for single-factor
-        covers and coordinate tuples for rectangle covers."""
-        single = len(self.factor_centers) == 1
-        for combo in itertools.product(*self.factor_centers):
-            yield (combo[0] if single else combo), self.radius
-
-    @property
-    def elements(self) -> list:
-        if self.count > 200_000:
-            raise ValueError(f"refusing to materialise {self.count} elements; "
-                             "use iter_elements()")
-        return list(self.iter_elements())
-
 
 def cover_ball(space: RegularSpace, x, R: float, r: float) -> CoverReport:
     """Cover the closed ball B(x, R) by closed balls of radius r.
@@ -724,10 +697,7 @@ def cover_ball(space: RegularSpace, x, R: float, r: float) -> CoverReport:
     Centers form a maximal r-sparse subset of the ball (clamped to the space
     if R exceeds the diameter), so the count is at most 4^s c^2 (R/r)^s.
     """
-    if r <= 0.0 or R <= 0.0:
-        raise ValueError("radii must be positive")
-    if r > 2.0 * R:
-        raise ValueError(f"need r <= 2R, got r={r}, R={R}")
+    _check_radii(R, r)
     space.validate_point(x)
     centers = _sparse_greedy(space, x, min(R, space.diameter), r, rng=None)
     bound = 4.0**space.s * space.c**2 * (R / r) ** space.s
@@ -749,8 +719,8 @@ def cover_rectangle(space: ProductSpace, center: Sequence, radii, r: float) -> C
     M = prod_{i in I} 4^{s_i} c_i^2 (r_i / r)^{s_i} over I = {i : r_i > r},
     with M = 1 when I is empty.
     """
-    if r <= 0.0:
-        raise ValueError("cube radius must be positive")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"cube radius must be positive and finite, got {r}")
     radii_vals = tuple(float(v) for v in (radii.values if hasattr(radii, "values") else radii))
     if len(radii_vals) != space.dim or len(center) != space.dim:
         raise ValueError("center/radii dimension mismatch with the product space")
@@ -758,8 +728,8 @@ def cover_rectangle(space: ProductSpace, center: Sequence, radii, r: float) -> C
     factor_centers = []
     bound = 1.0
     for factor, x_i, r_i in zip(space.factors, center, radii_vals):
-        if r_i <= 0.0:
-            raise ValueError("rectangle side radii must be positive")
+        if not 0.0 < r_i < math.inf:
+            raise ValueError(f"rectangle side radii must be positive and finite, got {r_i}")
         if r_i > r:
             centers = _sparse_greedy(factor, x_i, min(r_i, factor.diameter), r, rng=None)
             bound *= 4.0**factor.s * factor.c**2 * (r_i / r) ** factor.s
@@ -805,17 +775,6 @@ def verify_cover(space: RegularSpace | ProductSpace, report: CoverReport) -> boo
         if not covered.all():
             return False
     return True
-
-
-def space_from_descriptor(desc: dict) -> RegularSpace | ProductSpace:
-    """Inverse of the descriptor() methods, for manifests and configs."""
-    kind = desc.get("kind")
-    if kind == "product":
-        return ProductSpace(tuple(space_from_descriptor(f) for f in desc["factors"]))
-    cls = _KINDS.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown space kind {kind!r}")
-    return cls(*(desc[p] for p in cls.params))
 
 
 def factor_from_token(token: str) -> RegularSpace:

@@ -39,7 +39,6 @@ import numpy as np
 
 __all__ = [
     "RadiusTuple",
-    "RegularityVector",
     "SingularValueProfile",
     "PowerLawSchedule",
     "ExplicitSchedule",
@@ -58,19 +57,23 @@ DEFAULT_BISECTION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class _FloatTuple:
-    """A non-empty tuple of floats; a subclass names it (``_name``) and
-    gives the entry check ``_ok`` with its ``_domain`` text."""
+class RadiusTuple:
+    """Side radii of a rectangle, one positive entry per factor space.
+
+    Standalone radii must lie in (0, 1]; when attached to a space each entry
+    must additionally not exceed that factor's diameter (checked at the point
+    of attachment, not here).
+    """
 
     values: tuple[float, ...]
 
     def __init__(self, values: Iterable[float]):
         vals = tuple(float(v) for v in values)
         if not vals:
-            raise ValueError(f"{self._name} must be non-empty")
+            raise ValueError("radius tuple must be non-empty")
         for v in vals:
-            if not self._ok(v):
-                raise ValueError(f"{self._domain}, got {v}")
+            if not 0.0 < v <= 1.0:  # false for NaN too
+                raise ValueError(f"radii must lie in (0, 1], got {v}")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -83,49 +86,38 @@ class _FloatTuple:
         return self.values[i]
 
 
-class RadiusTuple(_FloatTuple):
-    """Side radii of a rectangle, one positive entry per factor space.
-
-    Standalone radii must lie in (0, 1]; when attached to a space each entry
-    must additionally not exceed that factor's diameter (checked at the point
-    of attachment, not here).
-    """
-
-    _name = "radius tuple"
-    _ok = staticmethod(lambda v: 0.0 < v <= 1.0)  # false for NaN too
-    _domain = "radii must lie in (0, 1]"
+# (name, entry check, domain text) of the arrays that _as_array accepts; each
+# check is false for NaN
+_RADII = ("radii", lambda v: (v > 0.0) & (v < math.inf), "finite and > 0")
+_EXPONENTS = ("regularity exponents", lambda v: (v >= 0.0) & (v < math.inf), "finite and >= 0")
 
 
-class RegularityVector(_FloatTuple):
-    """Regularity exponents (s_1, ..., s_d), non-negative with finite total."""
-
-    _name = "regularity vector"
-    _ok = staticmethod(lambda v: 0.0 <= v < math.inf)  # false for NaN too
-    _domain = "regularity exponents must be finite and >= 0"
-
-    def total(self) -> float:
-        return math.fsum(self.values)
-
-
-# (name, entry check, domain text) of the arrays that _as_array accepts
-_RADII = ("radii", lambda v: v > 0.0, "strictly positive")
-_EXPONENTS = ("regularity exponents", lambda v: v >= 0.0, ">= 0")
-
-
-def _as_array(values: _FloatTuple | Sequence[float], spec: tuple) -> np.ndarray:
+def _as_array(values: RadiusTuple | Sequence[float], spec: tuple) -> np.ndarray:
     """A tuple or sequence as a non-empty 1-d float array, entries checked."""
     name, ok, domain = spec
-    vals = np.asarray(values.values if isinstance(values, _FloatTuple) else values,
+    vals = np.asarray(values.values if isinstance(values, RadiusTuple) else values,
                       dtype=float)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError(f"{name} must form a non-empty 1-d sequence")
-    if not np.all(ok(vals)):
-        raise ValueError(f"all {name} must be {domain}")
+    bad = vals[~ok(vals)]
+    if bad.size:
+        raise ValueError(f"all {name} must be {domain}, got {float(bad[0])}")
     return vals
 
 
+def _exponents(s: Sequence[float]) -> np.ndarray:
+    """Regularity exponents as an array; a total past the float range is a
+    domain error, not an OverflowError from fsum."""
+    sv = _as_array(s, _EXPONENTS)
+    try:
+        math.fsum(sv)
+    except OverflowError:
+        raise ValueError(f"regularity exponents {sv.tolist()} have no finite total") from None
+    return sv
+
+
 def _radii_and_exponents(r, s) -> tuple[np.ndarray, np.ndarray]:
-    rv, sv = _as_array(r, _RADII), _as_array(s, _EXPONENTS)
+    rv, sv = _as_array(r, _RADII), _exponents(s)
     if rv.shape != sv.shape:
         raise ValueError(f"dimension mismatch: {rv.size} radii vs {sv.size} exponents")
     return rv, sv
@@ -198,7 +190,7 @@ def log_phi_rows(log_r: np.ndarray, s: np.ndarray, t: float) -> np.ndarray:
 
 
 def singular_value(r: RadiusTuple | Sequence[float],
-                   s: RegularityVector | Sequence[float],
+                   s: Sequence[float],
                    t: float) -> float:
     """Evaluate the singular value function Phi_r^s(t).
 
@@ -248,7 +240,7 @@ class SingularValueProfile:
 
 
 def svf_profile(r: RadiusTuple | Sequence[float],
-                s: RegularityVector | Sequence[float]) -> SingularValueProfile:
+                s: Sequence[float]) -> SingularValueProfile:
     """Full piecewise-linear profile of log Phi_r^s, breakpoints included."""
     rv, sv = _radii_and_exponents(r, s)
     log_r = np.log(rv)
@@ -474,12 +466,11 @@ class ExponentProfile:
     Piecewise linear on [0, sum(s)], e(0) = 0, slope alpha_(i) on the i-th
     piece with the alphas sorted non-decreasingly (largest radii first), so e
     is continuous, non-decreasing and convex.  Non-unit prefactors shift each
-    term by a bounded factor; they are recorded but do not enter e.
+    term by a bounded factor and do not enter e.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
     slopes: tuple[float, ...]
-    prefactors: tuple[float, ...] = ()
 
     @property
     def total(self) -> float:
@@ -505,20 +496,19 @@ class ExponentProfile:
 
 
 def exponent_profile(sched: PowerLawSchedule,
-                     s: RegularityVector | Sequence[float]) -> ExponentProfile:
+                     s: Sequence[float]) -> ExponentProfile:
     """Exponent profile of a power-law schedule.
 
     Exact when all prefactors are 1; otherwise it describes the asymptotic
-    exponent, with the prefactors carried separately.
+    exponent.
     """
-    sv = _as_array(s, _EXPONENTS)
+    sv = _exponents(s)
     if sv.size != sched.dim:
         raise ValueError(f"dimension mismatch: {sched.dim} alphas vs {sv.size} exponents")
     alphas = np.asarray(sched.alphas, dtype=float)
     order = np.argsort(alphas, kind="stable")
     a_sorted = alphas[order]
     s_sorted = sv[order]
-    k_sorted = np.asarray(sched.coefficients, dtype=float)[order]
     ts = [0.0]
     es = [0.0]
     for k in range(a_sorted.size):
@@ -527,12 +517,11 @@ def exponent_profile(sched: PowerLawSchedule,
     return ExponentProfile(
         breakpoints=tuple(zip(ts, es)),
         slopes=tuple(float(a) for a in a_sorted),
-        prefactors=tuple(float(k) for k in k_sorted),
     )
 
 
 def critical_exponent_series(sched: RadiusSchedule,
-                             s: RegularityVector | Sequence[float],
+                             s: Sequence[float],
                              tol: float = DEFAULT_BISECTION_TOL) -> float:
     """Critical exponent t* = inf{t : sum_n Phi_{r_n}^s(t) < infty}, capped at
     sum(s), via bisection on e(t) = 1.
@@ -543,9 +532,9 @@ def critical_exponent_series(sched: RadiusSchedule,
     an explicit schedule without one needs a declared tail: a constant tail
     diverges at every t (returns sum(s)), and no tail is a domain error.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    sv = _as_array(s, _EXPONENTS)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    sv = _exponents(s)
     total = math.fsum(sv)
     if sched.power_model is None:
         if sched.tail is None:
@@ -570,7 +559,7 @@ def critical_exponent_series(sched: RadiusSchedule,
 
 
 def closed_form_dimension(sched: PowerLawSchedule,
-                          s: RegularityVector | Sequence[float]) -> float:
+                          s: Sequence[float]) -> float:
     """Predicted dimension of a power-law schedule in closed form.
 
     After relabelling so the decay exponents are non-decreasing (radii
@@ -581,7 +570,7 @@ def closed_form_dimension(sched: PowerLawSchedule,
     capped at sum(s).  Must agree with critical_exponent_series within the
     bisection tolerance on every valid schedule.
     """
-    sv = _as_array(s, _EXPONENTS)
+    sv = _exponents(s)
     if sv.size != sched.dim:
         raise ValueError(f"dimension mismatch: {sched.dim} alphas vs {sv.size} exponents")
     alphas = np.asarray(sched.alphas, dtype=float)
@@ -617,7 +606,7 @@ def _phi_terms(sched: RadiusSchedule, s: np.ndarray, t: float,
 
 
 def partial_sum(sched: RadiusSchedule,
-                s: RegularityVector | Sequence[float],
+                s: Sequence[float],
                 t: float, N: int) -> float:
     """Truncated series S_N(t) = sum_{n<=N} Phi_{r_n}^s(t), exactly rounded:
     partial_sums at the one checkpoint N."""
@@ -627,7 +616,7 @@ def partial_sum(sched: RadiusSchedule,
 
 
 def partial_sums(sched: RadiusSchedule,
-                 s: RegularityVector | Sequence[float],
+                 s: Sequence[float],
                  t: float, Ns: Sequence[int]) -> list[float]:
     """S_N(t) at several checkpoints, sharing one pass over the terms.
 
@@ -640,14 +629,14 @@ def partial_sums(sched: RadiusSchedule,
     order = sorted(set(int(N) for N in Ns))
     if order[0] < 1:
         raise ValueError("checkpoints must be >= 1")
-    sv = _as_array(s, _EXPONENTS)
+    sv = _exponents(s)
     terms = memoryview(_phi_terms(sched, sv, float(t), 1, order[-1]))
     by_N = {N: math.fsum(terms[:N]) for N in order}
     return [by_N[int(N)] for N in Ns]
 
 
 def estimate_sum_growth(sched: RadiusSchedule,
-                        s: RegularityVector | Sequence[float],
+                        s: Sequence[float],
                         t: float, blocks: Sequence[int]) -> float:
     """Least-squares slope of log S_N(t) against log N over the given blocks.
 

@@ -6,7 +6,8 @@ exponent allocations, its batched log-space kernel against a per-row
 argsort evaluation, series convergence against dyadic-block growth of
 plain partial sums, and Cantor ball masses against full cylinder
 enumeration and against the depth-first recursion that the library's
-level-order kernel replaced.
+level-order kernel replaced, and the sorted first-fit scan against the
+searchsorted-jump greedy it replaced.
 """
 
 import itertools
@@ -174,6 +175,39 @@ def recursive_cantor_mass(space, x, r, depth_cap=60):
     if r == 0.0:
         return 0.0
     return mass(0.0, 0)
+
+
+def searchsorted_greedy(space, coords, points, r):
+    """First-fit greedy over a sorted net that jumps by np.searchsorted.
+
+    The jump aims 8 ulps below prev + r and then advances one candidate at a
+    time while ``coords[j] - prev < r``, so it skips no candidate that the
+    library's plain scan would accept; a circle candidate is also rejected
+    by ``space.wrap_clash``.  The two must accept the same points.
+    """
+    if coords.size == 0:
+        return []
+    accepted = [0]
+    prev = coords[0]
+    j = 1
+    n = coords.size
+    while j < n:
+        target = prev + r
+        jump = int(np.searchsorted(
+            coords, target - 8.0 * np.spacing(max(1.0, abs(target))), side="left"
+        ))
+        j = max(j, jump)  # never move backwards past a rejected candidate
+        while j < n and coords[j] - prev < r:
+            j += 1
+        if j >= n:
+            break
+        if space.wrap_clash(points[j], points[accepted[0]], points[accepted[-1]], r):
+            j += 1
+            continue
+        accepted.append(j)
+        prev = coords[j]
+        j += 1
+    return [points[i] for i in accepted]
 
 
 def harmonic_number(N):

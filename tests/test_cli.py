@@ -465,7 +465,8 @@ def test_cli_surface_matches_declared_flags(monkeypatch, tmp_path):
     ("{}", "manifest has no 'operation'"),
     ("[1, 2]", "a manifest must be a JSON object"),
     ("{bad", "Expecting property name"),
-], ids=["no-operation", "not-an-object", "not-json"])
+    ('{"operation": [1]}', "manifest 'operation' must be a string, got [1]"),
+], ids=["no-operation", "not-an-object", "not-json", "operation-not-str"])
 def test_report_malformed_manifest_exit_2(runner, tmp_path, line, message):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"operation": "mc-fiber-sum"}\n' + line + "\n")
@@ -474,6 +475,63 @@ def test_report_malformed_manifest_exit_2(runner, tmp_path, line, message):
     assert f"{path}:2: {message}" in result.output
     assert "Traceback" not in result.output
     assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("line, key", [
+    ('{"operation": "mc-fiber-sum"}', "checkpoints"),
+    ('{"operation": "mc-tail-cover", "statistics": {"profiles": [{}]}}', "t"),
+], ids=["fiber-sum", "tail-cover-profile"])
+def test_report_statistics_lacking_a_key_exit_2(runner, tmp_path, line, key):
+    path = tmp_path / "short.jsonl"
+    path.write_text(line + "\n")
+    result = runner.invoke(main, ["report", str(path)])
+    assert result.exit_code == 2
+    assert f"{path}: " in result.output and f"statistics key {key!r}" in result.output
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["dim", "convex-body", "--alphas", "2,3", "--tol", "nan"], "nan"),
+    (["dim", "predict", "--alphas", "2,3", "--s", "1,1", "--tol", "nan"], "nan"),
+    (["dim", "predict", "--alphas", "1", "--s", "inf"], "inf"),
+    (["dim", "predict", "--alphas", "0.5", "--s", "1e308,1e308"], "1e+308"),
+    (["svf", "profile", "--r", "0.5,0.25", "--s", "1e308,1e308"], "1e+308"),
+    (["svf", "eval", "--r", "inf", "--s", "1", "--t", "1"], "inf"),
+    (["svf", "eval", "--r", "0.5", "--s", "-0.1", "--t", "0"], "-0.1"),
+    (["mc", "divergence", "--p", "constant:nan", "--n", "100", "--trials", "1000",
+      "--seed", "1"], "nan"),
+    (["cover", "ball", "--space", "interval", "--x", "0.5", "--big-radius", "0.5",
+      "--radius", "nan"], "nan"),
+    (["mc", "density", "--space", "circle", "--delta", "nan", "--horizon", "100",
+      "--seed", "1"], "nan"),
+    (["cover", "ball", "--space", "circle", "--x", "inf", "--big-radius", "0.5",
+      "--radius", "0.1"], "inf"),
+    (["sparse", "--space", "interval", "--x", "0.5", "--big-radius", "0.5",
+      "--radius", "1e-300"], "MAX_NET_POINTS"),
+], ids=["convex-body-tol", "predict-tol", "exponent-inf", "exponent-total",
+        "profile-exponent-total", "radius-inf", "exponent-negative", "divergence-p",
+        "cover-radius", "density-delta", "circle-point", "net-cap"])
+def test_out_of_domain_value_exit_2(runner, argv, bad):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    (error,) = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert bad in error
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_explicit_power_tail_takes_coefficients(runner, tmp_path):
+    # coefficients 4,4 put the tail's n_min at 4, so a window from 1 cannot
+    # be built past the one listed tuple
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "command": "mc-tail-cover", "space": "circle,circle", "schedule": "explicit",
+        "tuples": "0.5,0.25", "tail": "power:1,2", "coefficients": "4,4", "s": "1,1",
+        "t": "0.5", "window": "1:4", "seed": 3}))
+    result = runner.invoke(main, ["mc", "tail-cover", "--config", str(path)])
+    assert result.exit_code == 2
+    assert "n_min=4" in result.output
 
 
 def test_config_file_under_typed_flags(runner, tmp_path):

@@ -9,7 +9,6 @@ from limsupdim import (
     ExplicitSchedule,
     PowerLawSchedule,
     RadiusTuple,
-    RegularityVector,
     closed_form_dimension,
     critical_exponent_series,
     estimate_sum_growth,
@@ -475,9 +474,3 @@ def test_growth_requires_increasing_blocks():
         estimate_sum_growth(PowerLawSchedule((2,)), (1,), 0.1, (100, 100, 200))
     with pytest.raises(ValueError):
         estimate_sum_growth(PowerLawSchedule((2,)), (1,), 0.1, (100, 200))
-
-
-def test_regularity_vector_validation():
-    with pytest.raises(ValueError):
-        RegularityVector((-0.1,))
-    assert RegularityVector((0.5, 1.5)).total() == 2.0
