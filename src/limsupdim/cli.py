@@ -118,7 +118,8 @@ class RunConfig:
         Each set field must have its annotated type (an int is accepted, not
         converted, for a float field; a bool is never a number; a
         ``tuple[str, ...]`` field holds strings), the command and version must
-        be known and the command's required fields set."""
+        be known, the command's required fields set, and a tolerance that the
+        command reads positive and finite."""
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
             if value is not None and not _has_type(value, kind):
@@ -134,6 +135,8 @@ class RunConfig:
                    if getattr(self, name) in (None, "", ())]
         if missing:
             raise ValueError(f"{self.command} requires {', '.join(missing)}")
+        if "tol" in decls and not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         return spec
 
 
@@ -435,21 +438,46 @@ def _run_verdict(cfg: RunConfig) -> RunOutcome:
     return RunOutcome(0 if report.passed else 1, lines, csv=body, manifest=manifest)
 
 
-# the statistics keys that report reads, per operation, and per profile of a
-# tail-cover manifest
-_REPORT_KEYS = {"mc-fiber-sum": ("checkpoints", "u", "observed", "expectation_exact"),
-                "mc-tail-cover": ("profiles",)}
-_PROFILE_KEYS = ("t", "window", "value", "reference")
+def _numbers(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
 
 
-def _missing_key(m: RunManifest) -> str | None:
-    """The first statistics key that report reads from ``m`` and ``m`` lacks."""
-    need = [(m.statistics, _REPORT_KEYS.get(m.operation, ()))]
+# the forms that report needs of statistics values: each checks a value
+# within its statistics dict (checkpoints are checked before the lists that
+# run along them)
+_FORMS = {
+    "a number": lambda v, stats: _numbers([v]),
+    "a list": lambda v, stats: isinstance(v, list),
+    "a list of numbers": lambda v, stats: _numbers(v),
+    "a list of positive numbers": lambda v, stats: _numbers(v) and all(x > 0 for x in v),
+    "a list of numbers, one per checkpoint":
+        lambda v, stats: _numbers(v) and len(v) == len(stats["checkpoints"]),
+}
+# the statistics keys that report reads, per operation and per profile of a
+# tail-cover manifest, with the form each must have
+_REPORT_KEYS = {"mc-fiber-sum": {"checkpoints": "a list of positive numbers", "u": "a number",
+                                 "observed": "a list of numbers, one per checkpoint",
+                                 "expectation_exact": "a list of numbers, one per checkpoint"},
+                "mc-tail-cover": {"profiles": "a list"}}
+_PROFILE_KEYS = {"t": "a number", "window": "a list of numbers", "value": "a number",
+                 "reference": "a number"}
+
+
+def _statistics_fault(m: RunManifest) -> str | None:
+    """What is wrong with the statistics that report reads from ``m``: the
+    first key it lacks or whose form is wrong; None when nothing is."""
+    need = [(m.statistics, _REPORT_KEYS.get(m.operation, {}))]
     if m.operation == "mc-tail-cover" and isinstance(m.statistics, dict):
         profiles = m.statistics.get("profiles")
         need += [(p, _PROFILE_KEYS) for p in (profiles if isinstance(profiles, list) else [None])]
-    return next((k for obj, keys in need for k in keys
-                 if not isinstance(obj, dict) or k not in obj), None)
+    for obj, keys in need:
+        for key, form in keys.items():
+            if not isinstance(obj, dict) or key not in obj:
+                return f"lacks statistics key {key!r}"
+            if not _FORMS[form](obj[key], obj):
+                return f"statistics key {key!r} must be {form}, got {obj[key]!r}"
+    return None
 
 
 def _run_report(cfg: RunConfig) -> RunOutcome:
@@ -460,9 +488,9 @@ def _run_report(cfg: RunConfig) -> RunOutcome:
         if not Path(path).is_file():
             raise ValueError(f"manifest path is not a file: {path}")
         for m in read_manifests(path):
-            missing = _missing_key(m)
-            if missing is not None:
-                raise ValueError(f"{path}: {m.operation} manifest lacks statistics key {missing!r}")
+            fault = _statistics_fault(m)
+            if fault is not None:
+                raise ValueError(f"{path}: {m.operation} manifest {fault}")
             manifests.append(m)
     if not manifests:
         raise ValueError("no manifests found in the given files")

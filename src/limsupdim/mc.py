@@ -164,7 +164,6 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
         dist = factor.distance_to_array(coords, anchor[i])
         hits &= dist <= radii[:, i]
     weights = radii[:, -1] ** u
-    terms = np.where(hits, weights, 0.0)
 
     exact_terms = weights.copy()
     for i, factor in enumerate(space.factors[:-1]):
@@ -174,19 +173,30 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
     c_const = math.prod(1.0 / f.c for f in space.factors[:-1])
     lower = [c_const * v for v in partial_sums(sched, sv, t_u, cps)]
 
+    hit_index = np.flatnonzero(hits)
     # memoryviews hand fsum Python floats, not one numpy scalar per term
-    terms, exact_terms = memoryview(terms), memoryview(exact_terms)
-    partials = tuple((N, math.fsum(terms[:N])) for N in cps)
+    exact_terms = memoryview(exact_terms)
     exact = tuple((N, math.fsum(exact_terms[:N])) for N in cps)
     return FiberSumResult(
         anchor=anchor,
         u=float(u),
         checkpoints=tuple(cps),
-        partials=partials,
+        partials=_hit_partials(hit_index, weights, cps),
         expectation_exact=exact,
         expectation_lower=tuple(zip(cps, lower)),
-        hit_count=int(hits[:n_max].sum()),
+        hit_count=int(hit_index.size),
     )
+
+
+def _hit_partials(hit_index: np.ndarray, weights: np.ndarray,
+                  cps: list[int]) -> tuple[tuple[int, float], ...]:
+    """(N, sum of weights[i] over hit indices i < N) per checkpoint N.
+
+    Only the hit terms are added: fsum is exactly rounded and +0.0 terms add
+    nothing, so each partial equals the fsum of the zero-filled terms."""
+    hit_weights = memoryview(weights[hit_index])
+    ends = np.searchsorted(hit_index, cps)
+    return tuple((N, math.fsum(hit_weights[:end])) for N, end in zip(cps, ends.tolist()))
 
 
 @dataclass(frozen=True)
@@ -219,8 +229,102 @@ class DivergenceTestResult:
         }
 
 
-# bytes of uniform draws held at once by divergence_tail_bound_test
+# bytes of random numbers and their temporaries held at once by the
+# Bernoulli count kernel
 _DRAW_BYTES = 1 << 22
+
+# a block whose largest expectation is at most this is thinned; a denser one
+# is drawn index by index, where thinning would cost more draws than it saves
+_THIN_MAX_P = 1.0 / 16.0
+
+# bytes per index of one dense row (a float64 uniform and its comparison),
+# and per candidate of one thinning pass (int64 offsets and clipped offsets,
+# float64 uniforms and gathered p, and a boolean mask)
+_DENSE_BYTES = 9
+_PASS_BYTES = 34
+
+
+def _dense_counts(pb: np.ndarray, cuts: list[int], trials: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Successes of Bernoulli(pb) below each cut, one uniform per index."""
+    out = np.empty((trials, len(cuts)), dtype=np.int64)
+    rows = max(1, _DRAW_BYTES // (_DENSE_BYTES * pb.size))
+    for lo in range(0, trials, rows):
+        hi = min(lo + rows, trials)
+        draws = rng.random((hi - lo, pb.size)) < pb
+        running = np.zeros(hi - lo, dtype=np.int64)
+        prev = 0
+        for i, cut in enumerate(cuts):
+            running += np.count_nonzero(draws[:, prev:cut], axis=1)
+            out[lo:hi, i] = running
+            prev = cut
+    return out
+
+
+def _thinned_counts(pb: np.ndarray, q: float, cuts: list[int], trials: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Successes of Bernoulli(pb) below each cut, by thinning: candidates
+    sit at geometric(q) gaps (the successes of Bernoulli(q) trials), and
+    candidate n is kept when a uniform times q is below pb[n]."""
+    size = pb.size
+    lam = q * size
+    cols = min(size, math.ceil(lam + 4.0 * math.sqrt(lam) + 4.0))
+    out = np.zeros((trials, len(cuts)), dtype=np.int64)
+    chunk = max(1, _DRAW_BYTES // (_PASS_BYTES * cols))
+    for lo in range(0, trials, chunk):
+        rows = np.arange(lo, min(lo + chunk, trials))
+        last = np.full(rows.size, -1, dtype=np.int64)
+        while rows.size:
+            # a gap past the block lands past it either way; clipping keeps
+            # the cumulative sum from overflowing int64
+            offsets = np.minimum(rng.geometric(q, (rows.size, cols)), size + 1)
+            np.cumsum(offsets, axis=1, out=offsets)
+            offsets += last[:, None]
+            uniforms = rng.random(offsets.shape)
+            uniforms *= q
+            # a candidate past the block reads the block's last p, and no cut
+            # counts it
+            kept = uniforms < pb[np.minimum(offsets, size - 1)]
+            for i, cut in enumerate(cuts):
+                out[rows, i] += np.count_nonzero(kept & (offsets < cut), axis=1)
+            # a trial whose last candidate is inside the block goes on
+            more = offsets[:, -1] < size
+            rows, last = rows[more], offsets[more, -1]
+    return out
+
+
+def _bernoulli_counts(p: np.ndarray, trials: int, rng: np.random.Generator,
+                      cps: list[int]) -> np.ndarray:
+    """Per-trial success counts of independent Bernoulli(p_n), n <= N, at
+    each checkpoint N; shape (trials, len(cps)).
+
+    Indices are walked in blocks n in [2^j, 2^(j+1)), cut at len(p) and
+    split so that one dense row of a block fits in _DRAW_BYTES; each block
+    is thinned or drawn densely by its largest p.  A checkpoint is read off
+    inside its block, so the draws do not depend on the checkpoints."""
+    longest = max(1, _DRAW_BYTES // _DENSE_BYTES)
+    sums = np.empty((trials, len(cps)), dtype=np.int64)
+    running = np.zeros(trials, dtype=np.int64)
+    start = 0  # 0-based index of the block's first entry
+    while start < p.size:
+        stop = min(2 * start + 1, start + longest, p.size)
+        pb = p[start:stop]
+        inside = [j for j, N in enumerate(cps) if start < N <= stop]
+        cuts = [cps[j] - start for j in inside]
+        if not cuts or cuts[-1] != pb.size:
+            cuts.append(pb.size)
+        q = float(pb.max())
+        if q == 0.0:
+            counts = np.zeros((trials, len(cuts)), dtype=np.int64)
+        elif q <= _THIN_MAX_P:
+            counts = _thinned_counts(pb, q, cuts, trials, rng)
+        else:
+            counts = _dense_counts(pb, cuts, trials, rng)
+        for i, j in enumerate(inside):
+            sums[:, j] = running + counts[:, i]
+        running += counts[:, -1]
+        start = stop
+    return sums
 
 
 def divergence_tail_bound_test(expectations: Sequence[float], trials: int,
@@ -232,9 +336,22 @@ def divergence_tail_bound_test(expectations: Sequence[float], trials: int,
     1 <= M <= (1/2) sum_{n<=N} p_n) the empirical P{sum <= M} must not exceed
     2/M + 3 sigma.  Expectations of 0 or 1 are allowed ([0, 1] is the
     contract); with all p_n = 0 there is no admissible M and the table is
-    empty.  Trials are drawn in blocks of rows of about _DRAW_BYTES; blocks
-    take the generator's numbers in the order one full matrix would, so the
-    table does not depend on the block size.
+    empty.
+
+    The success counts come from a walk over the blocks of indices
+    n in [2^j, 2^(j+1)), cut at len(expectations) and split so that one
+    dense row of a block fits in _DRAW_BYTES.  A block whose largest p_n,
+    q, exceeds 1/16 takes one uniform per (trial, n).  A sparser block is
+    thinned: candidates are placed at geometric(q) gaps and candidate n is
+    kept with probability p_n / q, which gives the same law with about
+    2 q |block| random numbers per trial instead of |block|; a block with
+    q = 0 draws nothing.  Every block's draws are the same whatever the
+    checkpoints are, so a table's rows do not depend on the checkpoint set:
+    adding a checkpoint leaves the other checkpoints' rows as they were.
+    Trials run in chunks of rows whose draws and temporaries hold about
+    _DRAW_BYTES at once, whatever N and the trial count are; beyond them
+    only the per-trial counts are kept.  Only the generator's ``random`` and
+    ``geometric`` are used, so any bit generator serves.
     """
     p = np.asarray(list(expectations), dtype=float)
     if p.size == 0:
@@ -248,21 +365,7 @@ def divergence_tail_bound_test(expectations: Sequence[float], trials: int,
     if cps[0] < 1 or cps[-1] > p.size:
         raise ValueError("checkpoints must lie in [1, len(expectations)]")
 
-    sums = np.zeros((trials, len(cps)), dtype=np.int64)
-    block = max(1, _DRAW_BYTES // (8 * p.size))
-    done = 0
-    while done < trials:
-        m = min(block, trials - done)
-        draws = rng.random((m, p.size)) < p[None, :]
-        # per-trial running counts, one column segment per checkpoint
-        running = np.zeros(m, dtype=np.int64)
-        prev = 0
-        for j, N in enumerate(cps):
-            running += np.count_nonzero(draws[:, prev:N], axis=1)
-            sums[done: done + m, j] = running
-            prev = N
-        done += m
-
+    sums = _bernoulli_counts(p, trials, rng, cps)
     rows = []
     for j, N in enumerate(cps):
         half_mean = 0.5 * math.fsum(p[:N])

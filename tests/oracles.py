@@ -6,8 +6,9 @@ exponent allocations, its batched log-space kernel against a per-row
 argsort evaluation, series convergence against dyadic-block growth of
 plain partial sums, and Cantor ball masses against full cylinder
 enumeration and against the depth-first recursion that the library's
-level-order kernel replaced, and the sorted first-fit scan against the
-searchsorted-jump greedy it replaced.
+level-order kernel replaced, the sorted first-fit scan against the
+searchsorted-jump greedy it replaced, and simulated Bernoulli counts against
+the exact Poisson-binomial law.
 """
 
 import itertools
@@ -212,3 +213,18 @@ def searchsorted_greedy(space, coords, points, r):
 
 def harmonic_number(N):
     return math.fsum(1.0 / n for n in range(1, N + 1))
+
+
+def poisson_binomial_pmf(p, kmax):
+    """P{S = k} for k = 0..kmax, S a sum of independent Bernoulli(p_n).
+
+    The O(N * kmax) recursion over n (Hong 2013, *CSDA*): adding variable n
+    maps pmf[k] to pmf[k] (1 - p_n) + pmf[k - 1] p_n.  Entries above kmax
+    never feed entries at or below it, so truncating there is exact.
+    """
+    pmf = np.zeros(kmax + 1)
+    pmf[0] = 1.0
+    for pn in np.asarray(p, dtype=float):
+        pmf[1:] = pmf[1:] * (1.0 - pn) + pmf[:-1] * pn
+        pmf[0] *= 1.0 - pn
+    return pmf

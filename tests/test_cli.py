@@ -491,6 +491,34 @@ def test_report_statistics_lacking_a_key_exit_2(runner, tmp_path, line, key):
     assert isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize("line, key", [
+    ('{"operation": "mc-fiber-sum", "statistics": {"checkpoints": [1, 2], "u": 0, '
+     '"observed": [1], "expectation_exact": [1, 2]}}', "observed"),
+    ('{"operation": "mc-tail-cover", "statistics": {"profiles": [{"t": [1], '
+     '"window": [1, 2], "value": 1, "reference": 2}]}}', "t"),
+], ids=["fiber-sum-short-list", "tail-cover-list-valued-t"])
+def test_report_statistics_of_the_wrong_form_exit_2(runner, tmp_path, line, key):
+    path = tmp_path / "wrong.jsonl"
+    path.write_text(line + "\n")
+    result = runner.invoke(main, ["report", str(path)])
+    assert result.exit_code == 2
+    assert f"{path}: " in result.output and f"statistics key {key!r} must be" in result.output
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_closed_form_predict_rejects_a_bad_tol(runner, tol):
+    # the closed form reads no tolerance, so only the config check sees it
+    result = runner.invoke(main, ["dim", "predict", "--alphas", "1,2", "--s", "1,1",
+                                  "--method", "closed-form", "--tol", tol])
+    assert result.exit_code == 2
+    (error,) = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert "tol" in error
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 @pytest.mark.parametrize("argv, bad", [
     (["dim", "convex-body", "--alphas", "2,3", "--tol", "nan"], "nan"),
     (["dim", "predict", "--alphas", "2,3", "--s", "1,1", "--tol", "nan"], "nan"),

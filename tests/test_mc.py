@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from limsupdim import (
 )
 from limsupdim import mc
 
-from oracles import harmonic_number
+from oracles import harmonic_number, poisson_binomial_pmf
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +222,21 @@ def test_fiber_sum_reproducible(torus2):
     assert a == b
 
 
+@pytest.mark.parametrize("density", [0.0, 1e-4, 0.01, 0.5, 1.0])
+def test_hit_partials_equal_zero_filled_fsum(density):
+    rng = np.random.default_rng(17)
+    n = 20_000
+    # weights spanning many binades, so rounding order would show
+    weights = rng.random(n) ** 20 * 10.0 ** rng.integers(-8, 8, n)
+    cps = [1, 7, 1000, 1024, 19_999, 20_000]
+    for _ in range(4):
+        hits = rng.random(n) < density
+        terms = np.where(hits, weights, 0.0)
+        expected = tuple((N, math.fsum(terms[:N].tolist())) for N in cps)
+        got = mc._hit_partials(np.flatnonzero(hits), weights, cps)
+        assert [(N, v.hex()) for N, v in got] == [(N, v.hex()) for N, v in expected]
+
+
 # ---------------------------------------------------------------------------
 # divergence tail bound
 # ---------------------------------------------------------------------------
@@ -254,22 +270,127 @@ def test_divergence_validates_inputs(rng):
         divergence_tail_bound_test([0.5], 10, rng)
 
 
-def test_divergence_sums_match_full_cumsum(monkeypatch):
-    p = np.linspace(0.0, 1.0, 300)
-    cps = [1, 3, 50, 299, 300]
-    # blocks of 384 rows: 384, 384 and 232 of the 1000 trials
-    monkeypatch.setattr(mc, "_DRAW_BYTES", 384 * 8 * p.size)
-    res = divergence_tail_bound_test(p, 1000, np.random.default_rng(11), cps)
-    # reference: one unblocked draw matrix, counted by a full cumsum
-    draws = np.random.default_rng(11).random((1000, p.size)) < p
-    sums = np.cumsum(draws, axis=1)[:, [N - 1 for N in cps]]
-    rows = []
+def _harmonic(N):
+    return 1.0 / np.arange(1, N + 1)
+
+
+def _mixed_expectations(N=3000):
+    p = _harmonic(N)
+    p[31:63] = 0.0            # block n in [32, 64): nothing is drawn
+    p[63:127] = 1e-300        # [64, 128): thinned at q = 1e-300
+    p[127:255:5] = 1.0        # [128, 256): its ones make it dense
+    p[255:511:2] = 0.0        # [256, 512): thinned, with zeros inside
+    p[511:1023:3] = 1e-300    # [512, 1024): thinned, tiny entries among 1/n
+    return p
+
+
+# checkpoints on block edges (N = 2^j - 1 ends a block, 2^j starts one) and
+# off them, with len(p) not a power of two
+SAMPLER_CASES = {
+    "harmonic": (_harmonic(3000), [1, 100, 127, 128, 1000, 3000]),
+    "n^-1.5": (np.arange(1, 5001) ** -1.5, [15, 16, 2047, 5000]),
+    "constant-0.03": (np.full(1500, 0.03), [31, 500, 1023, 1500]),
+    "constant-0.3": (np.full(700, 0.3), [1, 63, 300, 700]),
+    "mixed-0-1-tiny": (_mixed_expectations(), [63, 127, 200, 511, 1023, 3000]),
+}
+
+
+def _chi_square_p(counts, pmf):
+    """p-value of the observed counts against the law pmf (k = 0..len-1, the
+    rest of the mass in one tail bin), with bins pooled left to right until
+    each expects at least 5."""
+    trials = counts.size
+    observed = np.bincount(np.minimum(counts, pmf.size), minlength=pmf.size + 1)
+    expected = trials * np.append(pmf, max(0.0, 1.0 - pmf.sum()))
+    obs_bins, exp_bins = [0], [0.0]
+    for o, e in zip(observed, expected):
+        if exp_bins[-1] >= 5.0:
+            obs_bins.append(0)
+            exp_bins.append(0.0)
+        obs_bins[-1] += o
+        exp_bins[-1] += e
+    if len(exp_bins) > 1 and exp_bins[-1] < 5.0:
+        o, e = obs_bins.pop(), exp_bins.pop()
+        obs_bins[-1] += o
+        exp_bins[-1] += e
+    if len(exp_bins) == 1:
+        return 1.0  # one bin: the counts are certain, and all fall in it
+    o, e = np.asarray(obs_bins, dtype=float), np.asarray(exp_bins)
+    return float(stats.chi2.sf(np.sum((o - e) ** 2 / e), len(e) - 1))
+
+
+@pytest.mark.parametrize("seed", [3, 41, 505])
+@pytest.mark.parametrize("name", list(SAMPLER_CASES))
+def test_bernoulli_counts_fit_the_poisson_binomial_law(monkeypatch, name, seed):
+    p, cps = SAMPLER_CASES[name]
+    # a small draw budget makes many row chunks; 3001 trials is a multiple
+    # of no chunk size
+    monkeypatch.setattr(mc, "_DRAW_BYTES", 1 << 16)
+    sums = mc._bernoulli_counts(p, 3001, np.random.default_rng(seed), cps)
     for j, N in enumerate(cps):
-        col = np.sort(sums[:, j])
-        for M in range(1, math.floor(0.5 * math.fsum(p[:N])) + 1):
-            rows.append((N, M, float(np.searchsorted(col, M, side="right")) / 1000))
-    assert len(rows) > 10
-    assert [(N, M, emp) for (N, M, _, _, emp, _) in res.rows] == rows
+        mean = math.fsum(p[:N])
+        kmax = min(N, int(mean + 10.0 * math.sqrt(mean) + 10))
+        pmf = poisson_binomial_pmf(p[:N], kmax)
+        assert _chi_square_p(sums[:, j], pmf) > 1e-3, (name, seed, N)
+
+
+def test_bernoulli_counts_keep_no_zero_expectation():
+    # one thinned block n in [256, 512) with p = 0 below n = 300: the counts
+    # up to n = 299 must be exactly zero, whatever the candidates were
+    p = np.zeros(600)
+    p[299:] = 0.05
+    sums = mc._bernoulli_counts(p, 2000, np.random.default_rng(4), [299, 300, 600])
+    assert not sums[:, 0].any()
+    assert 0 < np.count_nonzero(sums[:, 1]) < 2000
+
+
+def test_divergence_same_seed_same_table():
+    p = _mixed_expectations()
+    a = divergence_tail_bound_test(p, 2000, np.random.default_rng(9), [200, 3000])
+    b = divergence_tail_bound_test(p, 2000, np.random.default_rng(9), [200, 3000])
+    assert a == b and len(a.rows) > 2
+
+
+def test_divergence_rows_do_not_depend_on_the_checkpoint_set():
+    p = _mixed_expectations()
+    cps = [200, 3000]
+    more = [100, 200, 1500, 2047, 3000]
+    base = divergence_tail_bound_test(p, 2000, np.random.default_rng(9), cps)
+    added = divergence_tail_bound_test(p, 2000, np.random.default_rng(9), more)
+    assert [row for row in added.rows if row[0] in cps] == list(base.rows)
+    sums = mc._bernoulli_counts(p, 2000, np.random.default_rng(9), cps)
+    sums_more = mc._bernoulli_counts(p, 2000, np.random.default_rng(9), more)
+    assert np.array_equal(sums_more[:, [1, 4]], sums)
+
+
+@pytest.mark.parametrize("value", [0.3, 0.05], ids=["dense", "thinned"])
+def test_bernoulli_counts_memory_stays_near_the_draw_budget(monkeypatch, value):
+    # blocks up to 2^16 indices: one dense row of the last would be 2.25
+    # budgets; numpy's reductions add buffers of their own, up to ~100 KB
+    budget = 1 << 18
+    monkeypatch.setattr(mc, "_DRAW_BYTES", budget)
+    p = np.full(1 << 17, value)
+    rng = np.random.default_rng(2)
+    tracemalloc.start()
+    try:
+        mc._bernoulli_counts(p, 200, rng, [1000, 1 << 17])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget + (1 << 17)
+
+
+@pytest.mark.parametrize("p", [_harmonic(10**4), np.full(10**4, 0.05)],
+                         ids=["harmonic", "constant-0.05"])
+def test_divergence_peak_memory(p):
+    # the dense row-blocked draws this kernel replaced peaked at 5.8 MB here
+    tracemalloc.start()
+    try:
+        divergence_tail_bound_test(p, 10**4, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.8e6
 
 
 # ---------------------------------------------------------------------------
