@@ -31,6 +31,8 @@ from .svf import (
     exponent_profile,
     log_phi_rows,
     partial_sums,
+    prefix_fsums,
+    sorted_checkpoints,
 )
 
 __all__ = [
@@ -151,9 +153,7 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
         raise ValueError(f"anchor must have {d - 1} coordinates, got {len(anchor)}")
     for factor, coord in zip(space.factors[:-1], anchor):
         factor.validate_point(coord)
-    cps = sorted(set(int(N) for N in checkpoints))
-    if not cps or cps[0] < 1:
-        raise ValueError("checkpoints must be positive integers")
+    cps = sorted_checkpoints(checkpoints)
     n_max = cps[-1]
 
     ns = np.arange(1, n_max + 1, dtype=np.int64)
@@ -173,30 +173,19 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
     c_const = math.prod(1.0 / f.c for f in space.factors[:-1])
     lower = [c_const * v for v in partial_sums(sched, sv, t_u, cps)]
 
+    # only the hit terms are added: the sums are exactly rounded and +0.0
+    # terms add nothing, so each equals the sum of the zero-filled terms
     hit_index = np.flatnonzero(hits)
-    # memoryviews hand fsum Python floats, not one numpy scalar per term
-    exact_terms = memoryview(exact_terms)
-    exact = tuple((N, math.fsum(exact_terms[:N])) for N in cps)
+    observed = prefix_fsums(weights[hit_index], np.searchsorted(hit_index, cps))
     return FiberSumResult(
         anchor=anchor,
         u=float(u),
         checkpoints=tuple(cps),
-        partials=_hit_partials(hit_index, weights, cps),
-        expectation_exact=exact,
+        partials=tuple(zip(cps, observed)),
+        expectation_exact=tuple(zip(cps, prefix_fsums(exact_terms, cps))),
         expectation_lower=tuple(zip(cps, lower)),
         hit_count=int(hit_index.size),
     )
-
-
-def _hit_partials(hit_index: np.ndarray, weights: np.ndarray,
-                  cps: list[int]) -> tuple[tuple[int, float], ...]:
-    """(N, sum of weights[i] over hit indices i < N) per checkpoint N.
-
-    Only the hit terms are added: fsum is exactly rounded and +0.0 terms add
-    nothing, so each partial equals the fsum of the zero-filled terms."""
-    hit_weights = memoryview(weights[hit_index])
-    ends = np.searchsorted(hit_index, cps)
-    return tuple((N, math.fsum(hit_weights[:end])) for N, end in zip(cps, ends.tolist()))
 
 
 @dataclass(frozen=True)
@@ -352,24 +341,24 @@ def divergence_tail_bound_test(expectations: Sequence[float], trials: int,
     _DRAW_BYTES at once, whatever N and the trial count are; beyond them
     only the per-trial counts are kept.  Only the generator's ``random`` and
     ``geometric`` are used, so any bit generator serves.
+
+    ``expectations`` is read as an array, without a copy when it already is
+    a 1-d float array.
     """
-    p = np.asarray(list(expectations), dtype=float)
-    if p.size == 0:
-        raise ValueError("expectations must be non-empty")
+    p = np.asarray(expectations, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("expectations must form a non-empty 1-d sequence")
     bad = p[~((p >= 0.0) & (p <= 1.0))]
     if bad.size:
         raise ValueError(f"expectations must lie in [0, 1], got {float(bad[0])}")
     if trials < 1000:
         raise ValueError("need at least 10^3 trials")
-    cps = sorted(set(int(N) for N in (checkpoints or [p.size])))
-    if cps[0] < 1 or cps[-1] > p.size:
-        raise ValueError("checkpoints must lie in [1, len(expectations)]")
+    cps = sorted_checkpoints(checkpoints or [p.size], upper=p.size)
 
     sums = _bernoulli_counts(p, trials, rng, cps)
     rows = []
-    for j, N in enumerate(cps):
-        half_mean = 0.5 * math.fsum(p[:N])
-        m_max = math.floor(half_mean)
+    for j, (N, mean) in enumerate(zip(cps, prefix_fsums(p, cps))):
+        m_max = math.floor(0.5 * mean)
         col = np.sort(sums[:, j])
         for M in range(1, m_max + 1):
             emp = float(np.searchsorted(col, M, side="right")) / trials
@@ -450,22 +439,19 @@ def density_check(stream: OmegaStream, delta: float, horizon: int) -> DensityRep
             f"more than the cap of {MAX_DENSITY_CELLS}"
         )
 
-    def counts_at(N: int) -> np.ndarray:
-        if N == 0:
-            return np.zeros(total_cells, dtype=np.int64)
-        ns = np.arange(1, N + 1)
-        index = np.zeros(N, dtype=np.int64)
-        for i, (factor, count) in enumerate(zip(space.factors, cells)):
-            index = index * count + factor.stream_cells(stream.seed, i, ns, delta)
-        return np.bincount(index, minlength=total_cells)
-
+    # a cell is a function of the index alone: the half horizon's cells are
+    # a prefix of the full horizon's
+    ns = np.arange(1, horizon + 1)
+    index = np.zeros(horizon, dtype=np.int64)
+    for i, (factor, count) in enumerate(zip(space.factors, cells)):
+        index = index * count + factor.stream_cells(stream.seed, i, ns, delta)
     half = horizon // 2
     return DensityReport(
         delta=delta,
         horizons=(half, horizon),
         cell_count=total_cells,
-        counts_half=tuple(int(v) for v in counts_at(half)),
-        counts_full=tuple(int(v) for v in counts_at(horizon)),
+        counts_half=tuple(np.bincount(index[:half], minlength=total_cells).tolist()),
+        counts_full=tuple(np.bincount(index, minlength=total_cells).tolist()),
     )
 
 

@@ -22,6 +22,8 @@ _LANE_SALT = np.uint64(0xD6E8FEB86659FD93)
 _U64_MASK = (1 << 64) - 1
 # 2^-53, the spacing of doubles in [1, 2); top 53 bits of a word map to [0, 1)
 _INV_2_53 = float(2.0**-53)
+# words per block of bits(): its uint64 temporaries stay O(block), not O(len)
+_BITS_ROWS = 4096
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -60,4 +62,7 @@ def bits(seed: int, lane: int, indices: np.ndarray | int, nbits: int) -> np.ndar
         raise ValueError(f"nbits must be in 1..64, got {nbits}")
     w = words(seed, lane, indices)
     shifts = np.arange(nbits, dtype=np.uint64)
-    return ((w[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.int8)
+    out = np.empty((w.size, nbits), dtype=np.int8)
+    for a in range(0, w.size, _BITS_ROWS):
+        out[a:a + _BITS_ROWS] = (w[a:a + _BITS_ROWS, None] >> shifts) & np.uint64(1)
+    return out

@@ -700,14 +700,13 @@ def cover_ball(space: RegularSpace, x, R: float, r: float) -> CoverReport:
     _check_radii(R, r)
     space.validate_point(x)
     centers = _sparse_greedy(space, x, min(R, space.diameter), r, rng=None)
-    bound = 4.0**space.s * space.c**2 * (R / r) ** space.s
     return CoverReport(
         center=x,
         target_radii=(R,),
         radius=r,
         factor_centers=(tuple(centers),),
         count=len(centers),
-        bound=bound,
+        bound=sparse_bounds(space, R, r)[1],
     )
 
 
@@ -732,7 +731,7 @@ def cover_rectangle(space: ProductSpace, center: Sequence, radii, r: float) -> C
             raise ValueError(f"rectangle side radii must be positive and finite, got {r_i}")
         if r_i > r:
             centers = _sparse_greedy(factor, x_i, min(r_i, factor.diameter), r, rng=None)
-            bound *= 4.0**factor.s * factor.c**2 * (r_i / r) ** factor.s
+            bound *= sparse_bounds(factor, r_i, r)[1]
         else:
             centers = [x_i]
         factor_centers.append(tuple(centers))

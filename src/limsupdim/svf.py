@@ -25,8 +25,12 @@ works on the d columns of the log-radii: a stable odd-even transposition
 sort of the columns, running sums added column after column, and the piece
 picked with np.where.  No row is sorted on its own, yet each float operation
 is the one a stable per-row argsort followed by row cumsums would do, in the
-same order, so the terms are bit-identical to that route.  Partial sums are
-exactly rounded by math.fsum, fed through a memoryview.
+same order, so the terms are bit-identical to that route.
+
+Every exactly rounded partial sum in the package -- series sums here, fiber
+hit sums and their expectations, the divergence table's means -- comes from
+one routine, ``prefix_fsums``, at checkpoints checked by one rule,
+``sorted_checkpoints``.
 """
 
 from __future__ import annotations
@@ -605,33 +609,46 @@ def _phi_terms(sched: RadiusSchedule, s: np.ndarray, t: float,
     return out
 
 
+def sorted_checkpoints(Ns: Iterable[int], upper: int | None = None) -> list[int]:
+    """Checkpoints as sorted distinct ints, at least one, each in [1, upper]
+    (no upper limit when ``upper`` is None)."""
+    cps = sorted({int(N) for N in Ns})
+    hi = math.inf if upper is None else upper
+    bad = [N for N in cps if not 1 <= N <= hi]
+    if bad or not cps:
+        raise ValueError(f"checkpoints must be one or more integers in [1, {hi}], "
+                         f"got {bad[0] if bad else 'none'}")
+    return cps
+
+
+def prefix_fsums(values: np.ndarray, ends: Iterable[int]) -> list[float]:
+    """math.fsum of values[:end] for each end, exactly rounded, so a sum does
+    not depend on how its terms were computed or partitioned.  The values go
+    to fsum through one memoryview, which yields Python floats without a
+    numpy scalar per term."""
+    view = memoryview(np.ascontiguousarray(values, dtype=float))
+    return [math.fsum(view[:end]) for end in ends]
+
+
 def partial_sum(sched: RadiusSchedule,
                 s: Sequence[float],
                 t: float, N: int) -> float:
     """Truncated series S_N(t) = sum_{n<=N} Phi_{r_n}^s(t), exactly rounded:
     partial_sums at the one checkpoint N."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
     return partial_sums(sched, s, t, [N])[0]
 
 
 def partial_sums(sched: RadiusSchedule,
                  s: Sequence[float],
                  t: float, Ns: Sequence[int]) -> list[float]:
-    """S_N(t) at several checkpoints, sharing one pass over the terms.
-
-    Each sum is math.fsum over the vectorised terms, so it does not depend on
-    any internal partitioning.  The terms go to fsum through a memoryview,
-    which yields Python floats without a numpy scalar per term.
-    """
+    """S_N(t) at several checkpoints, sharing one pass over the terms; each
+    sum is prefix_fsums over the vectorised terms."""
     if not Ns:
         return []
-    order = sorted(set(int(N) for N in Ns))
-    if order[0] < 1:
-        raise ValueError("checkpoints must be >= 1")
+    order = sorted_checkpoints(Ns)
     sv = _exponents(s)
-    terms = memoryview(_phi_terms(sched, sv, float(t), 1, order[-1]))
-    by_N = {N: math.fsum(terms[:N]) for N in order}
+    terms = _phi_terms(sched, sv, float(t), 1, order[-1])
+    by_N = dict(zip(order, prefix_fsums(terms, order)))
     return [by_N[int(N)] for N in Ns]
 
 

@@ -7,8 +7,9 @@ argsort evaluation, series convergence against dyadic-block growth of
 plain partial sums, and Cantor ball masses against full cylinder
 enumeration and against the depth-first recursion that the library's
 level-order kernel replaced, the sorted first-fit scan against the
-searchsorted-jump greedy it replaced, and simulated Bernoulli counts against
-the exact Poisson-binomial law.
+searchsorted-jump greedy it replaced, simulated Bernoulli counts against
+the exact Poisson-binomial law, and the row-blocked digit extraction of
+``rng.bits`` against the one-shot expression it replaced.
 """
 
 import itertools
@@ -228,3 +229,10 @@ def poisson_binomial_pmf(p, kmax):
         pmf[1:] = pmf[1:] * (1.0 - pn) + pmf[:-1] * pn
         pmf[0] *= 1.0 - pn
     return pmf
+
+
+def one_shot_bits(w, nbits):
+    """The low ``nbits`` bits of each uint64 word as a (len, nbits) int8 0/1
+    array, shifted and masked in two full (len, nbits) uint64 matrices."""
+    shifts = np.arange(nbits, dtype=np.uint64)
+    return ((w[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.int8)

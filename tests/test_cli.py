@@ -2,10 +2,20 @@ import json
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from limsupdim import cli
+from limsupdim import (
+    Circle,
+    OmegaStream,
+    PowerLawSchedule,
+    ProductSpace,
+    cli,
+    divergence_tail_bound_test,
+    fiber_hit_sum,
+    partial_sums,
+)
 from limsupdim.cli import RunConfig, RunOutcome, main, run
 from limsupdim.manifests import RunManifest, read_manifests
 
@@ -602,3 +612,54 @@ def test_report_path_with_a_comma(runner, tmp_path):
     for inputs in (str(out / "manifest.jsonl"), (str(out / "manifest.jsonl"), 1)):
         with pytest.raises(ValueError, match="field 'inputs' must be tuple"):
             run(RunConfig(command="report", inputs=inputs))
+
+
+_FIBER_ARGV = ["mc", "fiber-sum", "--space", "circle,circle", "--alphas", "1,2",
+               "--s", "1,1", "--u", "0", "--anchor", "0.5", "--seed", "9"]
+_DIVERGENCE_ARGV = ["mc", "divergence", "--p", "harmonic", "--n", "100",
+                    "--trials", "1000", "--seed", "1"]
+
+
+def _partial_sums_at(cps):
+    partial_sums(PowerLawSchedule((1, 2)), (1, 1), 1.0, cps)
+
+
+def _fiber_at(cps):
+    fiber_hit_sum(OmegaStream(9, ProductSpace((Circle(), Circle()))),
+                  PowerLawSchedule((1, 2)), (1, 1), (0.5,), 0.0, cps)
+
+
+def _divergence_at(cps):
+    divergence_tail_bound_test(1.0 / np.arange(1, 101), 1000,
+                               np.random.default_rng(1), cps)
+
+
+@pytest.mark.parametrize("call, cps, argv, bad, hi", [
+    (_partial_sums_at, [0, 10], None, "0", "inf"),
+    (_partial_sums_at, [-3], None, "-3", "inf"),
+    (_fiber_at, [10, 0], _FIBER_ARGV + ["--checkpoints", "10,0"], "0", "inf"),
+    (_fiber_at, [-3], _FIBER_ARGV + ["--checkpoints", "-3"], "-3", "inf"),
+    (_fiber_at, [], _FIBER_ARGV + ["--checkpoints", ","], "none", "inf"),
+    (_divergence_at, [0], _DIVERGENCE_ARGV + ["--checkpoints", "0"], "0", "100"),
+    (_divergence_at, [-3], _DIVERGENCE_ARGV + ["--checkpoints", "-3"], "-3", "100"),
+    (_divergence_at, [50, 200], _DIVERGENCE_ARGV + ["--checkpoints", "50,200"], "200", "100"),
+], ids=["sums-zero", "sums-negative", "fiber-zero", "fiber-negative", "fiber-empty",
+        "divergence-zero", "divergence-negative", "divergence-past-n"])
+def test_checkpoint_rule_is_one_message(runner, call, cps, argv, bad, hi):
+    message = f"checkpoints must be one or more integers in [1, {hi}], got {bad}"
+    with pytest.raises(ValueError) as err:
+        call(cps)
+    assert str(err.value) == message
+    if argv is not None:
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2
+        assert f"Error: {message}" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+
+def test_minimal_manifest_round_trips():
+    m = RunManifest("op")
+    again = RunManifest.from_json(m.to_json())
+    assert again == m
+    assert again.to_json() == m.to_json()

@@ -21,9 +21,10 @@ from limsupdim import (
     fiber_hit_sum,
     tail_cover_sum,
 )
-from limsupdim import mc
+from limsupdim import mc, rng as crng
+from limsupdim.svf import prefix_fsums
 
-from oracles import harmonic_number, poisson_binomial_pmf
+from oracles import harmonic_number, one_shot_bits, poisson_binomial_pmf
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +92,28 @@ def test_omega_cantor_digit_law():
     cells = Cantor(1 / 3).stream_cells(31, 0, np.arange(1, 10**5 + 1), (1 / 3) ** 8)
     digits = (cells[:, None] >> np.arange(7, -1, -1)) & 1
     assert np.all(np.abs(digits.mean(axis=0) - 0.5) < 0.01)
+
+
+@pytest.mark.parametrize("nbits", [1, 36, 64])
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 10**5])
+def test_bits_equal_one_shot_oracle(n, nbits):
+    ns = np.arange(1, n + 1)
+    got = crng.bits(11, 3, ns, nbits)
+    want = one_shot_bits(crng.words(11, 3, ns), nbits)
+    assert got.dtype == want.dtype and got.shape == want.shape == (n, nbits)
+    assert np.array_equal(got, want)
+
+
+def test_bits_peak_memory():
+    # the one-shot expression peaked at 33.2 MB here, for a 3.6 MB output
+    ns = np.arange(1, 10**5 + 1)
+    tracemalloc.start()
+    try:
+        crng.bits(5, 0, ns, 36)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_omega_uniform_marginals(torus2):
@@ -222,6 +245,19 @@ def test_fiber_sum_reproducible(torus2):
     assert a == b
 
 
+def test_fiber_partials_count_the_hits_up_to_each_checkpoint(torus2):
+    # u = 0 weighs each hit 1, so a partial counts the hits n <= N, found
+    # here one index at a time
+    sched = PowerLawSchedule((1, 2))
+    st = OmegaStream(4, torus2)
+    circle = torus2.factors[0]
+    hits = [circle.distance(st.omega(n)[0], 0.5) <= sched.radius_tuple(n)[0]
+            for n in range(1, 301)]
+    cps = [1, 2, 50, 137, 300]
+    res = fiber_hit_sum(st, sched, (1, 1), (0.5,), 0.0, cps)
+    assert res.partials == tuple((N, float(sum(hits[:N]))) for N in cps)
+
+
 @pytest.mark.parametrize("density", [0.0, 1e-4, 0.01, 0.5, 1.0])
 def test_hit_partials_equal_zero_filled_fsum(density):
     rng = np.random.default_rng(17)
@@ -232,9 +268,11 @@ def test_hit_partials_equal_zero_filled_fsum(density):
     for _ in range(4):
         hits = rng.random(n) < density
         terms = np.where(hits, weights, 0.0)
-        expected = tuple((N, math.fsum(terms[:N].tolist())) for N in cps)
-        got = mc._hit_partials(np.flatnonzero(hits), weights, cps)
-        assert [(N, v.hex()) for N, v in got] == [(N, v.hex()) for N, v in expected]
+        expected = [math.fsum(terms[:N].tolist()) for N in cps]
+        # the fiber sum adds the hit terms alone, as here
+        hit_index = np.flatnonzero(hits)
+        got = prefix_fsums(weights[hit_index], np.searchsorted(hit_index, cps))
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +431,26 @@ def test_divergence_peak_memory(p):
     assert peak <= 5.8e6
 
 
+def test_divergence_reads_expectations_without_a_list():
+    # a list of a million float objects peaked at 40.7 MB here; all-zero p
+    # draws nothing, so the peak is the input checks alone
+    p = np.zeros(10**6)
+    tracemalloc.start()
+    try:
+        divergence_tail_bound_test(p, 1000, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("p", [np.full((10, 10), 0.5), 0.5, np.zeros((0,))],
+                         ids=["2-d", "scalar", "empty"])
+def test_divergence_rejects_expectations_not_1d(p):
+    with pytest.raises(ValueError, match="non-empty 1-d"):
+        divergence_tail_bound_test(p, 1000, np.random.default_rng(1))
+
+
 # ---------------------------------------------------------------------------
 # density
 # ---------------------------------------------------------------------------
@@ -404,6 +462,16 @@ def test_density_torus_all_cells_hit():
     assert rep.cell_count == 10
     assert min(rep.counts_full) >= 500
     assert rep.passed
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 7, 1000])
+@pytest.mark.parametrize("space", [ProductSpace((Circle(), Circle())),
+                                   ProductSpace((Cantor(1 / 3), Cantor(1 / 3)))],
+                         ids=["torus", "cantor-square"])
+def test_density_half_horizon_is_the_full_count_at_half(space, horizon):
+    st = OmegaStream(12, space)
+    rep = density_check(st, 0.2, horizon)
+    assert rep.counts_half == density_check(st, 0.2, horizon // 2).counts_full
 
 
 def test_density_zero_horizon_fails():

@@ -19,7 +19,7 @@ from limsupdim import (
     svf_profile,
 )
 
-from limsupdim.svf import log_phi_rows
+from limsupdim.svf import log_phi_rows, prefix_fsums
 
 from oracles import (
     allocation_oracle,
@@ -474,3 +474,31 @@ def test_growth_requires_increasing_blocks():
         estimate_sum_growth(PowerLawSchedule((2,)), (1,), 0.1, (100, 100, 200))
     with pytest.raises(ValueError):
         estimate_sum_growth(PowerLawSchedule((2,)), (1,), 0.1, (100, 200))
+
+
+# values over many binades, zeros of both signs, negatives and subnormals,
+# with no sum past the float range
+_FSUM_VALUES = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0),
+              st.integers(min_value=-1074, max_value=990)),
+)
+
+
+@st.composite
+def _values_and_ends(draw):
+    values = draw(st.lists(_FSUM_VALUES, max_size=60))
+    ends = draw(st.lists(st.integers(min_value=0, max_value=len(values)), max_size=6))
+    return np.asarray(values, dtype=float), ends + [0, len(values)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values_and_ends())
+def test_prefix_fsums_equal_fsum_of_each_prefix(case):
+    values, ends = case
+    want = [math.fsum(values[:end].tolist()).hex() for end in ends]
+    assert [v.hex() for v in prefix_fsums(values, ends)] == want
+    # a strided view sums the same
+    strided = np.repeat(values, 2)[::2]
+    assert [v.hex() for v in prefix_fsums(strided, ends)] == want
