@@ -25,6 +25,8 @@ from .spaces import ProductSpace, cover_rectangle
 from .svf import (
     PowerLawSchedule,
     RadiusSchedule,
+    _ExactSum,
+    _checkpoint_chunks,
     closed_form_dimension,
     critical_exponent_series,
     estimate_sum_growth,
@@ -139,6 +141,11 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
 
     Requires d >= 2, u in [0, s_d], radii non-increasing per index (relabel
     the factors first if not), and an anchor in the first d-1 factors.
+
+    The indices are walked once, in chunks of the svf module's _CHUNK cut at
+    the checkpoints: per chunk the radii, hits, weights and exact terms feed
+    two exact accumulators (``svf._ExactSum``), so memory is O(chunk)
+    whatever the horizon is, and each sum equals math.fsum of its terms.
     """
     space = stream.space
     d = space.dim
@@ -154,37 +161,40 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
     for factor, coord in zip(space.factors[:-1], anchor):
         factor.validate_point(coord)
     cps = sorted_checkpoints(checkpoints)
-    n_max = cps[-1]
-
-    ns = np.arange(1, n_max + 1, dtype=np.int64)
-    radii = np.exp(sched.log_radii(ns))
-    hits = np.ones(n_max, dtype=bool)
-    for i, factor in enumerate(space.factors[:-1]):
-        coords = stream.factor_coords(i, ns)
-        dist = factor.distance_to_array(coords, anchor[i])
-        hits &= dist <= radii[:, i]
-    weights = radii[:, -1] ** u
-
-    exact_terms = weights.copy()
-    for i, factor in enumerate(space.factors[:-1]):
-        exact_terms = exact_terms * factor.ball_measure_array(anchor[i], radii[:, i])
 
     t_u = min(math.fsum(sv[:-1]) + u, math.fsum(sv))
     c_const = math.prod(1.0 / f.c for f in space.factors[:-1])
     lower = [c_const * v for v in partial_sums(sched, sv, t_u, cps)]
 
-    # only the hit terms are added: the sums are exactly rounded and +0.0
-    # terms add nothing, so each equals the sum of the zero-filled terms
-    hit_index = np.flatnonzero(hits)
-    observed = prefix_fsums(weights[hit_index], np.searchsorted(hit_index, cps))
+    observed, expected = _ExactSum(), _ExactSum()
+    partials, exact, hit_count = [], [], 0
+    for ns, N in _checkpoint_chunks(cps):
+        radii = np.exp(sched.log_radii(ns))
+        hits = np.ones(ns.size, dtype=bool)
+        for i, factor in enumerate(space.factors[:-1]):
+            coords = stream.factor_coords(i, ns)
+            dist = factor.distance_to_array(coords, anchor[i])
+            hits &= dist <= radii[:, i]
+        weights = radii[:, -1] ** u
+        exact_terms = weights
+        for i, factor in enumerate(space.factors[:-1]):
+            exact_terms = exact_terms * factor.ball_measure_array(anchor[i], radii[:, i])
+        # only the hit terms are added: the sums are exact and +0.0 terms
+        # add nothing, so each equals the sum of the zero-filled terms
+        observed.add(weights[hits])
+        expected.add(exact_terms)
+        hit_count += int(np.count_nonzero(hits))
+        if N is not None:
+            partials.append((N, observed.value()))
+            exact.append((N, expected.value()))
     return FiberSumResult(
         anchor=anchor,
         u=float(u),
         checkpoints=tuple(cps),
-        partials=tuple(zip(cps, observed)),
-        expectation_exact=tuple(zip(cps, prefix_fsums(exact_terms, cps))),
+        partials=tuple(partials),
+        expectation_exact=tuple(exact),
         expectation_lower=tuple(zip(cps, lower)),
-        hit_count=int(hit_index.size),
+        hit_count=hit_count,
     )
 
 
@@ -353,7 +363,9 @@ def divergence_tail_bound_test(expectations: Sequence[float], trials: int,
         raise ValueError(f"expectations must lie in [0, 1], got {float(bad[0])}")
     if trials < 1000:
         raise ValueError("need at least 10^3 trials")
-    cps = sorted_checkpoints(checkpoints or [p.size], upper=p.size)
+    if checkpoints is None or len(checkpoints) == 0:
+        checkpoints = [p.size]
+    cps = sorted_checkpoints(checkpoints, upper=p.size)
 
     sums = _bernoulli_counts(p, trials, rng, cps)
     rows = []

@@ -29,8 +29,11 @@ same order, so the terms are bit-identical to that route.
 
 Every exactly rounded partial sum in the package -- series sums here, fiber
 hit sums and their expectations, the divergence table's means -- comes from
-one routine, ``prefix_fsums``, at checkpoints checked by one rule,
-``sorted_checkpoints``.
+one exact accumulator, ``_ExactSum``, a binned superaccumulator that equals
+``math.fsum`` of everything added to it, at checkpoints checked by one rule,
+``sorted_checkpoints``.  ``partial_sums``, ``prefix_fsums`` and the fiber
+hit sum walk their indices once, in chunks of ``_CHUNK`` cut at the
+checkpoints, so their memory is O(chunk) whatever the horizon N is.
 """
 
 from __future__ import annotations
@@ -368,6 +371,9 @@ class ExplicitSchedule:
 
     tuples: tuple[RadiusTuple, ...]
     tail: PowerLawSchedule | str | None = None
+    # log-radii of the listed tuples, one row each, taken once: the streaming
+    # sums call log_radii once per chunk
+    _log_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tups = tuple(
@@ -383,6 +389,7 @@ class ExplicitSchedule:
         if isinstance(self.tail, PowerLawSchedule) and self.tail.dim != d:
             raise ValueError("tail model dimension mismatch")
         object.__setattr__(self, "tuples", tups)
+        object.__setattr__(self, "_log_table", np.log([t.values for t in tups]))
 
     @property
     def dim(self) -> int:
@@ -396,8 +403,7 @@ class ExplicitSchedule:
         out = np.empty((ns.size, self.dim), dtype=float)
         head = ns <= k
         if head.any():
-            table = np.log([t.values for t in self.tuples])
-            out[head] = table[ns[head] - 1]
+            out[head] = self._log_table[ns[head] - 1]
         rest = ~head
         if rest.any():
             if self.tail is None:
@@ -592,21 +598,72 @@ def closed_form_dimension(sched: PowerLawSchedule,
 # Partial sums and growth diagnostics
 # ---------------------------------------------------------------------------
 
-_CHUNK = 1 << 18
+# indices per chunk of every streaming loop; with at most 2^16 values in a
+# chunk, _ExactSum's per-bin float sums of 26-bit integers stay below 2^42,
+# so they are exact
+_CHUNK = 1 << 16
+
+_MASK26 = np.uint64((1 << 26) - 1)
 
 
-def _phi_terms(sched: RadiusSchedule, s: np.ndarray, t: float,
-               n0: int, n1: int) -> np.ndarray:
-    """Phi_{r_n}^s(t) for n in [n0, n1], vectorised in chunks."""
-    out = np.empty(n1 - n0 + 1, dtype=float)
-    pos = 0
-    for start in range(n0, n1 + 1, _CHUNK):
-        stop = min(start + _CHUNK - 1, n1)
-        ns = np.arange(start, stop + 1, dtype=np.int64)
-        logs = sched.log_radii(ns)
-        np.exp(log_phi_rows(logs, s, t), out=out[pos: pos + ns.size])
-        pos += ns.size
-    return out
+class _ExactSum:
+    """Exact running sum of float64 values, read exactly rounded.
+
+    A binned superaccumulator (Neal 2015, arXiv:1505.05571): each chunk of
+    values is viewed as uint64 words, whose top 12 bits (sign and biased
+    exponent) pick one of 4096 bins.  Three bincounts per chunk give each
+    bin's sum of the high 26 mantissa bits, of the low 26 bits and the count
+    of implicit leading bits; all three are exact.  The non-empty bins fold
+    into one Python int, the sum scaled by 2^1074 (subnormals scale like
+    exponent 1 and have no implicit bit; bins from 2048 on are negative).
+    ``value`` divides that int by 2^1074, which CPython rounds correctly,
+    half to even, so it equals ``math.fsum`` of every value added, in
+    O(chunk) memory whatever the count.
+
+    Non-finite values give fsum's result: NaN if there is one, else the
+    infinity, and ValueError for inf + -inf.  An exact sum past the float
+    range raises OverflowError, as fsum does.  One deviation: fsum raises
+    "intermediate overflow" when a running sum of mixed signs passes the
+    float range, as in [1e308, 1e308, -1e308], while the exact sum, 1e308,
+    is returned here.
+    """
+
+    def __init__(self):
+        self._total = 0
+        # fsum's own bookkeeping of non-finite values
+        self._special = 0.0
+        self._infs = 0.0
+
+    def add(self, values: np.ndarray) -> None:
+        values = np.asarray(values, dtype=float)
+        for lo in range(0, values.size, _CHUNK):
+            chunk = np.ascontiguousarray(values[lo: lo + _CHUNK])
+            bits = chunk.view(np.uint64)
+            index = (bits >> np.uint64(52)).astype(np.intp)
+            counts = np.bincount(index, minlength=4096)
+            high = np.bincount(index, (bits >> np.uint64(26) & _MASK26).astype(float), 4096)
+            low = np.bincount(index, (bits & _MASK26).astype(float), 4096)
+            bins = np.flatnonzero(counts)
+            for b, c, h, l in zip(bins.tolist(), counts[bins].tolist(),
+                                  high[bins].tolist(), low[bins].tolist()):
+                e = b & 0x7FF
+                if e == 0x7FF:  # inf or NaN
+                    for v in np.unique(chunk[index == b]).tolist():
+                        self._special += v
+                        if math.isinf(v):
+                            self._infs += v
+                    continue
+                m = (int(h) << 26) + int(l)
+                if e:
+                    m = ((c << 52) + m) << (e - 1)
+                self._total += -m if b >> 11 else m
+
+    def value(self) -> float:
+        if self._special:
+            if math.isnan(self._infs):
+                raise ValueError("-inf + inf in fsum")
+            return self._special
+        return self._total / (1 << 1074)
 
 
 def sorted_checkpoints(Ns: Iterable[int], upper: int | None = None) -> list[int]:
@@ -621,13 +678,30 @@ def sorted_checkpoints(Ns: Iterable[int], upper: int | None = None) -> list[int]
     return cps
 
 
+def _checkpoint_chunks(cps: list[int]):
+    """Indices 1..cps[-1] as int64 arrays of at most _CHUNK, each cut at the
+    sorted checkpoints ``cps``; yields (ns, N) with N the checkpoint the
+    chunk ends on, or None."""
+    start = 1
+    for N in cps:
+        for lo in range(start, N + 1, _CHUNK):
+            hi = min(lo + _CHUNK - 1, N)
+            yield np.arange(lo, hi + 1, dtype=np.int64), (N if hi == N else None)
+        start = N + 1
+
+
 def prefix_fsums(values: np.ndarray, ends: Iterable[int]) -> list[float]:
     """math.fsum of values[:end] for each end, exactly rounded, so a sum does
-    not depend on how its terms were computed or partitioned.  The values go
-    to fsum through one memoryview, which yields Python floats without a
-    numpy scalar per term."""
-    view = memoryview(np.ascontiguousarray(values, dtype=float))
-    return [math.fsum(view[:end]) for end in ends]
+    not depend on how its terms were computed or partitioned.  One
+    ``_ExactSum`` walks the segments between the sorted ends once, in chunks
+    of _CHUNK, so temporaries are O(chunk) whatever len(values) is."""
+    values = np.asarray(values, dtype=float)
+    acc, sums, lo = _ExactSum(), {}, 0
+    for end in sorted({int(e) for e in ends}):
+        acc.add(values[lo:end])
+        sums[end] = acc.value()
+        lo = end
+    return [sums[int(e)] for e in ends]
 
 
 def partial_sum(sched: RadiusSchedule,
@@ -640,16 +714,24 @@ def partial_sum(sched: RadiusSchedule,
 
 def partial_sums(sched: RadiusSchedule,
                  s: Sequence[float],
-                 t: float, Ns: Sequence[int]) -> list[float]:
-    """S_N(t) at several checkpoints, sharing one pass over the terms; each
-    sum is prefix_fsums over the vectorised terms."""
-    if not Ns:
+                 t: float, Ns: Sequence[int] | None) -> list[float]:
+    """S_N(t) at several checkpoints, exactly rounded, in one pass over the
+    terms; None or no checkpoints gives [].
+
+    The terms are evaluated and added to one ``_ExactSum`` a chunk of
+    _CHUNK indices at a time, each chunk cut at the checkpoints, so memory
+    is O(chunk) whatever N is.  Every term is elementwise in n and an exact
+    sum does not depend on how its terms are split, so each value equals
+    math.fsum of the first N terms."""
+    if Ns is None or len(Ns) == 0:
         return []
-    order = sorted_checkpoints(Ns)
-    sv = _exponents(s)
-    terms = _phi_terms(sched, sv, float(t), 1, order[-1])
-    by_N = dict(zip(order, prefix_fsums(terms, order)))
-    return [by_N[int(N)] for N in Ns]
+    sv, t = _exponents(s), float(t)
+    acc, sums = _ExactSum(), {}
+    for ns, N in _checkpoint_chunks(sorted_checkpoints(Ns)):
+        acc.add(np.exp(log_phi_rows(sched.log_radii(ns), sv, t)))
+        if N is not None:
+            sums[N] = acc.value()
+    return [sums[int(N)] for N in Ns]
 
 
 def estimate_sum_growth(sched: RadiusSchedule,

@@ -8,14 +8,21 @@ plain partial sums, and Cantor ball masses against full cylinder
 enumeration and against the depth-first recursion that the library's
 level-order kernel replaced, the sorted first-fit scan against the
 searchsorted-jump greedy it replaced, simulated Bernoulli counts against
-the exact Poisson-binomial law, and the row-blocked digit extraction of
-``rng.bits`` against the one-shot expression it replaced.
+the exact Poisson-binomial law, the row-blocked digit extraction of
+``rng.bits`` against the one-shot expression it replaced, and the streamed
+exact sums of series and fiber hit sums against the materialising
+``math.fsum`` routes they replaced.  Those last oracles share the library's
+term kernels on purpose: they check how the terms are summed, not how each
+is computed.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from limsupdim.mc import FiberSumResult
+from limsupdim.svf import log_phi_rows, sorted_checkpoints
 
 GRID = 1000  # allocation grid resolution 1e-3
 
@@ -236,3 +243,68 @@ def one_shot_bits(w, nbits):
     array, shifted and masked in two full (len, nbits) uint64 matrices."""
     shifts = np.arange(nbits, dtype=np.uint64)
     return ((w[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.int8)
+
+
+def memoryview_prefix_fsums(values, ends):
+    """math.fsum of values[:end] for each end, every prefix summed from the
+    first value through one memoryview."""
+    view = memoryview(np.ascontiguousarray(values, dtype=float))
+    return [math.fsum(view[:end]) for end in ends]
+
+
+def materialised_phi_terms(sched, s, t, n0, n1):
+    """Phi_{r_n}^s(t) for n in [n0, n1], all held in one array, evaluated
+    2^18 indices at a time."""
+    chunk = 1 << 18
+    out = np.empty(n1 - n0 + 1, dtype=float)
+    pos = 0
+    for start in range(n0, n1 + 1, chunk):
+        stop = min(start + chunk - 1, n1)
+        ns = np.arange(start, stop + 1, dtype=np.int64)
+        np.exp(log_phi_rows(sched.log_radii(ns), s, t), out=out[pos: pos + ns.size])
+        pos += ns.size
+    return out
+
+
+def materialised_partial_sums(sched, s, t, Ns):
+    """S_N(t) at each checkpoint: every term materialised, then fsum of
+    each prefix.  ``limsupdim.svf.partial_sums`` streams the same terms
+    through an exact accumulator, so the two must agree bit for bit."""
+    order = sorted_checkpoints(Ns)
+    sv = np.asarray(s, dtype=float)
+    terms = materialised_phi_terms(sched, sv, float(t), 1, order[-1])
+    by_N = dict(zip(order, memoryview_prefix_fsums(terms, order)))
+    return [by_N[int(N)] for N in Ns]
+
+
+def materialised_fiber_hit_sum(stream, sched, s, anchor, u, checkpoints):
+    """The fiber hit sum with every per-index array held at full length and
+    each curve summed by fsum of its prefixes (no domain checks).
+    ``limsupdim.mc.fiber_hit_sum`` streams the same terms in chunks, so the
+    two must agree bit for bit."""
+    space = stream.space
+    sv = np.asarray(s, dtype=float)
+    anchor = tuple(anchor)
+    cps = sorted_checkpoints(checkpoints)
+    ns = np.arange(1, cps[-1] + 1, dtype=np.int64)
+    radii = np.exp(sched.log_radii(ns))
+    hits = np.ones(ns.size, dtype=bool)
+    for i, factor in enumerate(space.factors[:-1]):
+        dist = factor.distance_to_array(stream.factor_coords(i, ns), anchor[i])
+        hits &= dist <= radii[:, i]
+    weights = radii[:, -1] ** u
+    exact_terms = weights.copy()
+    for i, factor in enumerate(space.factors[:-1]):
+        exact_terms = exact_terms * factor.ball_measure_array(anchor[i], radii[:, i])
+    t_u = min(math.fsum(sv[:-1]) + u, math.fsum(sv))
+    c_const = math.prod(1.0 / f.c for f in space.factors[:-1])
+    lower = [c_const * v for v in materialised_partial_sums(sched, sv, t_u, cps)]
+    return FiberSumResult(
+        anchor=anchor,
+        u=float(u),
+        checkpoints=tuple(cps),
+        partials=tuple(zip(cps, memoryview_prefix_fsums(np.where(hits, weights, 0.0), cps))),
+        expectation_exact=tuple(zip(cps, memoryview_prefix_fsums(exact_terms, cps))),
+        expectation_lower=tuple(zip(cps, lower)),
+        hit_count=int(np.count_nonzero(hits)),
+    )

@@ -621,17 +621,17 @@ _DIVERGENCE_ARGV = ["mc", "divergence", "--p", "harmonic", "--n", "100",
 
 
 def _partial_sums_at(cps):
-    partial_sums(PowerLawSchedule((1, 2)), (1, 1), 1.0, cps)
+    return partial_sums(PowerLawSchedule((1, 2)), (1, 1), 1.0, cps)
 
 
 def _fiber_at(cps):
-    fiber_hit_sum(OmegaStream(9, ProductSpace((Circle(), Circle()))),
-                  PowerLawSchedule((1, 2)), (1, 1), (0.5,), 0.0, cps)
+    return fiber_hit_sum(OmegaStream(9, ProductSpace((Circle(), Circle()))),
+                         PowerLawSchedule((1, 2)), (1, 1), (0.5,), 0.0, cps)
 
 
 def _divergence_at(cps):
-    divergence_tail_bound_test(1.0 / np.arange(1, 101), 1000,
-                               np.random.default_rng(1), cps)
+    return divergence_tail_bound_test(1.0 / np.arange(1, 101), 1000,
+                                      np.random.default_rng(1), cps)
 
 
 @pytest.mark.parametrize("call, cps, argv, bad, hi", [
@@ -656,6 +656,17 @@ def test_checkpoint_rule_is_one_message(runner, call, cps, argv, bad, hi):
         assert f"Error: {message}" in result.output
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("call", [_partial_sums_at, _fiber_at, _divergence_at],
+                         ids=["sums", "fiber", "divergence"])
+def test_checkpoints_may_be_an_array(call):
+    assert call(np.array([100, 10])) == call([100, 10])
+
+
+def test_no_checkpoints_keep_their_meaning():
+    assert _partial_sums_at(None) == _partial_sums_at([]) == []
+    assert _divergence_at(None) == _divergence_at([]) == _divergence_at([100])
 
 
 def test_minimal_manifest_round_trips():

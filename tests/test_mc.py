@@ -21,10 +21,15 @@ from limsupdim import (
     fiber_hit_sum,
     tail_cover_sum,
 )
-from limsupdim import mc, rng as crng
+from limsupdim import mc, rng as crng, svf
 from limsupdim.svf import prefix_fsums
 
-from oracles import harmonic_number, one_shot_bits, poisson_binomial_pmf
+from oracles import (
+    harmonic_number,
+    materialised_fiber_hit_sum,
+    one_shot_bits,
+    poisson_binomial_pmf,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +261,55 @@ def test_fiber_partials_count_the_hits_up_to_each_checkpoint(torus2):
     cps = [1, 2, 50, 137, 300]
     res = fiber_hit_sum(st, sched, (1, 1), (0.5,), 0.0, cps)
     assert res.partials == tuple((N, float(sum(hits[:N]))) for N in cps)
+
+
+_FIBER_SPACES = {
+    "torus": (ProductSpace((Circle(), Circle())), (0.5,), (1, 2)),
+    "interval-squared": (ProductSpace((Interval(), Interval())), (0.3,), (1, 2)),
+    "cantor-squared": (ProductSpace((Cantor(1 / 3), Cantor(1 / 3))), None, (1, 2)),
+    "circle-interval-circle": (ProductSpace((Circle(), Interval(), Circle())),
+                               (0.25, 0.5), (1, 1.5, 2)),
+}
+
+
+@pytest.mark.parametrize("half_u", [False, True], ids=["u-zero", "u-half"])
+@pytest.mark.parametrize("name", list(_FIBER_SPACES))
+def test_streamed_fiber_sum_equals_the_materialised_oracle(name, half_u):
+    space, anchor, alphas = _FIBER_SPACES[name]
+    anchor = anchor or space.center()[:-1]
+    sv = space.s_vector
+    u = 0.5 * sv[-1] if half_u else 0.0
+    cps = [10, 65535, 65536, 65537, 200000]
+    args = (PowerLawSchedule(alphas), sv, anchor, u, cps)
+    got = fiber_hit_sum(OmegaStream(7, space), *args)
+    want = materialised_fiber_hit_sum(OmegaStream(7, space), *args)
+    assert got.hit_count == want.hit_count
+    for curve in ("partials", "expectation_exact", "expectation_lower"):
+        assert [(N, v.hex()) for N, v in getattr(got, curve)] == [
+            (N, v.hex()) for N, v in getattr(want, curve)]
+    assert got == want
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_fiber_sum_in_small_chunks(monkeypatch, torus2, chunk):
+    # chunks of a few indices cut the walk between and at the checkpoints
+    monkeypatch.setattr(svf, "_CHUNK", chunk)
+    args = (PowerLawSchedule((0.5, 1)), (1, 1), (0.5,), 0.5, [1, 2, 50, 137, 300])
+    got = fiber_hit_sum(OmegaStream(4, torus2), *args)
+    assert got.hit_count > 0
+    assert got == materialised_fiber_hit_sum(OmegaStream(4, torus2), *args)
+
+
+def test_fiber_sum_peak_memory(torus2):
+    # six full-length arrays and fsum of each prefix peaked at 80 MB here
+    tracemalloc.start()
+    try:
+        fiber_hit_sum(OmegaStream(9, torus2), PowerLawSchedule((1, 2)), (1, 1),
+                      (0.5,), 0.0, [1000, 10**6])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 @pytest.mark.parametrize("density", [0.0, 1e-4, 0.01, 0.5, 1.0])

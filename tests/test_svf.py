@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,12 +20,15 @@ from limsupdim import (
     svf_profile,
 )
 
+from limsupdim import svf
 from limsupdim.svf import log_phi_rows, prefix_fsums
 
 from oracles import (
     allocation_oracle,
     argsort_log_phi_rows,
     dyadic_block_divergence,
+    materialised_partial_sums,
+    memoryview_prefix_fsums,
     powerlaw_phi_term,
 )
 
@@ -448,6 +452,47 @@ def test_partial_sums_match_fsum_of_singular_values(s, t):
     assert partial_sum(sched, s, t, Ns[-1]) == math.fsum(terms)
 
 
+# checkpoints on both sides of 2^16, a chunk boundary
+_CHUNK_CHECKPOINTS = [65535, 65536, 65537, 200000]
+_HEAD = tuple(RadiusTuple(r) for r in
+              np.random.default_rng(3).uniform(0.05, 0.95, size=(70_000, 2)))
+
+
+@pytest.mark.parametrize("sched, s, t", [
+    (PowerLawSchedule((1, 2), (3.0, 2.0)), (1, 1), 0.7),
+    (PowerLawSchedule((0.5, 1.5, 2.0), (5.0, 1.5, 1.2)), (1, 1, 1), 1.9),
+    (ExplicitSchedule(_HEAD, tail=PowerLawSchedule((1, 2), (1.5, 1.0))), (1, 1), 1.2),
+    (ExplicitSchedule(_HEAD[:100], tail="constant"), (1, 1), 1.2),
+], ids=["power-2d", "power-3d", "explicit-power-tail", "explicit-constant-tail"])
+def test_streamed_partial_sums_equal_the_materialised_oracle(sched, s, t):
+    Ns = _CHUNK_CHECKPOINTS + [1, 10]
+    got = partial_sums(sched, s, t, Ns)
+    assert [v.hex() for v in got] == [
+        v.hex() for v in materialised_partial_sums(sched, s, t, Ns)]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_partial_sums_in_small_chunks(monkeypatch, chunk):
+    # chunks of a few indices cut the walk between and at the checkpoints
+    monkeypatch.setattr(svf, "_CHUNK", chunk)
+    sched = ExplicitSchedule(_TUPLES, tail=PowerLawSchedule((1, 2, 3)))
+    Ns = [1, 2, 7, 60, 80, 81]
+    got = partial_sums(sched, (1, 1, 1), 1.3, Ns)
+    assert [v.hex() for v in got] == [
+        v.hex() for v in materialised_partial_sums(sched, (1, 1, 1), 1.3, Ns)]
+
+
+def test_partial_sums_peak_memory():
+    # the materialised terms and fsum of each prefix peaked at 48.5 MB here
+    tracemalloc.start()
+    try:
+        partial_sums(PowerLawSchedule((1, 2)), (1, 1), 1.0, [10, 4_000_000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_growth_slope_divergent():
     slope = estimate_sum_growth(
         PowerLawSchedule((2, 3)), (1, 1), 0.25, (10**3, 10**4, 10**5)
@@ -502,3 +547,48 @@ def test_prefix_fsums_equal_fsum_of_each_prefix(case):
     # a strided view sums the same
     strided = np.repeat(values, 2)[::2]
     assert [v.hex() for v in prefix_fsums(strided, ends)] == want
+
+
+# chunks of 1, 2, 3 and 7 values put the accumulator's chunk boundaries
+# everywhere, the ends included
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+@settings(max_examples=300, deadline=None)
+@given(case=_values_and_ends())
+def test_prefix_fsums_across_chunk_boundaries(chunk, case):
+    values, ends = case
+    want = [v.hex() for v in memoryview_prefix_fsums(values, ends)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(svf, "_CHUNK", chunk)
+        assert [v.hex() for v in prefix_fsums(values, ends)] == want
+
+
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+@pytest.mark.parametrize("values", [
+    [_INF, 1.0], [-_INF, 2.0, -_INF], [1.0, _NAN], [_INF, _NAN, 3.0],
+    [-_INF, _NAN], [_INF, -_INF], [_INF, _NAN, -_INF], [1e308, 1e308],
+    [-1e308, -1e308, 1.0],
+], ids=["inf", "minus-inf", "nan", "inf-nan", "minus-inf-nan", "inf-minus-inf",
+        "inf-nan-minus-inf", "overflow", "minus-overflow"])
+def test_prefix_fsums_keep_fsum_on_non_finite_and_overflowing_input(monkeypatch, values,
+                                                                    chunk):
+    if chunk is not None:
+        monkeypatch.setattr(svf, "_CHUNK", chunk)
+    try:
+        want = math.fsum(values).hex()
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            prefix_fsums(np.array(values), [len(values)])
+    else:
+        assert prefix_fsums(np.array(values), [len(values)])[0].hex() == want
+
+
+def test_prefix_fsums_sum_past_fsum_intermediate_overflow():
+    # the one deviation from math.fsum: a mixed-sign running sum that leaves
+    # the float range makes fsum raise, while the exact sum is in range
+    values = [1e308, 1e308, -1e308]
+    with pytest.raises(OverflowError, match="intermediate overflow"):
+        math.fsum(values)
+    assert prefix_fsums(np.array(values), [3]) == [1e308]
