@@ -27,12 +27,13 @@ from .svf import (
     RadiusSchedule,
     _ExactSum,
     _checkpoint_chunks,
+    _phi_terms,
     closed_form_dimension,
     critical_exponent_series,
     estimate_sum_growth,
     exponent_profile,
     log_phi_rows,
-    partial_sums,
+    partial_sums,  # unused; benchmarks/test_benchmarks.py traces mc.partial_sums
     prefix_fsums,
     sorted_checkpoints,
 )
@@ -143,9 +144,12 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
     the factors first if not), and an anchor in the first d-1 factors.
 
     The indices are walked once, in chunks of the svf module's _CHUNK cut at
-    the checkpoints: per chunk the radii, hits, weights and exact terms feed
-    two exact accumulators (``svf._ExactSum``), so memory is O(chunk)
-    whatever the horizon is, and each sum equals math.fsum of its terms.
+    the checkpoints, and each chunk's log-radii are computed once: they give
+    the lower curve's terms Phi(t_u), then, exponentiated in place, the radii,
+    hits, weights and exact terms.  Three exact accumulators
+    (``svf._ExactSum``) take the observed, exact and lower curves, so memory
+    is O(chunk) whatever the horizon is, and each sum equals math.fsum of its
+    terms (the lower curve is partial_sums at t_u times c).
     """
     space = stream.space
     d = space.dim
@@ -164,17 +168,18 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
 
     t_u = min(math.fsum(sv[:-1]) + u, math.fsum(sv))
     c_const = math.prod(1.0 / f.c for f in space.factors[:-1])
-    lower = [c_const * v for v in partial_sums(sched, sv, t_u, cps)]
-
-    observed, expected = _ExactSum(), _ExactSum()
-    partials, exact, hit_count = [], [], 0
+    observed, expected, series = _ExactSum(), _ExactSum(), _ExactSum()
+    partials, exact, lower, hit_count = [], [], [], 0
     for ns, N in _checkpoint_chunks(cps):
-        radii = np.exp(sched.log_radii(ns))
+        log_r = sched.log_radii(ns)
+        series.add(_phi_terms(log_r, sv, t_u))
+        radii = np.exp(log_r, out=log_r)
         hits = np.ones(ns.size, dtype=bool)
         for i, factor in enumerate(space.factors[:-1]):
-            coords = stream.factor_coords(i, ns)
-            dist = factor.distance_to_array(coords, anchor[i])
-            hits &= dist <= radii[:, i]
+            # coordinates and distances die here, so the arrays made after
+            # them reuse their memory
+            hits &= factor.distance_to_array(
+                stream.factor_coords(i, ns), anchor[i]) <= radii[:, i]
         weights = radii[:, -1] ** u
         exact_terms = weights
         for i, factor in enumerate(space.factors[:-1]):
@@ -187,13 +192,14 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
         if N is not None:
             partials.append((N, observed.value()))
             exact.append((N, expected.value()))
+            lower.append((N, c_const * series.value()))
     return FiberSumResult(
         anchor=anchor,
         u=float(u),
         checkpoints=tuple(cps),
         partials=tuple(partials),
         expectation_exact=tuple(exact),
-        expectation_lower=tuple(zip(cps, lower)),
+        expectation_lower=tuple(lower),
         hit_count=hit_count,
     )
 

@@ -222,7 +222,8 @@ class Interval(_UnitCoordinateSpace):
         return abs(float(x) - float(y))
 
     def distance_to_array(self, coords: np.ndarray, y) -> np.ndarray:
-        return np.abs(coords - float(y))
+        delta = np.subtract(coords, float(y))
+        return np.abs(delta, out=delta)
 
     def validate_point(self, point) -> None:
         x = float(point)
@@ -263,8 +264,11 @@ class Circle(_UnitCoordinateSpace):
         return min(delta, 1.0 - delta)
 
     def distance_to_array(self, coords: np.ndarray, y) -> np.ndarray:
-        delta = np.abs(coords - float(y)) % 1.0
-        return np.minimum(delta, 1.0 - delta)
+        # |x - y| mod 1, then the shorter way round, in place but for 1 - delta
+        delta = np.subtract(coords, float(y))
+        np.abs(delta, out=delta)
+        np.remainder(delta, 1.0, out=delta)
+        return np.minimum(delta, 1.0 - delta, out=delta)
 
     def validate_point(self, point) -> None:
         x = float(point)
@@ -346,7 +350,8 @@ class Cantor(RegularSpace):
         return abs(self.embed(x) - self.embed(y))
 
     def distance_to_array(self, coords: np.ndarray, y) -> np.ndarray:
-        return np.abs(coords - self.embed(y))
+        delta = np.subtract(coords, self.embed(y))
+        return np.abs(delta, out=delta)
 
     def validate_point(self, point) -> None:
         if not isinstance(point, CantorPoint):

@@ -23,9 +23,10 @@ closed-form minimum over pieces.  Everything here is pure and deterministic.
 Series terms are evaluated in batches of rows by ``log_phi_rows``, which
 works on the d columns of the log-radii: a stable odd-even transposition
 sort of the columns, running sums added column after column, and the piece
-picked with np.where.  No row is sorted on its own, yet each float operation
-is the one a stable per-row argsort followed by row cumsums would do, in the
-same order, so the terms are bit-identical to that route.
+picked with np.where, or by indexing when no row needed a swap.  No row is
+sorted on its own, yet each float operation is the one a stable per-row
+argsort followed by row cumsums would do, in the same order, so the terms
+are bit-identical to that route.
 
 Every exactly rounded partial sum in the package -- series sums here, fiber
 hit sums and their expectations, the divergence table's means -- comes from
@@ -33,7 +34,9 @@ one exact accumulator, ``_ExactSum``, a binned superaccumulator that equals
 ``math.fsum`` of everything added to it, at checkpoints checked by one rule,
 ``sorted_checkpoints``.  ``partial_sums``, ``prefix_fsums`` and the fiber
 hit sum walk their indices once, in chunks of ``_CHUNK`` cut at the
-checkpoints, so their memory is O(chunk) whatever the horizon N is.
+checkpoints, so their memory is O(chunk) whatever the horizon N is.  The
+fiber hit sum reads each chunk's log-radii once, for its three
+accumulators.  The chunk kernels make each array once and work in place.
 """
 
 from __future__ import annotations
@@ -156,7 +159,9 @@ def log_phi_rows(log_r: np.ndarray, s: np.ndarray, t: float) -> np.ndarray:
     with its radius.  Swapping only strict inversions keeps ties in input
     order, so every row ends in its unique stable non-increasing order.  The
     running sums then add column after column from the first, as a row-wise
-    cumsum does, and the piece's values are picked with np.where.  Each float
+    cumsum does, and the piece's values are picked with np.where.  When no
+    compare-exchange swapped anything, every row has one order and the piece
+    is one int: only the running sums below it are made, in place.  Each float
     operation is the one a stable argsort, row cumsum and gather would do, in
     the same order, so the result matches that route bit for bit, signed
     zeros included (``tests/oracles.py`` keeps it as the reference).
@@ -170,23 +175,38 @@ def log_phi_rows(log_r: np.ndarray, s: np.ndarray, t: float) -> np.ndarray:
     if len(ss) != d:
         raise ValueError(f"dimension mismatch: {d} log-radii per row vs {len(ss)} exponents")
     ls = [log_r[:, i] for i in range(d)]
+    swapped = False
     for p in range(d):
         for i in range(p % 2, d - 1, 2):
             swap = ls[i] < ls[i + 1]
             # power-law rows keep one order past some n: most chunks swap nothing
             if not swap.any():
                 continue
+            swapped = True
             ls[i], ls[i + 1] = (np.where(swap, ls[i + 1], ls[i]),
                                 np.where(swap, ls[i], ls[i + 1]))
             ss[i], ss[i + 1] = (np.where(swap, ss[i + 1], ss[i]),
                                 np.where(swap, ss[i], ss[i + 1]))
     csum_s = [ss[0]]
-    csum_sl = [ss[0] * ls[0]]
     for k in range(1, d):
         csum_s.append(csum_s[-1] + ss[k])
-        csum_sl.append(csum_sl[-1] + ss[k] * ls[k])
     # leftmost piece k with csum_s[k] >= t
     piece = np.minimum(sum(c < t for c in csum_s), d - 1)
+    if not swapped:
+        # every row has one order, so the piece is one int: only the running
+        # sums below it are needed, and the selection is plain indexing
+        prev_s, prev_sl = 0.0, 0.0
+        out = np.empty(log_r.shape[0])
+        for k in range(piece):
+            prev_s = csum_s[k]
+            if k == 0:
+                prev_sl = ss[0] * ls[0]
+            else:
+                np.add(prev_sl, np.multiply(ss[k], ls[k], out=out), out=prev_sl)
+        return np.add(prev_sl, np.multiply(t - prev_s, ls[piece], out=out), out=out)
+    csum_sl = [ss[0] * ls[0]]
+    for k in range(1, d):
+        csum_sl.append(csum_sl[-1] + ss[k] * ls[k])
     prev_s, prev_sl, l_piece = 0.0, 0.0, ls[0]
     for k in range(1, d):
         at = piece == k
@@ -299,7 +319,12 @@ class PowerLawSchedule:
         n_min = 1
         for a, k in zip(alphas, coeffs):
             if k > 1.0:
-                n_min = max(n_min, math.ceil(k ** (1.0 / a)))
+                try:
+                    n_min = max(n_min, math.ceil(k ** (1.0 / a)))
+                except OverflowError:
+                    raise ValueError(f"coefficient {k} with decay exponent {a} puts the "
+                                     "first index with radius <= 1 past the float range"
+                                     ) from None
         object.__setattr__(self, "n_min", n_min)
 
     @property
@@ -307,17 +332,26 @@ class PowerLawSchedule:
         return len(self.alphas)
 
     def log_radii(self, ns: np.ndarray) -> np.ndarray:
-        """(N, d) array of log r_{n,i} for the given indices (any n >= 1).
+        """(N, d) array of log r_{n,i} for the given indices (any n >= 1), a
+        fresh array that the caller owns and may overwrite.
 
         The array is column-major: each factor's column is contiguous, the
-        layout the column-wise kernels read.
+        layout the column-wise kernels read.  It is the only array made: the
+        last column holds log n until each column in turn is written as
+        log kappa_i - alpha_i log n, the last one last.
         """
-        ns = np.asarray(ns, dtype=float)
+        ns = np.ravel(ns)
         if np.any(ns < 1):
             raise ValueError("schedule indices start at 1")
-        logn = np.log(ns)[None, :]
-        return (np.log(self.coefficients)[:, None]
-                - np.asarray(self.alphas)[:, None] * logn).T
+        out = np.empty((ns.size, self.dim), order="F")
+        logn = out[:, -1]
+        np.log(ns, out=logn, dtype=float)
+        log_k = np.log(self.coefficients)
+        for i, alpha in enumerate(self.alphas):
+            col = out[:, i]
+            np.multiply(alpha, logn, out=col)
+            np.subtract(log_k[i], col, out=col)
+        return out
 
     def radius_tuple(self, n: int) -> RadiusTuple:
         if n < self.n_min:
@@ -396,6 +430,8 @@ class ExplicitSchedule:
         return len(self.tuples[0])
 
     def log_radii(self, ns: np.ndarray) -> np.ndarray:
+        """(N, d) array of log r_{n,i} for the given indices, a fresh array
+        that the caller owns and may overwrite."""
         ns = np.asarray(ns, dtype=np.int64)
         if np.any(ns < 1):
             raise ValueError("schedule indices start at 1")
@@ -599,11 +635,12 @@ def closed_form_dimension(sched: PowerLawSchedule,
 # ---------------------------------------------------------------------------
 
 # indices per chunk of every streaming loop; with at most 2^16 values in a
-# chunk, _ExactSum's per-bin float sums of 26-bit integers stay below 2^42,
-# so they are exact
+# chunk, _ExactSum's per-bin float sums of integers below 2^27 stay below
+# 2^43, so they are exact
 _CHUNK = 1 << 16
 
 _MASK26 = np.uint64((1 << 26) - 1)
+_BIT26 = np.uint64(1 << 26)
 
 
 class _ExactSum:
@@ -611,9 +648,11 @@ class _ExactSum:
 
     A binned superaccumulator (Neal 2015, arXiv:1505.05571): each chunk of
     values is viewed as uint64 words, whose top 12 bits (sign and biased
-    exponent) pick one of 4096 bins.  Three bincounts per chunk give each
-    bin's sum of the high 26 mantissa bits, of the low 26 bits and the count
-    of implicit leading bits; all three are exact.  The non-empty bins fold
+    exponent) pick one of 4096 bins.  Two weighted bincounts per chunk give
+    each bin's sum of the high 26 mantissa bits plus the implicit leading bit
+    (weight 2^26), and of the low 26 bits; both are exact.  The zero and
+    subnormal bins, 0 and 2048, have no implicit bit: their count times 2^26
+    comes off their high sum again.  The non-empty bins fold
     into one Python int, the sum scaled by 2^1074 (subnormals scale like
     exponent 1 and have no implicit bit; bins from 2048 on are negative).
     ``value`` divides that int by 2^1074, which CPython rounds correctly,
@@ -639,13 +678,18 @@ class _ExactSum:
         for lo in range(0, values.size, _CHUNK):
             chunk = np.ascontiguousarray(values[lo: lo + _CHUNK])
             bits = chunk.view(np.uint64)
-            index = (bits >> np.uint64(52)).astype(np.intp)
-            counts = np.bincount(index, minlength=4096)
-            high = np.bincount(index, (bits >> np.uint64(26) & _MASK26).astype(float), 4096)
-            low = np.bincount(index, (bits & _MASK26).astype(float), 4096)
-            bins = np.flatnonzero(counts)
-            for b, c, h, l in zip(bins.tolist(), counts[bins].tolist(),
-                                  high[bins].tolist(), low[bins].tolist()):
+            # the shifted words are below 4096: their intp view is the bin
+            index = (bits >> np.uint64(52)).view(np.intp)
+            # one scratch array of weights, shifted and masked in place
+            words = bits >> np.uint64(26)
+            np.bitwise_and(words, _MASK26, out=words)
+            np.bitwise_or(words, _BIT26, out=words)
+            high = np.bincount(index, words, 4096)
+            np.bitwise_and(bits, _MASK26, out=words)
+            low = np.bincount(index, words, 4096)
+            # every value adds at least 2^26 to its bin's high sum
+            bins = np.flatnonzero(high)
+            for b, h, l in zip(bins.tolist(), high[bins].tolist(), low[bins].tolist()):
                 e = b & 0x7FF
                 if e == 0x7FF:  # inf or NaN
                     for v in np.unique(chunk[index == b]).tolist():
@@ -655,7 +699,9 @@ class _ExactSum:
                     continue
                 m = (int(h) << 26) + int(l)
                 if e:
-                    m = ((c << 52) + m) << (e - 1)
+                    m <<= e - 1
+                else:  # zeros and subnormals have no implicit bit
+                    m -= int(np.count_nonzero(index == b)) << 52
                 self._total += -m if b >> 11 else m
 
     def value(self) -> float:
@@ -664,6 +710,13 @@ class _ExactSum:
                 raise ValueError("-inf + inf in fsum")
             return self._special
         return self._total / (1 << 1074)
+
+
+def _phi_terms(log_r: np.ndarray, sv: np.ndarray, t: float) -> np.ndarray:
+    """Phi(t) of each row of log-radii, exponentiated in place; the array
+    is the caller's and dies with the expression that adds it to a sum."""
+    terms = log_phi_rows(log_r, sv, t)
+    return np.exp(terms, out=terms)
 
 
 def sorted_checkpoints(Ns: Iterable[int], upper: int | None = None) -> list[int]:
@@ -728,7 +781,7 @@ def partial_sums(sched: RadiusSchedule,
     sv, t = _exponents(s), float(t)
     acc, sums = _ExactSum(), {}
     for ns, N in _checkpoint_chunks(sorted_checkpoints(Ns)):
-        acc.add(np.exp(log_phi_rows(sched.log_radii(ns), sv, t)))
+        acc.add(_phi_terms(sched.log_radii(ns), sv, t))
         if N is not None:
             sums[N] = acc.value()
     return [sums[int(N)] for N in Ns]

@@ -13,7 +13,10 @@ the exact Poisson-binomial law, the row-blocked digit extraction of
 exact sums of series and fiber hit sums against the materialising
 ``math.fsum`` routes they replaced.  Those last oracles share the library's
 term kernels on purpose: they check how the terms are summed, not how each
-is computed.
+is computed.  The broadcast power-law log-radii and the interval and circle
+distance expressions that the in-place kernels replaced are kept too, as
+bit-for-bit references of those kernels (a Cantor distance is the
+interval's on embedded points).
 """
 
 import itertools
@@ -89,6 +92,29 @@ def argsort_log_phi_rows(log_r, s, t):
     prev_s = np.where(piece > 0, csum_s[rows, piece - 1], 0.0)
     prev_sl = np.where(piece > 0, csum_sl[rows, piece - 1], 0.0)
     return prev_sl + (t - prev_s) * log_sorted[rows, piece]
+
+
+def broadcast_log_radii(sched, ns):
+    """log r_{n,i} = log kappa_i - alpha_i log n of a power-law schedule as
+    one (d, N) broadcast expression, transposed to (N, d).
+    ``PowerLawSchedule.log_radii`` fills one column-major array column by
+    column with the same float operations, so the two must agree bit for
+    bit."""
+    logn = np.log(np.asarray(ns, dtype=float))[None, :]
+    return (np.log(sched.coefficients)[:, None]
+            - np.asarray(sched.alphas)[:, None] * logn).T
+
+
+def interval_distance(coords, y):
+    """|x - y| by two plain array expressions."""
+    return np.abs(coords - float(y))
+
+
+def circle_distance(coords, y):
+    """The circle's arc distance, min(delta, 1 - delta) with
+    delta = |x - y| mod 1, each step a new array."""
+    delta = np.abs(coords - float(y)) % 1.0
+    return np.minimum(delta, 1.0 - delta)
 
 
 def dyadic_block_divergence(term, t, levels=(10, 12, 14, 16)):

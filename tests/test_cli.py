@@ -225,6 +225,13 @@ def test_report_incompatible_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_n_min_past_the_float_range_exit_2(runner):
+    result = runner.invoke(main, ["dim", "predict", "--alphas", "0.001", "--s", "1",
+                                  "--coefficients", "3"])
+    assert result.exit_code == 2
+    assert "past the float range" in result.output
+
+
 def test_invalid_t_exit_2(runner):
     result = runner.invoke(main, ["svf", "eval", "--r", "0.5", "--s", "1",
                                   "--t", "5.0"])

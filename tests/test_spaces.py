@@ -22,7 +22,13 @@ from limsupdim import (
 from limsupdim import spaces
 from limsupdim.spaces import _greedy_sorted, factor_from_token
 
-from oracles import cantor_mass_bruteforce, recursive_cantor_mass, searchsorted_greedy
+from oracles import (
+    cantor_mass_bruteforce,
+    circle_distance,
+    interval_distance,
+    recursive_cantor_mass,
+    searchsorted_greedy,
+)
 
 ALL_KINDS = [Interval(), Circle(), Cantor(1 / 3), Cantor(0.25), Cantor(0.4)]
 
@@ -71,6 +77,37 @@ def test_ball_measure_circle_wraps(circle):
 def test_ball_measure_cantor_first_cylinder(cantor_third):
     left = cantor_third.point(())
     assert cantor_third.ball_measure(left, 1 / 3) == pytest.approx(0.5, abs=1e-15)
+
+
+# coordinates below 0, inside [0, 1] and above 1, signed zeros included
+_COORDS = st.one_of(st.floats(-3.0, 4.0), st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.0]))
+
+
+@pytest.mark.parametrize("space, oracle", [
+    (Interval(), interval_distance), (Circle(), circle_distance),
+], ids=["interval", "circle"])
+@settings(max_examples=200, deadline=None)
+@given(coords=st.lists(_COORDS, min_size=1, max_size=50), y=_COORDS)
+def test_distance_to_array_bit_identical_to_oracle(space, oracle, coords, y):
+    coords = np.array(coords)
+    given_coords = coords.copy()
+    got = space.distance_to_array(coords, y)
+    want = oracle(coords, y)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(coords, given_coords)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coords=st.lists(_COORDS, min_size=1, max_size=50),
+       digits=st.lists(st.integers(0, 1), max_size=20))
+def test_cantor_distance_to_array_is_the_interval_one_on_embedded_points(coords, digits):
+    space = Cantor(1 / 3)
+    y = space.point(digits)
+    got = space.distance_to_array(np.array(coords), y)
+    want = interval_distance(np.array(coords), space.embed(y))
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_ball_measure_rejects_negative_radius(interval):

@@ -26,6 +26,7 @@ from limsupdim.svf import log_phi_rows, prefix_fsums
 from oracles import (
     allocation_oracle,
     argsort_log_phi_rows,
+    broadcast_log_radii,
     dyadic_block_divergence,
     materialised_partial_sums,
     memoryview_prefix_fsums,
@@ -165,6 +166,35 @@ def test_log_phi_rows_bit_identical_to_argsort_oracle(data):
     want = argsort_log_phi_rows(log_r, s, t)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _one_order_schedules(d, seed):
+    """A power law and an explicit schedule with a power tail whose every
+    tuple is non-increasing, so no compare-exchange swaps anything."""
+    rng = np.random.default_rng(seed)
+    power = PowerLawSchedule(tuple(np.sort(rng.uniform(0.2, 4.0, d))),
+                             tuple(np.sort(rng.uniform(0.2, 1.0, d))[::-1]))
+    head = [np.sort(row)[::-1] for row in rng.uniform(0.05, 1.0, (50, d))]
+    return power, ExplicitSchedule(head, tail=power)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("n0", [1, 40, 2**20 + 3, 2**40])
+def test_log_phi_rows_one_order_path_matches_argsort_oracle(d, n0):
+    # with one order in every row the piece is one int for the whole batch;
+    # t runs over 0, every breakpoint and the total
+    s = np.random.default_rng(d).choice([0.0, 0.25, 0.5, 1.0, 1.5], d)
+    total = math.fsum(s)
+    ts = [0.0, total] + [min(float(v), total) for v in np.cumsum(s)]
+    ts += [total * f for f in (0.1, 0.45, 0.9)]
+    for sched in _one_order_schedules(d, seed=d + n0):
+        log_r = sched.log_radii(np.arange(n0, n0 + 3000))
+        assert (np.diff(log_r, axis=1) <= 0.0).all()
+        for t in ts:
+            got = log_phi_rows(log_r, s, t)
+            want = argsort_log_phi_rows(log_r, s, t)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_log_phi_rows_dimension_mismatch_raises():
@@ -359,6 +389,12 @@ def test_prefactors_do_not_move_critical_exponent():
     assert shifted == pytest.approx(base, abs=1e-9)
 
 
+def test_n_min_past_the_float_range_is_a_domain_error():
+    # 3^1000 overflows a float; the constructor raised OverflowError
+    with pytest.raises(ValueError, match="past the float range"):
+        PowerLawSchedule((0.001,), (3.0,))
+
+
 def test_n_min_reflects_prefactors():
     sched = PowerLawSchedule((1.0, 2.0), (3.0, 1.0))
     assert sched.n_min == 3
@@ -403,6 +439,38 @@ def test_check_non_increasing_names_the_order_rule(sched, message):
 # ---------------------------------------------------------------------------
 # partial sums and growth
 # ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_log_radii_bit_identical_to_broadcast_oracle(data):
+    d = data.draw(st.integers(1, 6))
+    # kappa^(1/alpha), the first index with radius <= 1, stays in float range
+    alphas = data.draw(st.lists(st.floats(0.05, 50.0), min_size=d, max_size=d))
+    kappas = data.draw(st.lists(st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+                                min_size=d, max_size=d))
+    ns = np.array(data.draw(st.lists(st.one_of(st.just(1), st.integers(1, 2**53)),
+                                     min_size=1, max_size=40)), dtype=np.int64)
+    sched = PowerLawSchedule(tuple(alphas), tuple(kappas))
+    for idx in (ns, ns.astype(float)):
+        got = sched.log_radii(idx)
+        want = broadcast_log_radii(sched, idx)
+        assert got.flags.f_contiguous and got.flags.writeable
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("sched", [
+    PowerLawSchedule((1.5,)), PowerLawSchedule((1, 2), (3.0, 1.0)),
+    PowerLawSchedule((0.5, 1.5, 2.0, 2.5, 3.0, 7.25), (5.0, 1.5, 1.0, 1.0, 0.3, 1e-3)),
+], ids=["d1", "d2", "d6"])
+@pytest.mark.parametrize("n0", [1, 2**53 - 70_000])
+def test_log_radii_of_a_full_chunk_match_the_broadcast_oracle(sched, n0):
+    # a full chunk and a few more indices, past numpy's casting buffers
+    ns = np.arange(n0, n0 + svf._CHUNK + 5, dtype=np.int64)
+    got = sched.log_radii(ns)
+    assert got.flags.f_contiguous and got.flags.writeable
+    assert np.array_equal(got, broadcast_log_radii(sched, ns))
 
 
 def test_partial_sum_t_zero_counts_terms():
@@ -592,3 +660,27 @@ def test_prefix_fsums_sum_past_fsum_intermediate_overflow():
     with pytest.raises(OverflowError, match="intermediate overflow"):
         math.fsum(values)
     assert prefix_fsums(np.array(values), [3]) == [1e308]
+
+
+# one full chunk of a value with all significand bits set makes the largest
+# per-bin sums; zeros and subnormals take 2^26 per value off their high sums
+_FULL = 1 << 16
+_FULL_CHUNKS = {
+    "all-bits-set": np.full(_FULL, np.nextafter(2.0, 0.0)),
+    "minus-all-bits-set": np.full(_FULL, -np.nextafter(2.0, 0.0)),
+    "largest-subnormal": np.full(_FULL, np.nextafter(2.2250738585072014e-308, 0.0)),
+    "signed-zeros-and-tiniest": np.random.default_rng(5).choice(
+        [0.0, -0.0, 5e-324, -5e-324, 5e-324], _FULL),
+    "minus-zeros": np.full(_FULL, -0.0),
+    "one-inf": np.where(np.arange(_FULL) == 123, math.inf, np.nextafter(2.0, 0.0)),
+    "one-nan": np.where(np.arange(_FULL) == 7, math.nan, 5e-324),
+}
+
+
+@pytest.mark.parametrize("name", list(_FULL_CHUNKS))
+def test_exact_sum_of_a_full_chunk_equals_fsum(name):
+    values = _FULL_CHUNKS[name]
+    assert values.size == svf._CHUNK
+    acc = svf._ExactSum()
+    acc.add(values)
+    assert acc.value().hex() == math.fsum(values.tolist()).hex()
