@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spaces import ProductSpace, cover_rectangle
+from .spaces import ProductSpace, _sparse_greedy
 from .svf import (
     PowerLawSchedule,
     RadiusSchedule,
@@ -514,13 +514,20 @@ class TailCoverProfile:
         }
 
 
+MAX_COVER_WINDOW = 1 << 20
+
+
 def tail_cover_sum(stream: OmegaStream, sched: RadiusSchedule,
                    s: Sequence[float], t: float,
                    window: tuple[int, int]) -> TailCoverProfile:
     """Construct the window's rectangle covers and sum their contributions.
 
-    Every index in the window needs a radius tuple, so a window that reaches
-    below the power model's n_min is a domain error.
+    The window is batched: radius tuples, pieces and cube radii rho come as
+    arrays, each factor's centres from one stream draw.  A factor is covered,
+    by the greedy of ``cover_rectangle``, only where its radius exceeds rho.
+
+    A window longer than MAX_COVER_WINDOW, or reaching below the power
+    model's n_min, is a domain error raised before anything is allocated.
     """
     space = stream.space
     sv = _require_matching_regularity(space, s)
@@ -530,6 +537,9 @@ def tail_cover_sum(stream: OmegaStream, sched: RadiusSchedule,
     n0, n1 = int(window[0]), int(window[1])
     if n0 < 1 or n1 < n0:
         raise ValueError("window must satisfy 1 <= N0 <= N1")
+    if n1 - n0 >= MAX_COVER_WINDOW:
+        raise ValueError(f"window [{n0}, {n1}] holds {n1 - n0 + 1} rectangles, "
+                         f"more than the cap of {MAX_COVER_WINDOW}")
     unbuildable = sched.unbuildable
     blocked = range(max(n0, unbuildable.start), min(n1 + 1, unbuildable.stop))
     if blocked:
@@ -540,31 +550,29 @@ def tail_cover_sum(stream: OmegaStream, sched: RadiusSchedule,
 
     c_big = math.prod(4.0**f.s * f.c**2 for f in space.factors)
     ns = np.arange(n0, n1 + 1, dtype=np.int64)
-    phi = np.exp(log_phi_rows(sched.log_radii(ns), sv, float(t)))
+    phi = np.exp(log_phi_rows(sched.log_radii(ns), sv, float(t))).tolist()
     reference = 2.0**t * c_big * math.fsum(phi)
 
-    per_n = []
-    contributions = []
-    for offset, n in enumerate(ns):
-        center = stream.omega(int(n))
-        radii = sched.radius_tuple(int(n))
-        vals = np.asarray(radii.values)
-        order = np.argsort(-vals, kind="stable")
-        s_sorted = sv[order]
-        csum = np.cumsum(s_sorted)
-        piece = min(int((csum < t).sum()), len(vals) - 1)
-        rho = float(vals[order[piece]])
-        report = cover_rectangle(space, center, radii, rho)
-        contribution = report.count * (2.0 * rho) ** t
-        contributions.append(contribution)
-        per_n.append((int(n), report.count, rho, contribution, float(phi[offset])))
-    value = math.fsum(contributions)
+    radii = np.array([sched.radius_tuple(n).values for n in ns.tolist()])
+    order = np.argsort(-radii, axis=1, kind="stable")
+    piece = np.minimum((np.cumsum(sv[order], axis=1) < t).sum(axis=1), space.dim - 1)
+    rows = np.arange(ns.size)
+    rho = radii[rows, order[rows, piece]]
+    counts = [1] * ns.size
+    for i, factor in enumerate(space.factors):
+        need = np.flatnonzero(radii[:, i] > rho)
+        for j, x, side, r in zip(need.tolist(), stream.factor_coords(i, ns[need]).tolist(),
+                                 np.minimum(radii[need, i], factor.diameter).tolist(),
+                                 rho[need].tolist()):
+            counts[j] *= len(_sparse_greedy(factor, x, side, r, None))
+    per_n = tuple((n, count, r, count * (2.0 * r) ** t, p)
+                  for n, count, r, p in zip(ns.tolist(), counts, rho.tolist(), phi))
     return TailCoverProfile(
         t=float(t),
         window=(n0, n1),
-        value=value,
+        value=math.fsum(row[3] for row in per_n),
         reference=reference,
-        per_n=tuple(per_n),
+        per_n=per_n,
     )
 
 

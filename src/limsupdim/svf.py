@@ -640,7 +640,7 @@ def closed_form_dimension(sched: PowerLawSchedule,
 _CHUNK = 1 << 16
 
 _MASK26 = np.uint64((1 << 26) - 1)
-_BIT26 = np.uint64(1 << 26)
+_HIGH26 = _MASK26 << np.uint64(26)
 
 
 class _ExactSum:
@@ -680,10 +680,11 @@ class _ExactSum:
             bits = chunk.view(np.uint64)
             # the shifted words are below 4096: their intp view is the bin
             index = (bits >> np.uint64(52)).view(np.intp)
-            # one scratch array of weights, shifted and masked in place
-            words = bits >> np.uint64(26)
-            np.bitwise_and(words, _MASK26, out=words)
-            np.bitwise_or(words, _BIT26, out=words)
+            # float weights, which bincount takes uncopied: the high bits
+            # (exact below 2^52) scaled down and given the implicit bit
+            words = np.bitwise_and(bits, _HIGH26, out=np.empty(chunk.size))
+            words *= 2.0**-26
+            words += 2.0**26
             high = np.bincount(index, words, 4096)
             np.bitwise_and(bits, _MASK26, out=words)
             low = np.bincount(index, words, 4096)
@@ -781,7 +782,13 @@ def partial_sums(sched: RadiusSchedule,
     sv, t = _exponents(s), float(t)
     acc, sums = _ExactSum(), {}
     for ns, N in _checkpoint_chunks(sorted_checkpoints(Ns)):
-        acc.add(_phi_terms(sched.log_radii(ns), sv, t))
+        # freeing each array once read keeps a d = 2 chunk's peak low
+        # enough that glibc does not trim the heap and fault it in again
+        log_r = sched.log_radii(ns)
+        del ns
+        terms = _phi_terms(log_r, sv, t)
+        del log_r
+        acc.add(terms)
         if N is not None:
             sums[N] = acc.value()
     return [sums[int(N)] for N in Ns]

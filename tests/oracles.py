@@ -16,7 +16,9 @@ term kernels on purpose: they check how the terms are summed, not how each
 is computed.  The broadcast power-law log-radii and the interval and circle
 distance expressions that the in-place kernels replaced are kept too, as
 bit-for-bit references of those kernels (a Cantor distance is the
-interval's on embedded points).
+interval's on embedded points), and so is the per-index tail cover loop,
+one argsort and one ``cover_rectangle`` per rectangle, as the reference of
+the batched window.
 """
 
 import itertools
@@ -24,7 +26,8 @@ import math
 
 import numpy as np
 
-from limsupdim.mc import FiberSumResult
+from limsupdim.mc import FiberSumResult, TailCoverProfile
+from limsupdim.spaces import cover_rectangle
 from limsupdim.svf import log_phi_rows, sorted_checkpoints
 
 GRID = 1000  # allocation grid resolution 1e-3
@@ -333,4 +336,34 @@ def materialised_fiber_hit_sum(stream, sched, s, anchor, u, checkpoints):
         expectation_exact=tuple(zip(cps, memoryview_prefix_fsums(exact_terms, cps))),
         expectation_lower=tuple(zip(cps, lower)),
         hit_count=int(np.count_nonzero(hits)),
+    )
+
+
+def per_n_tail_cover_sum(stream, sched, s, t, window):
+    """The tail cover profile built one rectangle at a time: each index
+    draws its centre, sorts its radius tuple and runs ``cover_rectangle``
+    (no domain checks).  ``limsupdim.mc.tail_cover_sum`` batches the window,
+    so the two must agree bit for bit."""
+    space = stream.space
+    sv = np.asarray(s, dtype=float)
+    n0, n1 = window
+    c_big = math.prod(4.0**f.s * f.c**2 for f in space.factors)
+    ns = np.arange(n0, n1 + 1, dtype=np.int64)
+    phi = np.exp(log_phi_rows(sched.log_radii(ns), sv, float(t)))
+    per_n = []
+    for offset, n in enumerate(ns.tolist()):
+        radii = sched.radius_tuple(n)
+        vals = np.asarray(radii.values)
+        order = np.argsort(-vals, kind="stable")
+        piece = min(int((np.cumsum(sv[order]) < t).sum()), len(vals) - 1)
+        rho = float(vals[order[piece]])
+        report = cover_rectangle(space, stream.omega(n), radii, rho)
+        per_n.append((n, report.count, rho, report.count * (2.0 * rho) ** t,
+                      float(phi[offset])))
+    return TailCoverProfile(
+        t=float(t),
+        window=(n0, n1),
+        value=math.fsum(row[3] for row in per_n),
+        reference=2.0**t * c_big * math.fsum(phi),
+        per_n=tuple(per_n),
     )

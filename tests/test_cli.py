@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import click
@@ -18,6 +19,7 @@ from limsupdim import (
 )
 from limsupdim.cli import RunConfig, RunOutcome, main, run
 from limsupdim.manifests import RunManifest, read_manifests
+from limsupdim.mc import MAX_COVER_WINDOW
 
 
 @pytest.fixture
@@ -141,6 +143,23 @@ def test_mc_tail_cover_runs(runner, tmp_path):
         "--out", str(tmp_path)])
     assert result.exit_code == 0
     assert "dominated=True" in result.output
+
+
+def test_mc_tail_cover_window_past_cap_exit_2(runner):
+    # the cap is checked before anything is drawn or allocated
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, [
+            "mc", "tail-cover", "--space", "circle,circle", "--alphas", "1,2",
+            "--s", "1,1", "--t", "0.5", "--window", "1:10000000000000",
+            "--seed", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert f"more than the cap of {MAX_COVER_WINDOW}" in result.output
+    assert peak < 1 << 20
 
 
 def test_mc_verdict_runs(runner):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -28,6 +29,7 @@ from oracles import (
     harmonic_number,
     materialised_fiber_hit_sum,
     one_shot_bits,
+    per_n_tail_cover_sum,
     poisson_binomial_pmf,
 )
 
@@ -638,6 +640,65 @@ def test_tail_cover_window_below_n_min(torus2):
     with pytest.raises(ValueError, match="includes index 2 below n_min=3"):
         tail_cover_sum(st, explicit, (1, 1), 0.5, (1, 4))
     assert tail_cover_sum(st, explicit, (1, 1), 0.5, (3, 6)).ok
+
+
+def test_tail_cover_window_cap(torus2):
+    st = OmegaStream(5, torus2)
+    sched = PowerLawSchedule((1, 2))
+    n1 = mc.MAX_COVER_WINDOW
+    with pytest.raises(ValueError, match=f"window \\[1, {n1 + 1}\\] holds {n1 + 1} "
+                       f"rectangles, more than the cap of {n1}"):
+        tail_cover_sum(st, sched, (1, 1), 0.5, (1, n1 + 1))
+    with pytest.raises(ValueError, match="more than the cap"):
+        dimension_verdict(sched, (1, 1), torus2, [5],
+                          VerdictConfig(cover_window=(1, 10**13)))
+
+
+_CANTOR_THIRD_S = Cantor(1 / 3).s
+_CANTOR_QUARTER_S = Cantor(0.25).s
+
+
+@pytest.mark.parametrize("factors,s,sched,window", [
+    ((Interval(), Interval()), (1, 1), PowerLawSchedule((2, 3)), (1, 40)),
+    # n = 2 puts the first circle at R = 1/2, where wrap_clash fires
+    ((Circle(), Circle()), (1, 1), PowerLawSchedule((1, 2)), (1, 40)),
+    ((Cantor(1 / 3), Cantor(1 / 3)), (_CANTOR_THIRD_S,) * 2,
+     PowerLawSchedule((1, 2)), (1, 24)),
+    ((Cantor(0.25), Circle()), (_CANTOR_QUARTER_S, 1), PowerLawSchedule((0.5, 1)), (1, 24)),
+    ((Circle(), Interval(), Circle()), (1, 1, 1), PowerLawSchedule((1, 1.5, 2)), (1, 24)),
+    # the running sum of s in radius order ends one ulp below fsum(s), so at
+    # t = fsum(s) the piece is clamped to the last factor
+    ((Interval(), Cantor(1 / 3), Cantor(0.15)), (1, _CANTOR_THIRD_S, Cantor(0.15).s),
+     PowerLawSchedule((1, 1.5, 2)), (1, 16)),
+    # the circle's side 0.8 is clamped to its diameter
+    ((Circle(), Interval()), (1, 1),
+     ExplicitSchedule(((0.3, 0.1), (0.05, 0.2), (0.8, 0.1), (0.4, 0.4)), tail="constant"),
+     (1, 8)),
+    ((Circle(), Interval()), (1, 1),
+     ExplicitSchedule(((0.5, 0.25), (0.1, 0.3)), PowerLawSchedule((1, 2), (3, 1))), (1, 2)),
+    ((Circle(), Interval()), (1, 1),
+     ExplicitSchedule(((0.5, 0.25), (0.1, 0.3)), PowerLawSchedule((1, 2), (3, 1))), (3, 30)),
+    ((Circle(), Circle()), (1, 1), PowerLawSchedule((1, 2), (2, 1)), (5, 40)),
+], ids=["interval2", "torus", "cantor-third2", "cantor-quarter-circle",
+        "circle-interval-circle", "interval-cantor-cantor", "explicit-constant",
+        "explicit-power-head", "explicit-power-tail", "past-n-min"])
+def test_tail_cover_matches_per_n_oracle(factors, s, sched, window):
+    sv = np.asarray(s, dtype=float)
+    # t = 0, every breakpoint of the s partial sums in any order, the total,
+    # and the midpoints between them, where the pieces are open
+    breakpoints = {0.0, math.fsum(sv)}
+    for perm in itertools.permutations(range(len(sv))):
+        breakpoints.update(np.cumsum(sv[list(perm)]).tolist())
+    ts = sorted(breakpoints)
+    ts += [0.5 * (a + b) for a, b in zip(ts, ts[1:])]
+    for seed in (3, 17):
+        stream = OmegaStream(seed, ProductSpace(factors))
+        for t in ts:
+            got = tail_cover_sum(stream, sched, s, t, window)
+            want = per_n_tail_cover_sum(stream, sched, s, t, window)
+            assert got.per_n == want.per_n
+            assert got.value.hex() == want.value.hex()
+            assert got.reference.hex() == want.reference.hex()
 
 
 # ---------------------------------------------------------------------------
