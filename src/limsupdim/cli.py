@@ -162,18 +162,17 @@ class RunOutcome:
     manifest: RunManifest | None = None
 
 
-def _floats(text: str) -> tuple[float, ...]:
+def _values(text: str, kind=float, field: str | None = None) -> tuple:
+    """The comma-separated numbers of ``kind`` (float or int) in ``text``, empty
+    items skipped; an empty list is an error naming ``field``, if given."""
     try:
-        return tuple(float(v) for v in text.split(",") if v != "")
+        values = tuple(kind(v) for v in text.split(",") if v != "")
     except ValueError as exc:
-        raise ValueError(f"expected comma-separated floats, got {text!r}") from exc
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(",") if v != "")
-    except ValueError as exc:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
+        name = "floats" if kind is float else "integers"
+        raise ValueError(f"expected comma-separated {name}, got {text!r}") from exc
+    if field is not None and not values:
+        raise ValueError(f"{field} must list at least one value, got {text!r}")
+    return values
 
 
 def parse_space(text: str) -> ProductSpace:
@@ -184,8 +183,8 @@ def parse_space(text: str) -> ProductSpace:
 
 def _power_law(text: str, cfg: RunConfig, kind=PowerLawSchedule):
     """The power law "power:<alphas>" with the run's coefficients."""
-    coeffs = _floats(cfg.coefficients) if cfg.coefficients else ()
-    return kind(_floats(text.removeprefix("power:")), coeffs)
+    coeffs = _values(cfg.coefficients, field="coefficients") if cfg.coefficients else ()
+    return kind(_values(text.removeprefix("power:")), coeffs)
 
 
 def parse_schedule(cfg: RunConfig):
@@ -195,7 +194,7 @@ def parse_schedule(cfg: RunConfig):
     if text == "explicit":
         if not cfg.tuples:
             raise ValueError("explicit schedule requires 'tuples'")
-        tups = tuple(RadiusTuple(_floats(part)) for part in cfg.tuples.split(";"))
+        tups = tuple(RadiusTuple(_values(part)) for part in cfg.tuples.split(";"))
         tail_text = (cfg.tail or "none").strip()
         if tail_text == "none":
             tail = None
@@ -257,15 +256,15 @@ def _manifest(cfg: RunConfig, statistics: dict, space=None, schedule=None,
 
 
 def _run_svf_eval(cfg: RunConfig) -> RunOutcome:
-    ts = _floats(cfg.t)
+    ts = _values(cfg.t)
     if len(ts) != 1:
         raise ValueError("svf-eval takes a single t")
-    value = singular_value(_floats(cfg.r), _floats(cfg.s), ts[0])
+    value = singular_value(_values(cfg.r), _values(cfg.s), ts[0])
     return RunOutcome(0, [fmt17(value)])
 
 
 def _run_svf_profile(cfg: RunConfig) -> RunOutcome:
-    prof = svf_profile(_floats(cfg.r), _floats(cfg.s))
+    prof = svf_profile(_values(cfg.r), _values(cfg.s))
     rows = [[t, logv, math.exp(logv)] for t, logv in prof.breakpoints]
     body = csv_body(["t", "log_value", "value"], rows)
     lines = [f"sorted_permutation={list(prof.sorted_permutation)}"]
@@ -274,7 +273,7 @@ def _run_svf_profile(cfg: RunConfig) -> RunOutcome:
 
 def _run_dim_predict(cfg: RunConfig) -> RunOutcome:
     sched = parse_schedule(cfg)
-    s = _floats(cfg.s)
+    s = _values(cfg.s)
     methods = [m.strip() for m in cfg.method.split(",") if m.strip()]
     unknown = sorted(set(methods) - {"closed-form", "series"})
     if unknown:
@@ -319,29 +318,31 @@ def _cover_outcome(cfg: RunConfig, report, space, factors) -> RunOutcome:
     return RunOutcome(0 if sound else 1, lines, csv=body, manifest=manifest)
 
 
-def _run_cover_ball(cfg: RunConfig) -> RunOutcome:
+def _single_factor(cfg: RunConfig, message: str) -> tuple:
+    """The run's one factor and its point ``x``; ``message`` rejects a product."""
     space = parse_space(cfg.space)
     if space.dim != 1:
-        raise ValueError("cover-ball takes a single factor space; use cover-rect")
+        raise ValueError(message)
     (factor,) = space.factors
     (x,) = parse_points(space.factors, cfg.x)
+    return factor, x
+
+
+def _run_cover_ball(cfg: RunConfig) -> RunOutcome:
+    factor, x = _single_factor(cfg, "cover-ball takes a single factor space; use cover-rect")
     report = cover_ball(factor, x, cfg.R, cfg.radius)
-    return _cover_outcome(cfg, report, factor, space.factors)
+    return _cover_outcome(cfg, report, factor, (factor,))
 
 
 def _run_cover_rect(cfg: RunConfig) -> RunOutcome:
     space = parse_space(cfg.space)
     center = parse_points(space.factors, cfg.x)
-    report = cover_rectangle(space, center, _floats(cfg.r), cfg.radius)
+    report = cover_rectangle(space, center, _values(cfg.r), cfg.radius)
     return _cover_outcome(cfg, report, space, space.factors)
 
 
 def _run_sparse(cfg: RunConfig) -> RunOutcome:
-    space = parse_space(cfg.space)
-    if space.dim != 1:
-        raise ValueError("sparse subsets are built per factor space")
-    (factor,) = space.factors
-    (x0,) = parse_points(space.factors, cfg.x)
+    factor, x0 = _single_factor(cfg, "sparse subsets are built per factor space")
     rng = np.random.default_rng(cfg.seed) if cfg.seed is not None else None
     points = max_sparse_subset(factor, x0, cfg.R, cfg.radius, rng)
     lo, hi = sparse_bounds(factor, cfg.R, cfg.radius)
@@ -359,13 +360,13 @@ def _run_fiber_sum(cfg: RunConfig) -> RunOutcome:
     if space.dim < 2:
         raise ValueError("fiber sums need a product space")
     sched = parse_schedule(cfg)
-    s = _floats(cfg.s)
-    us = _floats(cfg.u)
+    s = _values(cfg.s)
+    us = _values(cfg.u)
     if len(us) != 1:
         raise ValueError("mc-fiber-sum takes a single u")
     anchor = parse_points(space.factors[:-1], cfg.x)
     stream = OmegaStream(cfg.seed, space)
-    result = fiber_hit_sum(stream, sched, s, anchor, us[0], _ints(cfg.checkpoints))
+    result = fiber_hit_sum(stream, sched, s, anchor, us[0], _values(cfg.checkpoints, int))
     body = csv_body(["N", "statistic", "reference", "ratio"], result.csv_rows())
     manifest = _manifest(cfg, result.statistics(), space=space, schedule=sched,
                          window=[1, result.checkpoints[-1]])
@@ -379,7 +380,7 @@ def _run_fiber_sum(cfg: RunConfig) -> RunOutcome:
 
 def _run_divergence(cfg: RunConfig) -> RunOutcome:
     p = _expectations(cfg)
-    checkpoints = _ints(cfg.checkpoints) if cfg.checkpoints else None
+    checkpoints = _values(cfg.checkpoints, int) if cfg.checkpoints else None
     rng = np.random.default_rng(cfg.seed)
     result = divergence_tail_bound_test(p, cfg.trials, rng, checkpoints)
     body = csv_body(["N", "M", "statistic", "reference", "ratio"], result.csv_rows())
@@ -406,13 +407,13 @@ def _run_density(cfg: RunConfig) -> RunOutcome:
 def _run_tail_cover(cfg: RunConfig) -> RunOutcome:
     space = parse_space(cfg.space)
     sched = parse_schedule(cfg)
-    s = _floats(cfg.s)
+    s = _values(cfg.s)
     window = _window(cfg)
     stream = OmegaStream(cfg.seed, space)
     all_rows = []
     stats = []
     ok = True
-    for t in _floats(cfg.t):
+    for t in _values(cfg.t, field="t"):
         prof = tail_cover_sum(stream, sched, s, t, window)
         ok &= prof.ok
         stats.append(prof.statistics())
@@ -428,8 +429,8 @@ def _run_tail_cover(cfg: RunConfig) -> RunOutcome:
 def _run_verdict(cfg: RunConfig) -> RunOutcome:
     space = parse_space(cfg.space)
     sched = parse_schedule(cfg)
-    s = _floats(cfg.s)
-    seeds = _ints(cfg.seeds)
+    s = _values(cfg.s)
+    seeds = _values(cfg.seeds, int)
     report = dimension_verdict(sched, s, space, seeds, VerdictConfig(tol=cfg.tol))
     body = csv_body(["check", "status", "detail"], report.csv_rows())
     manifest = _manifest(cfg, report.statistics(), space=space, schedule=sched)

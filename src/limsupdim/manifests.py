@@ -22,8 +22,6 @@ MANIFEST_VERSION = 1
 
 def fmt17(x) -> str:
     """Canonical text form: 17 significant digits for floats, str otherwise."""
-    if isinstance(x, bool):
-        return str(x)
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)

@@ -562,8 +562,7 @@ def tail_cover_sum(stream: OmegaStream, sched: RadiusSchedule,
     for i, factor in enumerate(space.factors):
         need = np.flatnonzero(radii[:, i] > rho)
         for j, x, side, r in zip(need.tolist(), stream.factor_coords(i, ns[need]).tolist(),
-                                 np.minimum(radii[need, i], factor.diameter).tolist(),
-                                 rho[need].tolist()):
+                                 radii[need, i].tolist(), rho[need].tolist()):
             counts[j] *= len(_sparse_greedy(factor, x, side, r, None))
     per_n = tuple((n, count, r, count * (2.0 * r) ** t, p)
                   for n, count, r, p in zip(ns.tolist(), counts, rho.tolist(), phi))
@@ -656,6 +655,8 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
     moved to start there, keeping its length.
     """
     cfg = config or VerdictConfig()
+    if len(seeds) == 0:
+        raise ValueError("seeds must hold at least one seed")
     sv = _require_matching_regularity(space, s)
     total = math.fsum(sv)
     checks: list[CheckResult] = []

@@ -32,8 +32,8 @@ whole array of radii, bit for bit the same masses), sample, the counter
 stream (stream_coords, stream_point), density cells (cell_count,
 stream_cells), text (parse_point, format_point), anchor and descriptor.  A
 default serves wrap_clash, needed only by a metric that wraps around.
-Interval and Circle measure balls in closed form; Cantor walks its cylinder
-tree level by level for a block of radii at once.
+Each kind's ball_measure is its checks plus ball_measure_array: closed forms
+for Interval and Circle, and for Cantor a level-order walk of its cylinders.
 """
 
 from __future__ import annotations
@@ -186,7 +186,10 @@ class _UnitCoordinateSpace(RegularSpace):
         return float(self.stream_coords(seed, lane, np.array([n]))[0])
 
     def cell_count(self, delta: float) -> int:
-        return max(1, math.ceil(1.0 / delta))
+        cells = 1.0 / delta
+        if cells == math.inf:
+            raise ValueError(f"delta={delta} is too fine for {self!r}: 1/delta overflows a float")
+        return max(1, math.ceil(cells))
 
     def stream_cells(self, seed: int, lane: int, ns: np.ndarray,
                      delta: float) -> np.ndarray:
@@ -233,7 +236,7 @@ class Interval(_UnitCoordinateSpace):
     def ball_measure(self, x, r: float) -> float:
         self.validate_point(x)
         _check_radius(r, self.diameter)
-        return max(0.0, min(float(x) + r, 1.0) - max(float(x) - r, 0.0))
+        return float(self.ball_measure_array(x, np.array([float(r)]))[0])
 
     def ball_measure_array(self, x, rs: np.ndarray) -> np.ndarray:
         xv = float(x)
@@ -277,12 +280,14 @@ class Circle(_UnitCoordinateSpace):
 
     def ball_measure(self, x, r: float) -> float:
         _check_radius(r, self.diameter)
-        if r == 0.0:
-            return 0.0
-        return min(2.0 * r, 1.0)
+        return float(self.ball_measure_array(x, np.array([float(r)]))[0])
 
     def ball_measure_array(self, x, rs: np.ndarray) -> np.ndarray:
-        return np.minimum(2.0 * rs, 1.0)
+        mass = np.multiply(rs, 2.0)
+        np.minimum(mass, 1.0, out=mass)
+        # adding 0.0 gives a radius of -0.0 the mass +0.0, as the other kinds do
+        mass += 0.0
+        return mass
 
     def net(self, x0, R: float, resolution: float):
         R = min(R, self.diameter)
@@ -544,10 +549,6 @@ class ProductSpace:
     def s_vector(self) -> tuple[float, ...]:
         return tuple(f.s for f in self.factors)
 
-    @property
-    def diameter(self) -> float:
-        return max(f.diameter for f in self.factors)
-
     def distance(self, x: Sequence, y: Sequence) -> float:
         return max(f.distance(a, b) for f, a, b in zip(self.factors, x, y))
 
@@ -655,7 +656,8 @@ def _greedy_shuffled(space: RegularSpace, coords: np.ndarray, points: list,
 
 def _sparse_greedy(space: RegularSpace, x0, R: float, r: float,
                    rng: np.random.Generator | None) -> list:
-    coords, points = space.net(x0, R, r / 4.0)
+    """The greedy over the probe net of B(x0, R), clamped to the space."""
+    coords, points = space.net(x0, min(R, space.diameter), r / 4.0)
     if rng is None:
         return _greedy_sorted(space, coords, points, r)
     return _greedy_shuffled(space, coords, points, r, rng)
@@ -704,7 +706,7 @@ def cover_ball(space: RegularSpace, x, R: float, r: float) -> CoverReport:
     """
     _check_radii(R, r)
     space.validate_point(x)
-    centers = _sparse_greedy(space, x, min(R, space.diameter), r, rng=None)
+    centers = _sparse_greedy(space, x, R, r, rng=None)
     return CoverReport(
         center=x,
         target_radii=(R,),
@@ -735,7 +737,7 @@ def cover_rectangle(space: ProductSpace, center: Sequence, radii, r: float) -> C
         if not 0.0 < r_i < math.inf:
             raise ValueError(f"rectangle side radii must be positive and finite, got {r_i}")
         if r_i > r:
-            centers = _sparse_greedy(factor, x_i, min(r_i, factor.diameter), r, rng=None)
+            centers = _sparse_greedy(factor, x_i, r_i, r, rng=None)
             bound *= sparse_bounds(factor, r_i, r)[1]
         else:
             centers = [x_i]

@@ -20,13 +20,13 @@ exponent profile; the series converges iff e(t) > 1, so t* solves e(t) = 1.
 Two independent routes to t* are provided: bisection on e(t) = 1 and a
 closed-form minimum over pieces.  Everything here is pure and deterministic.
 
-Series terms are evaluated in batches of rows by ``log_phi_rows``, which
-works on the d columns of the log-radii: a stable odd-even transposition
-sort of the columns, running sums added column after column, and the piece
-picked with np.where, or by indexing when no row needed a swap.  No row is
-sorted on its own, yet each float operation is the one a stable per-row
-argsort followed by row cumsums would do, in the same order, so the terms
-are bit-identical to that route.
+Series terms are evaluated in batches of rows by ``log_phi_rows``.  It
+works on the d columns taken in the last row's stable order, the order
+power-law rows keep from some n on: running sums added column after column
+up to the one piece.  Rows in another order are redone one by one by a
+stable argsort, row cumsums and a gather.  The first route does the
+second's float operations in the same order, so every term is the same
+bit for bit whichever route gives it.
 
 Every exactly rounded partial sum in the package -- series sums here, fiber
 hit sums and their expectations, the divergence table's means -- comes from
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -153,67 +154,57 @@ def log_phi_rows(log_r: np.ndarray, s: np.ndarray, t: float) -> np.ndarray:
     non-increasingly by radius (stable, so ties keep original order) and the
     piecewise product is accumulated in log space.  Returns shape (N,).
 
-    The work runs on the d columns, never per row: an odd-even transposition
-    sort of d passes, whose compare-exchanges swap two neighbouring columns
-    only where the left radius is strictly smaller, carries each exponent
-    with its radius.  Swapping only strict inversions keeps ties in input
-    order, so every row ends in its unique stable non-increasing order.  The
-    running sums then add column after column from the first, as a row-wise
-    cumsum does, and the piece's values are picked with np.where.  When no
-    compare-exchange swapped anything, every row has one order and the piece
-    is one int: only the running sums below it are made, in place.  Each float
-    operation is the one a stable argsort, row cumsum and gather would do, in
-    the same order, so the result matches that route bit for bit, signed
-    zeros included (``tests/oracles.py`` keeps it as the reference).
+    The batch takes the last row's stable order, which power-law rows keep
+    from some n on: with the columns and exponents in that order the piece
+    is one int, and only the running sums below it are made, column after
+    column, in place.  The rows in another order are then redone by a stable
+    per-row argsort, row cumsums and a gather.  The first route does the
+    second's float operations in the same order, so each row matches the
+    second bit for bit, signed zeros included (``tests/oracles.py`` keeps it
+    as the reference).
     """
     total = math.fsum(s)
     if not (0.0 <= t <= total):
         raise ValueError(f"t={t} outside [0, {total}]")
     log_r = np.atleast_2d(np.asarray(log_r, dtype=float))
-    d = log_r.shape[1]
-    ss = list(np.asarray(s, dtype=float))
-    if len(ss) != d:
-        raise ValueError(f"dimension mismatch: {d} log-radii per row vs {len(ss)} exponents")
-    ls = [log_r[:, i] for i in range(d)]
-    swapped = False
-    for p in range(d):
-        for i in range(p % 2, d - 1, 2):
-            swap = ls[i] < ls[i + 1]
-            # power-law rows keep one order past some n: most chunks swap nothing
-            if not swap.any():
-                continue
-            swapped = True
-            ls[i], ls[i + 1] = (np.where(swap, ls[i + 1], ls[i]),
-                                np.where(swap, ls[i], ls[i + 1]))
-            ss[i], ss[i + 1] = (np.where(swap, ss[i + 1], ss[i]),
-                                np.where(swap, ss[i], ss[i + 1]))
-    csum_s = [ss[0]]
-    for k in range(1, d):
-        csum_s.append(csum_s[-1] + ss[k])
+    n, d = log_r.shape
+    s = np.asarray(s, dtype=float)
+    if s.size != d:
+        raise ValueError(f"dimension mismatch: {d} log-radii per row vs {s.size} exponents")
+    perm = np.argsort(-log_r[-1], kind="stable").tolist() if n else list(range(d))
+    # d is small: Python floats skip numpy's per-call cost, same additions
+    ls = [log_r[:, i] for i in perm]
+    ss = s[perm].tolist()
+    csum_s = list(accumulate(ss))
     # leftmost piece k with csum_s[k] >= t
-    piece = np.minimum(sum(c < t for c in csum_s), d - 1)
-    if not swapped:
-        # every row has one order, so the piece is one int: only the running
-        # sums below it are needed, and the selection is plain indexing
-        prev_s, prev_sl = 0.0, 0.0
-        out = np.empty(log_r.shape[0])
-        for k in range(piece):
-            prev_s = csum_s[k]
-            if k == 0:
-                prev_sl = ss[0] * ls[0]
-            else:
-                np.add(prev_sl, np.multiply(ss[k], ls[k], out=out), out=prev_sl)
-        return np.add(prev_sl, np.multiply(t - prev_s, ls[piece], out=out), out=out)
-    csum_sl = [ss[0] * ls[0]]
-    for k in range(1, d):
-        csum_sl.append(csum_sl[-1] + ss[k] * ls[k])
-    prev_s, prev_sl, l_piece = 0.0, 0.0, ls[0]
-    for k in range(1, d):
-        at = piece == k
-        prev_s = np.where(at, csum_s[k - 1], prev_s)
-        prev_sl = np.where(at, csum_sl[k - 1], prev_sl)
-        l_piece = np.where(at, ls[k], l_piece)
-    return prev_sl + (t - prev_s) * l_piece
+    piece = min(sum(c < t for c in csum_s), d - 1)
+    prev_s, prev_sl = 0.0, 0.0
+    out = np.empty(n)
+    for k in range(piece):
+        prev_s = csum_s[k]
+        if k == 0:
+            prev_sl = ss[0] * ls[0]
+        else:
+            np.add(prev_sl, np.multiply(ss[k], ls[k], out=out), out=prev_sl)
+    np.add(prev_sl, np.multiply(t - prev_s, ls[piece], out=out), out=out)
+    # a row is in another order when it puts the right column of a pair
+    # first: by a larger value, or by an equal one from an earlier column
+    stray = np.zeros(n, dtype=bool)
+    for i, j in zip(perm, perm[1:]):
+        stray |= log_r[:, i] < log_r[:, j] if i < j else log_r[:, i] <= log_r[:, j]
+    if stray.any():
+        log_r = log_r[stray]
+        order = np.argsort(-log_r, axis=1, kind="stable")
+        log_sorted = np.take_along_axis(log_r, order, axis=1)
+        s_sorted = s[order]
+        csum_s = np.cumsum(s_sorted, axis=1)
+        csum_sl = np.cumsum(s_sorted * log_sorted, axis=1)
+        piece = np.minimum((csum_s < t).sum(axis=1), d - 1)
+        rows = np.arange(log_r.shape[0])
+        prev_s = np.where(piece > 0, csum_s[rows, piece - 1], 0.0)
+        prev_sl = np.where(piece > 0, csum_sl[rows, piece - 1], 0.0)
+        out[stray] = prev_sl + (t - prev_s) * log_sorted[rows, piece]
+    return out
 
 
 def singular_value(r: RadiusTuple | Sequence[float],

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -573,9 +575,14 @@ def test_closed_form_predict_rejects_a_bad_tol(runner, tol):
       "--radius", "0.1"], "inf"),
     (["sparse", "--space", "interval", "--x", "0.5", "--big-radius", "0.5",
       "--radius", "1e-300"], "MAX_NET_POINTS"),
+    (["mc", "density", "--space", "circle", "--delta", "1e-320", "--horizon", "100",
+      "--seed", "1"], "delta=1e-320"),
+    (["mc", "density", "--space", "interval", "--delta", "5e-324", "--horizon", "100",
+      "--seed", "1"], "delta=5e-324"),
 ], ids=["convex-body-tol", "predict-tol", "exponent-inf", "exponent-total",
         "profile-exponent-total", "radius-inf", "exponent-negative", "divergence-p",
-        "cover-radius", "density-delta", "circle-point", "net-cap"])
+        "cover-radius", "density-delta", "circle-point", "net-cap",
+        "circle-cells-overflow", "interval-cells-overflow"])
 def test_out_of_domain_value_exit_2(runner, argv, bad):
     result = runner.invoke(main, argv)
     assert result.exit_code == 2
@@ -700,3 +707,148 @@ def test_minimal_manifest_round_trips():
     again = RunManifest.from_json(m.to_json())
     assert again == m
     assert again.to_json() == m.to_json()
+
+
+_TAIL_COVER_ARGV = ["mc", "tail-cover", "--space", "interval,interval", "--alphas", "1,2",
+                    "--s", "1,1", "--window", "1:16"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mc", "verdict", "--space", "circle,circle", "--alphas", "1,2", "--s", "1,1",
+      "--seeds", ","], "seeds must hold at least one seed"),
+    (_TAIL_COVER_ARGV + ["--t", ",", "--seed", "1"], "t must list at least one value, got ','"),
+    (["dim", "predict", "--alphas", "1,2", "--s", "1,1", "--coefficients", ","],
+     "coefficients must list at least one value, got ','"),
+    (_TAIL_COVER_ARGV + ["--t", "0.5", "--coefficients", ",", "--seed", "1"],
+     "coefficients must list at least one value, got ','"),
+], ids=["verdict-seeds", "tail-cover-t", "predict-coefficients", "tail-cover-coefficients"])
+def test_empty_comma_list_exit_2(runner, argv, message):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    (error,) = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert error == f"Error: {message}"
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def _tail_cover_manifest(runner, out, *argv):
+    result = runner.invoke(main, _TAIL_COVER_ARGV + list(argv) + ["--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return out / "manifest.jsonl"
+
+
+def test_report_merges_tail_cover_manifests(runner, tmp_path):
+    paths = [_tail_cover_manifest(runner, tmp_path / str(seed), "--t", "0.5,1.5",
+                                  "--seed", str(seed)) for seed in (9, 10)]
+    merged = tmp_path / "merged.csv"
+    result = runner.invoke(main, ["report"] + [str(p) for p in paths] + ["--out", str(merged)])
+    assert result.exit_code == 0, result.output
+    assert result.output == "merged 2 manifests\n"
+    profiles = [read_manifests(p)[0].statistics["profiles"] for p in paths]
+    want = cli.csv_body(
+        ["t", "seed_9", "seed_10", "reference", "log10_reference"],
+        [[a["t"], a["value"], b["value"], a["reference"], math.log10(a["reference"])]
+         for a, b in zip(*profiles)])
+    assert merged.read_bytes().decode("utf-8") == want
+
+
+@pytest.mark.parametrize("second, message", [
+    (_TAIL_COVER_ARGV + ["--t", "0.5,1.0"], "t grids or windows differ"),
+    (_TAIL_COVER_ARGV[:-1] + ["1:8", "--t", "0.5,1.5"], "t grids or windows differ"),
+    (["mc", "tail-cover", "--space", "interval,interval", "--alphas", "1,3", "--s", "1,1",
+      "--window", "1:16", "--t", "0.5,1.5"], "schedule/space descriptors differ"),
+    (["mc", "tail-cover", "--space", "circle,interval", "--alphas", "1,2", "--s", "1,1",
+      "--window", "1:16", "--t", "0.5,1.5"], "schedule/space descriptors differ"),
+], ids=["t-grid", "window", "schedule", "space"])
+def test_report_rejects_unlike_tail_cover_manifests(runner, tmp_path, second, message):
+    first = _tail_cover_manifest(runner, tmp_path / "a", "--t", "0.5,1.5", "--seed", "9")
+    res = runner.invoke(main, second + ["--seed", "10", "--out", str(tmp_path / "b")])
+    assert res.exit_code == 0, res.output
+    result = runner.invoke(main, ["report", str(first), str(tmp_path / "b" / "manifest.jsonl")])
+    assert result.exit_code == 2
+    assert f"Error: incompatible manifests: {message}" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("flag, values", [("--checkpoints", ("100", "100,1000")),
+                                          ("--u", ("0", "0.5"))])
+def test_report_rejects_fiber_manifests_unlike_in_checkpoints_or_u(runner, tmp_path,
+                                                                   flag, values):
+    argv = {"--checkpoints": "100", "--u": "0"}
+    paths = []
+    for seed, value in zip((9, 10), values):
+        opts = {**argv, flag: value}
+        res = runner.invoke(main, [
+            "mc", "fiber-sum", "--space", "circle,circle", "--alphas", "1,2", "--s", "1,1",
+            "--anchor", "0.5", "--seed", str(seed), "--out", str(tmp_path / str(seed)),
+            "--checkpoints", opts["--checkpoints"], "--u", opts["--u"]])
+        assert res.exit_code == 0, res.output
+        paths.append(str(tmp_path / str(seed) / "manifest.jsonl"))
+    result = runner.invoke(main, ["report"] + paths)
+    assert result.exit_code == 2
+    assert "Error: incompatible manifests: checkpoints or u differ" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("tail, window, descriptor", [
+    ("none", "1:2", None),
+    ("constant", "1:5", "constant"),
+])
+def test_explicit_schedule_config_replays_byte_for_byte(runner, tmp_path, monkeypatch,
+                                                        tail, window, descriptor):
+    # the second run reads the first's manifest config, in a directory of
+    # its own so that the relative --out is the same
+    config = {"command": "mc-tail-cover", "space": "circle,interval",
+              "schedule": "explicit", "tuples": "0.5,0.25;0.3,0.2", "tail": tail,
+              "s": "1,1", "t": "0.5,1.5", "window": window, "seed": 3, "out": "o"}
+    runs = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        monkeypatch.chdir(tmp_path / sub)
+        Path("run.json").write_text(json.dumps(config))
+        result = runner.invoke(main, ["mc", "tail-cover", "--config", "run.json"])
+        assert result.exit_code == 0, result.output
+        line = Path("o/manifest.jsonl").read_text()
+        config = json.loads(line)["params"]["config"]
+        masked = re.sub(r'"wall_clock": [^,}]+', '"wall_clock": 0', line)
+        runs.append((result.output, Path("o/mc_tail_cover.csv").read_bytes(), masked))
+    assert runs[0] == runs[1]
+    assert read_manifests(tmp_path / "a" / "o" / "manifest.jsonl")[0].schedule == {
+        "kind": "explicit", "tuples": [[0.5, 0.25], [0.3, 0.2]], "tail": descriptor}
+
+
+_TAIL_COVER_CONFIG = {"command": "mc-tail-cover", "space": "circle,circle", "s": "1,1",
+                      "t": "0.5", "window": "1:2", "seed": 5}
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("mc-density", [1, 2], "a config must be a JSON object"),
+    ("mc-density", {"space": "circle"}, "config is missing the 'command' key"),
+    ("mc-density", {"command": "mc-density", "version": 2, "space": "circle", "delta": 0.2,
+                    "horizon": 100, "seed": 5}, "unsupported config version 2"),
+    ("mc-tail-cover", {**_TAIL_COVER_CONFIG, "schedule": "explicit", "tuples": "0.5,0.25",
+                       "tail": "linear"}, "unknown tail model 'linear'"),
+    ("mc-tail-cover", {**_TAIL_COVER_CONFIG, "schedule": "geometric"},
+     "unknown schedule 'geometric'"),
+], ids=["not-an-object", "no-command", "version", "tail", "schedule"])
+def test_config_of_a_bad_form_exit_2(runner, tmp_path, command, data, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, command.split("-", 1) + ["--config", str(path)])
+    assert result.exit_code == 2
+    assert message in result.output
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(RunConfig.from_dict(data))
+
+
+def test_divergence_power_expectations():
+    outcome = run(RunConfig(command="mc-divergence", p="power:0.5", N=200, trials=1000,
+                            seed=4))
+    n = np.arange(1, 201, dtype=float)
+    want = divergence_tail_bound_test(np.minimum(1.0, n**-0.5), 1000,
+                                      np.random.default_rng(4))
+    assert outcome.manifest.statistics == want.statistics()
+    assert outcome.csv == cli.csv_body(["N", "M", "statistic", "reference", "ratio"],
+                                       want.csv_rows())

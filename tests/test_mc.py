@@ -566,6 +566,22 @@ def test_density_rejects_delta_below_cantor_sampling_depth():
         density_check(st, delta, 10)
 
 
+@pytest.mark.parametrize("factor, delta", [(Circle(), 1e-320), (Interval(), 5e-324)],
+                         ids=["circle", "interval"])
+def test_density_rejects_delta_whose_inverse_overflows(factor, delta):
+    # 1/delta is inf: a domain error naming delta, raised before the
+    # horizon's arrays are made
+    st = OmegaStream(6, ProductSpace((factor,)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"delta={delta!r} is too fine"):
+            density_check(st, delta, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 # ---------------------------------------------------------------------------
 # tail cover sums
 # ---------------------------------------------------------------------------
@@ -777,3 +793,23 @@ def test_verdict_cover_window_starts_at_n_min(torus2, sched, start):
     cover = next(c for c in rep.checks if c.name == "cover-domination")
     assert cover.status == "PASS"
     assert f"window={[start, start + 47]}" in cover.detail
+
+
+def test_verdict_rejects_no_seeds(torus2):
+    with pytest.raises(ValueError, match="seeds must hold at least one seed"):
+        dimension_verdict(PowerLawSchedule((1, 2)), (1, 1), torus2, [], FAST_VERDICT)
+
+
+def test_verdict_when_the_series_diverges_up_to_the_total(torus2):
+    # e(total) = 0.4 <= 1: t* is the total, e never reaches 1/2, so the
+    # divergent slope is taken at half the total and there is no convergent side
+    rep = dimension_verdict(PowerLawSchedule((0.2, 0.2)), (1, 1), torus2, [3], FAST_VERDICT)
+    assert rep.predicted_dimension == 2.0
+    assert rep.passed
+    by_name = {c.name: c for c in rep.checks}
+    divergent = by_name["divergent-slope"]
+    assert divergent.status == "PASS"
+    assert divergent.detail.startswith("t=1.0 ") and divergent.detail.endswith("target=0.8")
+    assert by_name["convergent-slope"].status == "SKIPPED"
+    assert by_name["convergent-slope"].detail == (
+        "series diverges up to total(s); no convergent side")

@@ -482,12 +482,15 @@ def test_factor_protocol_conformance(space, rng):
     space.validate_point(anchor)
     sampled = space.sample(rng)
 
-    # ball measures: the array form is the scalar one, bit for bit
-    rs = np.concatenate([[0.0], space.diameter * 2.0 ** -np.arange(0.0, 30.0, 0.5),
+    # ball measures: the array form is the scalar one, bit for bit, and a
+    # radius of -0.0 weighs +0.0
+    rs = np.concatenate([[0.0, -0.0], space.diameter * 2.0 ** -np.arange(0.0, 30.0, 0.5),
                          [2.0 * space.diameter]])
     for x in (anchor, sampled):
-        assert space.ball_measure_array(x, rs).tolist() == [
-            space.ball_measure(x, float(r)) for r in rs]
+        masses = space.ball_measure_array(x, rs)
+        scalars = np.array([space.ball_measure(x, float(r)) for r in rs])
+        assert masses.view(np.int64).tolist() == scalars.view(np.int64).tolist()
+        assert not np.signbit(masses).any()
 
     # the counter stream: one point, a one-index block and a long block
     # embed to the same value, and a stream point written as text parses

@@ -168,9 +168,26 @@ def test_log_phi_rows_bit_identical_to_argsort_oracle(data):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _assert_kernel_matches_oracle(log_r, s, ts):
+    for t in ts:
+        got = log_phi_rows(log_r, s, t)
+        want = argsort_log_phi_rows(log_r, s, t)
+        assert got.shape == want.shape == (log_r.shape[0],)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _every_t(s):
+    """0, every breakpoint of the running sums of s, the total and points
+    between them."""
+    total = math.fsum(s)
+    ts = [0.0, total] + [min(float(v), total) for v in np.cumsum(s)]
+    return ts + [total * f for f in (0.1, 0.45, 0.9)]
+
+
 def _one_order_schedules(d, seed):
     """A power law and an explicit schedule with a power tail whose every
-    tuple is non-increasing, so no compare-exchange swaps anything."""
+    tuple is non-increasing, so every row has the identity order."""
     rng = np.random.default_rng(seed)
     power = PowerLawSchedule(tuple(np.sort(rng.uniform(0.2, 4.0, d))),
                              tuple(np.sort(rng.uniform(0.2, 1.0, d))[::-1]))
@@ -184,17 +201,62 @@ def test_log_phi_rows_one_order_path_matches_argsort_oracle(d, n0):
     # with one order in every row the piece is one int for the whole batch;
     # t runs over 0, every breakpoint and the total
     s = np.random.default_rng(d).choice([0.0, 0.25, 0.5, 1.0, 1.5], d)
-    total = math.fsum(s)
-    ts = [0.0, total] + [min(float(v), total) for v in np.cumsum(s)]
-    ts += [total * f for f in (0.1, 0.45, 0.9)]
     for sched in _one_order_schedules(d, seed=d + n0):
         log_r = sched.log_radii(np.arange(n0, n0 + 3000))
         assert (np.diff(log_r, axis=1) <= 0.0).all()
-        for t in ts:
-            got = log_phi_rows(log_r, s, t)
-            want = argsort_log_phi_rows(log_r, s, t)
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+        _assert_kernel_matches_oracle(log_r, s, _every_t(s))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_log_phi_rows_shared_non_identity_order_matches_argsort_oracle(d):
+    # rows drawn from a few values, signed zeros among them, kept when their
+    # stable order is the most common non-identity order that leaves room
+    # for a tie (two neighbours in input order; none for d = 2): every row
+    # then shares it, ties included
+    rng = np.random.default_rng(d)
+    pool = rng.choice([0.0, -0.0, -0.5, -1.0, -2.0, -1e-300, -40.0], (20000, d))
+    orders = np.argsort(-pool, axis=1, kind="stable")
+    keys, counts = np.unique(orders, axis=0, return_counts=True)
+    counts[(keys == np.arange(d)).all(axis=1)] = 0
+    if d > 2:
+        counts[~(np.diff(keys, axis=1) > 0).any(axis=1)] = 0
+    perm = keys[np.argmax(counts)]
+    log_r = pool[(orders == perm).all(axis=1)]
+    assert (np.diff(np.sort(log_r, axis=1), axis=1) == 0.0).any() == (d > 2)
+    zeros = log_r == 0.0
+    assert (zeros & np.signbit(log_r)).any() and (zeros & ~np.signbit(log_r)).any()
+    for s in (rng.choice([0.0, -0.0, 0.25, 0.5, 1.0, 1.5], d), rng.uniform(0.0, 2.0, d)):
+        _assert_kernel_matches_oracle(log_r, s, _every_t(s))
+
+
+@pytest.mark.parametrize("alphas", [(2, 1), (3, 1, 2)])
+def test_log_phi_rows_tied_first_row_matches_argsort_oracle(alphas):
+    # the first chunk of a power law whose decay exponents are not
+    # ascending: n = 1 gives a row of equal log-radii, whose stable order is
+    # the identity, while every later row puts the slowest decay first
+    log_r = PowerLawSchedule(alphas).log_radii(np.arange(1, svf._CHUNK + 1))
+    assert (log_r[0] == 0.0).all()
+    orders = np.argsort(-log_r, axis=1, kind="stable")
+    assert (orders[0] == np.arange(len(alphas))).all()
+    assert (orders[1:] == np.argsort(alphas, kind="stable")).all()
+    for s in ((1.0,) * len(alphas), (0.5, 1.5, 0.25)[:len(alphas)]):
+        _assert_kernel_matches_oracle(log_r, np.array(s), _every_t(s))
+
+
+def test_log_phi_rows_tie_against_the_batch_order_matches_argsort_oracle():
+    # the last row puts column 1 first; a tie keeps column 0 first, which
+    # changes the order of the running sums and so their rounding
+    rng = np.random.default_rng(5)
+    log_r = np.vstack([np.repeat(-rng.uniform(0.0, 3.0, (200, 1)), 2, axis=1), [-1.0, 0.0]])
+    for _ in range(20):
+        s = rng.uniform(0.0, 2.0, 2)
+        _assert_kernel_matches_oracle(log_r, s, _every_t(s) + list(rng.uniform(0.0, s.sum(), 5)))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_log_phi_rows_zero_rows(d):
+    s = np.full(d, 0.5)
+    _assert_kernel_matches_oracle(np.empty((0, d)), s, _every_t(s))
 
 
 def test_log_phi_rows_dimension_mismatch_raises():
