@@ -43,6 +43,7 @@ from .mc import (
     tail_cover_sum,
 )
 from .spaces import (
+    MAX_NET_POINTS,
     ProductSpace,
     cover_ball,
     cover_rectangle,
@@ -265,7 +266,7 @@ def _run_svf_eval(cfg: RunConfig) -> RunOutcome:
 
 def _run_svf_profile(cfg: RunConfig) -> RunOutcome:
     prof = svf_profile(_values(cfg.r), _values(cfg.s))
-    rows = [[t, logv, math.exp(logv)] for t, logv in prof.breakpoints]
+    rows = [[t, logv, prof.value(t)] for t, logv in prof.breakpoints]
     body = csv_body(["t", "log_value", "value"], rows)
     lines = [f"sorted_permutation={list(prof.sorted_permutation)}"]
     return RunOutcome(0, lines, csv=body)
@@ -302,6 +303,11 @@ def _run_convex_body(cfg: RunConfig) -> RunOutcome:
 
 
 def _cover_outcome(cfg: RunConfig, report, space, factors) -> RunOutcome:
+    # each cube is one CSV row: a count past the net cap is refused before
+    # any row is made
+    if report.count > MAX_NET_POINTS:
+        raise ValueError(f"the cover holds {report.count} cubes, more than "
+                         f"MAX_NET_POINTS = {MAX_NET_POINTS} rows to list")
     sound = verify_cover(space, report)
     rows = []
     for idx, combo in enumerate(itertools.product(*report.factor_centers)):

@@ -438,7 +438,8 @@ def density_check(stream: OmegaStream, delta: float, horizon: int) -> DensityRep
     """Count centers per cell of a delta-net at horizon and horizon // 2.
 
     Cells are products of per-factor cells of diameter at most delta (each
-    factor's cell_count and stream_cells).
+    factor's cell_count and stream_cells), indexed row-major.  The indices are
+    walked once in chunks cut at both horizons: memory is O(chunk + cells).
 
     A delta whose cell count exceeds MAX_DENSITY_CELLS, or finer than a
     factor's stream resolves, is a domain error raised before anything is
@@ -457,19 +458,21 @@ def density_check(stream: OmegaStream, delta: float, horizon: int) -> DensityRep
             f"more than the cap of {MAX_DENSITY_CELLS}"
         )
 
-    # a cell is a function of the index alone: the half horizon's cells are
-    # a prefix of the full horizon's
-    ns = np.arange(1, horizon + 1)
-    index = np.zeros(horizon, dtype=np.int64)
-    for i, (factor, count) in enumerate(zip(space.factors, cells)):
-        index = index * count + factor.stream_cells(stream.seed, i, ns, delta)
     half = horizon // 2
+    # counts is rebound, not added to in place, so counts_half stays a snapshot
+    counts = counts_half = np.zeros(total_cells, dtype=np.int64)
+    for ns, N in _checkpoint_chunks(sorted({half, horizon} - {0})):
+        index = np.ravel_multi_index([factor.stream_cells(stream.seed, i, ns, delta)
+                                      for i, factor in enumerate(space.factors)], cells)
+        counts = counts + np.bincount(index, minlength=total_cells)
+        if N == half:
+            counts_half = counts
     return DensityReport(
         delta=delta,
         horizons=(half, horizon),
         cell_count=total_cells,
-        counts_half=tuple(np.bincount(index[:half], minlength=total_cells).tolist()),
-        counts_full=tuple(np.bincount(index, minlength=total_cells).tolist()),
+        counts_half=tuple(counts_half.tolist()),
+        counts_full=tuple(counts.tolist()),
     )
 
 

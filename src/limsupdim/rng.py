@@ -8,7 +8,7 @@ the splitmix64 finalizer applied in three keyed rounds; its statistical
 quality is certified empirically by the chi-square tests in the test suite.
 
 All functions are pure and operate on numpy uint64 arrays (wraparound
-arithmetic is intentional).
+arithmetic is intentional); ``bits`` is one ``np.unpackbits`` of the words' bytes.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ _LANE_SALT = np.uint64(0xD6E8FEB86659FD93)
 _U64_MASK = (1 << 64) - 1
 # 2^-53, the spacing of doubles in [1, 2); top 53 bits of a word map to [0, 1)
 _INV_2_53 = float(2.0**-53)
-# words per block of bits(): its uint64 temporaries stay O(block), not O(len)
-_BITS_ROWS = 4096
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -54,15 +52,13 @@ def uniform01(seed: int, lane: int, indices: np.ndarray | int) -> np.ndarray:
 
 
 def bits(seed: int, lane: int, indices: np.ndarray | int, nbits: int) -> np.ndarray:
-    """The low ``nbits`` bits of each hash word as a (len, nbits) 0/1 array.
+    """The low ``nbits`` bits of each hash word as a (len, nbits) 0/1 array,
+    lowest bit first: one unpack of the words' little-endian bytes.
 
     nbits must be at most 64; used for i.i.d. fair digit sequences.
     """
     if not 0 < nbits <= 64:
         raise ValueError(f"nbits must be in 1..64, got {nbits}")
-    w = words(seed, lane, indices)
-    shifts = np.arange(nbits, dtype=np.uint64)
-    out = np.empty((w.size, nbits), dtype=np.int8)
-    for a in range(0, w.size, _BITS_ROWS):
-        out[a:a + _BITS_ROWS] = (w[a:a + _BITS_ROWS, None] >> shifts) & np.uint64(1)
-    return out
+    w = words(seed, lane, indices).astype("<u8", copy=False)
+    return np.unpackbits(w.view(np.uint8).reshape(-1, 8), axis=1, count=nbits,
+                         bitorder="little").view(np.int8)

@@ -239,10 +239,16 @@ class Interval(_UnitCoordinateSpace):
         return float(self.ball_measure_array(x, np.array([float(r)]))[0])
 
     def ball_measure_array(self, x, rs: np.ndarray) -> np.ndarray:
+        # min(x + r, 1) - max(x - r, 0), floored at 0: one array per end,
+        # each worked in place
         xv = float(x)
-        return np.maximum(
-            0.0, np.minimum(xv + rs, 1.0) - np.maximum(xv - rs, 0.0)
-        )
+        lo = np.subtract(xv, rs)
+        np.maximum(lo, 0.0, out=lo)
+        mass = np.add(xv, rs)
+        np.minimum(mass, 1.0, out=mass)
+        mass -= lo
+        # 0.0 first: a -0.0 difference (x = r = -0.0) comes out as +0.0
+        return np.maximum(0.0, mass, out=mass)
 
     def net(self, x0, R: float, resolution: float):
         lo = max(0.0, float(x0) - R)

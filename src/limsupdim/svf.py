@@ -32,11 +32,13 @@ Every exactly rounded partial sum in the package -- series sums here, fiber
 hit sums and their expectations, the divergence table's means -- comes from
 one exact accumulator, ``_ExactSum``, a binned superaccumulator that equals
 ``math.fsum`` of everything added to it, at checkpoints checked by one rule,
-``sorted_checkpoints``.  ``partial_sums``, ``prefix_fsums`` and the fiber
-hit sum walk their indices once, in chunks of ``_CHUNK`` cut at the
-checkpoints, so their memory is O(chunk) whatever the horizon N is.  The
-fiber hit sum reads each chunk's log-radii once, for its three
-accumulators.  The chunk kernels make each array once and work in place.
+``sorted_checkpoints``.  ``partial_sums``, ``prefix_fsums``, the fiber
+hit sum and the density check walk their indices once, in chunks of
+``_CHUNK`` cut at the checkpoints (the density check's are its two
+horizons), so their memory is O(chunk) whatever the horizon N is, plus the
+density check's cell counts.  The fiber hit sum reads each chunk's
+log-radii once, for its three accumulators.  The chunk kernels make each
+array once and work in place.
 """
 
 from __future__ import annotations
@@ -518,8 +520,9 @@ class ExponentProfile:
 
     def level_crossing(self, level: float) -> float | None:
         """Smallest t with e(t) = level by direct piecewise solve, or None if
-        e stays below the level on [0, total].  Used as a test oracle against
-        the bisection route."""
+        e stays below the level on [0, total].  The verdict takes its
+        divergent-side probe t_minus from it, and the tests check the
+        bisection route against it."""
         if self.value(self.total) < level:
             return None
         ts = [b[0] for b in self.breakpoints]

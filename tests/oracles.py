@@ -8,17 +8,18 @@ plain partial sums, and Cantor ball masses against full cylinder
 enumeration and against the depth-first recursion that the library's
 level-order kernel replaced, the sorted first-fit scan against the
 searchsorted-jump greedy it replaced, simulated Bernoulli counts against
-the exact Poisson-binomial law, the row-blocked digit extraction of
-``rng.bits`` against the one-shot expression it replaced, and the streamed
-exact sums of series and fiber hit sums against the materialising
-``math.fsum`` routes they replaced.  Those last oracles share the library's
-term kernels on purpose: they check how the terms are summed, not how each
-is computed.  The broadcast power-law log-radii and the interval and circle
-distance expressions that the in-place kernels replaced are kept too, as
-bit-for-bit references of those kernels (a Cantor distance is the
-interval's on embedded points), and so is the per-index tail cover loop,
-one argsort and one ``cover_rectangle`` per rectangle, as the reference of
-the batched window.
+the exact Poisson-binomial law, the byte unpacking of ``rng.bits`` against
+the shift-and-mask expression it replaced, and the streamed exact sums of
+series and fiber hit sums against the materialising ``math.fsum`` routes
+they replaced.  Those last oracles share the library's term kernels on
+purpose: they check how the terms are summed, not how each is computed.
+The chunked density check is held to the whole-horizon count it replaced
+in the same way: both read the factors' ``stream_cells``.  The broadcast
+power-law log-radii and the interval and circle distance expressions that
+the in-place kernels replaced are kept too, as bit-for-bit references of
+those kernels (a Cantor distance is the interval's on embedded points),
+and so is the per-index tail cover loop, one argsort and one
+``cover_rectangle`` per rectangle, as the reference of the batched window.
 """
 
 import itertools
@@ -26,7 +27,7 @@ import math
 
 import numpy as np
 
-from limsupdim.mc import FiberSumResult, TailCoverProfile
+from limsupdim.mc import DensityReport, FiberSumResult, TailCoverProfile
 from limsupdim.spaces import cover_rectangle
 from limsupdim.svf import log_phi_rows, sorted_checkpoints
 
@@ -336,6 +337,29 @@ def materialised_fiber_hit_sum(stream, sched, s, anchor, u, checkpoints):
         expectation_exact=tuple(zip(cps, memoryview_prefix_fsums(exact_terms, cps))),
         expectation_lower=tuple(zip(cps, lower)),
         hit_count=int(np.count_nonzero(hits)),
+    )
+
+
+def materialised_density_counts(stream, delta, horizon):
+    """The density report with the cell of every index up to the horizon
+    held in one array, built factor by factor as index * count + cell, and
+    both horizons counted by bincount of a prefix (no domain checks).
+    ``limsupdim.mc.density_check`` counts the same cells chunk by chunk, so
+    the two must agree exactly."""
+    factors = stream.space.factors
+    cells = [factor.cell_count(delta) for factor in factors]
+    total_cells = math.prod(cells)
+    ns = np.arange(1, horizon + 1)
+    index = np.zeros(horizon, dtype=np.int64)
+    for i, (factor, count) in enumerate(zip(factors, cells)):
+        index = index * count + factor.stream_cells(stream.seed, i, ns, delta)
+    half = horizon // 2
+    return DensityReport(
+        delta=delta,
+        horizons=(half, horizon),
+        cell_count=total_cells,
+        counts_half=tuple(np.bincount(index[:half], minlength=total_cells).tolist()),
+        counts_full=tuple(np.bincount(index, minlength=total_cells).tolist()),
     )
 
 

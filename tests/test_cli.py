@@ -22,6 +22,7 @@ from limsupdim import (
 from limsupdim.cli import RunConfig, RunOutcome, main, run
 from limsupdim.manifests import RunManifest, read_manifests
 from limsupdim.mc import MAX_COVER_WINDOW
+from limsupdim.spaces import MAX_NET_POINTS
 
 
 @pytest.fixture
@@ -41,6 +42,22 @@ def test_svf_profile_csv(runner):
     assert result.exit_code == 0
     assert "t,log_value,value" in result.output
     assert "sorted_permutation=[0, 1]" in result.output
+
+
+@pytest.mark.parametrize("r, s", [("0.686,0.822", "1,1"), ("0.5,0.25", "1,1"),
+                                  ("0.3,0.9,0.6", "0.5,1,0.25"), ("0.7,0.7", "1,0")])
+def test_svf_profile_values_equal_svf_eval(runner, r, s):
+    # the profile's value column is svf eval's output at each breakpoint,
+    # byte for byte: math.exp there printed 0.56389200000000006 for the
+    # first case at t = 2, where svf eval prints 0.56389199999999995
+    result = runner.invoke(main, ["svf", "profile", "--r", r, "--s", s])
+    assert result.exit_code == 0
+    rows = result.output.splitlines()[2:]
+    assert rows
+    for row in rows:
+        t, _, value = row.split(",")
+        evaluated = runner.invoke(main, ["svf", "eval", "--r", r, "--s", s, "--t", t])
+        assert evaluated.output.strip() == value
 
 
 def test_dim_predict_agreement(runner):
@@ -89,6 +106,35 @@ def test_cover_rect_command(runner):
         "--r", "0.4,0.05", "--radius", "0.05"])
     assert result.exit_code == 0
     assert "sound=True" in result.output
+
+
+def test_cover_rect_lists_every_cube(runner):
+    result = runner.invoke(main, [
+        "cover", "rect", "--space", "interval,interval", "--x", "0.5,0.5",
+        "--r", "0.5,0.5", "--radius", "0.002"])
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    assert lines[:3] == ["count=244036", "bound=16000000", "sound=True"]
+    assert lines[3] == "index,center,radius"
+    assert len(lines) == 4 + 244036 and lines[-1].startswith("244035,")
+
+
+def test_cover_rect_refuses_more_cubes_than_the_net_cap(runner):
+    # 68,046,001 rows, about 20 GB: refused from the count, before any row is made
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, [
+            "cover", "rect", "--space", "interval,interval", "--x", "0.5,0.5",
+            "--r", "0.5,0.5", "--radius", "1e-4"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    (error,) = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert "68046001 cubes" in error and f"MAX_NET_POINTS = {MAX_NET_POINTS}" in error
+    assert peak < 50e6
 
 
 def test_sparse_command(runner):

@@ -27,6 +27,7 @@ from limsupdim.svf import prefix_fsums
 
 from oracles import (
     harmonic_number,
+    materialised_density_counts,
     materialised_fiber_hit_sum,
     one_shot_bits,
     per_n_tail_cover_sum,
@@ -109,6 +110,12 @@ def test_bits_equal_one_shot_oracle(n, nbits):
     want = one_shot_bits(crng.words(11, 3, ns), nbits)
     assert got.dtype == want.dtype and got.shape == want.shape == (n, nbits)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("nbits", [0, 65])
+def test_bits_rejects_nbits_outside_one_to_64(nbits):
+    with pytest.raises(ValueError, match=f"nbits must be in 1..64, got {nbits}"):
+        crng.bits(11, 3, np.arange(1, 5), nbits)
 
 
 def test_bits_peak_memory():
@@ -218,6 +225,12 @@ def test_fiber_sum_zero_hits_reported():
     res = fiber_hit_sum(_torus_stream(1), sched, (1, 1), (0.5,), 0.0, [50])
     assert res.hit_count == 0
     assert res.partials[-1][1] == 0.0
+
+
+def test_fiber_sum_rejects_one_factor():
+    st = OmegaStream(1, ProductSpace((Circle(),)))
+    with pytest.raises(ValueError, match="at least two factors"):
+        fiber_hit_sum(st, PowerLawSchedule((1,)), (1,), (), 0.5, [10])
 
 
 def test_fiber_sum_u_out_of_range(torus2):
@@ -552,6 +565,39 @@ def test_density_product_cells():
     assert rep.passed
 
 
+DENSITY_SPACES = [ProductSpace((Circle(), Circle())),
+                  ProductSpace((Cantor(1 / 3), Cantor(1 / 3))),
+                  ProductSpace((Interval(), Cantor(0.25), Circle()))]
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 2, 3, 65535, 65536, 65537, 131073, 200000])
+@pytest.mark.parametrize("space", DENSITY_SPACES,
+                         ids=["torus", "cantor-square", "interval-cantor-circle"])
+def test_density_equals_whole_horizon_oracle(space, horizon):
+    # horizons on both sides of the 2^16 chunk edge, once and twice over
+    st = OmegaStream(17, space)
+    for delta in (0.3, 0.05):
+        assert density_check(st, delta, horizon) == materialised_density_counts(st, delta, horizon)
+
+
+def test_density_memory_is_o_chunk_plus_cells():
+    # the whole-horizon count it replaced traced a 92 MB peak
+    st = OmegaStream(3, DENSITY_SPACES[1])
+    tracemalloc.start()
+    try:
+        rep = density_check(st, 0.05, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.cell_count == 64 and sum(rep.counts_full) == 10**6
+    assert peak < 12e6
+
+
+def test_density_rejects_a_negative_horizon():
+    with pytest.raises(ValueError, match="horizon must be >= 0"):
+        density_check(OmegaStream(6, ProductSpace((Circle(),))), 0.1, -1)
+
+
 def test_density_rejects_too_many_cells(torus2):
     st = OmegaStream(6, torus2)
     with pytest.raises(ValueError, match=r"100000000 cells over 2 factors.*cap"):
@@ -793,6 +839,18 @@ def test_verdict_cover_window_starts_at_n_min(torus2, sched, start):
     cover = next(c for c in rep.checks if c.name == "cover-domination")
     assert cover.status == "PASS"
     assert f"window={[start, start + 47]}" in cover.detail
+
+
+def test_verdict_cover_domination_fails_on_a_violation(monkeypatch, torus2):
+    def over_reference(stream, sched, s, t, window):
+        return mc.TailCoverProfile(t=t, window=window, value=2.0, reference=1.0, per_n=())
+
+    monkeypatch.setattr(mc, "tail_cover_sum", over_reference)
+    rep = dimension_verdict(PowerLawSchedule((2, 3)), (1, 1), torus2, [101], FAST_VERDICT)
+    cover = next(c for c in rep.checks if c.name == "cover-domination")
+    assert cover.status == "FAIL"
+    assert "violations=[(0.25, 2.0, 1.0), (0.5, 2.0, 1.0), (1.25, 2.0, 1.0)]" in cover.detail
+    assert not rep.passed
 
 
 def test_verdict_rejects_no_seeds(torus2):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -429,6 +430,29 @@ def test_cover_rectangle_mixed_product(circle, cantor_third):
     rep = cover_rectangle(space, center, (0.3, 0.05), 0.05)
     assert rep.count <= rep.bound
     assert verify_cover(space, rep)
+
+
+def test_verify_cover_rejects_a_count_over_the_bound(interval):
+    rep = cover_ball(interval, 0.5, 0.5, 0.25)
+    assert not verify_cover(interval, dataclasses.replace(rep, bound=rep.count - 1.0))
+
+
+@pytest.mark.parametrize("space, dropped", [(Interval(), 0), (Interval(), 2),
+                                            (ProductSpace((Interval(), Circle())), 1)],
+                         ids=["interval-first", "interval-middle", "product"])
+def test_verify_cover_rejects_an_uncovered_net_point(space, dropped):
+    if isinstance(space, ProductSpace):
+        rep = cover_rectangle(space, (0.5, 0.25), (0.4, 0.3), 0.05)
+    else:
+        rep = cover_ball(space, 0.5, 0.5, 0.1)
+    assert verify_cover(space, rep)
+    # drop two neighbouring centres of the last factor: sparse centres lie at
+    # least a radius apart, so the two left a gap of at least three radii
+    kept = list(rep.factor_centers[-1])
+    del kept[dropped:dropped + 2]
+    centers = rep.factor_centers[:-1] + (tuple(kept),)
+    assert not verify_cover(space, dataclasses.replace(
+        rep, factor_centers=centers, count=math.prod(len(c) for c in centers)))
 
 
 @pytest.mark.parametrize("space", ALL_KINDS, ids=lambda s: repr(s))
