@@ -32,13 +32,14 @@ Every exactly rounded partial sum in the package -- series sums here, fiber
 hit sums and their expectations, the divergence table's means -- comes from
 one exact accumulator, ``_ExactSum``, a binned superaccumulator that equals
 ``math.fsum`` of everything added to it, at checkpoints checked by one rule,
-``sorted_checkpoints``.  ``partial_sums``, ``prefix_fsums``, the fiber
-hit sum and the density check walk their indices once, in chunks of
-``_CHUNK`` cut at the checkpoints (the density check's are its two
-horizons), so their memory is O(chunk) whatever the horizon N is, plus the
-density check's cell counts.  The fiber hit sum reads each chunk's
-log-radii once, for its three accumulators.  The chunk kernels make each
-array once and work in place.
+``sorted_checkpoints``.  Monotone terms stay in one exponent bin for long
+runs, and the accumulator adds each such run as one exact sum.
+``partial_sums``, ``prefix_fsums``, the fiber hit sum and the density check
+walk their indices once, in chunks of ``_CHUNK`` cut at the checkpoints
+(the density check's are its two horizons), so their memory is O(chunk)
+whatever the horizon N is, plus the density check's cell counts.  The
+fiber hit sum reads each chunk's log-radii once, for its three
+accumulators.  The chunk kernels make each array once and work in place.
 """
 
 from __future__ import annotations
@@ -628,13 +629,14 @@ def closed_form_dimension(sched: PowerLawSchedule,
 # Partial sums and growth diagnostics
 # ---------------------------------------------------------------------------
 
-# indices per chunk of every streaming loop; with at most 2^16 values in a
-# chunk, _ExactSum's per-bin float sums of integers below 2^27 stay below
-# 2^43, so they are exact
+# indices per chunk of every streaming loop; _ExactSum adds integer words
+# below 2^27, so with at most 2^16 values in a chunk every run sum and every
+# bin sum stays below 2^43, exact in floats in any order of adding
 _CHUNK = 1 << 16
 
 _MASK26 = np.uint64((1 << 26) - 1)
 _HIGH26 = _MASK26 << np.uint64(26)
+_EXP26 = np.uint64(1023 + 26) << np.uint64(52)
 
 
 class _ExactSum:
@@ -642,16 +644,22 @@ class _ExactSum:
 
     A binned superaccumulator (Neal 2015, arXiv:1505.05571): each chunk of
     values is viewed as uint64 words, whose top 12 bits (sign and biased
-    exponent) pick one of 4096 bins.  Two weighted bincounts per chunk give
-    each bin's sum of the high 26 mantissa bits plus the implicit leading bit
-    (weight 2^26), and of the low 26 bits; both are exact.  The zero and
-    subnormal bins, 0 and 2048, have no implicit bit: their count times 2^26
-    comes off their high sum again.  The non-empty bins fold
-    into one Python int, the sum scaled by 2^1074 (subnormals scale like
-    exponent 1 and have no implicit bit; bins from 2048 on are negative).
-    ``value`` divides that int by 2^1074, which CPython rounds correctly,
-    half to even, so it equals ``math.fsum`` of every value added, in
-    O(chunk) memory whatever the count.
+    exponent) pick one of 4096 bins.  Each bin gets two sums: of the high 26
+    mantissa bits plus the implicit leading bit (weight 2^26), and of the
+    low 26 bits.  Series and prefix terms are monotone in n, so long runs
+    of consecutive values share a bin: each run is summed with
+    ``np.add.reduceat`` and a bincount over the runs alone folds the run
+    sums into the bins.  Every word is an integer below 2^27 and a chunk
+    holds at most 2^16 of them, so every run sum and bin sum stays below
+    2^43 and is exact in any order of adding.  The zero and subnormal
+    bins, 0 and 2048, have no implicit bit: their count times 2^26 comes
+    off their high sum again.  The non-empty bins fold into one Python int,
+    the sum scaled by 2^1074 (subnormals scale like exponent 1 and have no
+    implicit bit; bins from 2048 on are negative).  ``value`` divides that
+    int by 2^1074, which CPython rounds correctly, half to even, so it
+    equals ``math.fsum`` of every value added, in O(chunk) memory whatever
+    the count.  Values of any shape are added as their ravel: the sum does
+    not depend on order.
 
     Non-finite values give fsum's result: NaN if there is one, else the
     infinity, and ValueError for inf + -inf.  An exact sum past the float
@@ -668,20 +676,27 @@ class _ExactSum:
         self._infs = 0.0
 
     def add(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=float)
+        # a 1-d view stays a view, strided or not
+        values = np.asarray(values, dtype=float).reshape(-1)
         for lo in range(0, values.size, _CHUNK):
             chunk = np.ascontiguousarray(values[lo: lo + _CHUNK])
             bits = chunk.view(np.uint64)
             # the shifted words are below 4096: their intp view is the bin
             index = (bits >> np.uint64(52)).view(np.intp)
-            # float weights, which bincount takes uncopied: the high bits
-            # (exact below 2^52) scaled down and given the implicit bit
-            words = np.bitwise_and(bits, _HIGH26, out=np.empty(chunk.size))
-            words *= 2.0**-26
-            words += 2.0**26
-            high = np.bincount(index, words, 4096)
+            new_run = np.empty(chunk.size, dtype=bool)
+            new_run[:1] = True
+            np.not_equal(index[1:], index[:-1], out=new_run[1:])
+            # summing runs of one bin beats a bincount over the values,
+            # whose updates of one bin wait on each other
+            starts = np.flatnonzero(new_run)
+            run_bins = index[starts]
+            # the high bits given exponent 26 are the float 2^26 + high
+            # bits: the high word with its implicit bit, made without a cast
+            words = np.bitwise_and(bits, _HIGH26)
+            words |= _EXP26
+            high = np.bincount(run_bins, np.add.reduceat(words.view(float), starts), 4096)
             np.bitwise_and(bits, _MASK26, out=words)
-            low = np.bincount(index, words, 4096)
+            low = np.bincount(run_bins, np.add.reduceat(words, starts), 4096)
             # every value adds at least 2^26 to its bin's high sum
             bins = np.flatnonzero(high)
             for b, h, l in zip(bins.tolist(), high[bins].tolist(), low[bins].tolist()):
@@ -716,13 +731,23 @@ def _phi_terms(log_r: np.ndarray, sv: np.ndarray, t: float) -> np.ndarray:
 
 def sorted_checkpoints(Ns: Iterable[int], upper: int | None = None) -> list[int]:
     """Checkpoints as sorted distinct ints, at least one, each in [1, upper]
-    (no upper limit when ``upper`` is None)."""
-    cps = sorted({int(N) for N in Ns})
+    (no upper limit when ``upper`` is None).  Integral floats such as 1e5
+    count as integers; 10.5 or NaN is refused, not truncated."""
     hi = math.inf if upper is None else upper
+    rule = f"checkpoints must be one or more integers in [1, {hi}], got"
+    cps = set()
+    for N in Ns:
+        try:
+            n = int(N)
+        except (TypeError, ValueError, OverflowError):
+            n = None
+        if n is None or n != N:
+            raise ValueError(f"{rule} {N}")
+        cps.add(n)
+    cps = sorted(cps)
     bad = [N for N in cps if not 1 <= N <= hi]
     if bad or not cps:
-        raise ValueError(f"checkpoints must be one or more integers in [1, {hi}], "
-                         f"got {bad[0] if bad else 'none'}")
+        raise ValueError(f"{rule} {bad[0] if bad else 'none'}")
     return cps
 
 

@@ -722,8 +722,15 @@ def _divergence_at(cps):
     (_divergence_at, [0], _DIVERGENCE_ARGV + ["--checkpoints", "0"], "0", "100"),
     (_divergence_at, [-3], _DIVERGENCE_ARGV + ["--checkpoints", "-3"], "-3", "100"),
     (_divergence_at, [50, 200], _DIVERGENCE_ARGV + ["--checkpoints", "50,200"], "200", "100"),
+    (_partial_sums_at, [10.5], None, "10.5", "inf"),
+    (_partial_sums_at, [10, math.nan], None, "nan", "inf"),
+    (_fiber_at, [np.float64(10.5)], None, "10.5", "inf"),
+    (_fiber_at, [math.inf], None, "inf", "inf"),
+    (_divergence_at, [10.5], None, "10.5", "100"),
+    (_divergence_at, [math.nan], None, "nan", "100"),
 ], ids=["sums-zero", "sums-negative", "fiber-zero", "fiber-negative", "fiber-empty",
-        "divergence-zero", "divergence-negative", "divergence-past-n"])
+        "divergence-zero", "divergence-negative", "divergence-past-n", "sums-fraction",
+        "sums-nan", "fiber-fraction", "fiber-inf", "divergence-fraction", "divergence-nan"])
 def test_checkpoint_rule_is_one_message(runner, call, cps, argv, bad, hi):
     message = f"checkpoints must be one or more integers in [1, {hi}], got {bad}"
     with pytest.raises(ValueError) as err:
@@ -741,6 +748,8 @@ def test_checkpoint_rule_is_one_message(runner, call, cps, argv, bad, hi):
                          ids=["sums", "fiber", "divergence"])
 def test_checkpoints_may_be_an_array(call):
     assert call(np.array([100, 10])) == call([100, 10])
+    # integral floats count as integers
+    assert call(np.array([100.0, 1e1])) == call([100, 10])
 
 
 def test_no_checkpoints_keep_their_meaning():

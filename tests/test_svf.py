@@ -700,8 +700,11 @@ _INF, _NAN = math.inf, math.nan
     [_INF, 1.0], [-_INF, 2.0, -_INF], [1.0, _NAN], [_INF, _NAN, 3.0],
     [-_INF, _NAN], [_INF, -_INF], [_INF, _NAN, -_INF], [1e308, 1e308],
     [-1e308, -1e308, 1.0],
+    [1.5] * 1000 + [_INF] + [1.5] * 1000 + [-_INF] + [1.5] * 1000,
+    [1e308] * 1500 + [1.0] + [1e308] * 1500,
 ], ids=["inf", "minus-inf", "nan", "inf-nan", "minus-inf-nan", "inf-minus-inf",
-        "inf-nan-minus-inf", "overflow", "minus-overflow"])
+        "inf-nan-minus-inf", "overflow", "minus-overflow", "inf-minus-inf-in-a-run",
+        "overflow-in-a-run"])
 def test_prefix_fsums_keep_fsum_on_non_finite_and_overflowing_input(monkeypatch, values,
                                                                     chunk):
     if chunk is not None:
@@ -724,9 +727,19 @@ def test_prefix_fsums_sum_past_fsum_intermediate_overflow():
     assert prefix_fsums(np.array(values), [3]) == [1e308]
 
 
-# one full chunk of a value with all significand bits set makes the largest
-# per-bin sums; zeros and subnormals take 2^26 per value off their high sums
 _FULL = 1 << 16
+
+
+def _inside_a_run(base, inside):
+    values = np.full(_FULL, base)
+    values[[1000, 30000, 60000][:len(inside)]] = inside
+    return values
+
+
+# one full chunk of a value with all significand bits set is one run with
+# the largest run and per-bin sums; zeros and subnormals take 2^26 per value
+# off their high sums; a few other values inside a run of one split it; a
+# shuffled chunk over 600 binades is nearly all runs of one value
 _FULL_CHUNKS = {
     "all-bits-set": np.full(_FULL, np.nextafter(2.0, 0.0)),
     "minus-all-bits-set": np.full(_FULL, -np.nextafter(2.0, 0.0)),
@@ -736,6 +749,16 @@ _FULL_CHUNKS = {
     "minus-zeros": np.full(_FULL, -0.0),
     "one-inf": np.where(np.arange(_FULL) == 123, math.inf, np.nextafter(2.0, 0.0)),
     "one-nan": np.where(np.arange(_FULL) == 7, math.nan, 5e-324),
+    "minus-zero-in-zeros": _inside_a_run(0.0, [-0.0]),
+    "zeros-in-minus-zeros": _inside_a_run(-0.0, [0.0, -0.0]),
+    "tiniest-in-minus-zeros": _inside_a_run(-0.0, [-5e-324]),
+    "zeros-in-subnormals": _inside_a_run(5e-324, [0.0, -0.0, -5e-324]),
+    "normal-and-zero-in-subnormals": _inside_a_run(
+        np.nextafter(2.2250738585072014e-308, 0.0), [2.2250738585072014e-308, 0.0]),
+    "minus-infs-in-a-run": _inside_a_run(-1.5, [-math.inf, -math.inf]),
+    "inf-and-nan-in-subnormals": _inside_a_run(5e-324, [math.inf, math.nan]),
+    "shuffled-binades": np.random.default_rng(7).permutation(
+        np.ldexp(np.linspace(-2.0, 2.0, _FULL), np.arange(_FULL) % 600 - 300)),
 }
 
 
@@ -746,3 +769,81 @@ def test_exact_sum_of_a_full_chunk_equals_fsum(name):
     acc = svf._ExactSum()
     acc.add(values)
     assert acc.value().hex() == math.fsum(values.tolist()).hex()
+
+
+@st.composite
+def _binned_arrays(draw):
+    """Arrays whose consecutive values share an exponent bin in runs:
+    monotone, reverse-sorted, piecewise constant in the exponent (runs of
+    one sign and binade) and the last shuffled, over many binades."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    size = draw(st.integers(min_value=1, max_value=6000))
+    lo = draw(st.integers(min_value=-1100, max_value=980))
+    hi = draw(st.integers(min_value=lo, max_value=990))
+    kind = draw(st.sampled_from(["monotone", "reversed", "piecewise", "shuffled"]))
+    if kind in ("monotone", "reversed"):
+        values = np.sort(np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(lo, hi + 1, size)))
+        return values[::-1] if kind == "reversed" else values
+    runs = draw(st.integers(min_value=1, max_value=min(size, 40)))
+    lengths = rng.multinomial(size - runs, np.ones(runs) / runs) + 1
+    signs = rng.choice([-1.0, 1.0], runs)
+    exps = rng.integers(lo, hi + 1, runs)
+    values = np.ldexp(np.repeat(signs, lengths) * rng.uniform(1.0, 2.0, size) / 2,
+                      np.repeat(exps, lengths))
+    return rng.permutation(values) if kind == "shuffled" else values
+
+
+@settings(max_examples=200, deadline=None)
+@given(_binned_arrays())
+def test_exact_sum_of_runs_of_one_bin_equals_fsum(values):
+    acc = svf._ExactSum()
+    acc.add(values)
+    assert acc.value().hex() == math.fsum(values.tolist()).hex()
+
+
+# 20 runs of 200 values of one bin (one sign and binade), which chunks of
+# 1, 3, 7, 64 and 1000 values cut inside runs, as do the pieces
+_LONG_RUNS = np.ldexp(
+    np.repeat(np.random.default_rng(11).choice([-1.0, 1.0], 20), 200)
+    * np.random.default_rng(12).uniform(0.5, 1.0, 4000),
+    np.repeat(np.random.default_rng(13).integers(-1074, 900, 20), 200))
+_RUNS_CUT = np.split(_LONG_RUNS, [50, 450, 500, 1300, 1700, 2100, 3000])
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 64, 1000])
+def test_exact_sum_of_runs_across_chunk_boundaries(monkeypatch, chunk):
+    values = np.concatenate(_RUNS_CUT)
+    monkeypatch.setattr(svf, "_CHUNK", chunk)
+    acc = svf._ExactSum()
+    acc.add(values)
+    assert acc.value().hex() == math.fsum(values.tolist()).hex()
+    # added piece by piece, each cut inside a run, the sum is the same
+    acc = svf._ExactSum()
+    for piece in _RUNS_CUT:
+        acc.add(piece)
+    assert acc.value().hex() == math.fsum(values.tolist()).hex()
+
+
+def test_exact_sum_of_a_2d_array_is_that_of_its_ravel():
+    values = np.random.default_rng(4).standard_normal((300, 7)) * 1e10
+    want = math.fsum(values.ravel().tolist()).hex()
+    for view in (values, values.T, values[::2, ::3]):
+        acc = svf._ExactSum()
+        acc.add(view)
+        assert acc.value().hex() == math.fsum(view.ravel().tolist()).hex()
+    assert prefix_fsums(values, [300])[0].hex() == want
+    assert prefix_fsums(np.ones((2, 3)), [2]) == [6.0]
+
+
+def test_exact_sum_copies_a_strided_view_chunk_by_chunk():
+    # a whole copy of the view would take 8 MB
+    values = np.ones(2_000_000)[::2]
+    tracemalloc.start()
+    try:
+        acc = svf._ExactSum()
+        acc.add(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert acc.value() == 1e6
+    assert peak < 4 * 2**20
