@@ -273,11 +273,15 @@ class Circle(_UnitCoordinateSpace):
         return min(delta, 1.0 - delta)
 
     def distance_to_array(self, coords: np.ndarray, y) -> np.ndarray:
-        # |x - y| mod 1, then the shorter way round, in place but for 1 - delta
+        # |x - y| mod 1, then the shorter way round, in two arrays.  For
+        # delta >= 0, delta - floor(delta) is exact (Sterbenz: floor(delta)
+        # is 0 or within a factor 2 of delta), so it is fmod's, bit for bit
         delta = np.subtract(coords, float(y))
         np.abs(delta, out=delta)
-        np.remainder(delta, 1.0, out=delta)
-        return np.minimum(delta, 1.0 - delta, out=delta)
+        other = np.floor(delta)
+        delta -= other
+        np.subtract(1.0, delta, out=other)
+        return np.minimum(delta, other, out=delta)
 
     def validate_point(self, point) -> None:
         x = float(point)
@@ -312,7 +316,12 @@ class Cantor(RegularSpace):
 
     Depth-k cylinders are intervals of length lam^k and mass 2^-k; the
     regularity exponent is s = log 2 / log(1/lam), for which lam^s = 1/2, and
-    c(lam) = 2(1+lam)/(1-lam) is certified by the probe-grid tests.
+    c(lam) = 2(1+lam)/(1-lam).  The probe-grid tests check that constant
+    against the mass kernel only for radii down to 2^-12.  Below that it is
+    not certified: the kernel compares x - r and x + r with cylinder ends of
+    size ~1, so within a few ulps of the centre its masses are wrong and can
+    break the bound (at r = 1e-20 about a point of C(0.05) the kernel gives
+    2^-13, a ratio mu / r^s of 5.2 against c = 2.2).
     """
 
     kind = "cantor"
@@ -399,18 +408,21 @@ class Cantor(RegularSpace):
 
         The walk descends the cylinder tree one depth at a time for all
         intervals at once.  The frontier holds the partial cylinders, each
-        with its left end and the ends of its interval.  Each child is
+        with its left end and the ends of its interval.  Each level lays its
+        children out child-major, a (2, n) array for a frontier of n nodes,
+        so every test runs along contiguous rows: flat child k is child
+        k // n (left, then right) of frontier node k % n.  Each child is
         classified as empty, full or partial by the float expressions of a
         depth-first recursion (``hi = lo + lam^d``, ``right_lo = lo + lam^d -
         lam^(d+1)``, the same ``<`` and ``<=`` tests), and a child still
-        partial at the depth cap weighs half its mass.  The partial children
-        form the next frontier, in order, so each level's mask points from a
-        node to its children.  Below one ulp neighbouring cylinders round
-        onto each other, and more than two per interval can be partial at
-        one depth, so the frontier has no fixed width.  The reduction then
-        runs deepest level first, each node's mass the sum of its left and
-        right child's: these are the recursion's additions, so the masses
-        are its, bit for bit
+        partial at the depth cap weighs half its mass.  The partial children,
+        in flat order, form the next frontier, and each level keeps their
+        flat indices.  Below one ulp neighbouring cylinders round onto each
+        other, and more than two per interval can be partial at one depth,
+        so the frontier has no fixed width.  The reduction then runs deepest
+        level first: the deeper sums are scattered back by flat index, and
+        each node's mass is the sum of its left and right child's.  These
+        are the recursion's additions, so the masses are its, bit for bit
         (``tests/oracles.py`` keeps the recursion as the reference).
         """
         pw = self._pow
@@ -421,28 +433,30 @@ class Cantor(RegularSpace):
         a, b = a[partial], b[partial]
         levels = []
         for depth in range(_MASS_DEPTH_CAP):
-            if lo.size == 0:
+            n = lo.size
+            if n == 0:
                 break
-            child_lo = np.empty((lo.size, 2))
-            child_lo[:, 0] = lo
-            child_lo[:, 1] = lo + pw[depth] - pw[depth + 1]
+            child_lo = np.empty((2, n))
+            child_lo[0] = lo
+            child_lo[1] = lo + pw[depth] - pw[depth + 1]
             hi = child_lo + pw[depth + 1]
-            ca, cb = a[:, None], b[:, None]
-            inside = (ca <= child_lo) & (hi <= cb)
-            cut = ~(inside | (cb < child_lo) | (hi < ca))
+            inside = (a <= child_lo) & (hi <= b)
+            cut = ~(inside | (b < child_lo) | (hi < a))
             mass = inside * 2.0 ** -(depth + 1)
-            if depth + 1 >= _MASS_DEPTH_CAP:
-                mass[cut] = 2.0 ** -(depth + 2)
-                cut[:] = False
-            levels.append((mass, cut))
-            # flat child k is child k % 2 of frontier node k // 2
             child = np.flatnonzero(cut)
-            parent = child >> 1
-            lo, a, b = child_lo.ravel()[child], a[parent], b[parent]
+            if depth + 1 >= _MASS_DEPTH_CAP:
+                mass.ravel()[child] = 2.0 ** -(depth + 2)
+                child = child[:0]
+            levels.append((mass, child))
+            # flat child k is child k // n of frontier node k % n; the left
+            # children come first
+            parent = child.copy()
+            parent[np.count_nonzero(cut[0]):] -= n
+            lo, a, b = child_lo.take(child), a.take(parent), b.take(parent)
         sums = np.empty(0)
-        for mass, cut in reversed(levels):
-            mass[cut] = sums
-            sums = mass[:, 0] + mass[:, 1]
+        for mass, child in reversed(levels):
+            mass.ravel()[child] = sums
+            sums = mass[0] + mass[1]
         root[partial] = sums
         return root
 

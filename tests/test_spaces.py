@@ -80,8 +80,18 @@ def test_ball_measure_cantor_first_cylinder(cantor_third):
     assert cantor_third.ball_measure(left, 1 / 3) == pytest.approx(0.5, abs=1e-15)
 
 
-# coordinates below 0, inside [0, 1] and above 1, signed zeros included
-_COORDS = st.one_of(st.floats(-3.0, 4.0), st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.0]))
+# coordinates below 0, inside [0, 1] and above 1, signed zeros included;
+# then magnitudes near 2^52, 2^53 and 1e17, where |x - y| has no fraction
+# left, and subnormals, where it lies far below one ulp of 1
+_HUGE = st.one_of(st.floats(2.0**52 - 8.0, 2.0**52 + 8.0),
+                  st.floats(2.0**53 - 8.0, 2.0**53 + 8.0),
+                  st.sampled_from([1e17]))
+_COORDS = st.one_of(
+    st.floats(-3.0, 4.0),
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.0]),
+    st.builds(lambda v, sign: sign * v, _HUGE, st.sampled_from([1.0, -1.0])),
+    st.floats(-2.0**-1022, 2.0**-1022),
+)
 
 
 @pytest.mark.parametrize("space, oracle", [
@@ -188,6 +198,21 @@ def test_cantor_masses_on_cylinder_ends_and_below_one_ulp():
     assert space.ball_measure(x, r) == recursive_cantor_mass(space, x, r)
     left = Cantor(0.25).point(())
     assert Cantor(0.25).ball_measure(left, 5e-324) == 2.0**-61
+
+
+@pytest.mark.parametrize("lam", [1 / 3, 0.45])
+def test_cantor_masses_across_kernel_blocks_bit_identical_to_recursion(lam):
+    # 1/n for n <= 3000 and log-uniform radii down to 1e-18, shuffled: three
+    # kernel passes whose frontiers differ in width from one level to the next
+    space = Cantor(lam)
+    rng = np.random.default_rng(11)
+    x = space.point(rng.integers(0, 2, size=space.default_depth))
+    rs = np.concatenate([1.0 / np.arange(1, 3001), 10.0 ** rng.uniform(-18.0, 0.0, 2000)])
+    rng.shuffle(rs)
+    assert rs.size > 2 * spaces._MASS_BLOCK
+    got = space.ball_measure_array(x, rs)
+    want = np.array([recursive_cantor_mass(space, x, float(r)) for r in rs])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_cantor_mass_kernel_memory_does_not_grow_with_n(cantor_third, rng):
