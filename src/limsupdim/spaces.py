@@ -239,16 +239,18 @@ class Interval(_UnitCoordinateSpace):
         return float(self.ball_measure_array(x, np.array([float(r)]))[0])
 
     def ball_measure_array(self, x, rs: np.ndarray) -> np.ndarray:
-        # min(x + r, 1) - max(x - r, 0), floored at 0: one array per end,
-        # each worked in place
+        # min(r, x) + min(r, 1 - x), each side measured from the centre, so
+        # an interior ball weighs 2r exactly however small r is; clamped to
+        # [0, 1], one array per side
         xv = float(x)
-        lo = np.subtract(xv, rs)
-        np.maximum(lo, 0.0, out=lo)
-        mass = np.add(xv, rs)
+        mass = np.minimum(rs, xv)
+        mass += np.minimum(rs, 1.0 - xv)
         np.minimum(mass, 1.0, out=mass)
-        mass -= lo
-        # 0.0 first: a -0.0 difference (x = r = -0.0) comes out as +0.0
-        return np.maximum(0.0, mass, out=mass)
+        np.maximum(mass, 0.0, out=mass)
+        # np.maximum may return either zero on a tie; adding 0.0 gives a
+        # radius of -0.0 the mass +0.0, as the circle does
+        mass += 0.0
+        return mass
 
     def net(self, x0, R: float, resolution: float):
         lo = max(0.0, float(x0) - R)

@@ -68,6 +68,8 @@ def test_regularity_constants_certified(space, rng):
 def test_ball_measure_interval_examples(interval):
     assert interval.ball_measure(0.5, 0.25) == 0.5
     assert interval.ball_measure(0.0, 0.25) == 0.25
+    assert interval.ball_measure(0.7, 1e-17) == 2e-17
+    assert math.copysign(1.0, interval.ball_measure(-0.0, -0.0)) == 1.0
 
 
 def test_ball_measure_circle_wraps(circle):
@@ -119,6 +121,26 @@ def test_cantor_distance_to_array_is_the_interval_one_on_embedded_points(coords,
     want = interval_distance(np.array(coords), space.embed(y))
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("space", [Interval(), Circle()], ids=["interval", "circle"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_ball_measure_ahlfors_bounds_at_every_radius(space, data):
+    # stream points, the ends and a few fixed points; radii log-uniform
+    # from the least subnormal to 2 * diameter
+    x = data.draw(st.one_of(
+        st.builds(lambda seed, n: space.stream_point(seed, 0, n),
+                  st.integers(0, 2**31), st.integers(1, 10**6)),
+        st.sampled_from([0.0, 1.0, 0.5, 0.7]),
+        st.floats(0.0, 1.0),
+    ), label="x")
+    r_max = 2.0 * space.diameter
+    log_r = data.draw(st.floats(math.log(5e-324), math.log(r_max)), label="log r")
+    r = min(max(math.exp(log_r), 5e-324), r_max)
+    mu = space.ball_measure(x, r)
+    assert r**space.s / space.c <= mu <= space.c * r**space.s
+    assert mu <= 1.0
 
 
 def test_ball_measure_rejects_negative_radius(interval):
