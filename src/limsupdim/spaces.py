@@ -450,8 +450,8 @@ class Cantor(RegularSpace):
                 mass.ravel()[child] = 2.0 ** -(depth + 2)
                 child = child[:0]
             levels.append((mass, child))
-            # flat child k is child k // n of frontier node k % n; the left
-            # children come first
+            # the left children come first: a right child's node is its
+            # flat index less n
             parent = child.copy()
             parent[np.count_nonzero(cut[0]):] -= n
             lo, a, b = child_lo.take(child), a.take(parent), b.take(parent)
