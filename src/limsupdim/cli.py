@@ -218,10 +218,13 @@ def parse_points(factors, text: str) -> tuple:
 
 
 def _window(cfg: RunConfig) -> tuple[int, int]:
-    parts = cfg.window.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"window must be 'N0:N1', got {cfg.window!r}")
-    return int(parts[0]), int(parts[1])
+    # the ends are integer literals, as every integer flag's are
+    try:
+        n0, n1 = (int(part) for part in cfg.window.split(":"))
+    except ValueError:
+        raise ValueError(f"window must be 'N0:N1' with integers N0 and N1, "
+                         f"got {cfg.window!r}") from None
+    return n0, n1
 
 
 def _expectations(cfg: RunConfig) -> np.ndarray:
@@ -309,10 +312,9 @@ def _cover_outcome(cfg: RunConfig, report, space, factors) -> RunOutcome:
         raise ValueError(f"the cover holds {report.count} cubes, more than "
                          f"MAX_NET_POINTS = {MAX_NET_POINTS} rows to list")
     sound = verify_cover(space, report)
-    rows = []
-    for idx, combo in enumerate(itertools.product(*report.factor_centers)):
-        center_text = ";".join(f.format_point(c) for f, c in zip(factors, combo))
-        rows.append([idx, center_text, report.radius])
+    # a generator: only the CSV text of the rows is held, not the rows
+    rows = ([idx, ";".join(f.format_point(c) for f, c in zip(factors, combo)), report.radius]
+            for idx, combo in enumerate(itertools.product(*report.factor_centers)))
     body = csv_body(["index", "center", "radius"], rows)
     stats = {"count": report.count, "bound": report.bound, "sound": sound}
     manifest = _manifest(cfg, stats, space=space)

@@ -27,6 +27,7 @@ from .svf import (
     RadiusSchedule,
     _ExactSum,
     _checkpoint_chunks,
+    _integer,
     _phi_terms,
     closed_form_dimension,
     critical_exponent_series,
@@ -62,11 +63,15 @@ class OmegaStream:
     omega_n is reproducible from (seed, n) alone; coordinate i of omega_n is
     derived from the hash word keyed (seed, lane=i, index=n), so access order
     is irrelevant and distinct indices are statistically independent.
-    Indices start at 1.
+    Indices start at 1.  The seed is a count: an integral float such as 1e3
+    is that int, and anything else is refused (``svf.sorted_checkpoints``).
     """
 
     seed: int
     space: ProductSpace
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", _integer(self.seed, "seed must be an integer, got"))
 
     def factor_coords(self, i: int, ns: np.ndarray) -> np.ndarray:
         """Embedded coordinates of factor i for the given indices."""
@@ -367,6 +372,7 @@ def divergence_tail_bound_test(expectations: Sequence[float], trials: int,
     bad = p[~((p >= 0.0) & (p <= 1.0))]
     if bad.size:
         raise ValueError(f"expectations must lie in [0, 1], got {float(bad[0])}")
+    trials = _integer(trials, "trials must be an integer, got")
     if trials < 1000:
         raise ValueError("need at least 10^3 trials")
     if checkpoints is None or len(checkpoints) == 0:
@@ -447,6 +453,7 @@ def density_check(stream: OmegaStream, delta: float, horizon: int) -> DensityRep
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
+    horizon = _integer(horizon, "horizon must be an integer, got")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     space = stream.space
@@ -520,6 +527,18 @@ class TailCoverProfile:
 MAX_COVER_WINDOW = 1 << 20
 
 
+def _checked_window(window) -> tuple[int, int]:
+    """A cover window (N0, N1) as ints with 1 <= N0 <= N1 that holds at
+    most MAX_COVER_WINDOW rectangles."""
+    n0, n1 = (_integer(n, "window ends must be integers, got") for n in window)
+    if n0 < 1 or n1 < n0:
+        raise ValueError("window must satisfy 1 <= N0 <= N1")
+    if n1 - n0 >= MAX_COVER_WINDOW:
+        raise ValueError(f"window [{n0}, {n1}] holds {n1 - n0 + 1} rectangles, "
+                         f"more than the cap of {MAX_COVER_WINDOW}")
+    return n0, n1
+
+
 def tail_cover_sum(stream: OmegaStream, sched: RadiusSchedule,
                    s: Sequence[float], t: float,
                    window: tuple[int, int]) -> TailCoverProfile:
@@ -537,12 +556,7 @@ def tail_cover_sum(stream: OmegaStream, sched: RadiusSchedule,
     total = math.fsum(sv)
     if not (0.0 <= t <= total):
         raise ValueError(f"t={t} outside [0, {total}]")
-    n0, n1 = int(window[0]), int(window[1])
-    if n0 < 1 or n1 < n0:
-        raise ValueError("window must satisfy 1 <= N0 <= N1")
-    if n1 - n0 >= MAX_COVER_WINDOW:
-        raise ValueError(f"window [{n0}, {n1}] holds {n1 - n0 + 1} rectangles, "
-                         f"more than the cap of {MAX_COVER_WINDOW}")
+    n0, n1 = _checked_window(window)
     unbuildable = sched.unbuildable
     blocked = range(max(n0, unbuildable.start), min(n1 + 1, unbuildable.stop))
     if blocked:
@@ -660,6 +674,8 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
     cfg = config or VerdictConfig()
     if len(seeds) == 0:
         raise ValueError("seeds must hold at least one seed")
+    streams = [OmegaStream(seed, space) for seed in seeds]
+    window = _checked_window(cfg.cover_window)
     sv = _require_matching_regularity(space, s)
     total = math.fsum(sv)
     checks: list[CheckResult] = []
@@ -682,7 +698,6 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
 
     # tail-cover domination on a modest constructed window, moved past any
     # indices below the power model's n_min with its length kept
-    window = cfg.cover_window
     unbuildable = sched.unbuildable
     if range(max(window[0], unbuildable.start), min(window[1] + 1, unbuildable.stop)):
         window = (unbuildable.stop, window[1] + unbuildable.stop - window[0])
@@ -690,7 +705,7 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
                                    0.5 * (predicted + total)) if 0.0 < v <= total})
     violations = []
     for t in t_probes:
-        prof = tail_cover_sum(OmegaStream(seeds[0], space), sched, sv, t, window)
+        prof = tail_cover_sum(streams[0], sched, sv, t, window)
         if not prof.ok:
             violations.append((t, prof.value, prof.reference))
     check("cover-domination", not violations,
@@ -726,9 +741,8 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
         anchor = space.center()[: d - 1]
         in_band = 0
         conclusive = 0
-        for seed in seeds:
-            res = fiber_hit_sum(OmegaStream(int(seed), space), sched, sv,
-                                anchor, u, cfg.fiber_checkpoints)
+        for stream in streams:
+            res = fiber_hit_sum(stream, sched, sv, anchor, u, cfg.fiber_checkpoints)
             if res.hit_count == 0:
                 continue
             conclusive += 1

@@ -26,12 +26,14 @@ Factor protocol.  Everything that differs between kinds lives on the kind's
 class, so the Monte Carlo layer and the CLI never name a kind.  A new
 regular factor subclasses RegularSpace; sets kind, params (the constructor
 arguments, read from descriptors and from CLI tokens such as "cantor:0.25"),
-c, s and diameter; and implements embed, distance, distance_to_array,
-validate_point, net, ball_measure and ball_measure_array (one radius and a
-whole array of radii, bit for bit the same masses), sample, the counter
-stream (stream_coords, stream_point), density cells (cell_count,
-stream_cells), text (parse_point, format_point), anchor and descriptor.  A
-default serves wrap_clash, needed only by a metric that wraps around.
+c, s and diameter; and implements embed, validate_point, net, ball_measure
+and ball_measure_array (one radius and a whole array of radii, bit for bit
+the same masses), sample, the counter stream (stream_coords, stream_point),
+density cells (cell_count, stream_cells), text (parse_point, format_point)
+and anchor.  Defaults serve the rest: the line metric |embed(x) - embed(y)|
+(distance and distance_to_array), which the circle overrides; wrap_clash,
+needed only by a metric that wraps around; and descriptor, built from kind,
+params, c and s.
 Each kind's ball_measure is its checks plus ball_measure_array: closed forms
 for Interval and Circle, and for Cantor a level-order walk of its cylinders.
 """
@@ -100,11 +102,14 @@ class RegularSpace:
         raise NotImplementedError
 
     def distance(self, x, y) -> float:
-        raise NotImplementedError
+        """The line metric |embed(x) - embed(y)|."""
+        return abs(self.embed(x) - self.embed(y))
 
     def distance_to_array(self, coords: np.ndarray, y) -> np.ndarray:
-        """Distances from an array of embedded coordinates to one point."""
-        raise NotImplementedError
+        """Distances from an array of embedded coordinates to one point, by
+        the float operations of ``distance``."""
+        delta = np.subtract(coords, self.embed(y))
+        return np.abs(delta, out=delta)
 
     def validate_point(self, point) -> None:
         raise NotImplementedError
@@ -165,7 +170,9 @@ class RegularSpace:
         raise NotImplementedError
 
     def descriptor(self) -> dict:
-        raise NotImplementedError
+        """The kind, its constructor parameters, then c and s."""
+        return {"kind": self.kind, **{p: getattr(self, p) for p in self.params},
+                "c": self.c, "s": self.s}
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(c={self.c}, s={self.s})"
@@ -174,7 +181,7 @@ class RegularSpace:
 class _UnitCoordinateSpace(RegularSpace):
     """Kinds whose points are floats and whose measure is uniform on [0, 1):
     the interval and the circle share sampling, the counter stream, density
-    cells of equal length, the anchor 0.5, the text form and the descriptor."""
+    cells of equal length, the anchor 0.5 and the text form."""
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.random())
@@ -206,9 +213,6 @@ class _UnitCoordinateSpace(RegularSpace):
     def format_point(self, point) -> str:
         return format(float(point), ".17g")
 
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "c": self.c, "s": self.s}
-
 
 class Interval(_UnitCoordinateSpace):
     """The unit interval [0, 1] with Euclidean metric and length measure."""
@@ -220,13 +224,6 @@ class Interval(_UnitCoordinateSpace):
 
     def embed(self, point) -> float:
         return float(point)
-
-    def distance(self, x, y) -> float:
-        return abs(float(x) - float(y))
-
-    def distance_to_array(self, coords: np.ndarray, y) -> np.ndarray:
-        delta = np.subtract(coords, float(y))
-        return np.abs(delta, out=delta)
 
     def validate_point(self, point) -> None:
         x = float(point)
@@ -256,7 +253,7 @@ class Interval(_UnitCoordinateSpace):
         lo = max(0.0, float(x0) - R)
         hi = min(1.0, float(x0) + R)
         coords = _linspace_net(lo, hi, resolution)
-        return coords, [float(v) for v in coords]
+        return coords, coords.tolist()
 
 
 class Circle(_UnitCoordinateSpace):
@@ -305,7 +302,7 @@ class Circle(_UnitCoordinateSpace):
         R = min(R, self.diameter)
         x = self.embed(x0)
         coords = _linspace_net(x - R, x + R, resolution)
-        return coords, [float(v % 1.0) for v in coords]
+        return coords, (coords % 1.0).tolist()
 
     def wrap_clash(self, point, first, latest, r: float) -> bool:
         # the wrap gap to the first point is what shrinks along the arc, so
@@ -367,13 +364,6 @@ class Cantor(RegularSpace):
         if isinstance(point, CantorPoint):
             return point.value
         return float(point)
-
-    def distance(self, x, y) -> float:
-        return abs(self.embed(x) - self.embed(y))
-
-    def distance_to_array(self, coords: np.ndarray, y) -> np.ndarray:
-        delta = np.subtract(coords, self.embed(y))
-        return np.abs(delta, out=delta)
 
     def validate_point(self, point) -> None:
         if not isinstance(point, CantorPoint):
@@ -537,9 +527,6 @@ class Cantor(RegularSpace):
 
     def format_point(self, point) -> str:
         return "".join(str(d) for d in point.digits) or "()"
-
-    def descriptor(self) -> dict:
-        return {"kind": "cantor", "lam": self.lam, "c": self.c, "s": self.s}
 
     def __repr__(self) -> str:
         return f"Cantor(lam={self.lam}, c={self.c:.6g}, s={self.s:.6g})"

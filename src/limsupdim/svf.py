@@ -729,22 +729,29 @@ def _phi_terms(log_r: np.ndarray, sv: np.ndarray, t: float) -> np.ndarray:
     return np.exp(terms, out=terms)
 
 
+def _integer(value, rule: str) -> int:
+    """``value`` as an int, or ValueError(f"{rule} {value}")."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{rule} {value!r}" if isinstance(value, str) else f"{rule} {value}")
+    return n
+
+
 def sorted_checkpoints(Ns: Iterable[int], upper: int | None = None) -> list[int]:
     """Checkpoints as sorted distinct ints, at least one, each in [1, upper]
-    (no upper limit when ``upper`` is None).  Integral floats such as 1e5
-    count as integers; 10.5 or NaN is refused, not truncated."""
+    (no upper limit when ``upper`` is None).
+
+    Every count the package takes -- checkpoints, the density horizon,
+    divergence trials, cover-window ends, growth blocks, stream seeds --
+    passes one rule, ``_integer``: an int, or an integral float such as
+    1e5, is that int; 10.5, NaN, inf or a string is refused with a
+    ValueError naming the count, never truncated."""
     hi = math.inf if upper is None else upper
     rule = f"checkpoints must be one or more integers in [1, {hi}], got"
-    cps = set()
-    for N in Ns:
-        try:
-            n = int(N)
-        except (TypeError, ValueError, OverflowError):
-            n = None
-        if n is None or n != N:
-            raise ValueError(f"{rule} {N}")
-        cps.add(n)
-    cps = sorted(cps)
+    cps = sorted({_integer(N, rule) for N in Ns})
     bad = [N for N in cps if not 1 <= N <= hi]
     if bad or not cps:
         raise ValueError(f"{rule} {bad[0] if bad else 'none'}")
@@ -824,7 +831,7 @@ def estimate_sum_growth(sched: RadiusSchedule,
     converged sum at float resolution) are tolerated and simply flatten the
     slope.
     """
-    blocks = [int(b) for b in blocks]
+    blocks = [_integer(b, "blocks must be integers, got") for b in blocks]
     if len(blocks) < 3 or any(b2 <= b1 for b1, b2 in zip(blocks, blocks[1:])):
         raise ValueError("blocks must be strictly increasing with at least 3 entries")
     sums = partial_sums(sched, s, t, blocks)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -8,6 +9,8 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+
+import limsupdim
 
 from limsupdim import (
     Circle,
@@ -137,6 +140,22 @@ def test_cover_rect_refuses_more_cubes_than_the_net_cap(runner):
     assert peak < 50e6
 
 
+def test_cover_rect_holds_the_csv_text_not_the_rows():
+    # 60,516 cubes: a list of rows peaks near 22 MB, their CSV text near 11 MB
+    cfg = RunConfig(command="cover-rect", space="interval,interval", x="0.5,0.5",
+                    r="0.5,0.5", radius=0.004)
+    tracemalloc.start()
+    try:
+        outcome = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.lines == ["count=60516", "bound=4000000", "sound=True"]
+    assert hashlib.sha256(outcome.csv.encode()).hexdigest() == (
+        "ad28d1dbee67077d152776fe12ca0a6d0a97ca4d44ada3cd76097c5f7f1fb308")
+    assert peak < 15 * 2**20
+
+
 def test_sparse_command(runner):
     result = runner.invoke(main, [
         "sparse", "--space", "interval", "--x", "0.5",
@@ -208,6 +227,29 @@ def test_mc_tail_cover_window_past_cap_exit_2(runner):
     assert "Traceback" not in result.output
     assert f"more than the cap of {MAX_COVER_WINDOW}" in result.output
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("window", ["1:10.5", "1:nan", "1:inf", "1:1e3", "1:x", "1:2:3", "16"])
+def test_mc_tail_cover_window_not_two_integers_exit_2(runner, window):
+    result = runner.invoke(main, [
+        "mc", "tail-cover", "--space", "circle,circle", "--alphas", "1,2",
+        "--s", "1,1", "--t", "0.5", "--window", window, "--seed", "1"])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert (f"Error: window must be 'N0:N1' with integers N0 and N1, got {window!r}"
+            in result.output)
+
+
+def test_package_names_are_the_modules_names():
+    modules = (limsupdim.svf, limsupdim.spaces, limsupdim.mc, limsupdim.ellipsoids)
+    names = [name for module in modules for name in module.__all__]
+    assert limsupdim.__all__ == names + ["RunManifest", "__version__"]
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert getattr(limsupdim, name) is next(
+            vars(m)[name] for m in modules if name in m.__all__)
+    assert {"RegularSpace", "factor_from_token", "CheckResult"} <= set(limsupdim.__all__)
+    assert limsupdim.RunManifest is RunManifest
 
 
 def test_mc_verdict_runs(runner):

@@ -871,3 +871,51 @@ def test_verdict_when_the_series_diverges_up_to_the_total(torus2):
     assert by_name["convergent-slope"].status == "SKIPPED"
     assert by_name["convergent-slope"].detail == (
         "series diverges up to total(s); no convergent side")
+
+
+# ---------------------------------------------------------------------------
+# counts: one integer rule
+# ---------------------------------------------------------------------------
+
+
+def _torus_density(seed, horizon):
+    return density_check(_torus_stream(seed), 0.25, horizon).statistics()
+
+
+def _window_verdict(n0):
+    config = VerdictConfig(FAST_VERDICT.tol, FAST_VERDICT.fiber_checkpoints, (n0, 1015),
+                           FAST_VERDICT.slope_blocks)
+    return dimension_verdict(PowerLawSchedule((0.5, 1)), (1, 1), _torus_stream(1).space,
+                             [3], config).statistics()
+
+
+# each count, as a function of one value, and the name its error gives
+COUNTS = {
+    "horizon": (lambda n: _torus_density(3, n), "horizon"),
+    "trials": (lambda n: divergence_tail_bound_test(
+        np.full(100, 0.5), n, np.random.default_rng(1)).statistics(), "trials"),
+    "window": (lambda n: tail_cover_sum(_torus_stream(3), PowerLawSchedule((1, 2)), (1, 1),
+                                        0.5, (n, 1015)).statistics(), "window"),
+    "blocks": (lambda n: svf.estimate_sum_growth(PowerLawSchedule((1, 2)), (1, 1), 0.5,
+                                                 [10, 100, n]), "blocks"),
+    "stream-seed": (lambda n: _torus_density(n, 1000), "seed"),
+    "verdict-seeds": (lambda n: dimension_verdict(
+        PowerLawSchedule((0.5, 1)), (1, 1), _torus_stream(1).space, [n],
+        FAST_VERDICT).statistics(), "seed"),
+    "verdict-window": (_window_verdict, "window"),
+}
+
+
+@pytest.mark.parametrize("bad", [10.5, math.nan, math.inf, "5"],
+                         ids=["fraction", "nan", "inf", "text"])
+@pytest.mark.parametrize("name", list(COUNTS))
+def test_count_refuses_a_non_integer_naming_its_field(name, bad):
+    call, field = COUNTS[name]
+    with pytest.raises(ValueError, match=f"^{field}.* must be .*integer"):
+        call(bad)
+
+
+@pytest.mark.parametrize("name", list(COUNTS))
+def test_count_takes_an_integral_float_as_its_int(name):
+    call, _ = COUNTS[name]
+    assert call(1e3) == call(1000)
