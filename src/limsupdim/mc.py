@@ -505,14 +505,13 @@ class TailCoverProfile:
         return self.value <= self.reference * (1.0 + 1e-12)
 
     def csv_rows(self) -> list[list]:
-        rows = []
-        running_v = 0.0
-        running_r = 0.0
-        for n, count, radius, contribution, phi in self.per_n:
-            running_v += contribution
-            running_r += phi
-            rows.append([n, running_v, running_r, running_v / running_r if running_r else math.nan])
-        return rows
+        """Per n, the exactly rounded running sums of the contributions and
+        of the phi terms, and their ratio; the last statistic is ``value``."""
+        ends = range(1, len(self.per_n) + 1)
+        values = prefix_fsums([row[3] for row in self.per_n], ends)
+        phis = prefix_fsums([row[4] for row in self.per_n], ends)
+        return [[row[0], v, p, v / p if p else math.nan]
+                for row, v, p in zip(self.per_n, values, phis)]
 
     def statistics(self) -> dict:
         return {

@@ -763,6 +763,18 @@ def test_tail_cover_matches_per_n_oracle(factors, s, sched, window):
             assert got.reference.hex() == want.reference.hex()
 
 
+@pytest.mark.parametrize("t", [0.5, 1.0, 1.5])
+def test_tail_cover_table_sums_are_exact_prefix_sums(torus2, t):
+    prof = tail_cover_sum(OmegaStream(9, torus2), PowerLawSchedule((1, 2)), (1, 1), t, (1, 128))
+    rows = prof.csv_rows()
+    for k, (n, value, phi, ratio) in enumerate(rows):
+        assert n == prof.per_n[k][0]
+        assert value == math.fsum(row[3] for row in prof.per_n[:k + 1])
+        assert phi == math.fsum(row[4] for row in prof.per_n[:k + 1])
+        assert ratio == value / phi
+    assert rows[-1][1] == prof.value
+
+
 # ---------------------------------------------------------------------------
 # verdict
 # ---------------------------------------------------------------------------
