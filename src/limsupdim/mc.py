@@ -36,6 +36,7 @@ from .svf import (
     log_phi_rows,
     partial_sums,  # unused; benchmarks/test_benchmarks.py traces mc.partial_sums
     prefix_fsums,
+    running_fsums,
     sorted_checkpoints,
 )
 
@@ -188,7 +189,11 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
         weights = radii[:, -1] ** u
         exact_terms = weights
         for i, factor in enumerate(space.factors[:-1]):
-            exact_terms = exact_terms * factor.ball_measure_array(anchor[i], radii[:, i])
+            # a prefactor can make a radius wider than 2 * diameter, and a
+            # ball that wide is the whole factor: with the hits taken, the
+            # kernel gets the radii clipped in place
+            wide = np.minimum(radii[:, i], 2.0 * factor.diameter, out=radii[:, i])
+            exact_terms = exact_terms * factor.ball_measure_array(anchor[i], wide)
         # only the hit terms are added: the sums are exact and +0.0 terms
         # add nothing, so each equals the sum of the zero-filled terms
         observed.add(weights[hits])
@@ -507,9 +512,8 @@ class TailCoverProfile:
     def csv_rows(self) -> list[list]:
         """Per n, the exactly rounded running sums of the contributions and
         of the phi terms, and their ratio; the last statistic is ``value``."""
-        ends = range(1, len(self.per_n) + 1)
-        values = prefix_fsums([row[3] for row in self.per_n], ends)
-        phis = prefix_fsums([row[4] for row in self.per_n], ends)
+        values = running_fsums(row[3] for row in self.per_n)
+        phis = running_fsums(row[4] for row in self.per_n)
         return [[row[0], v, p, v / p if p else math.nan]
                 for row, v, p in zip(self.per_n, values, phis)]
 

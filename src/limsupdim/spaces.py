@@ -35,7 +35,7 @@ and anchor.  Defaults serve the rest: the line metric |embed(x) - embed(y)|
 needed only by a metric that wraps around; and descriptor, built from kind,
 params, c and s.
 Each kind's ball_measure is its checks plus ball_measure_array: closed forms
-for Interval and Circle, and for Cantor a level-order walk of its cylinders.
+for Interval and Circle, and for Cantor a walk down the centre's digit path.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ __all__ = [
     "factor_from_token",
 ]
 
-_MASS_DEPTH_CAP = 60  # unresolved boundary slivers weigh <= 2^-60 each
-_MASS_BLOCK = 2048  # radii per ball-mass kernel pass: frontier memory is O(block)
+_MASS_DEPTH_CAP = 60  # the deepest cylinder level of a Cantor probe net
+_MASS_BLOCK = 1 << 14  # radii per ball-mass kernel pass: its memory is O(block)
 # the most points a probe net may hold; a finer net is a domain error raised
 # from a count taken before anything is allocated
 MAX_NET_POINTS = 1 << 20
@@ -288,6 +288,7 @@ class Circle(_UnitCoordinateSpace):
             raise ValueError(f"circle point {x} is not finite")
 
     def ball_measure(self, x, r: float) -> float:
+        self.validate_point(x)
         _check_radius(r, self.diameter)
         return float(self.ball_measure_array(x, np.array([float(r)]))[0])
 
@@ -315,12 +316,7 @@ class Cantor(RegularSpace):
 
     Depth-k cylinders are intervals of length lam^k and mass 2^-k; the
     regularity exponent is s = log 2 / log(1/lam), for which lam^s = 1/2, and
-    c(lam) = 2(1+lam)/(1-lam).  The probe-grid tests check that constant
-    against the mass kernel only for radii down to 2^-12.  Below that it is
-    not certified: the kernel compares x - r and x + r with cylinder ends of
-    size ~1, so within a few ulps of the centre its masses are wrong and can
-    break the bound (at r = 1e-20 about a point of C(0.05) the kernel gives
-    2^-13, a ratio mu / r^s of 5.2 against c = 2.2).
+    c(lam) = 2(1+lam)/(1-lam).
     """
 
     kind = "cantor"
@@ -338,6 +334,12 @@ class Cantor(RegularSpace):
         self.default_depth = min(64, math.ceil(53.0 * math.log(2.0) / math.log(1.0 / lam)) + 2)
         self._weights = self.weights(self.default_depth).tolist()
         self._pow = np.power(lam, np.arange(_MASS_DEPTH_CAP + 2))
+        # the right child [(1 - lam) lam^k, lam^k] of each cylinder [0, lam^k]
+        # with lam^(k+1) > 0, deepest first, as rows far, near, size and mass
+        k = np.arange(math.ceil(1075.0 * math.log(2.0) / -math.log(lam)), -1, -1)
+        far = np.power(lam, k)
+        tail = np.array([far, (1 - lam) * far, lam * far, np.ldexp(1.0, -k - 1)])
+        self._tail = tail[:, lam * far > 0]
 
     def weights(self, depth: int) -> np.ndarray:
         """Embedding weights (1-lam) * lam^k for digit positions k < depth."""
@@ -373,8 +375,12 @@ class Cantor(RegularSpace):
         return float(self.ball_measure_array(x, np.array([float(r)]))[0])
 
     def ball_measure_array(self, x, rs: np.ndarray) -> np.ndarray:
-        """Exact ball measures by the level-order kernel ``_interval_masses``,
-        one block of at most _MASS_BLOCK radii at a time."""
+        """Exact ball measures about a digit point, _MASS_BLOCK radii a pass:
+        on each side of x the ball holds the pieces (``_pieces``) whose far
+        end is within r and a share (``_shares``) of at most one more.  Each
+        distance is a sum of positive digit weights: comparisons are relative."""
+        if not isinstance(x, CantorPoint):
+            raise ValueError(f"ball centre must be a finite digit string (CantorPoint), got {x!r}")
         rs = np.asarray(rs, dtype=float)
         out = np.empty(rs.shape)
         if rs.size == 0:
@@ -384,73 +390,66 @@ class Cantor(RegularSpace):
         if not (rs.min() >= 0.0 and rs.max() <= 2.0 * self.diameter):
             for r in rs:
                 _check_radius(float(r), self.diameter)
-        xv = self.embed(x)
-        if not math.isfinite(xv):
-            # a NaN centre would leave every cylinder partial at every depth
-            raise ValueError(f"ball centre must be finite, got {xv}")
+        sides = self._pieces(x.digits)
         for start in range(0, rs.size, _MASS_BLOCK):
             r = rs[start:start + _MASS_BLOCK]
-            mass = self._interval_masses(xv - r, xv + r)
+            mass = np.zeros(r.size)
+            for far, near, size, piece, before in sides:
+                k = np.searchsorted(far, r, "right")
+                side = before[k]
+                cut = np.flatnonzero(r > near[k])
+                k = k[cut]
+                side[cut] = self._shares(side[cut], piece[k], (r[cut] - near[k]) / size[k])
+                mass += side
+            # pieces so deep that lam^k underflows lie at distance 0 in floats
             mass[r == 0.0] = 0.0
             out[start:start + r.size] = mass
         return out
 
-    def _interval_masses(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact mass of C(lam) inside each [a_k, b_k], level by level.
+    def _pieces(self, digits) -> list[tuple[np.ndarray, ...]]:
+        """Each point but x lies in one piece beside x's digit path.  Per side
+        of x, nearest first and then +inf: the pieces' far and near ends,
+        sizes, masses and nearer mass.  With trailing zeros dropped, x is the
+        left end of its depth-K cylinder; on its right lie its depth-m
+        cylinder (m = K, or the depth under ``_tail``'s deepest if more), then
+        ``_tail``'s pieces of depth m-1 ... K.  For k < K, the child digit d_k
+        passed over lies right if d_k = 0, else left, past ``ends``: the
+        distances to the ends of x's depth-(k+1) cylinder.  Near is never far - size."""
+        depth = max((k + 1 for k, d in enumerate(digits) if d), default=0)
+        lam = self.lam
+        pw = np.power(lam, np.arange(depth + 1)).tolist()
+        ends = [pw[depth], 0.0]
+        sides = ([], [])
+        for k in range(depth - 1, -1, -1):
+            d = int(digits[k])
+            far = ends[d] + (1.0 - lam) * pw[k]
+            sides[d].append((far, pw[k] * (1.0 - 2.0 * lam) + ends[d], pw[k + 1],
+                             2.0 ** -(k + 1)))
+            ends[d] = far
+        right, left = (np.array(pieces + [(math.inf, math.inf, 1.0, 0.0)]).T for pieces in sides)
+        m = max(depth, self._tail.shape[1])
+        whole = [[lam**m], [0.0], [lam**m], [2.0**-m]]
+        right = np.concatenate((whole, self._tail[:, :m - depth], right), axis=1)
+        return [(*t, np.concatenate(([0.0], np.cumsum(t[3, :-1])))) for t in (right, left)]
 
-        The walk descends the cylinder tree one depth at a time for all
-        intervals at once.  The frontier holds the partial cylinders, each
-        with its left end and the ends of its interval.  Each level lays its
-        children out child-major, a (2, n) array for a frontier of n nodes,
-        so every test runs along contiguous rows: flat child k is child
-        k // n (left, then right) of frontier node k % n.  Each child is
-        classified as empty, full or partial by the float expressions of a
-        depth-first recursion (``hi = lo + lam^d``, ``right_lo = lo + lam^d -
-        lam^(d+1)``, the same ``<`` and ``<=`` tests), and a child still
-        partial at the depth cap weighs half its mass.  The partial children,
-        in flat order, form the next frontier, and each level keeps their
-        flat indices.  Below one ulp neighbouring cylinders round onto each
-        other, and more than two per interval can be partial at one depth,
-        so the frontier has no fixed width.  The reduction then runs deepest
-        level first: the deeper sums are scattered back by flat index, and
-        each node's mass is the sum of its left and right child's.  These
-        are the recursion's additions, so the masses are its, bit for bit
-        (``tests/oracles.py`` keeps the recursion as the reference).
-        """
-        pw = self._pow
-        full = (a <= 0.0) & (pw[0] <= b)
-        partial = ~(full | (b < 0.0) | (pw[0] < a))
-        root = np.where(full, 1.0, 0.0)
-        lo = np.zeros(np.count_nonzero(partial))
-        a, b = a[partial], b[partial]
-        levels = []
-        for depth in range(_MASS_DEPTH_CAP):
-            n = lo.size
-            if n == 0:
-                break
-            child_lo = np.empty((2, n))
-            child_lo[0] = lo
-            child_lo[1] = lo + pw[depth] - pw[depth + 1]
-            hi = child_lo + pw[depth + 1]
-            inside = (a <= child_lo) & (hi <= b)
-            cut = ~(inside | (b < child_lo) | (hi < a))
-            mass = inside * 2.0 ** -(depth + 1)
-            child = np.flatnonzero(cut)
-            if depth + 1 >= _MASS_DEPTH_CAP:
-                mass.ravel()[child] = 2.0 ** -(depth + 2)
-                child = child[:0]
-            levels.append((mass, child))
-            # the left children come first: a right child's node is its
-            # flat index less n
-            parent = child.copy()
-            parent[np.count_nonzero(cut[0]):] -= n
-            lo, a, b = child_lo.take(child), a.take(parent), b.take(parent)
-        sums = np.empty(0)
-        for mass, child in reversed(levels):
-            mass.ravel()[child] = sums
-            sums = mass[0] + mass[1]
-        root[partial] = sums
-        return root
+    def _shares(self, found: np.ndarray, weight: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """found + weight * F(rho), F the Cantor function of C(lam), level by
+        level: rho >= 1 takes the cylinder, rho >= lam its left child; past
+        1 - lam the walk goes right, below lam left.  A cylinder weighing <=
+        2^-53 of the mass found weighs half.  Takes fresh arrays as scratch."""
+        lam, right = self.lam, 1.0 - self.lam
+        total, at = found.copy(), np.arange(rho.size)
+        while at.size:
+            found += np.where(rho >= 1.0, weight, np.where(rho >= lam, 0.5 * weight, 0.0))
+            weight *= 0.5
+            on = (rho < lam) | ((rho >= right) & (rho < 1.0))
+            rho = np.where(rho >= right, rho - right, rho) / lam
+            tiny = weight <= 2.0**-53 * found
+            found += np.where(on & tiny, 0.5 * weight, 0.0)
+            total[at] = found
+            on &= ~tiny
+            rho, weight, found, at = rho[on], weight[on], found[on], at[on]
+        return total
 
     def sample(self, rng: np.random.Generator) -> CantorPoint:
         return self.point(rng.integers(0, 2, size=self.default_depth))

@@ -33,7 +33,9 @@ hit sums and their expectations, the divergence table's means -- comes from
 one exact accumulator, ``_ExactSum``, a binned superaccumulator that equals
 ``math.fsum`` of everything added to it, at checkpoints checked by one rule,
 ``sorted_checkpoints``.  Monotone terms stay in one exponent bin for long
-runs, and the accumulator adds each such run as one exact sum.
+runs, and the accumulator adds each such run as one exact sum.  A table of
+every running sum, such as the tail cover's, reads the accumulator's scaled
+int once per row through ``running_fsums``.
 ``partial_sums``, ``prefix_fsums``, the fiber hit sum and the density check
 walk their indices once, in chunks of ``_CHUNK`` cut at the checkpoints
 (the density check's are its two horizons), so their memory is O(chunk)
@@ -47,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -720,6 +722,18 @@ class _ExactSum:
                 raise ValueError("-inf + inf in fsum")
             return self._special
         return self._total / (1 << 1074)
+
+
+def running_fsums(values: Iterable[float]) -> Iterator[float]:
+    """math.fsum of each non-empty prefix of finite ``values``, in one pass.
+
+    The running sum is the int ``_ExactSum`` keeps: each value scaled by
+    2^1074, which float.as_integer_ratio and a shift make exactly, summed by
+    itertools.accumulate.  Each prefix is read with one division by 2^1074,
+    which CPython rounds correctly, as fsum does."""
+    ratios = map(float.as_integer_ratio, map(float, values))
+    return (total / (1 << 1074)
+            for total in accumulate(n << (1075 - d.bit_length()) for n, d in ratios))
 
 
 def _phi_terms(log_r: np.ndarray, sv: np.ndarray, t: float) -> np.ndarray:

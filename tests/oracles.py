@@ -5,8 +5,8 @@ function is checked against a brute-force maximisation over a grid of
 exponent allocations, its batched log-space kernel against a per-row
 argsort evaluation, series convergence against dyadic-block growth of
 plain partial sums, and Cantor ball masses against full cylinder
-enumeration and against the depth-first recursion that the library's
-level-order kernel replaced, the sorted first-fit scan against the
+enumeration and against a level-order walk in exact rationals, the sorted
+first-fit scan against the
 searchsorted-jump greedy it replaced, simulated Bernoulli counts against
 the exact Poisson-binomial law, the byte unpacking of ``rng.bits`` against
 the shift-and-mask expression it replaced, and the streamed exact sums of
@@ -24,6 +24,7 @@ and so is the per-index tail cover loop, one argsort and one
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -188,32 +189,46 @@ def cantor_mass_bruteforce(space, x, r, depth=10):
     return mass
 
 
-def recursive_cantor_mass(space, x, r, depth_cap=60):
-    """mu(B(x, r)) on C(lam) by depth-first recursion through cylinders.
+def exact_cantor_mass(space, x, r, below=64):
+    """mu(B(x, r)) on C(lam) in exact rationals, as a Fraction.
 
-    The library's level-order kernel classifies each cylinder by the same
-    float expressions (``hi = lo + lam^d``, ``right_lo = lo + lam^d -
-    lam^(d+1)``, the same ``<``/``<=`` tests, half mass at the depth cap)
-    and adds each node's two children, so the two must agree bit for bit.
+    lam and r are read as the exact values of their floats (r may also be a
+    Fraction), and x is the exact digit point sum_k d_k (1 - lam) lam^k.
+    The cylinders are walked level by level in integers: every end and
+    length is scaled by one common denominator, so no step rounds, and at
+    most two cylinders of a depth are partial.  A cylinder still partial
+    ``below`` levels under r's scale (the first depth k with lam^k <= r)
+    weighs half its mass.
     """
-    pw = np.power(space.lam, np.arange(depth_cap + 2))
-    a = space.embed(x) - r
-    b = space.embed(x) + r
-
-    def mass(lo, depth):
-        hi = lo + pw[depth]
-        if b < lo or hi < a:
-            return 0.0
-        if a <= lo and hi <= b:
-            return 2.0 ** -depth
-        if depth >= depth_cap:
-            return 2.0 ** -(depth + 1)
-        right_lo = lo + pw[depth] - pw[depth + 1]
-        return mass(lo, depth + 1) + mass(right_lo, depth + 1)
-
-    if r == 0.0:
-        return 0.0
-    return mass(0.0, 0)
+    lam, r = Fraction(space.lam), Fraction(r)
+    if r <= 0:
+        return Fraction(0)
+    cap = max(0, math.ceil(math.log(r) / math.log(lam))) + below
+    # lam = p / q, and every length is scaled by q^n * r's denominator
+    p, q = lam.numerator, lam.denominator
+    n = max(cap, len(x.digits))
+    centre, power = 0, 1  # by Horner: sum_k d_k p^k q^(m - 1 - k) over m digits
+    for d in x.digits:
+        centre, power = centre * q + d * power, power * p
+    centre *= (q - p) * q ** (n - len(x.digits)) * r.denominator
+    radius = r.numerator * q**n
+    a, b = centre - radius, centre + radius
+    units, nodes, length = 0, [0], q**n * r.denominator
+    for depth in range(cap + 1):
+        child = length * p // q
+        partial = []
+        for lo in nodes:
+            hi = lo + length
+            if b < lo or hi < a:
+                continue
+            if a <= lo and hi <= b:
+                units += 1 << (cap + 1 - depth)
+            elif depth == cap:
+                units += 1
+            else:
+                partial += [lo, hi - child]
+        nodes, length = partial, child
+    return Fraction(units, 1 << (cap + 1))
 
 
 def searchsorted_greedy(space, coords, points, r):

@@ -192,6 +192,14 @@ def test_mc_fiber_sum_reproducible_bytes(runner, tmp_path):
     assert csv_a == csv_b
 
 
+def test_mc_fiber_sum_runs_a_prefactor_past_the_cantor_diameter(runner, tmp_path):
+    result = runner.invoke(main, [
+        "mc", "fiber-sum", "--space", "cantor:0.25,interval", "--alphas", "1,2",
+        "--coefficients", "3,1", "--s", "0.5,1", "--u", "0.5", "--anchor", "0",
+        "--checkpoints", "100", "--seed", "3", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+
+
 def test_manifest_written_even_on_check_failure(runner, tmp_path):
     # an adversarial acceptance threshold cannot stop the manifest: use a
     # divergence run whose table is empty (always passes) vs density with

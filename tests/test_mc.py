@@ -305,6 +305,20 @@ def test_streamed_fiber_sum_equals_the_materialised_oracle(name, half_u):
     assert got == want
 
 
+def test_fiber_sum_clips_prefactor_radii_to_the_whole_factor():
+    # a prefactor of 3 puts the first Cantor radii past 2 * diameter = 2,
+    # where the ball is the whole factor: the mass kernel takes the clip
+    cantor = Cantor(0.25)
+    space = ProductSpace((cantor, Interval()))
+    sched = PowerLawSchedule((1, 2), (3, 1))
+    anchor = (cantor.point(()),)
+    got = fiber_hit_sum(OmegaStream(3, space), sched, space.s_vector, anchor, 0.5, [100])
+    radii = np.exp(sched.log_radii(np.arange(1, 101)))
+    assert radii[0, 0] > 2.0
+    terms = radii[:, 1] ** 0.5 * cantor.ball_measure_array(anchor[0], np.minimum(radii[:, 0], 2.0))
+    assert got.expectation_exact == ((100, math.fsum(terms.tolist())),)
+
+
 @pytest.mark.parametrize("chunk", [1, 3])
 def test_fiber_sum_in_small_chunks(monkeypatch, torus2, chunk):
     # chunks of a few indices cut the walk between and at the checkpoints

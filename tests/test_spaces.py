@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from limsupdim.spaces import _greedy_sorted, factor_from_token
 from oracles import (
     cantor_mass_bruteforce,
     circle_distance,
+    exact_cantor_mass,
     interval_distance,
-    recursive_cantor_mass,
     searchsorted_greedy,
 )
 
@@ -123,24 +124,42 @@ def test_cantor_distance_to_array_is_the_interval_one_on_embedded_points(coords,
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("space", [Interval(), Circle()], ids=["interval", "circle"])
+def _centres(space):
+    """Stream points, and for Cantor digit points and the two ends (0, and
+    the left end of the last cylinder of the sampling depth), else the ends
+    of [0, 1], a few fixed points and any coordinate."""
+    stream = st.builds(lambda seed, n: space.stream_point(seed, 0, n),
+                       st.integers(0, 2**31), st.integers(1, 10**6))
+    if isinstance(space, Cantor):
+        return st.one_of(
+            stream,
+            st.lists(st.integers(0, 1), max_size=space.default_depth + 4).map(space.point),
+            st.sampled_from([space.point(()), space.point((1,) * space.default_depth)]),
+        )
+    return st.one_of(stream, st.sampled_from([0.0, 1.0, 0.5, 0.7]), st.floats(0.0, 1.0))
+
+
+@pytest.mark.parametrize("space", [Interval(), Circle()] + [
+    Cantor(lam) for lam in (0.01, 0.05, 1 / 3, 0.45, 0.49)],
+    ids=lambda s: f"cantor-{s.lam:.3g}" if s.params else s.kind)
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_ball_measure_ahlfors_bounds_at_every_radius(space, data):
-    # stream points, the ends and a few fixed points; radii log-uniform
-    # from the least subnormal to 2 * diameter
-    x = data.draw(st.one_of(
-        st.builds(lambda seed, n: space.stream_point(seed, 0, n),
-                  st.integers(0, 2**31), st.integers(1, 10**6)),
-        st.sampled_from([0.0, 1.0, 0.5, 0.7]),
-        st.floats(0.0, 1.0),
-    ), label="x")
+    # radii log-uniform from the least subnormal to 2 * diameter
+    x = data.draw(_centres(space), label="x")
     r_max = 2.0 * space.diameter
     log_r = data.draw(st.floats(math.log(5e-324), math.log(r_max)), label="log r")
     r = min(max(math.exp(log_r), 5e-324), r_max)
     mu = space.ball_measure(x, r)
     assert r**space.s / space.c <= mu <= space.c * r**space.s
     assert mu <= 1.0
+
+
+@pytest.mark.parametrize("space", ALL_KINDS, ids=lambda s: repr(s))
+@pytest.mark.parametrize("centre", [math.nan, math.inf, -math.inf])
+def test_ball_measure_refuses_a_non_finite_centre(space, centre):
+    with pytest.raises(ValueError):
+        space.ball_measure(centre, 0.1)
 
 
 def test_ball_measure_rejects_negative_radius(interval):
@@ -163,8 +182,8 @@ def test_cantor_mass_matches_bruteforce_enumeration(lam, rng):
 
 
 def _cylinder_ends(space, digits):
-    """Left and right ends of each cylinder along a digit string, by the
-    float expressions of the mass recursion."""
+    """Left and right ends of each cylinder along a digit string, in floats
+    (``hi = lo + lam^d``, ``right_lo = lo + lam^d - lam^(d+1)``)."""
     pw = np.power(space.lam, np.arange(62))
     lo, ends = 0.0, [0.0, 1.0]
     for depth, digit in enumerate(digits[:60]):
@@ -174,9 +193,26 @@ def _cylinder_ends(space, digits):
     return ends
 
 
+_SHIFT = Fraction(1, 2**40)
+_SLACK = Fraction(1, 2**50)
+
+
+def _assert_exact_masses(space, x, rs, masses):
+    """At a normal radius r the mass lies within 2^-50 of the exact masses
+    at r(1 -+ 2^-40): the kernel rounds distances, not masses.  A subnormal
+    radius has too few bits for that, and only the Ahlfors bound holds."""
+    for r, mu in zip(np.asarray(rs).tolist(), np.asarray(masses).tolist()):
+        if r >= 2.0**-1022:
+            lo = exact_cantor_mass(space, x, Fraction(r) * (1 - _SHIFT))
+            hi = exact_cantor_mass(space, x, Fraction(r) * (1 + _SHIFT))
+            assert lo * (1 - _SLACK) <= Fraction(mu) <= hi * (1 + _SLACK), (r, mu)
+        else:
+            assert r**space.s / space.c <= mu <= space.c * r**space.s, (r, mu)
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
-def test_cantor_masses_bit_identical_to_recursion(data):
+def test_cantor_masses_within_the_exact_bracket(data):
     lam = data.draw(st.floats(0.01, 0.49), label="lam")
     space = Cantor(lam)
     digits = data.draw(st.lists(st.integers(0, 1), max_size=space.default_depth + 4),
@@ -194,13 +230,15 @@ def test_cantor_masses_bit_identical_to_recursion(data):
         st.lists(st.sampled_from(ends), max_size=4), label="ends")]
     rs = np.array([r for r in special if r <= 2.0])
     got = space.ball_measure_array(x, rs)
-    want = np.array([recursive_cantor_mass(space, x, float(r)) for r in rs])
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    _assert_exact_masses(space, x, rs, got)
+    # trailing zero digits spell the same point
+    padded = space.ball_measure_array(space.point(digits + [0, 0]), rs)
+    assert np.array_equal(padded.view(np.int64), got.view(np.int64))
 
 
 def test_cantor_masses_on_cylinder_ends_and_below_one_ulp():
     # ends met exactly, deep cylinders that collapse onto one float for
-    # lam near 1/2, and the half mass of a sliver left at the depth cap
+    # lam near 1/2, and radii far below one ulp of the centre
     for lam in (0.2, 1 / 3, 0.45, 0.49):
         space = Cantor(lam)
         digits = ((1, 0, 1, 1, 0) * 20)[:space.default_depth + 4]
@@ -210,31 +248,32 @@ def test_cantor_masses_on_cylinder_ends_and_below_one_ulp():
                       + [5e-324, 1e-300, 1e-17] + [lam**k for k in range(62)])
         landed = sum(x.value - r in ends or x.value + r in ends for r in rs)
         assert landed >= len(ends) // 2
-        want = [recursive_cantor_mass(space, x, float(r)) for r in rs]
-        assert space.ball_measure_array(x, rs).tolist() == want
-    # lam near 1/2 leaves gaps below one ulp: here eight cylinders of one
-    # depth are partial at once, not the two an exact walk would meet
+        _assert_exact_masses(space, x, rs, space.ball_measure_array(x, rs))
+    # lam near 1/2 leaves gaps below one ulp: eight cylinders of one depth
+    # overlap x - r or x + r in floats, where an exact walk meets two
     space = Cantor(0.49)
     x = space.point(int(d) for d in "000100110001000000011101000100110011000011100")
     r = 3.445521474652939e-12
-    assert space.ball_measure(x, r) == recursive_cantor_mass(space, x, r)
+    _assert_exact_masses(space, x, [r], [space.ball_measure(x, r)])
     left = Cantor(0.25).point(())
-    assert Cantor(0.25).ball_measure(left, 5e-324) == 2.0**-61
+    _assert_exact_masses(Cantor(0.25), left, [5e-324], [Cantor(0.25).ball_measure(left, 5e-324)])
 
 
-@pytest.mark.parametrize("lam", [1 / 3, 0.45])
-def test_cantor_masses_across_kernel_blocks_bit_identical_to_recursion(lam):
-    # 1/n for n <= 3000 and log-uniform radii down to 1e-18, shuffled: three
-    # kernel passes whose frontiers differ in width from one level to the next
+@pytest.mark.parametrize("lam", [1 / 3, 0.45], ids=lambda lam: f"{lam:.3g}")
+def test_cantor_masses_across_kernel_blocks_within_the_exact_bracket(monkeypatch, lam):
+    # 1/n for n <= 3000 and log-uniform radii down to 1e-18, shuffled, in
+    # three kernel passes: each block's masses are the one-pass masses
     space = Cantor(lam)
     rng = np.random.default_rng(11)
     x = space.point(rng.integers(0, 2, size=space.default_depth))
     rs = np.concatenate([1.0 / np.arange(1, 3001), 10.0 ** rng.uniform(-18.0, 0.0, 2000)])
     rng.shuffle(rs)
+    whole = space.ball_measure_array(x, rs)
+    monkeypatch.setattr(spaces, "_MASS_BLOCK", 2048)
     assert rs.size > 2 * spaces._MASS_BLOCK
     got = space.ball_measure_array(x, rs)
-    want = np.array([recursive_cantor_mass(space, x, float(r)) for r in rs])
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(got.view(np.int64), whole.view(np.int64))
+    _assert_exact_masses(space, x, rs, got)
 
 
 def test_cantor_mass_kernel_memory_does_not_grow_with_n(cantor_third, rng):

@@ -679,6 +679,14 @@ def test_prefix_fsums_equal_fsum_of_each_prefix(case):
     assert [v.hex() for v in prefix_fsums(strided, ends)] == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FSUM_VALUES, max_size=60))
+def test_running_fsums_are_prefix_fsums_at_every_end(values):
+    want = [v.hex() for v in prefix_fsums(np.asarray(values, dtype=float),
+                                          range(1, len(values) + 1))]
+    assert [v.hex() for v in svf.running_fsums(values)] == want
+
+
 # chunks of 1, 2, 3 and 7 values put the accumulator's chunk boundaries
 # everywhere, the ends included
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
