@@ -550,9 +550,13 @@ def tail_cover_sum(stream: OmegaStream, sched: RadiusSchedule,
     The window is batched: radius tuples, pieces and cube radii rho come as
     arrays, each factor's centres from one stream draw.  A factor is covered,
     by the greedy of ``cover_rectangle``, only where its radius exceeds rho.
+    A side past its factor's diameter covers the whole factor: the greedy
+    clamps it there, so domination holds for any radii, from n = 1 on.
 
-    A window longer than MAX_COVER_WINDOW, or reaching below the power
-    model's n_min, is a domain error raised before anything is allocated.
+    A window longer than MAX_COVER_WINDOW is a domain error raised before
+    anything is allocated.  A reference or a contribution past the float
+    range, as prefactors near it can give, is a ValueError naming the
+    window and t.
     """
     space = stream.space
     sv = _require_matching_regularity(space, s)
@@ -560,18 +564,11 @@ def tail_cover_sum(stream: OmegaStream, sched: RadiusSchedule,
     if not (0.0 <= t <= total):
         raise ValueError(f"t={t} outside [0, {total}]")
     n0, n1 = _checked_window(window)
-    unbuildable = sched.unbuildable
-    blocked = range(max(n0, unbuildable.start), min(n1 + 1, unbuildable.stop))
-    if blocked:
-        raise ValueError(
-            f"window [{n0}, {n1}] includes index {blocked.start} below "
-            f"n_min={unbuildable.stop}, where some radius exceeds 1"
-        )
 
     c_big = math.prod(4.0**f.s * f.c**2 for f in space.factors)
     ns = np.arange(n0, n1 + 1, dtype=np.int64)
-    phi = np.exp(log_phi_rows(sched.log_radii(ns), sv, float(t))).tolist()
-    reference = 2.0**t * c_big * math.fsum(phi)
+    with np.errstate(over="ignore"):
+        phi = np.exp(log_phi_rows(sched.log_radii(ns), sv, float(t))).tolist()
 
     radii = np.array([sched.radius_tuple(n).values for n in ns.tolist()])
     order = np.argsort(-radii, axis=1, kind="stable")
@@ -584,12 +581,20 @@ def tail_cover_sum(stream: OmegaStream, sched: RadiusSchedule,
         for j, x, side, r in zip(need.tolist(), stream.factor_coords(i, ns[need]).tolist(),
                                  radii[need, i].tolist(), rho[need].tolist()):
             counts[j] *= len(_sparse_greedy(factor, x, side, r, None))
-    per_n = tuple((n, count, r, count * (2.0 * r) ** t, p)
-                  for n, count, r, p in zip(ns.tolist(), counts, rho.tolist(), phi))
+    try:
+        reference = 2.0**t * c_big * math.fsum(phi)
+        per_n = tuple((n, count, r, count * (2.0 * r) ** t, p)
+                      for n, count, r, p in zip(ns.tolist(), counts, rho.tolist(), phi))
+        # an infinite contribution makes the sum infinite too
+        value = math.fsum(row[3] for row in per_n)
+    except OverflowError:
+        reference = value = math.inf
+    if not max(reference, value) < math.inf:
+        raise ValueError(f"window [{n0}, {n1}] at t={t} has cover sums past the float range")
     return TailCoverProfile(
         t=float(t),
         window=(n0, n1),
-        value=math.fsum(row[3] for row in per_n),
+        value=value,
         reference=reference,
         per_n=per_n,
     )
@@ -671,8 +676,10 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
     methods, tail-cover domination with growth slopes on both sides of t*,
     fiber hit-sum divergence below t*, and the projection inequality.  A
     method disagreement beyond tolerance is reported as a failing check, not
-    swallowed.  A cover window that reaches below the power model's n_min is
-    moved to start there, keeping its length.
+    swallowed.  The cover window is ``cfg.cover_window`` whatever the
+    prefactors: a side past its factor's diameter covers the whole factor.
+    A window whose cover sums pass the float range raises the ValueError of
+    ``tail_cover_sum``, naming the window and t.
     """
     cfg = config or VerdictConfig()
     if len(seeds) == 0:
@@ -699,11 +706,7 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
     else:
         check("method-agreement", None, "no power-law model to cross-check")
 
-    # tail-cover domination on a modest constructed window, moved past any
-    # indices below the power model's n_min with its length kept
-    unbuildable = sched.unbuildable
-    if range(max(window[0], unbuildable.start), min(window[1] + 1, unbuildable.stop)):
-        window = (unbuildable.stop, window[1] + unbuildable.stop - window[0])
+    # tail-cover domination on a modest constructed window
     t_probes = sorted({v for v in (0.5 * predicted, predicted,
                                    0.5 * (predicted + total)) if 0.0 < v <= total})
     violations = []

@@ -34,8 +34,9 @@ and anchor.  Defaults serve the rest: the line metric |embed(x) - embed(y)|
 (distance and distance_to_array), which the circle overrides; wrap_clash,
 needed only by a metric that wraps around; and descriptor, built from kind,
 params, c and s.
-Each kind's ball_measure is its checks plus ball_measure_array: closed forms
-for Interval and Circle, and for Cantor a walk down the centre's digit path.
+Each kind's ball_measure is one call of its ball_measure_array, which checks
+the centre and, by one rule (``_checked_radii``), the radii: closed forms for
+Interval and Circle, and for Cantor a walk down the centre's digit path.
 """
 
 from __future__ import annotations
@@ -231,14 +232,14 @@ class Interval(_UnitCoordinateSpace):
             raise ValueError(f"interval point {x} outside [0, 1]")
 
     def ball_measure(self, x, r: float) -> float:
-        self.validate_point(x)
-        _check_radius(r, self.diameter)
         return float(self.ball_measure_array(x, np.array([float(r)]))[0])
 
     def ball_measure_array(self, x, rs: np.ndarray) -> np.ndarray:
         # min(r, x) + min(r, 1 - x), each side measured from the centre, so
         # an interior ball weighs 2r exactly however small r is; clamped to
         # [0, 1], one array per side
+        self.validate_point(x)
+        rs = _checked_radii(rs, self.diameter)
         xv = float(x)
         mass = np.minimum(rs, xv)
         mass += np.minimum(rs, 1.0 - xv)
@@ -288,12 +289,11 @@ class Circle(_UnitCoordinateSpace):
             raise ValueError(f"circle point {x} is not finite")
 
     def ball_measure(self, x, r: float) -> float:
-        self.validate_point(x)
-        _check_radius(r, self.diameter)
         return float(self.ball_measure_array(x, np.array([float(r)]))[0])
 
     def ball_measure_array(self, x, rs: np.ndarray) -> np.ndarray:
-        mass = np.multiply(rs, 2.0)
+        self.validate_point(x)
+        mass = np.multiply(_checked_radii(rs, self.diameter), 2.0)
         np.minimum(mass, 1.0, out=mass)
         # adding 0.0 gives a radius of -0.0 the mass +0.0, as the other kinds do
         mass += 0.0
@@ -381,15 +381,10 @@ class Cantor(RegularSpace):
         distance is a sum of positive digit weights: comparisons are relative."""
         if not isinstance(x, CantorPoint):
             raise ValueError(f"ball centre must be a finite digit string (CantorPoint), got {x!r}")
-        rs = np.asarray(rs, dtype=float)
+        rs = _checked_radii(rs, self.diameter)
         out = np.empty(rs.shape)
         if rs.size == 0:
             return out
-        # min and max propagate NaN, so two comparisons cover the domain
-        # without an O(N) mask; the loop names the first radius outside it
-        if not (rs.min() >= 0.0 and rs.max() <= 2.0 * self.diameter):
-            for r in rs:
-                _check_radius(float(r), self.diameter)
         sides = self._pieces(x.digits)
         for start in range(0, rs.size, _MASS_BLOCK):
             r = rs[start:start + _MASS_BLOCK]
@@ -586,6 +581,17 @@ def _check_radius(r: float, diameter: float) -> None:
         raise ValueError(f"radius {r} exceeds 2 * diameter = {2.0 * diameter}")
 
 
+def _checked_radii(rs, diameter: float) -> np.ndarray:
+    """``rs`` as a float array, each radius in [0, 2 * diameter].  min and
+    max propagate NaN, so two comparisons cover the domain without an O(N)
+    mask; the loop names the first radius outside it, as ``_check_radius``."""
+    rs = np.asarray(rs, dtype=float)
+    if rs.size and not (rs.min() >= 0.0 and rs.max() <= 2.0 * diameter):
+        for r in rs.ravel():
+            _check_radius(float(r), diameter)
+    return rs
+
+
 def _check_net_size(count: float, resolution: float) -> None:
     if not count <= MAX_NET_POINTS:
         raise ValueError(f"a probe net at resolution {resolution!r} needs {count:.6g} "
@@ -735,7 +741,7 @@ def cover_rectangle(space: ProductSpace, center: Sequence, radii, r: float) -> C
     """
     if not 0.0 < r < math.inf:
         raise ValueError(f"cube radius must be positive and finite, got {r}")
-    radii_vals = tuple(float(v) for v in (radii.values if hasattr(radii, "values") else radii))
+    radii_vals = tuple(float(v) for v in radii)
     if len(radii_vals) != space.dim or len(center) != space.dim:
         raise ValueError("center/radii dimension mismatch with the product space")
     space.validate_point(center)

@@ -74,11 +74,11 @@ DEFAULT_BISECTION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RadiusTuple:
-    """Side radii of a rectangle, one positive entry per factor space.
-
-    Standalone radii must lie in (0, 1]; when attached to a space each entry
-    must additionally not exceed that factor's diameter (checked at the point
-    of attachment, not here).
+    """Side radii of a rectangle, one entry per factor space, each finite
+    and > 0 (the ``_RADII`` rule), with no upper limit: a side past its
+    factor's diameter covers the whole factor, and covers and ball masses
+    clamp it there.  Radii near the float range can overflow a window's
+    cover sums, which ``tail_cover_sum`` refuses with a ValueError.
     """
 
     values: tuple[float, ...]
@@ -87,9 +87,10 @@ class RadiusTuple:
         vals = tuple(float(v) for v in values)
         if not vals:
             raise ValueError("radius tuple must be non-empty")
+        # a loop over Python floats: tail covers build one tuple per rectangle
         for v in vals:
-            if not 0.0 < v <= 1.0:  # false for NaN too
-                raise ValueError(f"radii must lie in (0, 1], got {v}")
+            if not 0.0 < v < math.inf:  # false for NaN too
+                raise ValueError(f"all radii must be finite and > 0, got {v}")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -111,8 +112,7 @@ _EXPONENTS = ("regularity exponents", lambda v: (v >= 0.0) & (v < math.inf), "fi
 def _as_array(values: RadiusTuple | Sequence[float], spec: tuple) -> np.ndarray:
     """A tuple or sequence as a non-empty 1-d float array, entries checked."""
     name, ok, domain = spec
-    vals = np.asarray(values.values if isinstance(values, RadiusTuple) else values,
-                      dtype=float)
+    vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError(f"{name} must form a non-empty 1-d sequence")
     bad = vals[~ok(vals)]
@@ -289,14 +289,15 @@ def svf_profile(r: RadiusTuple | Sequence[float],
 class PowerLawSchedule:
     """Radii r_{n,i} = kappa_i * n^{-alpha_i} with alpha_i > 0, kappa_i > 0.
 
-    ``n_min`` is the smallest index from which every radius is <= 1; tuples
-    below it cannot be materialised (the asymptotic power-bound hypothesis
-    starts there), though log-radii remain well defined for partial sums.
+    Every index n >= 1 has its tuple, whatever the prefactors: a radius
+    past its factor's diameter covers the whole factor, and finitely many
+    rectangles never change the limsup set or t*.  A prefactor near the
+    float range can overflow a window's cover sums, which ``tail_cover_sum``
+    refuses with a ValueError.
     """
 
     alphas: tuple[float, ...]
     coefficients: tuple[float, ...] = ()
-    n_min: int = field(init=False, default=1)
 
     def __post_init__(self):
         alphas = tuple(float(a) for a in self.alphas)
@@ -312,16 +313,6 @@ class PowerLawSchedule:
             raise ValueError(f"coefficients must be finite and > 0, got {coeffs}")
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "coefficients", coeffs)
-        n_min = 1
-        for a, k in zip(alphas, coeffs):
-            if k > 1.0:
-                try:
-                    n_min = max(n_min, math.ceil(k ** (1.0 / a)))
-                except OverflowError:
-                    raise ValueError(f"coefficient {k} with decay exponent {a} puts the "
-                                     "first index with radius <= 1 past the float range"
-                                     ) from None
-        object.__setattr__(self, "n_min", n_min)
 
     @property
     def dim(self) -> int:
@@ -350,8 +341,6 @@ class PowerLawSchedule:
         return out
 
     def radius_tuple(self, n: int) -> RadiusTuple:
-        if n < self.n_min:
-            raise ValueError(f"index {n} below n_min={self.n_min}: some radius exceeds 1")
         return RadiusTuple(
             k * float(n) ** -a for a, k in zip(self.alphas, self.coefficients)
         )
@@ -360,11 +349,6 @@ class PowerLawSchedule:
     def power_model(self) -> PowerLawSchedule:
         """The power law that decides t*: the schedule itself."""
         return self
-
-    @property
-    def unbuildable(self) -> range:
-        """Indices whose radius tuple cannot be built: those below n_min."""
-        return range(1, self.n_min)
 
     def check_non_increasing(self) -> None:
         """Raise unless r_{n,1} >= ... >= r_{n,d} for every n."""
@@ -432,46 +416,32 @@ class ExplicitSchedule:
         if np.any(ns < 1):
             raise ValueError("schedule indices start at 1")
         k = len(self.tuples)
-        out = np.empty((ns.size, self.dim), dtype=float)
-        head = ns <= k
-        if head.any():
-            out[head] = self._log_table[ns[head] - 1]
-        rest = ~head
-        if rest.any():
-            if self.tail is None:
-                raise ValueError(
-                    f"index beyond the {k} explicit tuples and no tail model declared"
-                )
-            if self.tail == "constant":
-                out[rest] = np.log(self.tuples[-1].values)[None, :]
-            else:
-                out[rest] = self.tail.log_radii(ns[rest])
+        rest = ns > k
+        if self.tail is None and rest.any():
+            raise ValueError(
+                f"index beyond the {k} explicit tuples and no tail model declared"
+            )
+        # the constant tail is the last listed row, repeated
+        out = self._log_table[np.minimum(ns, k) - 1]
+        if self.power_model is not None and rest.any():
+            out[rest] = self.power_model.log_radii(ns[rest])
         return out
 
     def radius_tuple(self, n: int) -> RadiusTuple:
         if n < 1:
             raise ValueError("schedule indices start at 1")
-        if n <= len(self.tuples):
-            return self.tuples[n - 1]
-        if self.tail is None:
-            raise ValueError(
-                f"index beyond the {len(self.tuples)} explicit tuples and no tail model"
-            )
-        if self.tail == "constant":
-            return self.tuples[-1]
-        return self.tail.radius_tuple(n)
+        k = len(self.tuples)
+        if n > k and self.tail is None:
+            raise ValueError(f"index beyond the {k} explicit tuples and no tail model")
+        if n > k and self.power_model is not None:
+            return self.power_model.radius_tuple(n)
+        # the constant tail is the last listed tuple, repeated
+        return self.tuples[min(n, k) - 1]
 
     @property
     def power_model(self) -> PowerLawSchedule | None:
         """The power-law tail, which decides t*; None for the other tails."""
         return self.tail if isinstance(self.tail, PowerLawSchedule) else None
-
-    @property
-    def unbuildable(self) -> range:
-        """Indices past the listed tuples but below a power tail's n_min."""
-        if self.power_model is None:
-            return range(0)
-        return range(len(self.tuples) + 1, self.power_model.n_min)
 
     def check_non_increasing(self) -> None:
         """Raise unless every listed tuple, and a power tail, is non-increasing."""
@@ -490,7 +460,7 @@ class ExplicitSchedule:
         }
 
 
-# Both kinds answer power_model, unbuildable and check_non_increasing(), so
+# Both kinds answer power_model and check_non_increasing(), so
 # callers never test which kind they hold.
 RadiusSchedule = PowerLawSchedule | ExplicitSchedule
 

@@ -3,12 +3,15 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 import limsupdim
 
@@ -342,11 +345,46 @@ def test_report_incompatible_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
-def test_n_min_past_the_float_range_exit_2(runner):
-    result = runner.invoke(main, ["dim", "predict", "--alphas", "0.001", "--s", "1",
-                                  "--coefficients", "3"])
-    assert result.exit_code == 2
-    assert "past the float range" in result.output
+# prefactors log-uniform over the float range, one per factor
+_KAPPAS = hst.floats(math.log(1e-300), math.log(1e308)).map(math.exp)
+_PREDICT_CASES = hst.integers(1, 3).flatmap(lambda d: hst.tuples(
+    hst.lists(hst.floats(0.001, 10.0), min_size=d, max_size=d),
+    hst.lists(hst.floats(0.1, 2.0), min_size=d, max_size=d),
+    hst.lists(_KAPPAS, min_size=d, max_size=d)))
+
+
+def _floats(values) -> str:
+    return ",".join(repr(float(v)) for v in values)
+
+
+@given(_PREDICT_CASES)
+# 3^1000, once the first index with radius <= 1, is past the float range
+@example(([0.001], [1.0], [3.0]))
+@settings(max_examples=30, deadline=None)
+def test_coefficients_never_move_the_predicted_dimension(case):
+    alphas, s, kappas = case
+    argv = ["dim", "predict", "--alphas", _floats(alphas), "--s", _floats(s)]
+    plain = CliRunner().invoke(main, argv)
+    scaled = CliRunner().invoke(main, argv + ["--coefficients", _floats(kappas)])
+    assert plain.exit_code == 0, plain.output
+    assert (scaled.exit_code, scaled.output) == (plain.exit_code, plain.output)
+
+
+@given(hst.lists(_KAPPAS, min_size=2, max_size=2))
+@settings(max_examples=30, deadline=None)
+def test_tail_cover_takes_any_coefficients_without_a_traceback(kappas):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning may escape either
+        result = CliRunner().invoke(main, [
+            "mc", "tail-cover", "--space", "circle,interval", "--alphas", "1,2",
+            "--coefficients", _floats(kappas), "--s", "1,1", "--t", "0.5,1.5",
+            "--window", "1:8", "--seed", "1"])
+    assert result.exit_code in (0, 1, 2), result.output
+    assert "Traceback" not in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    if result.exit_code == 2:
+        (error,) = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert "window [1, 8]" in error or "MAX_NET_POINTS" in error, error
 
 
 def test_invalid_t_exit_2(runner):
@@ -675,10 +713,12 @@ def test_closed_form_predict_rejects_a_bad_tol(runner, tol):
       "--seed", "1"], "delta=1e-320"),
     (["mc", "density", "--space", "interval", "--delta", "5e-324", "--horizon", "100",
       "--seed", "1"], "delta=5e-324"),
+    (["mc", "verdict", "--space", "circle,circle", "--alphas", "0.5,1",
+      "--coefficients", "1e300,1e300", "--s", "1,1", "--seeds", "1"], "window [1, 128] at t=1.5"),
 ], ids=["convex-body-tol", "predict-tol", "exponent-inf", "exponent-total",
         "profile-exponent-total", "radius-inf", "exponent-negative", "divergence-p",
         "cover-radius", "density-delta", "circle-point", "net-cap",
-        "circle-cells-overflow", "interval-cells-overflow"])
+        "circle-cells-overflow", "interval-cells-overflow", "verdict-cover-overflow"])
 def test_out_of_domain_value_exit_2(runner, argv, bad):
     result = runner.invoke(main, argv)
     assert result.exit_code == 2
@@ -688,17 +728,34 @@ def test_out_of_domain_value_exit_2(runner, argv, bad):
     assert isinstance(result.exception, SystemExit)
 
 
+def test_verdict_runs_a_radius_just_past_one(runner):
+    # 14.106735979665885 = sqrt(199) in floats, so r_199 = 1.0000000000000002
+    result = runner.invoke(main, ["mc", "verdict", "--space", "circle,circle",
+                                  "--alphas", "0.5,1", "--coefficients", "14.106735979665885,1",
+                                  "--s", "1,1", "--seeds", "1"])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("predicted_dimension=1.5\n")
+    checks = result.output.split("\ncheck,status,detail")[0].splitlines()[1:]
+    assert len(checks) == 6 and all(line.endswith(": PASS") for line in checks)
+
+
 def test_explicit_power_tail_takes_coefficients(runner, tmp_path):
-    # coefficients 4,4 put the tail's n_min at 4, so a window from 1 cannot
-    # be built past the one listed tuple
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({
-        "command": "mc-tail-cover", "space": "circle,circle", "schedule": "explicit",
-        "tuples": "0.5,0.25", "tail": "power:1,2", "coefficients": "4,4", "s": "1,1",
-        "t": "0.5", "window": "1:4", "seed": 3}))
-    result = runner.invoke(main, ["mc", "tail-cover", "--config", str(path)])
-    assert result.exit_code == 2
-    assert "n_min=4" in result.output
+    # the run's coefficients reach the power tail: its descriptor carries
+    # them, and the window's reference moves with them
+    config = {"command": "mc-tail-cover", "space": "circle,circle", "schedule": "explicit",
+              "tuples": "0.5,0.25", "tail": "power:1,2", "s": "1,1", "t": "0.5",
+              "window": "1:4", "seed": 3}
+    manifests = {}
+    for name, extra in (("plain", {}), ("scaled", {"coefficients": "4,4"})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**config, **extra, "out": str(tmp_path / name)}))
+        result = runner.invoke(main, ["mc", "tail-cover", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+        (manifests[name],) = read_manifests(tmp_path / name / "manifest.jsonl")
+    assert manifests["scaled"].schedule["tail"]["coefficients"] == [4.0, 4.0]
+    assert manifests["plain"].schedule["tail"]["coefficients"] == [1.0, 1.0]
+    (plain,), (scaled,) = (manifests[k].statistics["profiles"] for k in ("plain", "scaled"))
+    assert scaled["ok"] and scaled["reference"] > plain["reference"]
 
 
 def test_config_file_under_typed_flags(runner, tmp_path):

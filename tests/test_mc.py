@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import stats
 
 from limsupdim import (
@@ -707,15 +709,53 @@ def test_tail_cover_bad_window(torus2):
         tail_cover_sum(st, PowerLawSchedule((2, 3)), (1, 1), 0.5, (5, 4))
 
 
-def test_tail_cover_window_below_n_min(torus2):
+def test_tail_cover_window_from_one_with_prefactors(torus2):
+    # radii past the circle's diameter cover the whole circle, so windows
+    # from n = 1 are built and dominated whatever the prefactors
     st = OmegaStream(5, torus2)
-    sched = PowerLawSchedule((1, 2), (2, 1))
-    with pytest.raises(ValueError, match="n_min=2"):
-        tail_cover_sum(st, sched, (1, 1), 0.5, (1, 4))
     explicit = ExplicitSchedule(((0.5, 0.25),), PowerLawSchedule((1, 2), (3, 1)))
-    with pytest.raises(ValueError, match="includes index 2 below n_min=3"):
-        tail_cover_sum(st, explicit, (1, 1), 0.5, (1, 4))
-    assert tail_cover_sum(st, explicit, (1, 1), 0.5, (3, 6)).ok
+    for sched in (PowerLawSchedule((1, 2), (2, 1)), explicit):
+        for t in (0.5, 1.0, 1.5):
+            prof = tail_cover_sum(st, sched, (1, 1), t, (1, 4))
+            assert prof.ok and math.isfinite(prof.reference)
+            assert prof.per_n == per_n_tail_cover_sum(st, sched, (1, 1), t, (1, 4)).per_n
+
+
+@pytest.mark.parametrize("factors, s, sched, t", [
+    # 2 rho overflows while the reference, 2^0.5 C kappa^0.5, does not
+    ((Circle(), Cantor(0.25)), (1, 0.5), PowerLawSchedule((1, 2), (1e308, 1e308)), 0.5),
+    # Phi = r_1 r_2^0.5 overflows
+    ((Circle(), Circle()), (1, 1), PowerLawSchedule((0.5, 1), (1e300, 1e300)), 1.5),
+    # each Phi is finite, and fsum of them overflows
+    ((Interval(),), (1,), PowerLawSchedule((0.001,), (1e308,)), 1.0),
+], ids=["side", "phi", "fsum"])
+def test_tail_cover_past_the_float_range_names_the_window(factors, s, sched, t):
+    st = OmegaStream(1, ProductSpace(factors))
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match=f"window \\[1, 8\\] at t={t} has cover sums "
+                           "past the float range"):
+            tail_cover_sum(st, sched, s, t, (1, 8))
+
+
+_ALL_FACTORS = [Interval(), Circle(), Cantor(1 / 3), Cantor(0.25), Cantor(0.4)]
+
+
+@given(hst.data())
+@settings(max_examples=40, deadline=None)
+def test_prefactor_tail_covers_from_one_are_dominated_and_finite(data):
+    d = data.draw(hst.integers(1, 3))
+    factors = tuple(data.draw(hst.sampled_from(_ALL_FACTORS)) for _ in range(d))
+    alphas = sorted(data.draw(hst.floats(0.25, 3.0)) for _ in range(d))
+    kappas = sorted((data.draw(hst.floats(0.5, 20.0)) for _ in range(d)), reverse=True)
+    space = ProductSpace(factors)
+    s = space.s_vector
+    t = data.draw(hst.floats(0.0, math.fsum(s)))
+    window = (1, data.draw(hst.integers(1, 40)))
+    stream = OmegaStream(data.draw(hst.integers(0, 2**32 - 1)), space)
+    prof = tail_cover_sum(stream, PowerLawSchedule(tuple(alphas), tuple(kappas)), s, t, window)
+    assert prof.ok
+    assert math.isfinite(prof.value) and math.isfinite(prof.reference)
+    assert all(math.isfinite(row[3]) for row in prof.per_n)
 
 
 def test_tail_cover_window_cap(torus2):
@@ -755,9 +795,11 @@ _CANTOR_QUARTER_S = Cantor(0.25).s
     ((Circle(), Interval()), (1, 1),
      ExplicitSchedule(((0.5, 0.25), (0.1, 0.3)), PowerLawSchedule((1, 2), (3, 1))), (3, 30)),
     ((Circle(), Circle()), (1, 1), PowerLawSchedule((1, 2), (2, 1)), (5, 40)),
+    # the circle's sides 2 at n = 1 and 1 at n = 2 pass its diameter
+    ((Circle(), Circle()), (1, 1), PowerLawSchedule((1, 2), (2, 1)), (1, 40)),
 ], ids=["interval2", "torus", "cantor-third2", "cantor-quarter-circle",
         "circle-interval-circle", "interval-cantor-cantor", "explicit-constant",
-        "explicit-power-head", "explicit-power-tail", "past-n-min"])
+        "explicit-power-head", "explicit-power-tail", "past-n-min", "prefactors-from-one"])
 def test_tail_cover_matches_per_n_oracle(factors, s, sched, window):
     sv = np.asarray(s, dtype=float)
     # t = 0, every breakpoint of the s partial sums in any order, the total,
@@ -854,17 +896,18 @@ def test_verdict_statistics_reproducible(torus2):
     assert a.statistics() == b.statistics()
 
 
-@pytest.mark.parametrize("sched, start", [
-    (PowerLawSchedule((1, 2), (2, 1)), 2),
-    (ExplicitSchedule(((0.5, 0.25),), PowerLawSchedule((1, 2), (3, 1))), 3),
-])
-def test_verdict_cover_window_starts_at_n_min(torus2, sched, start):
+@pytest.mark.parametrize("sched", [
+    PowerLawSchedule((1, 2), (2, 1)),
+    ExplicitSchedule(((0.5, 0.25),), PowerLawSchedule((1, 2), (3, 1))),
+], ids=["power-prefactors", "explicit-power-tail"])
+def test_verdict_cover_window_starts_at_one(torus2, sched):
+    # radii past 1 (2 at n = 1, 1.5 at n = 2) stay in the configured window
     rep = dimension_verdict(sched, (1, 1), torus2, [1, 2, 3], FAST_VERDICT)
     assert rep.predicted_dimension == pytest.approx(1.0, abs=1e-8)
     assert rep.passed
     cover = next(c for c in rep.checks if c.name == "cover-domination")
     assert cover.status == "PASS"
-    assert f"window={[start, start + 47]}" in cover.detail
+    assert "window=[1, 48]" in cover.detail
 
 
 def test_verdict_cover_domination_fails_on_a_violation(monkeypatch, torus2):

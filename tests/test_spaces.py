@@ -303,6 +303,24 @@ def test_cantor_ball_measure_domain():
     assert space.ball_measure_array(x, np.empty(0)).shape == (0,)
 
 
+# a centre outside each kind's domain
+_BAD_CENTRES = {"interval": 1.5, "circle": math.nan, "cantor": 0.5}
+
+
+@pytest.mark.parametrize("space", ALL_KINDS, ids=lambda s: repr(s))
+def test_ball_measure_array_checks_centre_and_radii(space):
+    x = space.anchor()
+    with pytest.raises(ValueError):
+        space.ball_measure_array(_BAD_CENTRES[space.kind], np.array([0.1]))
+    for bad in (math.nan, -1.0, np.nextafter(2.0 * space.diameter, math.inf), 7.0):
+        with pytest.raises(ValueError, match="radius") as array_error:
+            space.ball_measure_array(x, np.array([0.1, bad, 0.2]))
+        # the first bad radius is named as the scalar form names it
+        with pytest.raises(ValueError) as scalar_error:
+            space.ball_measure(x, bad)
+        assert str(array_error.value) == str(scalar_error.value)
+
+
 def test_cantor_point_validation(cantor_third):
     with pytest.raises(ValueError):
         CantorPoint((0, 2), 0.0)

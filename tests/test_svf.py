@@ -78,9 +78,16 @@ def test_nonpositive_radius_raises():
         RadiusTuple((0.5, -1.0))
 
 
-def test_radius_above_one_rejected_in_tuple():
-    with pytest.raises(ValueError):
-        RadiusTuple((1.5,))
+def test_radius_above_one_accepted_in_tuple():
+    # a side past its factor's diameter covers the whole factor: any finite
+    # radius > 0 is a side, and prefactors reach the tuples from n = 1
+    assert RadiusTuple((1.5, 3e300)).values == (1.5, 3e300)
+    sched = PowerLawSchedule((1.0, 2.0), (3.0, 1.0))
+    assert sched.radius_tuple(1).values == (3.0, 1.0)
+    assert sched.radius_tuple(2).values == (1.5, 0.25)
+    for bad in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"all radii must be finite and > 0, got {bad}"):
+            RadiusTuple((0.5, bad))
 
 
 @given(
@@ -451,39 +458,51 @@ def test_prefactors_do_not_move_critical_exponent():
     assert shifted == pytest.approx(base, abs=1e-9)
 
 
-def test_n_min_past_the_float_range_is_a_domain_error():
-    # 3^1000 overflows a float; the constructor raised OverflowError
-    with pytest.raises(ValueError, match="past the float range"):
-        PowerLawSchedule((0.001,), (3.0,))
+def test_prefactor_past_the_float_range_builds_its_schedule():
+    # 3^1000, once the first index with radius <= 1, overflows a float; the
+    # schedule needs no such index, and t* never reads the prefactors
+    sched = PowerLawSchedule((0.001,), (3.0,))
+    assert sched.radius_tuple(1).values == (3.0,)
+    assert critical_exponent_series(sched, (1,)) == critical_exponent_series(
+        PowerLawSchedule((0.001,)), (1,))
 
 
-def test_n_min_reflects_prefactors():
-    sched = PowerLawSchedule((1.0, 2.0), (3.0, 1.0))
-    assert sched.n_min == 3
-    with pytest.raises(ValueError):
-        sched.radius_tuple(2)
-    assert max(sched.radius_tuple(3).values) <= 1.0
+_TAIL = PowerLawSchedule((1.0, 2.0), (3.0, 1.0))
 
 
-_TAIL = PowerLawSchedule((1.0, 2.0), (3.0, 1.0))  # n_min = 3
-
-
-@pytest.mark.parametrize("sched, unbuildable, power", [
-    (_TAIL, range(1, 3), _TAIL),
-    (ExplicitSchedule(((0.5, 0.25),), _TAIL), range(2, 3), _TAIL),
-    (ExplicitSchedule(((0.5, 0.25),), "constant"), range(0), None),
-    (ExplicitSchedule(((0.5, 0.25), (0.4, 0.1))), range(0), None),
+@pytest.mark.parametrize("sched, power, last", [
+    (_TAIL, _TAIL, 5),
+    (ExplicitSchedule(((0.5, 0.25),), _TAIL), _TAIL, 5),
+    (ExplicitSchedule(((0.5, 0.25),), "constant"), None, 5),
+    (ExplicitSchedule(((0.5, 0.25), (0.4, 0.1))), None, 2),
 ], ids=["power-prefactors", "explicit-power-tail", "explicit-constant-tail",
         "explicit-no-tail"])
-def test_schedule_answers_unbuildable_and_power_model(sched, unbuildable, power):
-    assert sched.unbuildable == unbuildable
+def test_schedule_answers_unbuildable_and_power_model(sched, power, last):
+    # no index is unbuildable any more: each n >= 1 has its tuple, radii
+    # past 1 included, up to the last listed tuple of a schedule without a
+    # tail
+    assert not hasattr(sched, "unbuildable")
     assert sched.power_model is power
     sched.check_non_increasing()
-    for n in unbuildable:
-        with pytest.raises(ValueError, match="n_min"):
-            sched.radius_tuple(n)
-    # the first index past the unbuildable ones has its tuple
-    assert max(sched.radius_tuple(unbuildable.stop or 1).values) <= 1.0
+    for n in range(1, last + 1):
+        got = np.log(sched.radius_tuple(n).values)
+        assert got == pytest.approx(sched.log_radii(np.array([n]))[0], rel=1e-12, abs=1e-12)
+    if last < 5:
+        with pytest.raises(ValueError, match="no tail model"):
+            sched.radius_tuple(last + 1)
+
+
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_constant_tail_is_the_last_row_repeated(k, d, seed):
+    # the clamped index reads the table's last row, np.log of the whole
+    # table, which equals np.log of the last tuple alone bit for bit
+    table = np.random.default_rng(seed).uniform(1e-3, 3.0, size=(k, d)).tolist()
+    sched = ExplicitSchedule(table, "constant")
+    tail = sched.log_radii(np.array([k + 1, k + 5, 2**40]))
+    want = np.log(np.array(table[-1]))
+    assert all(row.tobytes() == want.tobytes() for row in tail)
+    assert sched.radius_tuple(k + 3) is sched.tuples[-1]
 
 
 @pytest.mark.parametrize("sched, message", [
@@ -507,7 +526,6 @@ def test_check_non_increasing_names_the_order_rule(sched, message):
 @given(st.data())
 def test_log_radii_bit_identical_to_broadcast_oracle(data):
     d = data.draw(st.integers(1, 6))
-    # kappa^(1/alpha), the first index with radius <= 1, stays in float range
     alphas = data.draw(st.lists(st.floats(0.05, 50.0), min_size=d, max_size=d))
     kappas = data.draw(st.lists(st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
                                 min_size=d, max_size=d))
