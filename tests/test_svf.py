@@ -80,14 +80,19 @@ def test_nonpositive_radius_raises():
 
 def test_radius_above_one_accepted_in_tuple():
     # a side past its factor's diameter covers the whole factor: any finite
-    # radius > 0 is a side, and prefactors reach the tuples from n = 1
+    # radius > 0 is a side
     assert RadiusTuple((1.5, 3e300)).values == (1.5, 3e300)
-    sched = PowerLawSchedule((1.0, 2.0), (3.0, 1.0))
-    assert sched.radius_tuple(1).values == (3.0, 1.0)
-    assert sched.radius_tuple(2).values == (1.5, 0.25)
     for bad in (math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(ValueError, match=f"all radii must be finite and > 0, got {bad}"):
             RadiusTuple((0.5, bad))
+
+
+def test_prefactors_reach_tuples_from_n_one():
+    # prefactors past 1 give radii past 1 at small n, not a missing tuple
+    sched = PowerLawSchedule((1.0, 2.0), (3.0, 1.0))
+    assert sched.radius_tuple(1).values == (3.0, 1.0)
+    assert sched.radius_tuple(2).values == (1.5, 0.25)
+    assert max(sched.radius_tuple(3).values) <= 1.0
 
 
 @given(
