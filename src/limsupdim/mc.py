@@ -141,6 +141,24 @@ class FiberSumResult:
         }
 
 
+# the expectation curves of recent fiber sums, least recently used first:
+# (exact, lower) pairs of checkpoint tuples under ``_curve_key``
+_CURVE_MEMO_SIZE = 32
+_curve_memo: dict[tuple, tuple[tuple, tuple]] = {}
+
+
+def _curve_key(sched: RadiusSchedule, space: ProductSpace, sv: np.ndarray,
+               anchor: tuple, u: float, cps: list[int]) -> tuple:
+    """Every value the expectation curves depend on: the schedule's radii up
+    to the last checkpoint (``values_key``), then as text each factor's kind
+    and parameters, the exponents, the anchor, u and the checkpoints.  repr
+    writes each float so that it reads back to the same bits (-0.0
+    included) and an int unlike a float, so equal keys give equal curves,
+    whatever objects carry the values."""
+    return (sched.values_key(cps[-1]),
+            repr((space.descriptor(), sv.tolist(), anchor, u, cps)))
+
+
 def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
                   s: Sequence[float], anchor: Sequence, u: float,
                   checkpoints: Sequence[int]) -> FiberSumResult:
@@ -150,12 +168,19 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
     the factors first if not), and an anchor in the first d-1 factors.
 
     The indices are walked once, in chunks of the svf module's _CHUNK cut at
-    the checkpoints, and each chunk's log-radii are computed once: they give
-    the lower curve's terms Phi(t_u), then, exponentiated in place, the radii,
-    hits, weights and exact terms.  Three exact accumulators
-    (``svf._ExactSum``) take the observed, exact and lower curves, so memory
-    is O(chunk) whatever the horizon is, and each sum equals math.fsum of its
-    terms (the lower curve is partial_sums at t_u times c).
+    the checkpoints, and each chunk's log-radii are computed once.
+    Exponentiated in place, they give the radii, hits and weights of the
+    observed curve, the one that depends on the stream.  The exact and lower
+    expectation curves depend only on the schedule, the exponents, the
+    factors' kinds and parameters, the anchor, u and the checkpoints, never
+    on the stream's seed.  A memo of the last ``_CURVE_MEMO_SIZE`` such
+    pairs, keyed on those values (``_curve_key``), serves them again: on a
+    hit the walk skips the terms Phi(t_u), the ball masses and their two
+    sums.  On a miss the log-radii first give the lower curve's terms
+    Phi(t_u), and the radii the exact terms.  Each curve is an exact
+    accumulator (``svf._ExactSum``), so memory is O(chunk) whatever the
+    horizon is, and each sum equals math.fsum of its terms (the lower curve
+    is partial_sums at t_u times c).
     """
     space = stream.space
     d = space.dim
@@ -172,13 +197,16 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
         factor.validate_point(coord)
     cps = sorted_checkpoints(checkpoints)
 
+    key = _curve_key(sched, space, sv, anchor, u, cps)
+    curves = _curve_memo.pop(key, None)
     t_u = min(math.fsum(sv[:-1]) + u, math.fsum(sv))
     c_const = math.prod(1.0 / f.c for f in space.factors[:-1])
     observed, expected, series = _ExactSum(), _ExactSum(), _ExactSum()
     partials, exact, lower, hit_count = [], [], [], 0
     for ns, N in _checkpoint_chunks(cps):
         log_r = sched.log_radii(ns)
-        series.add(_phi_terms(log_r, sv, t_u))
+        if curves is None:
+            series.add(_phi_terms(log_r, sv, t_u))
         radii = np.exp(log_r, out=log_r)
         hits = np.ones(ns.size, dtype=bool)
         for i, factor in enumerate(space.factors[:-1]):
@@ -187,29 +215,37 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
             hits &= factor.distance_to_array(
                 stream.factor_coords(i, ns), anchor[i]) <= radii[:, i]
         weights = radii[:, -1] ** u
-        exact_terms = weights
-        for i, factor in enumerate(space.factors[:-1]):
-            # a prefactor can make a radius wider than 2 * diameter, and a
-            # ball that wide is the whole factor: with the hits taken, the
-            # kernel gets the radii clipped in place
-            wide = np.minimum(radii[:, i], 2.0 * factor.diameter, out=radii[:, i])
-            exact_terms = exact_terms * factor.ball_measure_array(anchor[i], wide)
+        if curves is None:
+            exact_terms = weights
+            for i, factor in enumerate(space.factors[:-1]):
+                # a prefactor can make a radius wider than 2 * diameter, and
+                # a ball that wide is the whole factor: with the hits taken,
+                # the kernel gets the radii clipped in place
+                wide = np.minimum(radii[:, i], 2.0 * factor.diameter, out=radii[:, i])
+                exact_terms = exact_terms * factor.ball_measure_array(anchor[i], wide)
+            expected.add(exact_terms)
         # only the hit terms are added: the sums are exact and +0.0 terms
         # add nothing, so each equals the sum of the zero-filled terms
         observed.add(weights[hits])
-        expected.add(exact_terms)
         hit_count += int(np.count_nonzero(hits))
         if N is not None:
             partials.append((N, observed.value()))
-            exact.append((N, expected.value()))
-            lower.append((N, c_const * series.value()))
+            if curves is None:
+                exact.append((N, expected.value()))
+                lower.append((N, c_const * series.value()))
+    if curves is None:
+        curves = (tuple(exact), tuple(lower))
+        if len(_curve_memo) >= _CURVE_MEMO_SIZE:
+            del _curve_memo[next(iter(_curve_memo))]
+    # (re)inserted last: the most recently used
+    _curve_memo[key] = curves
     return FiberSumResult(
         anchor=anchor,
         u=float(u),
         checkpoints=tuple(cps),
         partials=tuple(partials),
-        expectation_exact=tuple(exact),
-        expectation_lower=tuple(lower),
+        expectation_exact=curves[0],
+        expectation_lower=curves[1],
         hit_count=hit_count,
     )
 

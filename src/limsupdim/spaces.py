@@ -504,6 +504,15 @@ class Cantor(RegularSpace):
         # weigh 2^-k each, so regularity bounds their number by this count
         _check_net_size(self.c * (R + self._pow[depth]) ** self.s * 2.0**depth, resolution)
         x = self.embed(x0)
+        # cylinders shorter than the float spacing about the ball have ends
+        # that round together: both children of each one would meet the ball,
+        # and the walk would double per level past the count above
+        spacing = math.ulp(abs(x) + R)
+        if self._pow[depth] < spacing:
+            raise ValueError(
+                f"a Cantor probe net at resolution {resolution!r} about the centre "
+                f"{x!r} needs cylinders of length {self._pow[depth]:.6g}, below the "
+                f"float spacing {spacing:.6g} there")
         prefixes = self.cylinders_in(x - R, x + R, depth)
         pts = [self.point(p) for p in prefixes]
         pts = [p for p in pts if abs(p.value - x) <= R]

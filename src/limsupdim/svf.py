@@ -40,8 +40,9 @@ int once per row through ``running_fsums``.
 walk their indices once, in chunks of ``_CHUNK`` cut at the checkpoints
 (the density check's are its two horizons), so their memory is O(chunk)
 whatever the horizon N is, plus the density check's cell counts.  The
-fiber hit sum reads each chunk's log-radii once, for its three
-accumulators.  The chunk kernels make each array once and work in place.
+fiber hit sum reads each chunk's log-radii once, for its observed curve
+and, unless its memo already holds them, its two expectation curves.
+The chunk kernels make each array once and work in place.
 """
 
 from __future__ import annotations
@@ -362,6 +363,12 @@ class PowerLawSchedule:
                 "and relabel the factor spaces to match"
             )
 
+    def values_key(self, n: int) -> tuple:
+        """A key that two schedules share only if their ``log_radii`` agree
+        bit for bit on the indices 1..n: the exponents and prefactors, all
+        finite floats > 0, so that equal tuples hold equal bits."""
+        return ("power-law", self.alphas, self.coefficients)
+
     def descriptor(self) -> dict:
         return {
             "kind": "power-law",
@@ -451,6 +458,14 @@ class ExplicitSchedule:
                 raise ValueError(f"tuple #{idx} is not non-increasing; relabel first")
         if self.power_model is not None:
             self.power_model.check_non_increasing()
+
+    def values_key(self, n: int) -> tuple:
+        """A key that two schedules share only if their ``log_radii`` agree
+        bit for bit on the indices 1..n: the bytes of the listed log-radius
+        rows those indices read, and the tail's key."""
+        rows = self._log_table[:n]
+        tail = self.tail.values_key(n) if self.power_model is not None else self.tail
+        return ("explicit", rows.shape, rows.tobytes(), tail)
 
     def descriptor(self) -> dict:
         return {

@@ -20,6 +20,8 @@ the in-place kernels replaced are kept too, as bit-for-bit references of
 those kernels (a Cantor distance is the interval's on embedded points),
 and so is the per-index tail cover loop, one argsort and one
 ``cover_rectangle`` per rectangle, as the reference of the batched window.
+The streamed fiber hit sum that computes its seed-independent expectation
+curves on every call is kept as the reference of the memoised one.
 """
 
 import itertools
@@ -28,9 +30,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from limsupdim.mc import DensityReport, FiberSumResult, TailCoverProfile
+from limsupdim.mc import (
+    DensityReport,
+    FiberSumResult,
+    TailCoverProfile,
+    _require_matching_regularity,
+)
 from limsupdim.spaces import cover_rectangle
-from limsupdim.svf import log_phi_rows, sorted_checkpoints
+from limsupdim.svf import (
+    _checkpoint_chunks,
+    _ExactSum,
+    _phi_terms,
+    log_phi_rows,
+    sorted_checkpoints,
+)
 
 GRID = 1000  # allocation grid resolution 1e-3
 
@@ -352,6 +365,80 @@ def materialised_fiber_hit_sum(stream, sched, s, anchor, u, checkpoints):
         expectation_exact=tuple(zip(cps, memoryview_prefix_fsums(exact_terms, cps))),
         expectation_lower=tuple(zip(cps, lower)),
         hit_count=int(np.count_nonzero(hits)),
+    )
+
+
+def unmemoised_fiber_hit_sum(stream, sched, s, anchor, u, checkpoints):
+    """The streamed fiber hit sum with no memo: every call walks all three
+    curves.  ``limsupdim.mc.fiber_hit_sum`` serves the exact and lower
+    curves from a memo when their key was seen before, so the two must
+    agree bit for bit, whatever the memo holds.
+
+    Requires d >= 2, u in [0, s_d], radii non-increasing per index (relabel
+    the factors first if not), and an anchor in the first d-1 factors.
+
+    The indices are walked once, in chunks of the svf module's _CHUNK cut at
+    the checkpoints, and each chunk's log-radii are computed once: they give
+    the lower curve's terms Phi(t_u), then, exponentiated in place, the radii,
+    hits, weights and exact terms.  Three exact accumulators
+    (``svf._ExactSum``) take the observed, exact and lower curves, so memory
+    is O(chunk) whatever the horizon is, and each sum equals math.fsum of its
+    terms (the lower curve is partial_sums at t_u times c).
+    """
+    space = stream.space
+    d = space.dim
+    if d < 2:
+        raise ValueError("fiber sums need a product of at least two factors")
+    sv = _require_matching_regularity(space, s)
+    if not (0.0 <= u <= sv[-1]):
+        raise ValueError(f"u={u} outside [0, {sv[-1]}]")
+    sched.check_non_increasing()
+    anchor = tuple(anchor)
+    if len(anchor) != d - 1:
+        raise ValueError(f"anchor must have {d - 1} coordinates, got {len(anchor)}")
+    for factor, coord in zip(space.factors[:-1], anchor):
+        factor.validate_point(coord)
+    cps = sorted_checkpoints(checkpoints)
+
+    t_u = min(math.fsum(sv[:-1]) + u, math.fsum(sv))
+    c_const = math.prod(1.0 / f.c for f in space.factors[:-1])
+    observed, expected, series = _ExactSum(), _ExactSum(), _ExactSum()
+    partials, exact, lower, hit_count = [], [], [], 0
+    for ns, N in _checkpoint_chunks(cps):
+        log_r = sched.log_radii(ns)
+        series.add(_phi_terms(log_r, sv, t_u))
+        radii = np.exp(log_r, out=log_r)
+        hits = np.ones(ns.size, dtype=bool)
+        for i, factor in enumerate(space.factors[:-1]):
+            # coordinates and distances die here, so the arrays made after
+            # them reuse their memory
+            hits &= factor.distance_to_array(
+                stream.factor_coords(i, ns), anchor[i]) <= radii[:, i]
+        weights = radii[:, -1] ** u
+        exact_terms = weights
+        for i, factor in enumerate(space.factors[:-1]):
+            # a prefactor can make a radius wider than 2 * diameter, and a
+            # ball that wide is the whole factor: with the hits taken, the
+            # kernel gets the radii clipped in place
+            wide = np.minimum(radii[:, i], 2.0 * factor.diameter, out=radii[:, i])
+            exact_terms = exact_terms * factor.ball_measure_array(anchor[i], wide)
+        # only the hit terms are added: the sums are exact and +0.0 terms
+        # add nothing, so each equals the sum of the zero-filled terms
+        observed.add(weights[hits])
+        expected.add(exact_terms)
+        hit_count += int(np.count_nonzero(hits))
+        if N is not None:
+            partials.append((N, observed.value()))
+            exact.append((N, expected.value()))
+            lower.append((N, c_const * series.value()))
+    return FiberSumResult(
+        anchor=anchor,
+        u=float(u),
+        checkpoints=tuple(cps),
+        partials=tuple(partials),
+        expectation_exact=tuple(exact),
+        expectation_lower=tuple(lower),
+        hit_count=hit_count,
     )
 
 

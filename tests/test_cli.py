@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -238,6 +239,24 @@ def test_mc_tail_cover_window_past_cap_exit_2(runner):
     assert "Traceback" not in result.output
     assert f"more than the cap of {MAX_COVER_WINDOW}" in result.output
     assert peak < 1 << 20
+
+
+def test_mc_tail_cover_refuses_a_cantor_net_finer_than_floats_exit_2(runner):
+    # radii near 1e-300 ask for Cantor cylinders far below the float spacing
+    # about the stream point 0.0147, whose ends round together: the net is
+    # refused before the walk, which ran out of memory
+    start = time.perf_counter()
+    result = runner.invoke(main, [
+        "mc", "tail-cover", "--space", "circle,cantor:0.25", "--alphas", "1,2",
+        "--coefficients", "1e-300,1e-200", "--s", "1,0.5", "--t", "0.5,1.5",
+        "--window", "1:8", "--seed", "1"])
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    (error,) = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert "resolution 2.5e-301" in error and "centre 0.014706417962077667" in error
+    assert "below the float spacing" in error
+    assert elapsed < 2.0
 
 
 @pytest.mark.parametrize("window", ["1:10.5", "1:nan", "1:inf", "1:1e3", "1:x", "1:2:3", "16"])

@@ -34,6 +34,7 @@ from oracles import (
     one_shot_bits,
     per_n_tail_cover_sum,
     poisson_binomial_pmf,
+    unmemoised_fiber_hit_sum,
 )
 
 
@@ -342,6 +343,160 @@ def test_fiber_sum_peak_memory(torus2):
         tracemalloc.stop()
     assert peak < 12 * 2**20
 
+
+
+# ---------------------------------------------------------------------------
+# the memo of expectation curves
+# ---------------------------------------------------------------------------
+
+
+def _bits(res):
+    """A result's statistics and hit count, every float as its bits."""
+    def exact(v):
+        if isinstance(v, list):
+            return [exact(x) for x in v]
+        return v.hex() if isinstance(v, float) else v
+    return {k: exact(v) for k, v in res.statistics().items()}, res.hit_count
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kinds=hst.lists(hst.sampled_from(["interval", "circle", "cantor"]), min_size=2, max_size=3),
+    lam=hst.sampled_from([0.25, 1 / 3, 0.45]),
+    coords=hst.lists(hst.one_of(hst.just(0.0), hst.just(-0.0), hst.floats(0.0, 1.0)),
+                     min_size=2, max_size=2),
+    digits=hst.lists(hst.integers(0, 1), max_size=8),
+    u_share=hst.one_of(hst.just(0.0), hst.just(-0.0), hst.floats(0.0, 1.0)),
+    sched_kind=hst.sampled_from(["power", "prefactors", "explicit"]),
+    cps=hst.lists(hst.one_of(hst.integers(1, 300), hst.sampled_from([65535, 65536, 65537])),
+                  min_size=1, max_size=4),
+    seeds=hst.lists(hst.integers(0, 40), min_size=1, max_size=3),
+)
+def test_memoised_fiber_sum_equals_the_unmemoised_oracle(kinds, lam, coords, digits, u_share,
+                                                         sched_kind, cps, seeds):
+    # cold for the first seed, warm for the rest, in any order (repeats too)
+    kind = {"interval": Interval, "circle": Circle, "cantor": lambda: Cantor(lam)}
+    space = ProductSpace(tuple(kind[k]() for k in kinds))
+    d = space.dim
+    anchor = tuple(f.point(digits) if f.kind == "cantor" else x
+                   for f, x in zip(space.factors[:-1], coords))
+    u = u_share * space.factors[-1].s
+    alphas = (0.5, 1.0, 2.0)[:d]
+    sched = {
+        "power": PowerLawSchedule(alphas),
+        "prefactors": PowerLawSchedule(alphas, (3.0, 1.0, 0.5)[:d]),
+        "explicit": ExplicitSchedule(((0.9, 0.5, 0.5)[:d], (0.4, 0.3, 0.2)[:d]),
+                                     PowerLawSchedule(alphas, (2.0, 1.0, 1.0)[:d])),
+    }[sched_kind]
+    mc._curve_memo.clear()
+    for seed in seeds:
+        args = (sched, space.s_vector, anchor, u, cps)
+        got = fiber_hit_sum(OmegaStream(seed, space), *args)
+        assert _bits(got) == _bits(unmemoised_fiber_hit_sum(OmegaStream(seed, space), *args))
+    assert len(mc._curve_memo) == 1
+
+
+_BASE_CALL = dict(lam=0.25, sched=PowerLawSchedule((1, 2), (2, 1)), s=None,
+                  digits=(1, 0, 1), u=0.25, cps=[100, 1000])
+
+
+@pytest.mark.parametrize("part, change", [
+    ("lam", 0.3),
+    ("sched", PowerLawSchedule((1, 2), (2, 0.5))),
+    ("digits", (0, 1)),
+    ("u", 0.5),
+    ("cps", [100, 1001]),
+    ("s", (Cantor(0.25).s * (1.0 + 2.0**-52), 1.0)),
+], ids=["cantor-lambda", "prefactor", "anchor", "u", "checkpoint", "s"])
+def test_a_change_of_one_key_part_misses_the_memo(part, change):
+    def call(seed, **parts):
+        spec = {**_BASE_CALL, **parts}
+        space = ProductSpace((Cantor(spec["lam"]), Interval()))
+        anchor = (space.factors[0].point(spec["digits"]),)
+        args = (spec["sched"], spec["s"] or space.s_vector, anchor, spec["u"], spec["cps"])
+        return (fiber_hit_sum(OmegaStream(seed, space), *args),
+                unmemoised_fiber_hit_sum(OmegaStream(seed, space), *args))
+
+    base, _ = call(3)
+    got, want = call(4, **{part: change})
+    assert _bits(got) == _bits(want)
+    # the changed part moves an expectation curve, so a shared entry would show
+    assert (got.expectation_exact, got.expectation_lower) != (
+        base.expectation_exact, base.expectation_lower)
+
+
+def test_equal_values_share_one_memo_entry(monkeypatch):
+    # a second Cantor(0.25) and the schedule written with floats are the
+    # same values: the second call walks no Phi terms
+    calls = []
+    monkeypatch.setattr(mc, "_phi_terms", lambda *a: calls.append(1) or svf._phi_terms(*a))
+    mc._curve_memo.clear()
+    for seed, alphas in ((1, (1, 2)), (2, (1.0, 2.0))):
+        space = ProductSpace((Cantor(0.25), Cantor(0.25)))
+        fiber_hit_sum(OmegaStream(seed, space), PowerLawSchedule(alphas), space.s_vector,
+                      (space.factors[0].point((1, 0, 1)),), 0.0, [500])
+    assert len(calls) == 1
+    assert len(mc._curve_memo) == 1
+
+
+def test_explicit_schedules_share_an_entry_by_the_rows_the_walk_reads(torus2):
+    # rows past the last checkpoint are never read: a change there shares
+    # the entry, a change to a row read does not
+    def explicit(last):
+        return ExplicitSchedule(((0.5, 0.25),) * 7 + (last,), PowerLawSchedule((1, 2)))
+
+    args = ((1, 1), (0.5,), 0.0)
+    mc._curve_memo.clear()
+    calls = [(explicit((0.5, 0.25)), [7]), (explicit((0.4, 0.1)), [7]),
+             (explicit((0.4, 0.1)), [8, 20])]
+    for seed, (sched, cps) in enumerate(calls):
+        got = fiber_hit_sum(OmegaStream(seed, torus2), sched, *args, cps)
+        assert _bits(got) == _bits(unmemoised_fiber_hit_sum(
+            OmegaStream(seed, torus2), sched, *args, cps))
+    assert len(mc._curve_memo) == 2
+
+def test_memo_stays_within_its_cap_and_drops_the_least_recent(torus2):
+    mc._curve_memo.clear()
+    args = (PowerLawSchedule((1, 2)), (1, 1), (0.5,), 0.0)
+    fiber_hit_sum(OmegaStream(1, torus2), *args, [1])
+    for N in range(2, mc._CURVE_MEMO_SIZE + 6):
+        fiber_hit_sum(OmegaStream(1, torus2), *args, [N])
+        # the first entry, used again each time, is never the one dropped
+        fiber_hit_sum(OmegaStream(2, torus2), *args, [1])
+        assert len(mc._curve_memo) <= mc._CURVE_MEMO_SIZE
+    keys = list(mc._curve_memo)
+    assert len(keys) == mc._CURVE_MEMO_SIZE
+    assert keys[-1] == mc._curve_key(args[0], torus2, np.ones(2), (0.5,), 0.0, [1])
+    assert mc._curve_key(args[0], torus2, np.ones(2), (0.5,), 0.0, [2]) not in keys
+
+
+def test_verdict_seed_loop_walks_the_curves_once(monkeypatch, torus2):
+    # alphas (0.5, 1) put t* = 1.5 above s_1 = 1, so the fiber check runs
+    masses = []
+    real = Circle.ball_measure_array
+    monkeypatch.setattr(Circle, "ball_measure_array",
+                        lambda self, x, rs: masses.append(rs.size) or real(self, x, rs))
+    mc._curve_memo.clear()
+    rep = dimension_verdict(PowerLawSchedule((0.5, 1)), (1, 1), torus2, [1, 2, 3], FAST_VERDICT)
+    fiber = next(c for c in rep.checks if c.name == "fiber-divergence")
+    assert fiber.status in ("PASS", "FAIL") and "/3 over seeds" in fiber.detail
+    # one walk of the exact curve: its ball masses add up to one horizon
+    assert sum(masses) == FAST_VERDICT.fiber_checkpoints[-1]
+    assert len(mc._curve_memo) == 1
+
+
+def test_a_returned_result_cannot_change_a_later_one(torus2):
+    args = (PowerLawSchedule((1, 2)), (1, 1), (0.5,), 0.5, [10, 100])
+    mc._curve_memo.clear()
+    first = fiber_hit_sum(OmegaStream(1, torus2), *args)
+    with pytest.raises(TypeError):
+        first.expectation_exact[0] = (10, -1.0)
+    stats = first.statistics()
+    stats["expectation_exact"][0] = -1.0
+    stats["expectation_lower"].clear()
+    object.__setattr__(first, "expectation_exact", ())
+    later = fiber_hit_sum(OmegaStream(2, torus2), *args)
+    assert _bits(later) == _bits(unmemoised_fiber_hit_sum(OmegaStream(2, torus2), *args))
 
 @pytest.mark.parametrize("density", [0.0, 1e-4, 0.01, 0.5, 1.0])
 def test_hit_partials_equal_zero_filled_fsum(density):

@@ -458,6 +458,19 @@ def test_probe_net_capped_before_allocation(space, x0, R, r):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("R, resolution", [(1e-18, 1e-20), (1e-200, 2.5e-301)])
+def test_cantor_net_finer_than_the_float_spacing_is_refused(R, resolution):
+    # about 0.0125 floats are 1.7e-18 apart: the depth-34 (and the capped
+    # depth-60) cylinders round together, and a net there is one float
+    cantor = Cantor(0.25)
+    x = cantor.point((0, 0, 0, 1, 0, 1))
+    with pytest.raises(ValueError, match=f"resolution {resolution!r} about the centre "
+                                         f"{x.value!r} .* below the float spacing"):
+        cantor.net(x, R, resolution)
+    # at the left end 0 the floats resolve those cylinders: the net is built
+    coords = cantor.net(cantor.point(()), R, resolution)[0]
+    assert coords[0] == 0.0 and np.all(np.diff(coords) > 0.0)
+
 @pytest.mark.parametrize("space, x0, R, resolution", [
     (Interval(), 0.5, 0.5, 0.25), (Interval(), 0.3, 0.2, 0.013),
     (Circle(), 0.9, 0.5, 0.01), (Cantor(1 / 3), Cantor(1 / 3).point(()), 1.0, 1e-3),
