@@ -141,22 +141,9 @@ class FiberSumResult:
         }
 
 
-# the expectation curves of recent fiber sums, least recently used first:
-# (exact, lower) pairs of checkpoint tuples under ``_curve_key``
-_CURVE_MEMO_SIZE = 32
-_curve_memo: dict[tuple, tuple[tuple, tuple]] = {}
-
-
-def _curve_key(sched: RadiusSchedule, space: ProductSpace, sv: np.ndarray,
-               anchor: tuple, u: float, cps: list[int]) -> tuple:
-    """Every value the expectation curves depend on: the schedule's radii up
-    to the last checkpoint (``values_key``), then as text each factor's kind
-    and parameters, the exponents, the anchor, u and the checkpoints.  repr
-    writes each float so that it reads back to the same bits (-0.0
-    included) and an int unlike a float, so equal keys give equal curves,
-    whatever objects carry the values."""
-    return (sched.values_key(cps[-1]),
-            repr((space.descriptor(), sv.tolist(), anchor, u, cps)))
+# the last fiber sum's expectation curves, as (key, (exact, lower)): the
+# key is that call's schedule and the repr of its other inputs
+_last_curves: tuple | None = None
 
 
 def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
@@ -173,14 +160,15 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
     observed curve, the one that depends on the stream.  The exact and lower
     expectation curves depend only on the schedule, the exponents, the
     factors' kinds and parameters, the anchor, u and the checkpoints, never
-    on the stream's seed.  A memo of the last ``_CURVE_MEMO_SIZE`` such
-    pairs, keyed on those values (``_curve_key``), serves them again: on a
-    hit the walk skips the terms Phi(t_u), the ball masses and their two
-    sums.  On a miss the log-radii first give the lower curve's terms
-    Phi(t_u), and the radii the exact terms.  Each curve is an exact
-    accumulator (``svf._ExactSum``), so memory is O(chunk) whatever the
-    horizon is, and each sum equals math.fsum of its terms (the lower curve
-    is partial_sums at t_u times c).
+    on the stream's seed.  A one-entry memo (``_last_curves``) keeps the
+    last call's curves under those values, so the seeds of one run share
+    them: on a hit the walk skips the terms Phi(t_u), the ball masses and
+    their two sums.  On a miss the log-radii first give the lower curve's
+    terms Phi(t_u), and the radii the exact terms.  Each curve is an exact
+    accumulator (``svf._ExactSum``), so the walk's memory is O(chunk)
+    whatever the horizon is, and each sum equals math.fsum of its terms (the
+    lower curve is partial_sums at t_u times c).  Past the call, the memo
+    keeps the schedule it was given and two floats per checkpoint.
     """
     space = stream.space
     d = space.dim
@@ -197,8 +185,12 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
         factor.validate_point(coord)
     cps = sorted_checkpoints(checkpoints)
 
-    key = _curve_key(sched, space, sv, anchor, u, cps)
-    curves = _curve_memo.pop(key, None)
+    global _last_curves
+    # schedules are frozen dataclasses that compare their normalised floats;
+    # repr keeps -0.0 apart from 0.0 and 1 apart from 1.0, so equal keys give
+    # equal curves whatever objects carry the values
+    key = (repr((space.descriptor(), sv.tolist(), anchor, u, cps)), sched)
+    curves = _last_curves[1] if _last_curves is not None and _last_curves[0] == key else None
     t_u = min(math.fsum(sv[:-1]) + u, math.fsum(sv))
     c_const = math.prod(1.0 / f.c for f in space.factors[:-1])
     observed, expected, series = _ExactSum(), _ExactSum(), _ExactSum()
@@ -235,10 +227,7 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
                 lower.append((N, c_const * series.value()))
     if curves is None:
         curves = (tuple(exact), tuple(lower))
-        if len(_curve_memo) >= _CURVE_MEMO_SIZE:
-            del _curve_memo[next(iter(_curve_memo))]
-    # (re)inserted last: the most recently used
-    _curve_memo[key] = curves
+        _last_curves = (key, curves)
     return FiberSumResult(
         anchor=anchor,
         u=float(u),

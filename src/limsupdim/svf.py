@@ -363,12 +363,6 @@ class PowerLawSchedule:
                 "and relabel the factor spaces to match"
             )
 
-    def values_key(self, n: int) -> tuple:
-        """A key that two schedules share only if their ``log_radii`` agree
-        bit for bit on the indices 1..n: the exponents and prefactors, all
-        finite floats > 0, so that equal tuples hold equal bits."""
-        return ("power-law", self.alphas, self.coefficients)
-
     def descriptor(self) -> dict:
         return {
             "kind": "power-law",
@@ -458,14 +452,6 @@ class ExplicitSchedule:
                 raise ValueError(f"tuple #{idx} is not non-increasing; relabel first")
         if self.power_model is not None:
             self.power_model.check_non_increasing()
-
-    def values_key(self, n: int) -> tuple:
-        """A key that two schedules share only if their ``log_radii`` agree
-        bit for bit on the indices 1..n: the bytes of the listed log-radius
-        rows those indices read, and the tail's key."""
-        rows = self._log_table[:n]
-        tail = self.tail.values_key(n) if self.power_model is not None else self.tail
-        return ("explicit", rows.shape, rows.tobytes(), tail)
 
     def descriptor(self) -> dict:
         return {

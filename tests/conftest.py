@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from limsupdim import Cantor, Circle, Interval, ProductSpace
+from limsupdim import Cantor, Circle, Interval, ProductSpace, mc
+
+
+@pytest.fixture(autouse=True)
+def cold_fiber_memo():
+    """Each test starts with no fiber-sum curves in memory, so every fiber
+    sum walks its expectation curves unless the test warms the memo."""
+    mc._last_curves = None
 
 
 @pytest.fixture

@@ -344,7 +344,6 @@ def test_fiber_sum_peak_memory(torus2):
     assert peak < 12 * 2**20
 
 
-
 # ---------------------------------------------------------------------------
 # the memo of expectation curves
 # ---------------------------------------------------------------------------
@@ -388,12 +387,12 @@ def test_memoised_fiber_sum_equals_the_unmemoised_oracle(kinds, lam, coords, dig
         "explicit": ExplicitSchedule(((0.9, 0.5, 0.5)[:d], (0.4, 0.3, 0.2)[:d]),
                                      PowerLawSchedule(alphas, (2.0, 1.0, 1.0)[:d])),
     }[sched_kind]
-    mc._curve_memo.clear()
+    mc._last_curves = None
     for seed in seeds:
         args = (sched, space.s_vector, anchor, u, cps)
         got = fiber_hit_sum(OmegaStream(seed, space), *args)
         assert _bits(got) == _bits(unmemoised_fiber_hit_sum(OmegaStream(seed, space), *args))
-    assert len(mc._curve_memo) == 1
+        assert mc._last_curves[1] == (got.expectation_exact, got.expectation_lower)
 
 
 _BASE_CALL = dict(lam=0.25, sched=PowerLawSchedule((1, 2), (2, 1)), s=None,
@@ -425,49 +424,34 @@ def test_a_change_of_one_key_part_misses_the_memo(part, change):
         base.expectation_exact, base.expectation_lower)
 
 
-def test_equal_values_share_one_memo_entry(monkeypatch):
-    # a second Cantor(0.25) and the schedule written with floats are the
+@pytest.mark.parametrize("first, second", [
+    (PowerLawSchedule((1, 2)), PowerLawSchedule((1.0, 2.0))),
+    (ExplicitSchedule(((1, 0.5), (0.5, 0.25)), PowerLawSchedule((1, 2))),
+     ExplicitSchedule(((1.0, 0.5), (0.5, 0.25)), PowerLawSchedule((1.0, 2.0)))),
+], ids=["power-law", "explicit"])
+def test_equal_values_share_the_memo(monkeypatch, first, second):
+    # a second Cantor(0.25) and the schedule built again with floats are the
     # same values: the second call walks no Phi terms
     calls = []
     monkeypatch.setattr(mc, "_phi_terms", lambda *a: calls.append(1) or svf._phi_terms(*a))
-    mc._curve_memo.clear()
-    for seed, alphas in ((1, (1, 2)), (2, (1.0, 2.0))):
+    for seed, sched in ((1, first), (2, second)):
         space = ProductSpace((Cantor(0.25), Cantor(0.25)))
-        fiber_hit_sum(OmegaStream(seed, space), PowerLawSchedule(alphas), space.s_vector,
-                      (space.factors[0].point((1, 0, 1)),), 0.0, [500])
+        args = (sched, space.s_vector, (space.factors[0].point((1, 0, 1)),), 0.0, [500])
+        got = fiber_hit_sum(OmegaStream(seed, space), *args)
+        assert _bits(got) == _bits(unmemoised_fiber_hit_sum(OmegaStream(seed, space), *args))
     assert len(calls) == 1
-    assert len(mc._curve_memo) == 1
 
 
-def test_explicit_schedules_share_an_entry_by_the_rows_the_walk_reads(torus2):
-    # rows past the last checkpoint are never read: a change there shares
-    # the entry, a change to a row read does not
-    def explicit(last):
-        return ExplicitSchedule(((0.5, 0.25),) * 7 + (last,), PowerLawSchedule((1, 2)))
-
-    args = ((1, 1), (0.5,), 0.0)
-    mc._curve_memo.clear()
-    calls = [(explicit((0.5, 0.25)), [7]), (explicit((0.4, 0.1)), [7]),
-             (explicit((0.4, 0.1)), [8, 20])]
-    for seed, (sched, cps) in enumerate(calls):
-        got = fiber_hit_sum(OmegaStream(seed, torus2), sched, *args, cps)
-        assert _bits(got) == _bits(unmemoised_fiber_hit_sum(
-            OmegaStream(seed, torus2), sched, *args, cps))
-    assert len(mc._curve_memo) == 2
-
-def test_memo_stays_within_its_cap_and_drops_the_least_recent(torus2):
-    mc._curve_memo.clear()
+def test_memo_keeps_only_the_last_curves(monkeypatch, torus2):
+    # two keys in turn each walk their curves again: the memo holds one
+    calls = []
+    monkeypatch.setattr(mc, "_phi_terms", lambda *a: calls.append(1) or svf._phi_terms(*a))
     args = (PowerLawSchedule((1, 2)), (1, 1), (0.5,), 0.0)
-    fiber_hit_sum(OmegaStream(1, torus2), *args, [1])
-    for N in range(2, mc._CURVE_MEMO_SIZE + 6):
-        fiber_hit_sum(OmegaStream(1, torus2), *args, [N])
-        # the first entry, used again each time, is never the one dropped
-        fiber_hit_sum(OmegaStream(2, torus2), *args, [1])
-        assert len(mc._curve_memo) <= mc._CURVE_MEMO_SIZE
-    keys = list(mc._curve_memo)
-    assert len(keys) == mc._CURVE_MEMO_SIZE
-    assert keys[-1] == mc._curve_key(args[0], torus2, np.ones(2), (0.5,), 0.0, [1])
-    assert mc._curve_key(args[0], torus2, np.ones(2), (0.5,), 0.0, [2]) not in keys
+    for seed, cps in enumerate([[10], [10], [20], [10], [10]]):
+        got = fiber_hit_sum(OmegaStream(seed, torus2), *args, cps)
+        assert _bits(got) == _bits(unmemoised_fiber_hit_sum(OmegaStream(seed, torus2), *args, cps))
+    assert len(calls) == 3
+    assert mc._last_curves[1] == (got.expectation_exact, got.expectation_lower)
 
 
 def test_verdict_seed_loop_walks_the_curves_once(monkeypatch, torus2):
@@ -476,18 +460,15 @@ def test_verdict_seed_loop_walks_the_curves_once(monkeypatch, torus2):
     real = Circle.ball_measure_array
     monkeypatch.setattr(Circle, "ball_measure_array",
                         lambda self, x, rs: masses.append(rs.size) or real(self, x, rs))
-    mc._curve_memo.clear()
     rep = dimension_verdict(PowerLawSchedule((0.5, 1)), (1, 1), torus2, [1, 2, 3], FAST_VERDICT)
     fiber = next(c for c in rep.checks if c.name == "fiber-divergence")
     assert fiber.status in ("PASS", "FAIL") and "/3 over seeds" in fiber.detail
     # one walk of the exact curve: its ball masses add up to one horizon
     assert sum(masses) == FAST_VERDICT.fiber_checkpoints[-1]
-    assert len(mc._curve_memo) == 1
 
 
 def test_a_returned_result_cannot_change_a_later_one(torus2):
     args = (PowerLawSchedule((1, 2)), (1, 1), (0.5,), 0.5, [10, 100])
-    mc._curve_memo.clear()
     first = fiber_hit_sum(OmegaStream(1, torus2), *args)
     with pytest.raises(TypeError):
         first.expectation_exact[0] = (10, -1.0)
@@ -497,6 +478,7 @@ def test_a_returned_result_cannot_change_a_later_one(torus2):
     object.__setattr__(first, "expectation_exact", ())
     later = fiber_hit_sum(OmegaStream(2, torus2), *args)
     assert _bits(later) == _bits(unmemoised_fiber_hit_sum(OmegaStream(2, torus2), *args))
+
 
 @pytest.mark.parametrize("density", [0.0, 1e-4, 0.01, 0.5, 1.0])
 def test_hit_partials_equal_zero_filled_fsum(density):

@@ -471,6 +471,7 @@ def test_cantor_net_finer_than_the_float_spacing_is_refused(R, resolution):
     coords = cantor.net(cantor.point(()), R, resolution)[0]
     assert coords[0] == 0.0 and np.all(np.diff(coords) > 0.0)
 
+
 @pytest.mark.parametrize("space, x0, R, resolution", [
     (Interval(), 0.5, 0.5, 0.25), (Interval(), 0.3, 0.2, 0.013),
     (Circle(), 0.9, 0.5, 0.01), (Cantor(1 / 3), Cantor(1 / 3).point(()), 1.0, 1e-3),
