@@ -190,7 +190,9 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
     # repr keeps -0.0 apart from 0.0 and 1 apart from 1.0, so equal keys give
     # equal curves whatever objects carry the values
     key = (repr((space.descriptor(), sv.tolist(), anchor, u, cps)), sched)
-    curves = _last_curves[1] if _last_curves is not None and _last_curves[0] == key else None
+    # one read of the global: the key test and the curves come from one entry
+    last = _last_curves
+    curves = last[1] if last is not None and last[0] == key else None
     t_u = min(math.fsum(sv[:-1]) + u, math.fsum(sv))
     c_const = math.prod(1.0 / f.c for f in space.factors[:-1])
     observed, expected, series = _ExactSum(), _ExactSum(), _ExactSum()

@@ -20,7 +20,13 @@ both conventions; covers are built from closed balls.
 Products carry the max metric, under which a rectangle with equal side radii
 is exactly a ball (a cube).  Sparse subsets and covers are constructed
 greedily over finite probe nets of resolution r/4; maximality and cover
-soundness are certified against the same nets.
+soundness are certified against the same nets.  A net's points may be a lazy
+sequence (Cantor nets build each CantorPoint only when it is read).
+verify_cover sorts each factor's centres and tests every net point first
+against its nearest centres in that order (and, on a metric that wraps
+around, the first and last), then against every centre only for a net point
+those leave uncovered: its verdict is the full probe-net comparison's, bit
+for bit, without its O(net x centres) cost.
 
 Factor protocol.  Everything that differs between kinds lives on the kind's
 class, so the Monte Carlo layer and the CLI never name a kind.  A new
@@ -31,7 +37,8 @@ and ball_measure_array (one radius and a whole array of radii, bit for bit
 the same masses), sample, the counter stream (stream_coords, stream_point),
 density cells (cell_count, stream_cells), text (parse_point, format_point)
 and anchor.  Defaults serve the rest: the line metric |embed(x) - embed(y)|
-(distance and distance_to_array), which the circle overrides; wrap_clash,
+(distance, and coordinate with the elementwise distances behind
+distance_to_array), which the circle overrides; period and wrap_clash,
 needed only by a metric that wraps around; and descriptor, built from kind,
 params, c and s.
 Each kind's ball_measure is one call of its ball_measure_array, which checks
@@ -42,8 +49,9 @@ Interval and Circle, and for Cantor a walk down the centre's digit path.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -97,6 +105,8 @@ class RegularSpace:
     c: float
     s: float
     diameter: float
+    # the length after which a metric that wraps around repeats; None on a line
+    period: float | None = None
 
     def embed(self, point) -> float:
         """Real coordinate of a point (identity except for Cantor points)."""
@@ -106,11 +116,19 @@ class RegularSpace:
         """The line metric |embed(x) - embed(y)|."""
         return abs(self.embed(x) - self.embed(y))
 
-    def distance_to_array(self, coords: np.ndarray, y) -> np.ndarray:
-        """Distances from an array of embedded coordinates to one point, by
-        the float operations of ``distance``."""
-        delta = np.subtract(coords, self.embed(y))
+    def coordinate(self, point) -> float:
+        """The float that ``distance_to_array`` reads for a point."""
+        return self.embed(point)
+
+    def distances(self, a, b) -> np.ndarray:
+        """Elementwise distances between coordinates, one array or both
+        (broadcast), by the float operations of ``distance``."""
+        delta = np.subtract(a, b)
         return np.abs(delta, out=delta)
+
+    def distance_to_array(self, coords: np.ndarray, y) -> np.ndarray:
+        """Distances from an array of coordinates to one point."""
+        return self.distances(coords, self.coordinate(y))
 
     def validate_point(self, point) -> None:
         raise NotImplementedError
@@ -148,16 +166,21 @@ class RegularSpace:
         the ball such that every ball point is within ``resolution`` of the
         net (up to the boundary slack discussed in the construction notes).
 
-        Returns (coords, points): sorted embedded coordinates and the aligned
-        point objects.
+        Returns (coords, points): sorted coordinates and the aligned points,
+        a list or a lazy sequence that builds each point when it is read.
+        ``verify_cover`` reads only the coordinates.
         """
         raise NotImplementedError
 
     def wrap_clash(self, point, first, latest, r: float) -> bool:
         """Extra rejection test of the sorted first-fit greedy: a candidate
         closer than r to the first or latest accepted point.  Only a metric
-        that wraps around needs it; on a line the sorted gaps decide alone."""
-        return False
+        that wraps around (a period) needs it, since the wrap gap to the
+        first point is what shrinks along the arc; on a line the sorted gaps
+        decide alone."""
+        if self.period is None:
+            return False
+        return self.distance(point, first) < r or self.distance(point, latest) < r
 
     def anchor(self):
         """A canonical point of the space."""
@@ -264,6 +287,7 @@ class Circle(_UnitCoordinateSpace):
     c = 2.0
     s = 1.0
     diameter = 0.5
+    period = 1.0
 
     def embed(self, point) -> float:
         return float(point) % 1.0
@@ -272,11 +296,16 @@ class Circle(_UnitCoordinateSpace):
         delta = abs(float(x) - float(y)) % 1.0
         return min(delta, 1.0 - delta)
 
-    def distance_to_array(self, coords: np.ndarray, y) -> np.ndarray:
-        # |x - y| mod 1, then the shorter way round, in two arrays.  For
+    def coordinate(self, point) -> float:
+        # the metric reduces mod 1 itself: it reads the float as given, not
+        # embed's reduced one (-1e-20 % 1.0 rounds to 1.0)
+        return float(point)
+
+    def distances(self, a, b) -> np.ndarray:
+        # |a - b| mod 1, then the shorter way round, in two arrays.  For
         # delta >= 0, delta - floor(delta) is exact (Sterbenz: floor(delta)
         # is 0 or within a factor 2 of delta), so it is fmod's, bit for bit
-        delta = np.subtract(coords, float(y))
+        delta = np.subtract(a, b)
         np.abs(delta, out=delta)
         other = np.floor(delta)
         delta -= other
@@ -304,11 +333,6 @@ class Circle(_UnitCoordinateSpace):
         x = self.embed(x0)
         coords = _linspace_net(x - R, x + R, resolution)
         return coords, (coords % 1.0).tolist()
-
-    def wrap_clash(self, point, first, latest, r: float) -> bool:
-        # the wrap gap to the first point is what shrinks along the arc, so
-        # these two checks imply all pairwise ones
-        return self.distance(point, first) < r or self.distance(point, latest) < r
 
 
 class Cantor(RegularSpace):
@@ -479,22 +503,25 @@ class Cantor(RegularSpace):
         # the leading digits read as a binary number, first digit highest
         return digits.astype(np.int64) @ (1 << np.arange(depth - 1, -1, -1))
 
+    def _cylinder_codes(self, a: float, b: float, depth: int) -> np.ndarray:
+        """The depth-``depth`` cylinders meeting [a, b], ascending, as codes:
+        a code's binary digits, first digit highest, are the cylinder's digit
+        prefix.  Level by level, a cylinder [lo, lo + lam^d] that meets
+        [a, b] splits into its children at lo and lo + lam^d - lam^(d+1)."""
+        pw = self._pow
+        codes, lo = np.zeros(1, dtype=np.int64), np.zeros(1)
+        for d in range(depth + 1):
+            meets = ~((b < lo) | (lo + pw[d] < a))
+            codes, lo = codes[meets], lo[meets]
+            if d == depth:
+                return codes
+            codes = np.stack((2 * codes, 2 * codes + 1), axis=1).ravel()
+            lo = np.stack((lo, lo + pw[d] - pw[d + 1]), axis=1).ravel()
+
     def cylinders_in(self, a: float, b: float, depth: int) -> list[tuple[int, ...]]:
         """Digit prefixes of all depth-``depth`` cylinders meeting [a, b]."""
-        out: list[tuple[int, ...]] = []
-
-        def recurse(lo: float, d: int, prefix: tuple[int, ...]):
-            hi = lo + self._pow[d]
-            if b < lo or hi < a:
-                return
-            if d == depth:
-                out.append(prefix)
-                return
-            recurse(lo, d + 1, prefix + (0,))
-            recurse(lo + self._pow[d] - self._pow[d + 1], d + 1, prefix + (1,))
-
-        recurse(0.0, 0, ())
-        return out
+        return [_code_digits(code, depth)
+                for code in self._cylinder_codes(a, b, depth).tolist()]
 
     def net(self, x0, R: float, resolution: float):
         depth = 0
@@ -513,12 +540,14 @@ class Cantor(RegularSpace):
                 f"a Cantor probe net at resolution {resolution!r} about the centre "
                 f"{x!r} needs cylinders of length {self._pow[depth]:.6g}, below the "
                 f"float spacing {spacing:.6g} there")
-        prefixes = self.cylinders_in(x - R, x + R, depth)
-        pts = [self.point(p) for p in prefixes]
-        pts = [p for p in pts if abs(p.value - x) <= R]
-        pts.sort(key=lambda p: p.value)
-        coords = np.array([p.value for p in pts], dtype=float)
-        return coords, pts
+        codes = self._cylinder_codes(x - R, x + R, depth)
+        # each cylinder's left end, the point of its prefix: one column per
+        # digit, first digit highest in the code (depth 0: the one point 0)
+        values = np.broadcast_to(self.embed_digits(
+            [(codes >> k) & 1 for k in range(depth - 1, -1, -1)]), codes.shape)
+        inside = np.flatnonzero(np.abs(values - x) <= R)
+        order = inside[np.argsort(values[inside], kind="stable")]
+        return values[order], _CantorNet(codes[order], values[order], depth)
 
     def anchor(self) -> CantorPoint:
         return self.point(())
@@ -533,6 +562,28 @@ class Cantor(RegularSpace):
 
     def __repr__(self) -> str:
         return f"Cantor(lam={self.lam}, c={self.c:.6g}, s={self.s:.6g})"
+
+
+def _code_digits(code: int, depth: int) -> tuple[int, ...]:
+    """The ``depth`` binary digits of ``code``, highest first."""
+    return tuple(code >> k & 1 for k in range(depth - 1, -1, -1))
+
+
+class _CantorNet(Sequence):
+    """The points of a Cantor probe net, each built when it is read from its
+    cylinder code's digits and its value (``embed_digits`` of those digits,
+    taken for the whole net at once)."""
+
+    def __init__(self, codes: np.ndarray, values: np.ndarray, depth: int):
+        self._codes, self._values, self._depth = codes, values, depth
+
+    def __len__(self) -> int:
+        return self._codes.size
+
+    def __getitem__(self, i) -> CantorPoint:
+        i = operator.index(i)  # one point per read: no slices
+        return CantorPoint(_code_digits(int(self._codes[i]), self._depth),
+                           float(self._values[i]))
 
 
 _KINDS = {cls.kind: cls for cls in (Interval, Circle, Cantor)}
@@ -644,16 +695,19 @@ def _greedy_sorted(space: RegularSpace, coords: np.ndarray, points: list,
     with a rounded prev + r; consecutive accepted coordinates are then r
     apart in the verifier's arithmetic, so all pairs are.  A space whose
     metric wraps around (the circle) also rejects a candidate through
-    ``wrap_clash``, checked against the first and latest accepted points.
+    ``wrap_clash``, checked against the first and latest accepted points;
+    on a line the scan reads no point, so a lazy net builds only the
+    accepted ones.
     """
     vals = coords.tolist()
     if not vals:
         return []
     accepted = [0]
     prev = vals[0]
+    wraps = space.period is not None
     for j in range(1, len(vals)):
-        if vals[j] - prev >= r and not space.wrap_clash(
-                points[j], points[accepted[0]], points[accepted[-1]], r):
+        if vals[j] - prev >= r and not (wraps and space.wrap_clash(
+                points[j], points[accepted[0]], points[accepted[-1]], r)):
             accepted.append(j)
             prev = vals[j]
     return [points[i] for i in accepted]
@@ -781,29 +835,50 @@ def verify_cover(space: RegularSpace | ProductSpace, report: CoverReport) -> boo
     at resolution radius/4 lies in a cover element, and count <= bound.
 
     A product point lies in some cube iff each coordinate lies in some factor
-    ball, so rectangle verification reduces to per-factor containment.
+    ball, so rectangle verification reduces to per-factor containment.  Per
+    factor, ``_net_covered`` tests each net point against its nearest sorted
+    centres, then against every centre only if those leave it uncovered: the
+    verdict is that of the comparison with every centre, bit for bit.  Only
+    the nets' coordinates are read, never their (possibly lazy) points.
     """
     if report.count > report.bound * (1.0 + 1e-12):
         return False
     # a few ulps of slack: boundary-exact containments (e.g. a kept center
     # with side radius equal to the cube radius) must not fail by rounding
-    slack = 16.0 * np.spacing(max(1.0, report.radius))
+    limit = report.radius + 16.0 * np.spacing(max(1.0, report.radius))
     factors = space.factors if isinstance(space, ProductSpace) else (space,)
-    centers_per_factor = report.factor_centers
     center = report.center if isinstance(space, ProductSpace) else (report.center,)
     for factor, x_i, R_i, centers in zip(factors, center, report.target_radii,
-                                         centers_per_factor):
-        coords, points = factor.net(x_i, min(R_i, factor.diameter), report.radius / 4.0)
-        if coords.size == 0:
-            continue
-        covered = np.zeros(coords.size, dtype=bool)
-        for c in centers:
-            covered |= factor.distance_to_array(coords, c) <= report.radius + slack
-            if covered.all():
-                break
-        if not covered.all():
+                                         report.factor_centers):
+        coords = factor.net(x_i, min(R_i, factor.diameter), report.radius / 4.0)[0]
+        if coords.size and not _net_covered(factor, coords, centers, limit):
             return False
     return True
+
+
+def _net_covered(factor: RegularSpace, coords: np.ndarray, centers, limit) -> bool:
+    """Whether each coordinate lies within ``limit`` of some centre, by the
+    float operations of ``distance_to_array``.  The centres are sorted by
+    position (mod the period on a metric that wraps around), and one
+    searchsorted finds each coordinate's two neighbours among them; a wrap
+    adds the first and last.  Candidates only speed the test up: a point
+    that none of them covers is tested against every centre."""
+    ys = np.array([factor.coordinate(c) for c in centers], dtype=float)
+    if ys.size == 0:
+        return False
+    period = factor.period
+    keys = ys if period is None else ys % period
+    order = np.argsort(keys, kind="stable")
+    ys = ys[order]
+    k = np.searchsorted(keys[order], coords if period is None else coords % period)
+    near = [ys[np.maximum(k - 1, 0)], ys[np.minimum(k, ys.size - 1)]]
+    if period is not None:
+        near += [ys[0], ys[-1]]
+    covered = np.zeros(coords.size, dtype=bool)
+    for y in near:
+        covered |= factor.distances(coords, y) <= limit
+    return all((factor.distances(coords[j], ys) <= limit).any()
+               for j in np.flatnonzero(~covered))
 
 
 def factor_from_token(token: str) -> RegularSpace:

@@ -389,6 +389,9 @@ class ExplicitSchedule:
     # log-radii of the listed tuples, one row each, taken once: the streaming
     # sums call log_radii once per chunk
     _log_table: np.ndarray = field(init=False, repr=False, compare=False)
+    # number (from 1) of the first listed tuple whose radii increase, 0 if
+    # none: found once, raised by each check_non_increasing call
+    _first_increase: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tups = tuple(
@@ -404,7 +407,12 @@ class ExplicitSchedule:
         if isinstance(self.tail, PowerLawSchedule) and self.tail.dim != d:
             raise ValueError("tail model dimension mismatch")
         object.__setattr__(self, "tuples", tups)
-        object.__setattr__(self, "_log_table", np.log([t.values for t in tups]))
+        values = np.array([t.values for t in tups])
+        object.__setattr__(self, "_log_table", np.log(values))
+        # the radii themselves, not their logs: np.log can round two distinct
+        # radii to one float and hide an increase
+        rises = np.flatnonzero((values[:, 1:] > values[:, :-1]).any(axis=1))
+        object.__setattr__(self, "_first_increase", int(rises[0]) + 1 if rises.size else 0)
 
     @property
     def dim(self) -> int:
@@ -446,10 +454,9 @@ class ExplicitSchedule:
 
     def check_non_increasing(self) -> None:
         """Raise unless every listed tuple, and a power tail, is non-increasing."""
-        for idx, tup in enumerate(self.tuples, start=1):
-            vals = tup.values
-            if any(v2 > v1 for v1, v2 in zip(vals, vals[1:])):
-                raise ValueError(f"tuple #{idx} is not non-increasing; relabel first")
+        if self._first_increase:
+            raise ValueError(f"tuple #{self._first_increase} is not non-increasing; "
+                             "relabel first")
         if self.power_model is not None:
             self.power_model.check_non_increasing()
 

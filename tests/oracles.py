@@ -21,7 +21,11 @@ those kernels (a Cantor distance is the interval's on embedded points),
 and so is the per-index tail cover loop, one argsort and one
 ``cover_rectangle`` per rectangle, as the reference of the batched window.
 The streamed fiber hit sum that computes its seed-independent expectation
-curves on every call is kept as the reference of the memoised one.
+curves on every call is kept as the reference of the memoised one.  The
+probe-net cover check that compares every net point with every centre is
+the reference of ``verify_cover``'s nearest-centre search, and the recursive
+cylinder walk that builds one CantorPoint per net point is the reference of
+the Cantor net's numpy frontier.
 """
 
 import itertools
@@ -36,7 +40,7 @@ from limsupdim.mc import (
     TailCoverProfile,
     _require_matching_regularity,
 )
-from limsupdim.spaces import cover_rectangle
+from limsupdim.spaces import _MASS_DEPTH_CAP, ProductSpace, cover_rectangle
 from limsupdim.svf import (
     _checkpoint_chunks,
     _ExactSum,
@@ -493,3 +497,60 @@ def per_n_tail_cover_sum(stream, sched, s, t, window):
         reference=2.0**t * c_big * math.fsum(phi),
         per_n=tuple(per_n),
     )
+
+
+def every_centre_verify_cover(space, report):
+    """``verify_cover`` by one distance_to_array pass over the whole net per
+    centre, until the net is covered.  The library tests its nearest sorted
+    centres first, so the two must give the same verdict on every cover."""
+    if report.count > report.bound * (1.0 + 1e-12):
+        return False
+    slack = 16.0 * np.spacing(max(1.0, report.radius))
+    factors = space.factors if isinstance(space, ProductSpace) else (space,)
+    center = report.center if isinstance(space, ProductSpace) else (report.center,)
+    for factor, x_i, R_i, centers in zip(factors, center, report.target_radii,
+                                         report.factor_centers):
+        coords, points = factor.net(x_i, min(R_i, factor.diameter), report.radius / 4.0)
+        if coords.size == 0:
+            continue
+        covered = np.zeros(coords.size, dtype=bool)
+        for c in centers:
+            covered |= factor.distance_to_array(coords, c) <= report.radius + slack
+            if covered.all():
+                break
+        if not covered.all():
+            return False
+    return True
+
+
+def recursive_cylinders_in(space, a, b, depth):
+    """Digit prefixes of the depth-``depth`` cylinders of a Cantor space
+    meeting [a, b], by a depth-first walk, left child first."""
+    out = []
+
+    def recurse(lo, d, prefix):
+        hi = lo + space._pow[d]
+        if b < lo or hi < a:
+            return
+        if d == depth:
+            out.append(prefix)
+            return
+        recurse(lo, d + 1, prefix + (0,))
+        recurse(lo + space._pow[d] - space._pow[d + 1], d + 1, prefix + (1,))
+
+    recurse(0.0, 0, ())
+    return out
+
+
+def recursive_cantor_net(space, x0, R, resolution):
+    """A Cantor probe net with one CantorPoint built per cylinder meeting
+    the ball, filtered to the ball and stably sorted by value (no domain
+    checks).  ``Cantor.net`` must give the same coordinates and points."""
+    depth = 0
+    while space._pow[depth] > resolution and depth < _MASS_DEPTH_CAP:
+        depth += 1
+    x = space.embed(x0)
+    pts = [space.point(p) for p in recursive_cylinders_in(space, x - R, x + R, depth)]
+    pts = [p for p in pts if abs(p.value - x) <= R]
+    pts.sort(key=lambda p: p.value)
+    return np.array([p.value for p in pts], dtype=float), pts

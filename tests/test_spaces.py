@@ -27,8 +27,11 @@ from limsupdim.spaces import _greedy_sorted, factor_from_token
 from oracles import (
     cantor_mass_bruteforce,
     circle_distance,
+    every_centre_verify_cover,
     exact_cantor_mass,
     interval_distance,
+    recursive_cantor_net,
+    recursive_cylinders_in,
     searchsorted_greedy,
 )
 
@@ -122,6 +125,28 @@ def test_cantor_distance_to_array_is_the_interval_one_on_embedded_points(coords,
     want = interval_distance(np.array(coords), space.embed(y))
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("space", [Interval(), Circle(), Cantor(0.3)],
+                         ids=["interval", "circle", "cantor"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_elementwise_distances_are_distance_to_array_bit_for_bit(space, data):
+    # verify_cover reads the metric through distances: one coordinate array
+    # against another, against one centre, and one coordinate against all
+    coords = np.array(data.draw(st.lists(_COORDS, min_size=1, max_size=30), label="coords"))
+    points = (st.lists(st.integers(0, 1), max_size=40).map(space.point)
+              if isinstance(space, Cantor) else _COORDS)
+    ys = data.draw(st.lists(points, min_size=coords.size, max_size=coords.size), label="ys")
+    yc = np.array([space.coordinate(y) for y in ys])
+    rows = [space.distance_to_array(coords[i:i + 1], y) for i, y in enumerate(ys)]
+    want = np.concatenate(rows)
+    got = space.distances(coords, yc)
+    assert got.tobytes() == want.tobytes()
+    assert space.distances(coords, yc[0]).tobytes() == space.distance_to_array(
+        coords, ys[0]).tobytes()
+    column = np.concatenate([space.distance_to_array(coords[:1], y) for y in ys])
+    assert space.distances(coords[0], yc).tobytes() == column.tobytes()
 
 
 def _centres(space):
@@ -472,6 +497,35 @@ def test_cantor_net_finer_than_the_float_spacing_is_refused(R, resolution):
     assert coords[0] == 0.0 and np.all(np.diff(coords) > 0.0)
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_cantor_net_is_the_recursive_walk(data):
+    space = Cantor(data.draw(st.floats(0.05, 0.49), label="lam"))
+    x0 = space.point(data.draw(st.lists(st.integers(0, 1), max_size=40), label="digits"))
+    R = data.draw(st.one_of(st.just(1.0), st.floats(1e-6, 1.0)), label="R")
+    resolution = R * data.draw(st.one_of(st.sampled_from([1 / 28, 1 / 4, 1.0, 4.0]),
+                                          st.floats(1e-3, 2.0)), label="resolution/R")
+    coords, points = space.net(x0, R, resolution)
+    want_coords, want_points = recursive_cantor_net(space, x0, R, resolution)
+    assert coords.tobytes() == want_coords.tobytes()
+    assert len(points) == len(want_points) and list(points) == want_points
+    assert all(type(p) is CantorPoint for p in points)
+    if want_points:
+        assert points[-1] == want_points[-1] and points[np.int64(0)] == want_points[0]
+    with pytest.raises(IndexError):
+        points[len(want_points)]
+    with pytest.raises(TypeError):
+        points[0:1]
+    # the cylinder walk the net starts from is the recursive one, at every
+    # depth, also when [a, b] ends exactly on cylinder ends, where one ulp in
+    # a child's left end decides whether it meets [a, b]
+    depth = data.draw(st.integers(0, 12), label="depth")
+    ends = st.sampled_from(_cylinder_ends(space, x0.digits))
+    a, b = sorted(data.draw(st.one_of(st.just((x0.value - R, x0.value + R)),
+                                      st.tuples(ends, ends)), label="a, b"))
+    assert space.cylinders_in(a, b, depth) == recursive_cylinders_in(space, a, b, depth)
+
+
 @pytest.mark.parametrize("space, x0, R, resolution", [
     (Interval(), 0.5, 0.5, 0.25), (Interval(), 0.3, 0.2, 0.013),
     (Circle(), 0.9, 0.5, 0.01), (Cantor(1 / 3), Cantor(1 / 3).point(()), 1.0, 1e-3),
@@ -571,6 +625,104 @@ def test_verify_cover_rejects_an_uncovered_net_point(space, dropped):
     centers = rep.factor_centers[:-1] + (tuple(kept),)
     assert not verify_cover(space, dataclasses.replace(
         rep, factor_centers=centers, count=math.prod(len(c) for c in centers)))
+
+
+def _factor(data, label):
+    kind = data.draw(st.sampled_from(["interval", "circle", "cantor"]), label=label)
+    if kind == "cantor":
+        return Cantor(data.draw(st.floats(0.05, 0.49), label=label + " lam"))
+    return Interval() if kind == "interval" else Circle()
+
+
+def _ball_point(data, space, label):
+    if isinstance(space, Cantor):
+        return space.point(data.draw(st.lists(st.integers(0, 1), max_size=20), label=label))
+    # circle centres near 0 put arcs through 0, from either side of 0
+    near_zero = st.floats(-1e-3, 1e-3) if isinstance(space, Circle) else st.floats(0.0, 1e-3)
+    return data.draw(st.one_of(st.floats(0.0, 1.0), near_zero,
+                               st.sampled_from([0.0, 1.0, 0.999])), label=label)
+
+
+def _moved(data, space, centers, label):
+    """The centres with some dropped and some moved: a circle or interval
+    centre shifts by a small amount (past [0, 1) too) or jumps to any
+    coordinate (1e17 sorts at 0 on the circle, yet its float distance to
+    every point is 0), a Cantor centre becomes another digit point."""
+    out = []
+    for i, c in enumerate(centers):
+        act = data.draw(st.sampled_from(["keep", "keep", "drop", "move"]),
+                        label=f"{label} {i}")
+        if act == "move":
+            if isinstance(space, Cantor):
+                c = _ball_point(data, space, f"{label} {i} to")
+            else:
+                c = data.draw(st.one_of(st.floats(-0.05, 0.05).map(lambda d, c=c: c + d),
+                                        _COORDS), label=f"{label} {i} to")
+        if act != "drop":
+            out.append(c)
+    return tuple(out)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_verify_cover_is_the_every_centre_check(data):
+    factors = [_factor(data, "factor 1")]
+    if data.draw(st.booleans(), label="product"):
+        factors.append(_factor(data, "factor 2"))
+    radii = []
+    for i, f in enumerate(factors):
+        # R = diameter is the whole factor: the whole circle at R = 1/2
+        radii.append(data.draw(st.one_of(st.just(f.diameter), st.floats(1e-3, f.diameter)),
+                               label=f"R{i}"))
+    # r against the largest side keeps every net within a few thousand points
+    r = max(radii) * data.draw(st.floats(0.02, 2.0), label="r/R")
+    x = tuple(_ball_point(data, f, f"x{i}") for i, f in enumerate(factors))
+    if len(factors) == 1:
+        space = factors[0]
+        report = cover_ball(space, x[0], radii[0], r)
+    else:
+        space = ProductSpace(tuple(factors))
+        report = cover_rectangle(space, x, radii, r)
+    if data.draw(st.booleans(), label="edit centres"):
+        centers = tuple(_moved(data, f, c, f"centres {i}")
+                        for i, (f, c) in enumerate(zip(factors, report.factor_centers)))
+        report = dataclasses.replace(report, factor_centers=centers,
+                                     count=math.prod(len(c) for c in centers))
+    # the same centres checked at r/1, r/2, r/4 and r/7: finer nets, and
+    # balls that no longer reach
+    shrink = data.draw(st.sampled_from([1.0, 2.0, 4.0, 7.0]), label="r/radius")
+    report = dataclasses.replace(report, radius=r / shrink)
+    assert verify_cover(space, report) == every_centre_verify_cover(space, report)
+
+
+@pytest.mark.parametrize("space, x, R", [
+    (Interval(), 0.5, 0.5), (Circle(), 0.02, 0.5), (Circle(), 0.97, 0.1),
+    (Cantor(1 / 3), Cantor(1 / 3).point(()), 1.0), (Cantor(0.1), Cantor(0.1).point((0, 1)), 0.3),
+], ids=["interval", "circle-whole", "circle-through-0", "cantor", "cantor-0.1"])
+def test_verify_cover_decides_both_ways_like_the_every_centre_check(space, x, R):
+    # every verdict of a builder cover at r/1 ... r/7 matches, and both
+    # verdicts occur, so the property above is not vacuous
+    verdicts = set()
+    for r in (R / 3, R / 10, R / 37):
+        report = cover_ball(space, x, R, r)
+        for shrink in (1.0, 2.0, 4.0, 7.0):
+            rep = dataclasses.replace(report, radius=r / shrink)
+            got = verify_cover(space, rep)
+            assert got == every_centre_verify_cover(space, rep)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_verify_cover_tests_every_centre_for_a_point_its_nearest_miss(circle):
+    # |x - 1e17| rounds to a whole number, so the centre 1e17 lies at float
+    # distance 0 from every point, yet it sorts at 0 after the centre 0.0:
+    # the nearest centres of 0.6 are 0.0 and 0.3, and only the comparison
+    # with every centre finds that 1e17 covers it
+    report = cover_ball(circle, 0.5, 0.5, 0.1)
+    report = dataclasses.replace(report, factor_centers=((0.0, 0.3, 1e17),), count=3)
+    assert circle.distance_to_array(np.array([0.6]), 1e17)[0] == 0.0
+    assert every_centre_verify_cover(circle, report)
+    assert verify_cover(circle, report)
 
 
 @pytest.mark.parametrize("space", ALL_KINDS, ids=lambda s: repr(s))

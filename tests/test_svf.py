@@ -522,6 +522,24 @@ def test_check_non_increasing_names_the_order_rule(sched, message):
         sched.check_non_increasing()
 
 
+def test_check_non_increasing_names_the_first_of_two_bad_tuples():
+    sched = ExplicitSchedule(((0.5, 0.25), (0.1, 0.4), (0.3, 0.3), (0.2, 0.6)), "constant")
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^tuple #2 is not non-increasing; relabel first$"):
+            sched.check_non_increasing()
+
+
+def test_check_non_increasing_compares_radii_not_their_logs():
+    # the two radii are one ulp apart, and np.log rounds them to one float
+    low = 1e300
+    high = math.nextafter(low, math.inf)
+    sched = ExplicitSchedule(((0.5, 0.5), (low, high)), "constant")
+    assert sched.log_radii(np.array([2]))[0].tolist() == [np.log(low)] * 2
+    with pytest.raises(ValueError, match="tuple #2 is not non-increasing"):
+        sched.check_non_increasing()
+    ExplicitSchedule(((high, low),), "constant").check_non_increasing()
+
+
 # ---------------------------------------------------------------------------
 # partial sums and growth
 # ---------------------------------------------------------------------------
