@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spaces import ProductSpace, _sparse_greedy
+from .spaces import ProductSpace, _sparse_indices
 from .svf import (
     PowerLawSchedule,
     RadiusSchedule,
@@ -64,8 +64,9 @@ class OmegaStream:
     omega_n is reproducible from (seed, n) alone; coordinate i of omega_n is
     derived from the hash word keyed (seed, lane=i, index=n), so access order
     is irrelevant and distinct indices are statistically independent.
-    Indices start at 1.  The seed is a count: an integral float such as 1e3
-    is that int, and anything else is refused (``svf.sorted_checkpoints``).
+    The seed and the indices are counts (``svf.sorted_checkpoints``): an
+    integral float such as 1e3 is that int, and anything else is refused.
+    Indices run from 1 to 2**63 - 1.
     """
 
     seed: int
@@ -76,15 +77,35 @@ class OmegaStream:
 
     def factor_coords(self, i: int, ns: np.ndarray) -> np.ndarray:
         """Embedded coordinates of factor i for the given indices."""
-        ns = np.asarray(ns, dtype=np.int64)
-        if np.any(ns < 1):
-            raise ValueError("stream indices start at 1")
-        return self.space.factors[i].stream_coords(self.seed, i, ns)
+        return self.space.factors[i].stream_coords(self.seed, i, _stream_indices(ns))
 
     def omega(self, n: int) -> tuple:
         """The n-th center as a tuple of factor points."""
+        n = _stream_index(n)
         return tuple(f.stream_point(self.seed, i, n)
                      for i, f in enumerate(self.space.factors))
+
+
+_INDEX_RULE = "stream indices must be integers in [1, 2**63), got"
+
+
+def _stream_index(n) -> int:
+    """One stream index as an int, by ``_integer``'s rule, in [1, 2**63)."""
+    i = _integer(n, _INDEX_RULE)
+    if not 1 <= i < 2**63:
+        raise ValueError(f"{_INDEX_RULE} {n}")
+    return i
+
+
+def _stream_indices(ns) -> np.ndarray:
+    """Stream indices as an int64 array.  An integer array is range-checked
+    by its least and greatest entries; any other, or one out of range, is
+    checked index by index, and the first refused one is named."""
+    ns = np.asarray(ns)
+    if ns.dtype.kind in "iu" and (ns.size == 0 or (ns.min() >= 1 and ns.max() < 2**63)):
+        return ns.astype(np.int64, copy=False)
+    return np.array([_stream_index(n) for n in ns.ravel().tolist()],
+                    dtype=np.int64).reshape(ns.shape)
 
 
 def _require_matching_regularity(space: ProductSpace, s: Sequence[float]) -> np.ndarray:
@@ -607,7 +628,7 @@ def tail_cover_sum(stream: OmegaStream, sched: RadiusSchedule,
         need = np.flatnonzero(radii[:, i] > rho)
         for j, x, side, r in zip(need.tolist(), stream.factor_coords(i, ns[need]).tolist(),
                                  radii[need, i].tolist(), rho[need].tolist()):
-            counts[j] *= len(_sparse_greedy(factor, x, side, r, None))
+            counts[j] *= len(_sparse_indices(factor, x, side, r, None)[1])
     try:
         reference = 2.0**t * c_big * math.fsum(phi)
         per_n = tuple((n, count, r, count * (2.0 * r) ** t, p)

@@ -38,9 +38,12 @@ the same masses), sample, the counter stream (stream_coords, stream_point),
 density cells (cell_count, stream_cells), text (parse_point, format_point)
 and anchor.  Defaults serve the rest: the line metric |embed(x) - embed(y)|
 (distance, and coordinate with the elementwise distances behind
-distance_to_array), which the circle overrides; period and wrap_clash,
-needed only by a metric that wraps around; and descriptor, built from kind,
-params, c and s.
+distance_to_array), which the circle overrides; period, set only by a metric
+that wraps around; and descriptor, built from kind, params, c and s.  A
+metric is a function of the rounded difference of two coordinates that
+grows away from zero (on a line) or from each multiple of the period, up to
+the midpoint between two of them: the sparse-set greedies test a candidate
+against a few sorted neighbours on that account.
 Each kind's ball_measure is one call of its ball_measure_array, which checks
 the centre and, by one rule (``_checked_radii``), the radii: closed forms for
 Interval and Circle, and for Cantor a walk down the centre's digit path.
@@ -48,6 +51,7 @@ Interval and Circle, and for Cantor a walk down the centre's digit path.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from collections.abc import Sequence
@@ -92,7 +96,8 @@ class CantorPoint:
     value: float
 
     def __post_init__(self):
-        if any(d not in (0, 1) for d in self.digits):
+        # each digit equals 0 or 1, counted by == as ``in`` tests
+        if self.digits.count(0) + self.digits.count(1) != len(self.digits):
             raise ValueError("Cantor digits must be 0 or 1")
 
 
@@ -171,16 +176,6 @@ class RegularSpace:
         ``verify_cover`` reads only the coordinates.
         """
         raise NotImplementedError
-
-    def wrap_clash(self, point, first, latest, r: float) -> bool:
-        """Extra rejection test of the sorted first-fit greedy: a candidate
-        closer than r to the first or latest accepted point.  Only a metric
-        that wraps around (a period) needs it, since the wrap gap to the
-        first point is what shrinks along the arc; on a line the sorted gaps
-        decide alone."""
-        if self.period is None:
-            return False
-        return self.distance(point, first) < r or self.distance(point, latest) < r
 
     def anchor(self):
         """A canonical point of the space."""
@@ -369,17 +364,29 @@ class Cantor(RegularSpace):
         """Embedding weights (1-lam) * lam^k for digit positions k < depth."""
         return (1.0 - self.lam) * np.power(self.lam, np.arange(depth))
 
+    def _weights_to(self, depth: int) -> list[float]:
+        """The weights of digit positions k < depth as floats: the sampling
+        depth's, or taken afresh for a deeper digit string."""
+        return self._weights if depth <= self.default_depth else self.weights(depth).tolist()
+
     def embed_digits(self, digits) -> float:
-        """The embedding of one int per digit (a point), or of one column
-        array per digit (a block of stream points).  Both add the weighted
-        digits in digit order by the same float operations, so a value
-        depends neither on its block nor on the route (stream, point, text)
-        that built it, as a BLAS dot product's does."""
-        weights = (self._weights if len(digits) <= self.default_depth
-                   else self.weights(len(digits)).tolist())
+        """The embedding of one point's digits (ints): each digit times its
+        weight, added in digit order.  ``_embed_rows`` does the same float
+        operations on arrays of points, so a value depends neither on its
+        block nor on the route (stream, net, point, text) that built it, as
+        a BLAS dot product's does."""
         value = 0.0
-        for d, w in zip(digits, weights):
+        for d, w in zip(digits, self._weights_to(len(digits))):
             value = value + d * w
+        return value
+
+    def _embed_rows(self, rows, depth: int, size: int) -> np.ndarray:
+        """The embeddings of ``size`` points whose digit k is the 0/1 integer
+        array rows[k], k < depth: digit * w_k added row after row, the float
+        operations of ``embed_digits`` on each point."""
+        value, term = np.zeros(size), np.empty(size)
+        for digit, w in zip(rows, self._weights_to(depth)):
+            value += np.multiply(digit, w, out=term)
         return value
 
     def point(self, digits: Sequence[int]) -> CantorPoint:
@@ -474,7 +481,15 @@ class Cantor(RegularSpace):
         return self.point(rng.integers(0, 2, size=self.default_depth))
 
     def stream_coords(self, seed: int, lane: int, ns: np.ndarray) -> np.ndarray:
-        return self.embed_digits(crng.bits(seed, lane, ns, self.default_depth).T)
+        """Digit k of the point at index n is bit k of its hash word: bit
+        k mod 8 of byte k // 8, little-endian, as ``crng.bits`` reads it.
+        The digits come row by row from the words' leading bytes, transposed
+        into one contiguous (ceil(depth / 8), N) array."""
+        depth = self.default_depth
+        words = crng.words(seed, lane, ns).astype("<u8", copy=False)
+        octets = np.ascontiguousarray(
+            words.view(np.uint8).reshape(-1, 8)[:, :(depth + 7) // 8].T)
+        return self._embed_rows(_bit_rows(octets, depth), depth, words.size)
 
     def stream_point(self, seed: int, lane: int, n: int) -> CantorPoint:
         digits = crng.bits(seed, lane, np.array([n]), self.default_depth)[0].tolist()
@@ -506,22 +521,26 @@ class Cantor(RegularSpace):
     def _cylinder_codes(self, a: float, b: float, depth: int) -> np.ndarray:
         """The depth-``depth`` cylinders meeting [a, b], ascending, as codes:
         a code's binary digits, first digit highest, are the cylinder's digit
-        prefix.  Level by level, a cylinder [lo, lo + lam^d] that meets
-        [a, b] splits into its children at lo and lo + lam^d - lam^(d+1)."""
+        prefix.  Level by level, a cylinder [lo, hi = lo + lam^d] that meets
+        [a, b] splits into its children at lo and hi - lam^(d+1), written
+        side by side into the next level's arrays."""
         pw = self._pow
         codes, lo = np.zeros(1, dtype=np.int64), np.zeros(1)
         for d in range(depth + 1):
-            meets = ~((b < lo) | (lo + pw[d] < a))
-            codes, lo = codes[meets], lo[meets]
+            hi = lo + pw[d]
+            meets = np.flatnonzero(~((b < lo) | (hi < a)))
             if d == depth:
-                return codes
-            codes = np.stack((2 * codes, 2 * codes + 1), axis=1).ravel()
-            lo = np.stack((lo, lo + pw[d] - pw[d + 1]), axis=1).ravel()
+                return codes[meets]
+            kids, ends = np.empty(2 * meets.size, dtype=np.int64), np.empty(2 * meets.size)
+            np.left_shift(codes[meets], 1, out=kids[0::2])
+            np.add(kids[0::2], 1, out=kids[1::2])
+            ends[0::2] = lo[meets]
+            np.subtract(hi[meets], pw[d + 1], out=ends[1::2])
+            codes, lo = kids, ends
 
     def cylinders_in(self, a: float, b: float, depth: int) -> list[tuple[int, ...]]:
         """Digit prefixes of all depth-``depth`` cylinders meeting [a, b]."""
-        return [_code_digits(code, depth)
-                for code in self._cylinder_codes(a, b, depth).tolist()]
+        return _code_digits(self._cylinder_codes(a, b, depth), depth)
 
     def net(self, x0, R: float, resolution: float):
         depth = 0
@@ -541,10 +560,10 @@ class Cantor(RegularSpace):
                 f"{x!r} needs cylinders of length {self._pow[depth]:.6g}, below the "
                 f"float spacing {spacing:.6g} there")
         codes = self._cylinder_codes(x - R, x + R, depth)
-        # each cylinder's left end, the point of its prefix: one column per
+        # each cylinder's left end, the point of its prefix: one row per
         # digit, first digit highest in the code (depth 0: the one point 0)
-        values = np.broadcast_to(self.embed_digits(
-            [(codes >> k) & 1 for k in range(depth - 1, -1, -1)]), codes.shape)
+        values = self._embed_rows(((codes >> k) & 1 for k in range(depth - 1, -1, -1)),
+                                  depth, codes.size)
         inside = np.flatnonzero(np.abs(values - x) <= R)
         order = inside[np.argsort(values[inside], kind="stable")]
         return values[order], _CantorNet(codes[order], values[order], depth)
@@ -564,14 +583,26 @@ class Cantor(RegularSpace):
         return f"Cantor(lam={self.lam}, c={self.c:.6g}, s={self.s:.6g})"
 
 
-def _code_digits(code: int, depth: int) -> tuple[int, ...]:
-    """The ``depth`` binary digits of ``code``, highest first."""
-    return tuple(code >> k & 1 for k in range(depth - 1, -1, -1))
+def _bit_rows(octets: np.ndarray, depth: int):
+    """Digit rows k = 0 .. depth-1 of byte rows: digit k is bit k mod 8 of
+    row k // 8.  Each row is written into one scratch array, so a row is
+    read before the next one is asked for."""
+    bit = np.empty(octets.shape[1], dtype=np.uint8)
+    for k in range(depth):
+        np.right_shift(octets[k >> 3], k & 7, out=bit)
+        yield np.bitwise_and(bit, 1, out=bit)
+
+
+def _code_digits(codes: np.ndarray, depth: int) -> list[tuple[int, ...]]:
+    """The ``depth`` binary digits of each code, highest first, decoded in
+    one array pass."""
+    digits = (codes[:, None] >> np.arange(depth - 1, -1, -1)) & 1
+    return list(map(tuple, digits.tolist()))
 
 
 class _CantorNet(Sequence):
     """The points of a Cantor probe net, each built when it is read from its
-    cylinder code's digits and its value (``embed_digits`` of those digits,
+    cylinder code's digits and its value (``_embed_rows`` of those digits,
     taken for the whole net at once)."""
 
     def __init__(self, codes: np.ndarray, values: np.ndarray, depth: int):
@@ -582,8 +613,16 @@ class _CantorNet(Sequence):
 
     def __getitem__(self, i) -> CantorPoint:
         i = operator.index(i)  # one point per read: no slices
-        return CantorPoint(_code_digits(int(self._codes[i]), self._depth),
+        code = int(self._codes[i])
+        return CantorPoint(tuple(code >> k & 1 for k in range(self._depth - 1, -1, -1)),
                            float(self._values[i]))
+
+    def take(self, indices) -> list[CantorPoint]:
+        """The points at ``indices``, their digits decoded in one array pass
+        (a single read decodes its code in Python, without array calls)."""
+        at = np.asarray(indices, dtype=np.intp)
+        return [CantorPoint(digits, value) for digits, value in zip(
+            _code_digits(self._codes[at], self._depth), self._values[at].tolist())]
 
 
 _KINDS = {cls.kind: cls for cls in (Interval, Circle, Cantor)}
@@ -686,18 +725,20 @@ def _check_radii(R: float, r: float) -> None:
         raise ValueError(f"need r <= 2R, got r={r}, R={R}")
 
 
-def _greedy_sorted(space: RegularSpace, coords: np.ndarray, points: list,
-                   r: float) -> list:
+def _greedy_sorted(space: RegularSpace, coords: np.ndarray, points: Sequence,
+                   r: float) -> list[int]:
     """First-fit greedy over a sorted net; exact float distance checks.
+    Returns the accepted indices, ascending.
 
     A candidate is accepted when its coordinate minus the latest accepted
     one is >= r, the subtraction the verification does, never a comparison
     with a rounded prev + r; consecutive accepted coordinates are then r
     apart in the verifier's arithmetic, so all pairs are.  A space whose
-    metric wraps around (the circle) also rejects a candidate through
-    ``wrap_clash``, checked against the first and latest accepted points;
-    on a line the scan reads no point, so a lazy net builds only the
-    accepted ones.
+    metric wraps around (the circle) also rejects a candidate closer than r
+    to the first accepted point, the net's first, since the wrap gap to it
+    is what shrinks along the arc (one ``distances`` call tests the whole
+    net), or to the latest (one ``distance`` per candidate that gets that
+    far).  On a line the scan reads no point, so a lazy net builds none.
     """
     vals = coords.tolist()
     if not vals:
@@ -705,39 +746,82 @@ def _greedy_sorted(space: RegularSpace, coords: np.ndarray, points: list,
     accepted = [0]
     prev = vals[0]
     wraps = space.period is not None
+    if wraps:
+        # the circle's points are the floats that ``coordinate`` reads
+        ys = np.asarray(points, dtype=float)
+        clear = (~(space.distances(ys, ys[0]) < r)).tolist()
     for j in range(1, len(vals)):
-        if vals[j] - prev >= r and not (wraps and space.wrap_clash(
-                points[j], points[accepted[0]], points[accepted[-1]], r)):
+        if vals[j] - prev >= r and not (wraps and (not clear[j] or space.distance(
+                points[j], points[accepted[-1]]) < r)):
             accepted.append(j)
             prev = vals[j]
-    return [points[i] for i in accepted]
-
-
-def _greedy_shuffled(space: RegularSpace, coords: np.ndarray, points: list,
-                     r: float, rng: np.random.Generator) -> list:
-    """Greedy in random candidate order with full pairwise distance checks."""
-    order = rng.permutation(coords.size)
-    accepted_coords: list[float] = []
-    accepted: list = []
-    for idx in order:
-        if not accepted:
-            ok = True
-        else:
-            d = space.distance_to_array(np.asarray(accepted_coords), points[idx])
-            ok = bool(np.all(d >= r))
-        if ok:
-            accepted.append(points[idx])
-            accepted_coords.append(coords[idx])
     return accepted
+
+
+def _greedy_shuffled(space: RegularSpace, coords: np.ndarray, points: Sequence,
+                     r: float, rng: np.random.Generator) -> list[int]:
+    """Greedy in random candidate order: a candidate is accepted when every
+    accepted coordinate lies at least r from it by ``distance_to_array``.
+    Returns the accepted indices in the order accepted.  The accepted
+    coordinates are kept sorted, and ``_clashes`` tests a few of them."""
+    order = rng.permutation(coords.size).tolist()
+    vals = coords.tolist()
+    kept: list[int] = []
+    ys: list[float] = []  # the accepted coordinates, ascending
+    for idx in order:
+        if ys and _clashes(space, ys, space.coordinate(points[idx]), r):
+            continue
+        kept.append(idx)
+        bisect.insort(ys, vals[idx])
+    return kept
+
+
+def _clashes(space: RegularSpace, ys: list[float], q: float, r: float) -> bool:
+    """Whether some coordinate of the ascending list ``ys`` lies closer than
+    r to q, by ``space.distances(ys, q)``: the full check's verdict.
+
+    That distance is a function of the rounded difference y - q, which does
+    not decrease as y grows, and the function grows away from each zero of
+    the metric (0, and each multiple of a period) up to the midpoint
+    between two zeros (module docstring).  So the least distance over ys is
+    at the coordinates on either side of each zero within reach, or at the
+    first or last: on a wrap, the zeros at and beyond both ends are taken,
+    and their neighbours are the first and the last.  Each zero's split is
+    found by bisection at q + zero and confirmed by the rounded differences
+    beside it; one that they do not confirm sends q to the full check."""
+    period = space.period
+    zeros = [0.0] if period is None else [
+        m * period for m in range(math.floor((ys[0] - q) / period),
+                                  math.ceil((ys[-1] - q) / period) + 1)]
+    n = len(ys)
+    near = set()
+    for z in zeros:
+        k = bisect.bisect_left(ys, q + z)
+        if (k and not ys[k - 1] - q < z) or (k < n and not ys[k] - q >= z):
+            near = range(n)
+            break
+        near.update((max(k - 1, 0), min(k, n - 1)))
+    return not (space.distances(np.array([ys[i] for i in near]), q) >= r).all()
+
+
+def _sparse_indices(space: RegularSpace, x0, R: float, r: float,
+                    rng: np.random.Generator | None) -> tuple[Sequence, list[int]]:
+    """The probe net's points of B(x0, R), clamped to the space, and the
+    indices of those the greedy accepts."""
+    coords, points = space.net(x0, min(R, space.diameter), r / 4.0)
+    if rng is None:
+        return points, _greedy_sorted(space, coords, points, r)
+    return points, _greedy_shuffled(space, coords, points, r, rng)
 
 
 def _sparse_greedy(space: RegularSpace, x0, R: float, r: float,
                    rng: np.random.Generator | None) -> list:
-    """The greedy over the probe net of B(x0, R), clamped to the space."""
-    coords, points = space.net(x0, min(R, space.diameter), r / 4.0)
-    if rng is None:
-        return _greedy_sorted(space, coords, points, r)
-    return _greedy_shuffled(space, coords, points, r, rng)
+    """The points the greedy over the probe net of B(x0, R) accepts; those
+    of a Cantor net are decoded in one pass."""
+    points, kept = _sparse_indices(space, x0, R, r, rng)
+    if isinstance(points, _CantorNet):
+        return points.take(kept)
+    return [points[i] for i in kept]
 
 
 def max_sparse_subset(space: RegularSpace, x0, R: float, r: float,

@@ -25,7 +25,11 @@ curves on every call is kept as the reference of the memoised one.  The
 probe-net cover check that compares every net point with every centre is
 the reference of ``verify_cover``'s nearest-centre search, and the recursive
 cylinder walk that builds one CantorPoint per net point is the reference of
-the Cantor net's numpy frontier.
+the Cantor net's numpy frontier.  The shuffled sparse-set greedy that tests
+each candidate against every accepted point is the reference of the one that
+tests a few sorted neighbours, and the Cantor stream embedding that adds one
+strided column of the ``rng.bits`` matrix per digit is the reference of the
+one that reads the digits from the hash words' bytes.
 """
 
 import itertools
@@ -34,6 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from limsupdim import rng as crng
 from limsupdim.mc import (
     DensityReport,
     FiberSumResult,
@@ -249,12 +254,15 @@ def exact_cantor_mass(space, x, r, below=64):
 
 
 def searchsorted_greedy(space, coords, points, r):
-    """First-fit greedy over a sorted net that jumps by np.searchsorted.
+    """First-fit greedy over a sorted net that jumps by np.searchsorted;
+    returns the accepted indices.
 
     The jump aims 8 ulps below prev + r and then advances one candidate at a
     time while ``coords[j] - prev < r``, so it skips no candidate that the
-    library's plain scan would accept; a circle candidate is also rejected
-    by ``space.wrap_clash``.  The two must accept the same points.
+    library's plain scan would accept; on a metric that wraps around, a
+    candidate is also rejected when ``space.distance`` puts it closer than r
+    to the first or the latest accepted point.  The two must accept the same
+    points.
     """
     if coords.size == 0:
         return []
@@ -272,13 +280,33 @@ def searchsorted_greedy(space, coords, points, r):
             j += 1
         if j >= n:
             break
-        if space.wrap_clash(points[j], points[accepted[0]], points[accepted[-1]], r):
+        if space.period is not None and (
+                space.distance(points[j], points[accepted[0]]) < r
+                or space.distance(points[j], points[accepted[-1]]) < r):
             j += 1
             continue
         accepted.append(j)
         prev = coords[j]
         j += 1
-    return [points[i] for i in accepted]
+    return accepted
+
+
+def every_pair_shuffled_greedy(space, coords, points, r, rng):
+    """Greedy in random candidate order with full pairwise distance checks:
+    each candidate against every accepted point.  Returns the points."""
+    order = rng.permutation(coords.size)
+    accepted_coords = []
+    accepted = []
+    for idx in order:
+        if not accepted:
+            ok = True
+        else:
+            d = space.distance_to_array(np.asarray(accepted_coords), points[idx])
+            ok = bool(np.all(d >= r))
+        if ok:
+            accepted.append(points[idx])
+            accepted_coords.append(coords[idx])
+    return accepted
 
 
 def harmonic_number(N):
@@ -298,6 +326,17 @@ def poisson_binomial_pmf(p, kmax):
         pmf[1:] = pmf[1:] * (1.0 - pn) + pmf[:-1] * pn
         pmf[0] *= 1.0 - pn
     return pmf
+
+
+def column_stream_coords(space, seed, lane, ns):
+    """Cantor stream coordinates from the (len, depth) matrix of
+    ``rng.bits``: one strided column per digit, times its weight, added in
+    digit order."""
+    value = 0.0
+    columns = crng.bits(seed, lane, ns, space.default_depth).T
+    for d, w in zip(columns, space.weights(space.default_depth).tolist()):
+        value = value + d * w
+    return value
 
 
 def one_shot_bits(w, nbits):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -145,6 +146,44 @@ def test_omega_index_validation(torus2):
     st = OmegaStream(1, torus2)
     with pytest.raises(ValueError):
         st.factor_coords(0, np.array([0]))
+
+
+@pytest.mark.parametrize("space", [
+    ProductSpace((Circle(), Circle())), ProductSpace((Cantor(1 / 3), Interval()))],
+    ids=["torus", "cantor-interval"])
+@pytest.mark.parametrize("bad", [0, -5, 1.5, 2**63, 2**64, math.nan, math.inf, "3"])
+def test_stream_refuses_indices_outside_the_count_rule(space, bad):
+    # -5 used to wrap through uint64 and 1.5 to read index 1; 2**63 ended in
+    # numpy's OverflowError
+    st = OmegaStream(5, space)
+    rule = r"stream indices must be integers in \[1, 2\*\*63\), got"
+    shown = repr(bad) if isinstance(bad, str) else str(bad)
+    with pytest.raises(ValueError, match=rf"{rule} {re.escape(shown)}$"):
+        st.omega(bad)
+    for i in range(space.dim):
+        with pytest.raises(ValueError, match=rule):
+            st.factor_coords(i, [2, bad, 3])
+
+
+@pytest.mark.parametrize("ns", [[2.9], [1, 2.5], np.array([0, 4]),
+                                np.array([1, 2**63], dtype=np.uint64), np.array([7, -1])])
+def test_stream_block_names_the_first_refused_index(torus2, ns):
+    st = OmegaStream(5, torus2)
+    first = next(n for n in np.asarray(ns).tolist() if not (n == int(n) and 1 <= n < 2**63))
+    with pytest.raises(ValueError, match=rf"got {re.escape(str(first))}$"):
+        st.factor_coords(0, ns)
+
+
+def test_stream_reads_integral_floats_and_the_last_index():
+    space = ProductSpace((Cantor(1 / 3), Circle()))
+    st = OmegaStream(5, space)
+    assert st.omega(1e3) == st.omega(1000)
+    last = st.omega(2**63 - 1)
+    for i, factor in enumerate(space.factors):
+        assert np.array_equal(st.factor_coords(i, [2.0, 3.0]), st.factor_coords(i, [2, 3]))
+        assert st.factor_coords(i, np.array([], dtype=float)).size == 0
+        coords = st.factor_coords(i, np.array([1, 2**63 - 1], dtype=np.uint64))
+        assert coords[1] == factor.embed(last[i])
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,13 @@ from limsupdim import (
     verify_cover,
 )
 from limsupdim import spaces
-from limsupdim.spaces import _greedy_sorted, factor_from_token
+from limsupdim.spaces import _clashes, _greedy_shuffled, _greedy_sorted, factor_from_token
 
 from oracles import (
     cantor_mass_bruteforce,
     circle_distance,
+    column_stream_coords,
+    every_pair_shuffled_greedy,
     every_centre_verify_cover,
     exact_cantor_mass,
     interval_distance,
@@ -469,6 +471,66 @@ def test_sorted_scan_matches_searchsorted_greedy(data):
         space, coords, points, r)
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_shuffled_greedy_matches_every_pair_check(data):
+    kind = data.draw(st.sampled_from(["interval", "circle", "cantor"]), label="kind")
+    if kind == "cantor":
+        space = Cantor(data.draw(st.floats(0.05, 0.49), label="lam"))
+        x0 = space.point(data.draw(st.lists(st.integers(0, 1), max_size=12), label="digits"))
+    else:
+        space = Interval() if kind == "interval" else Circle()
+        x0 = data.draw(st.floats(0.0, 1.0), label="x0")
+    # R = diameter is the whole circle, where the wrap decides
+    R = data.draw(st.one_of(st.just(space.diameter), st.floats(1e-3, space.diameter)),
+                  label="R")
+    r = R * data.draw(st.floats(0.02, 2.0), label="r/R")
+    step = data.draw(st.sampled_from([1.0, 2.0, 4.0, 7.0]), label="r/resolution")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    coords, points = space.net(x0, R, r / step)
+    got = _greedy_shuffled(space, coords, points, r, np.random.default_rng(seed))
+    want = every_pair_shuffled_greedy(space, coords, points, r, np.random.default_rng(seed))
+    assert [points[i] for i in got] == want
+
+
+def _near(anchors):
+    """Floats at and a few ulps beside each anchor."""
+    return st.builds(lambda y, k: float(np.nextafter(y, math.copysign(math.inf, k)))
+                     if k else y, st.sampled_from(anchors), st.integers(-3, 3))
+
+
+@given(st.data())
+@settings(max_examples=500, deadline=None)
+def test_neighbour_clash_test_is_the_full_check(data):
+    # any ascending coordinates, also ones within a few ulps of q + m, where
+    # bisection at the rounded q + m can split them on the wrong side
+    space = data.draw(st.sampled_from([Interval(), Circle(), Cantor(0.3)]), label="space")
+    q = data.draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+        [0.13436424411240122, 0.49543508709194095, 1.0])), label="q")
+    anchors = [q + m for m in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+    ys = sorted(data.draw(st.lists(st.one_of(st.floats(-1.0, 2.0), _near(anchors)),
+                                   min_size=1, max_size=12), label="ys"))
+    r = data.draw(st.one_of(st.floats(1e-300, 1.0), st.sampled_from([1e-16, 0.5])), label="r")
+    full = not (space.distances(np.array(ys), q) >= r).all()
+    assert _clashes(space, ys, q, r) == full
+
+
+def test_neighbour_clash_test_falls_back_where_the_split_is_unconfirmed():
+    # q + 1 rounds to y while y - q rounds below 1: y sits on the far side
+    # of the bisection point, so only the full check decides
+    q, y = 0.13436424411240122, 1.134364244112401
+    up = float(np.nextafter(y, 2.0))
+    assert q + 1.0 == y and y - q < 1.0 == up - q
+    circle = Circle()
+    # y is 1.1e-16 from q and the next float up is 0 from it, which the
+    # neighbours of the unconfirmed split would miss
+    assert _clashes(circle, [y, up, 1.3], q, 1e-16)
+    for ys in ([y], [0.5, y], [0.3, 0.7, y, 1.2], [y, up, 1.3], [0.2, y, up]):
+        for r in (1e-17, 1e-16, 0.1):
+            full = not (circle.distances(np.array(ys), q) >= r).all()
+            assert _clashes(circle, ys, q, r) == full
+
+
 @pytest.mark.parametrize("space, x0, R, r", [
     (Interval(), 0.5, 0.5, 1e-300),
     (Circle(), 0.5, 0.5, 1e-9),
@@ -524,6 +586,25 @@ def test_cantor_net_is_the_recursive_walk(data):
     a, b = sorted(data.draw(st.one_of(st.just((x0.value - R, x0.value + R)),
                                       st.tuples(ends, ends)), label="a, b"))
     assert space.cylinders_in(a, b, depth) == recursive_cylinders_in(space, a, b, depth)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_cantor_stream_is_the_column_embedding(data):
+    space = Cantor(data.draw(st.floats(0.01, 0.49), label="lam"))
+    seed = data.draw(st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+                     label="seed")
+    lane = data.draw(st.integers(0, 5), label="lane")
+    ns = np.array(data.draw(st.one_of(
+        st.just([]), st.just([1, 2**63 - 1]),
+        st.lists(st.one_of(st.integers(1, 10**6), st.just(2**63 - 1)), max_size=40)),
+        label="ns"), dtype=np.int64)
+    got = space.stream_coords(seed, lane, ns)
+    want = column_stream_coords(space, seed, lane, ns)
+    assert got.dtype == want.dtype and got.shape == want.shape == ns.shape
+    assert got.tobytes() == want.tobytes()
+    for n, v in zip(ns[:5].tolist(), got.tolist()):
+        assert space.stream_point(seed, lane, n).value == v
 
 
 @pytest.mark.parametrize("space, x0, R, resolution", [
