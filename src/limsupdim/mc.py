@@ -27,11 +27,11 @@ from .svf import (
     RadiusSchedule,
     _ExactSum,
     _checkpoint_chunks,
+    _growth_slopes,
     _integer,
     _phi_terms,
     closed_form_dimension,
     critical_exponent_series,
-    estimate_sum_growth,
     exponent_profile,
     log_phi_rows,
     partial_sums,  # unused; benchmarks/test_benchmarks.py traces mc.partial_sums
@@ -772,15 +772,16 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
         t_minus = prof.level_crossing(0.5)
         if t_minus is None:
             t_minus = 0.5 * total
-        slope = estimate_sum_growth(sched, sv, t_minus, cfg.slope_blocks)
+        # both probes' sums come from one walk over the terms' indices
+        probes = [t_minus] + ([predicted + 0.75 * (total - predicted)]
+                              if predicted < total else [])
+        slopes = _growth_slopes(sched, sv, probes, cfg.slope_blocks)
         target = max(0.0, 1.0 - prof.value(t_minus))
-        check("divergent-slope", abs(slope - target) <= SLOPE_TOL,
-              f"t={t_minus!r} slope={slope!r} target={target!r}")
-        if predicted < total:
-            t_plus = predicted + 0.75 * (total - predicted)
-            slope = estimate_sum_growth(sched, sv, t_plus, cfg.slope_blocks)
-            check("convergent-slope", abs(slope) <= SLOPE_TOL,
-                  f"t={t_plus!r} slope={slope!r} target=0.0")
+        check("divergent-slope", abs(slopes[0] - target) <= SLOPE_TOL,
+              f"t={t_minus!r} slope={slopes[0]!r} target={target!r}")
+        if len(probes) == 2:
+            check("convergent-slope", abs(slopes[1]) <= SLOPE_TOL,
+                  f"t={probes[1]!r} slope={slopes[1]!r} target=0.0")
         else:
             check("convergent-slope", None, "series diverges up to total(s); no convergent side")
     else:

@@ -18,17 +18,29 @@ import numpy as np
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_LANE_SALT = np.uint64(0xD6E8FEB86659FD93)
+_LANE_SALT = 0xD6E8FEB86659FD93
 _U64_MASK = (1 << 64) - 1
 # 2^-53, the spacing of doubles in [1, 2); top 53 bits of a word map to [0, 1)
 _INV_2_53 = float(2.0**-53)
 
 
+def _mix_int(z: int) -> int:
+    """splitmix64 finalizer of one word held as a Python int, mod 2^64."""
+    z = ((z ^ (z >> 30)) * int(_MIX1)) & _U64_MASK
+    z = ((z ^ (z >> 27)) * int(_MIX2)) & _U64_MASK
+    return z ^ (z >> 31)
+
+
 def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, elementwise on uint64 arrays."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """splitmix64 finalizer, in place on a uint64 array, with one scratch
+    array for the shifted words."""
+    scratch = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=scratch)
+    z *= _MIX1
+    z ^= np.right_shift(z, np.uint64(27), out=scratch)
+    z *= _MIX2
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
+    return z
 
 
 def words(seed: int, lane: int, indices: np.ndarray | int) -> np.ndarray:
@@ -39,16 +51,19 @@ def words(seed: int, lane: int, indices: np.ndarray | int) -> np.ndarray:
     independent words.
     """
     idx = np.atleast_1d(np.asarray(indices, dtype=np.uint64))
-    key = _mix(np.array([seed & _U64_MASK], dtype=np.uint64))
-    lane_salt = (np.array([lane + 1], dtype=np.uint64)) * _LANE_SALT
-    key = _mix(key ^ lane_salt)
-    return _mix(key[0] ^ (idx * _GAMMA))
+    # the (seed, lane) key takes the array path's operations on one word
+    key = _mix_int(_mix_int(seed & _U64_MASK) ^ ((lane + 1) * _LANE_SALT & _U64_MASK))
+    z = np.multiply(idx, _GAMMA)
+    z ^= np.uint64(key)
+    return _mix(z)
 
 
 def uniform01(seed: int, lane: int, indices: np.ndarray | int) -> np.ndarray:
     """Uniform doubles in [0, 1), one per index, from the keyed hash."""
     w = words(seed, lane, indices)
-    return (w >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    w >>= np.uint64(11)
+    # below 2^53 a word converts exactly, and the scaling by a power of 2 is exact
+    return np.multiply(w, _INV_2_53)
 
 
 def bits(seed: int, lane: int, indices: np.ndarray | int, nbits: int) -> np.ndarray:

@@ -20,8 +20,11 @@ both conventions; covers are built from closed balls.
 Products carry the max metric, under which a rectangle with equal side radii
 is exactly a ball (a cube).  Sparse subsets and covers are constructed
 greedily over finite probe nets of resolution r/4; maximality and cover
-soundness are certified against the same nets.  A net's points may be a lazy
-sequence (Cantor nets build each CantorPoint only when it is read).
+soundness are certified against the same nets.  A net's points are an array
+of floats on the interval and the circle, and a lazy sequence on C(lam),
+which builds each CantorPoint only when it is read.  The sorted greedy steps
+from each accepted net point to its successor: the first later point whose
+rounded coordinate difference from it is >= r.
 verify_cover sorts each factor's centres and tests every net point first
 against its nearest centres in that order (and, on a metric that wraps
 around, the first and last), then against every centre only for a net point
@@ -32,9 +35,10 @@ Factor protocol.  Everything that differs between kinds lives on the kind's
 class, so the Monte Carlo layer and the CLI never name a kind.  A new
 regular factor subclasses RegularSpace; sets kind, params (the constructor
 arguments, read from descriptors and from CLI tokens such as "cantor:0.25"),
-c, s and diameter; and implements embed, validate_point, net, ball_measure
-and ball_measure_array (one radius and a whole array of radii, bit for bit
-the same masses), sample, the counter stream (stream_coords, stream_point),
+c, s and diameter; and implements embed, validate_point, net (sorted
+coordinates as an array, their points as an array or a lazy sequence),
+ball_measure and ball_measure_array (one radius and a whole array of radii,
+bit for bit the same masses), sample, the counter stream (stream_coords, stream_point),
 density cells (cell_count, stream_cells), text (parse_point, format_point)
 and anchor.  Defaults serve the rest: the line metric |embed(x) - embed(y)|
 (distance, and coordinate with the elementwise distances behind
@@ -43,7 +47,8 @@ that wraps around; and descriptor, built from kind, params, c and s.  A
 metric is a function of the rounded difference of two coordinates that
 grows away from zero (on a line) or from each multiple of the period, up to
 the midpoint between two of them: the sparse-set greedies test a candidate
-against a few sorted neighbours on that account.
+against a few sorted neighbours on that account, and the sorted one finds
+each net point's successor by comparing shifted slices of the coordinates.
 Each kind's ball_measure is one call of its ball_measure_array, which checks
 the centre and, by one rule (``_checked_radii``), the radii: closed forms for
 Interval and Circle, and for Cantor a walk down the centre's digit path.
@@ -172,8 +177,8 @@ class RegularSpace:
         net (up to the boundary slack discussed in the construction notes).
 
         Returns (coords, points): sorted coordinates and the aligned points,
-        a list or a lazy sequence that builds each point when it is read.
-        ``verify_cover`` reads only the coordinates.
+        an array of floats or a lazy sequence that builds each point when it
+        is read.  ``verify_cover`` reads only the coordinates.
         """
         raise NotImplementedError
 
@@ -272,7 +277,7 @@ class Interval(_UnitCoordinateSpace):
         lo = max(0.0, float(x0) - R)
         hi = min(1.0, float(x0) + R)
         coords = _linspace_net(lo, hi, resolution)
-        return coords, coords.tolist()
+        return coords, coords
 
 
 class Circle(_UnitCoordinateSpace):
@@ -327,7 +332,7 @@ class Circle(_UnitCoordinateSpace):
         R = min(R, self.diameter)
         x = self.embed(x0)
         coords = _linspace_net(x - R, x + R, resolution)
-        return coords, (coords % 1.0).tolist()
+        return coords, coords % 1.0
 
 
 class Cantor(RegularSpace):
@@ -725,6 +730,40 @@ def _check_radii(R: float, r: float) -> None:
         raise ValueError(f"need r <= 2R, got r={r}, R={R}")
 
 
+def _successors(coords: np.ndarray, r: float) -> np.ndarray:
+    """Each sorted coordinate's successor: the first later index k with the
+    rounded coords[k] - coords[j] >= r, or len(coords) where there is none.
+
+    The rounded difference does not decrease as k grows or as j falls, so
+    an index that passes at offset d passes at every larger one, and its
+    predecessors pass at d + 1.  The offsets are compared as shifted slices,
+    from the mean spacing's guess down to one that no index passes, and up
+    to one that every index in range passes: that brackets every successor,
+    and each index's offset is the lower end plus the comparisons in the
+    bracket that it fails.  An evenly spaced net takes two or three
+    comparisons, a Cantor net one per offset of its wider bracket."""
+    n = coords.size
+    span = float(coords[-1] - coords[0]) if n else 0.0
+    guess = max(1, math.ceil(min(n - 1, r * (n - 1) / span))) if span > 0.0 else 1
+    misses = []
+    lo = guess
+    while lo > 1:
+        ahead = coords[lo - 1:] - coords[:n - lo + 1] >= r
+        if not np.count_nonzero(ahead):
+            break
+        lo -= 1
+        misses.append(~ahead)
+    for d in range(guess, n):
+        ahead = coords[d:] - coords[:n - d] >= r
+        if np.count_nonzero(ahead) == ahead.size:
+            break
+        misses.append(~ahead)
+    succ = np.arange(lo, lo + n)
+    for miss in misses:
+        succ[:miss.size] += miss
+    return np.minimum(succ, n, out=succ)
+
+
 def _greedy_sorted(space: RegularSpace, coords: np.ndarray, points: Sequence,
                    r: float) -> list[int]:
     """First-fit greedy over a sorted net; exact float distance checks.
@@ -733,28 +772,47 @@ def _greedy_sorted(space: RegularSpace, coords: np.ndarray, points: Sequence,
     A candidate is accepted when its coordinate minus the latest accepted
     one is >= r, the subtraction the verification does, never a comparison
     with a rounded prev + r; consecutive accepted coordinates are then r
-    apart in the verifier's arithmetic, so all pairs are.  A space whose
-    metric wraps around (the circle) also rejects a candidate closer than r
-    to the first accepted point, the net's first, since the wrap gap to it
-    is what shrinks along the arc (one ``distances`` call tests the whole
-    net), or to the latest (one ``distance`` per candidate that gets that
-    far).  On a line the scan reads no point, so a lazy net builds none.
+    apart in the verifier's arithmetic, so all pairs are.  That test passes
+    first at the latest point's successor (``_successors``), and the walk
+    steps from successor to successor.  A space whose metric wraps around
+    (the circle) also rejects a candidate closer than r to the first
+    accepted point, the net's first, since the wrap gap to it is what
+    shrinks along the arc, or to the latest: both tests run as arrays, at
+    every point's successor.  Where one fails, the walk scans on from that
+    successor one point at a time, as the plain first-fit does.  On a line
+    the walk reads no point, so a lazy net builds none.
     """
-    vals = coords.tolist()
-    if not vals:
+    n = coords.size
+    if not n:
         return []
+    succ = _successors(coords, r)
     accepted = [0]
-    prev = vals[0]
-    wraps = space.period is not None
-    if wraps:
-        # the circle's points are the floats that ``coordinate`` reads
-        ys = np.asarray(points, dtype=float)
-        clear = (~(space.distances(ys, ys[0]) < r)).tolist()
-    for j in range(1, len(vals)):
-        if vals[j] - prev >= r and not (wraps and (not clear[j] or space.distance(
-                points[j], points[accepted[-1]]) < r)):
-            accepted.append(j)
-            prev = vals[j]
+    add = accepted.append
+    # the walk reads a few entries: memoryviews build no list of them all
+    after = memoryview(succ)
+    k = after[0]
+    if space.period is None:
+        while k < n:
+            add(k)
+            k = after[k]
+        return accepted
+    # the circle's points are the floats that ``coordinate`` reads; a point
+    # without a successor gets a test of the last point, never read
+    ys = np.asarray(points, dtype=float)
+    clear = ~(space.distances(ys, ys[0]) < r)
+    nxt = np.minimum(succ, n - 1)
+    fits = memoryview(clear[nxt] & ~(space.distances(ys[nxt], ys) < r))
+    clear = memoryview(clear)
+    while k < n:
+        prev = accepted[-1]
+        if not fits[prev]:
+            k += 1
+            while k < n and (not clear[k] or space.distance(points[k], points[prev]) < r):
+                k += 1
+            if k == n:
+                break
+        add(k)
+        k = after[k]
     return accepted
 
 
@@ -816,12 +874,12 @@ def _sparse_indices(space: RegularSpace, x0, R: float, r: float,
 
 def _sparse_greedy(space: RegularSpace, x0, R: float, r: float,
                    rng: np.random.Generator | None) -> list:
-    """The points the greedy over the probe net of B(x0, R) accepts; those
-    of a Cantor net are decoded in one pass."""
+    """The points the greedy over the probe net of B(x0, R) accepts, read
+    from the net in one pass: a Cantor net's decoded, an array's as floats."""
     points, kept = _sparse_indices(space, x0, R, r, rng)
     if isinstance(points, _CantorNet):
         return points.take(kept)
-    return [points[i] for i in kept]
+    return points[kept].tolist()
 
 
 def max_sparse_subset(space: RegularSpace, x0, R: float, r: float,

@@ -795,21 +795,30 @@ def partial_sums(sched: RadiusSchedule,
     is O(chunk) whatever N is.  Every term is elementwise in n and an exact
     sum does not depend on how its terms are split, so each value equals
     math.fsum of the first N terms."""
+    return _probe_sums(sched, s, (t,), Ns)[0]
+
+
+def _probe_sums(sched: RadiusSchedule, s: Sequence[float],
+                ts: Sequence[float], Ns: Sequence[int] | None) -> list[list[float]]:
+    """``partial_sums`` at each exponent of ``ts``, in one walk over the
+    chunks: a chunk's log-radii are made once and give every probe's terms,
+    then each probe's terms go to its own ``_ExactSum``."""
     if Ns is None or len(Ns) == 0:
-        return []
-    sv, t = _exponents(s), float(t)
-    acc, sums = _ExactSum(), {}
+        return [[] for _ in ts]
+    sv, ts = _exponents(s), [float(t) for t in ts]
+    accs, sums = [_ExactSum() for _ in ts], [{} for _ in ts]
     for ns, N in _checkpoint_chunks(sorted_checkpoints(Ns)):
         # freeing each array once read keeps a d = 2 chunk's peak low
         # enough that glibc does not trim the heap and fault it in again
         log_r = sched.log_radii(ns)
         del ns
-        terms = _phi_terms(log_r, sv, t)
+        terms = [_phi_terms(log_r, sv, t) for t in ts]
         del log_r
-        acc.add(terms)
-        if N is not None:
-            sums[N] = acc.value()
-    return [sums[int(N)] for N in Ns]
+        for acc, found in zip(accs, sums):
+            acc.add(terms.pop(0))
+            if N is not None:
+                found[N] = acc.value()
+    return [[found[int(N)] for N in Ns] for found in sums]
 
 
 def estimate_sum_growth(sched: RadiusSchedule,
@@ -823,14 +832,29 @@ def estimate_sum_growth(sched: RadiusSchedule,
     converged sum at float resolution) are tolerated and simply flatten the
     slope.
     """
+    blocks = _growth_blocks(blocks)
+    return _growth_slope(blocks, partial_sums(sched, s, t, blocks))
+
+
+def _growth_slopes(sched: RadiusSchedule, s: Sequence[float],
+                   ts: Sequence[float], blocks: Sequence[int]) -> list[float]:
+    """``estimate_sum_growth`` at each exponent of ``ts``, the sums of all of
+    them from one walk of ``_probe_sums``."""
+    blocks = _growth_blocks(blocks)
+    return [_growth_slope(blocks, sums) for sums in _probe_sums(sched, s, ts, blocks)]
+
+
+def _growth_blocks(blocks: Sequence[int]) -> list[int]:
     blocks = [_integer(b, "blocks must be integers, got") for b in blocks]
     if len(blocks) < 3 or any(b2 <= b1 for b1, b2 in zip(blocks, blocks[1:])):
         raise ValueError("blocks must be strictly increasing with at least 3 entries")
-    sums = partial_sums(sched, s, t, blocks)
+    return blocks
+
+
+def _growth_slope(blocks: list[int], sums: list[float]) -> float:
     for s1, s2 in zip(sums, sums[1:]):
         if s2 < s1:
             raise RuntimeError("partial sums decreased; terms must be positive")
     x = np.log(np.asarray(blocks, dtype=float))
     y = np.log(np.asarray(sums, dtype=float))
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
+    return float(np.polyfit(x, y, 1)[0])

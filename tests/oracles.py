@@ -6,8 +6,10 @@ exponent allocations, its batched log-space kernel against a per-row
 argsort evaluation, series convergence against dyadic-block growth of
 plain partial sums, and Cantor ball masses against full cylinder
 enumeration and against a level-order walk in exact rationals, the sorted
-first-fit scan against the
-searchsorted-jump greedy it replaced, simulated Bernoulli counts against
+first-fit walk from successor to successor against the one-step-per-point
+scan and the searchsorted-jump greedy it replaced, the counter words,
+uniforms and bits against the ones whose (seed, lane) key was mixed as
+1-element arrays, simulated Bernoulli counts against
 the exact Poisson-binomial law, the byte unpacking of ``rng.bits`` against
 the shift-and-mask expression it replaced, and the streamed exact sums of
 series and fiber hit sums against the materialising ``math.fsum`` routes
@@ -253,13 +255,37 @@ def exact_cantor_mass(space, x, r, below=64):
     return Fraction(units, 1 << (cap + 1))
 
 
+def scan_greedy_sorted(space, coords, points, r):
+    """First-fit greedy over a sorted net, one Python step per net point:
+    a candidate is accepted when its coordinate minus the latest accepted
+    one is >= r and, on a metric that wraps around, it lies at least r from
+    the first accepted point (one ``distances`` call over the net) and from
+    the latest (one ``distance`` per candidate that gets that far).
+    Returns the accepted indices."""
+    vals = coords.tolist()
+    if not vals:
+        return []
+    accepted = [0]
+    prev = vals[0]
+    wraps = space.period is not None
+    if wraps:
+        ys = np.asarray(points, dtype=float)
+        clear = (~(space.distances(ys, ys[0]) < r)).tolist()
+    for j in range(1, len(vals)):
+        if vals[j] - prev >= r and not (wraps and (not clear[j] or space.distance(
+                points[j], points[accepted[-1]]) < r)):
+            accepted.append(j)
+            prev = vals[j]
+    return accepted
+
+
 def searchsorted_greedy(space, coords, points, r):
     """First-fit greedy over a sorted net that jumps by np.searchsorted;
     returns the accepted indices.
 
     The jump aims 8 ulps below prev + r and then advances one candidate at a
-    time while ``coords[j] - prev < r``, so it skips no candidate that the
-    library's plain scan would accept; on a metric that wraps around, a
+    time while ``coords[j] - prev < r``, so it skips no candidate that
+    ``scan_greedy_sorted`` would accept; on a metric that wraps around, a
     candidate is also rejected when ``space.distance`` puts it closer than r
     to the first or the latest accepted point.  The two must accept the same
     points.
@@ -337,6 +363,36 @@ def column_stream_coords(space, seed, lane, ns):
     for d, w in zip(columns, space.weights(space.default_depth).tolist()):
         value = value + d * w
     return value
+
+
+def _array_mix(z):
+    """splitmix64 finalizer, elementwise, with a fresh array per step."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def array_key_words(seed, lane, indices):
+    """``rng.words`` with its (seed, lane) key mixed as 1-element uint64
+    arrays and every mixing step a new array."""
+    idx = np.atleast_1d(np.asarray(indices, dtype=np.uint64))
+    key = _array_mix(np.array([seed & ((1 << 64) - 1)], dtype=np.uint64))
+    lane_salt = np.array([lane + 1], dtype=np.uint64) * np.uint64(0xD6E8FEB86659FD93)
+    key = _array_mix(key ^ lane_salt)
+    return _array_mix(key[0] ^ (idx * np.uint64(0x9E3779B97F4A7C15)))
+
+
+def array_key_uniform01(seed, lane, indices):
+    """``rng.uniform01`` from ``array_key_words``: shift, cast, scale."""
+    w = array_key_words(seed, lane, indices)
+    return (w >> np.uint64(11)).astype(np.float64) * float(2.0**-53)
+
+
+def array_key_bits(seed, lane, indices, nbits):
+    """``rng.bits`` from ``array_key_words``."""
+    w = array_key_words(seed, lane, indices).astype("<u8", copy=False)
+    return np.unpackbits(w.view(np.uint8).reshape(-1, 8), axis=1, count=nbits,
+                         bitorder="little").view(np.int8)
 
 
 def one_shot_bits(w, nbits):

@@ -26,9 +26,12 @@ from limsupdim import (
     tail_cover_sum,
 )
 from limsupdim import mc, rng as crng, svf
-from limsupdim.svf import prefix_fsums
+from limsupdim.svf import estimate_sum_growth, prefix_fsums
 
 from oracles import (
+    array_key_bits,
+    array_key_uniform01,
+    array_key_words,
     harmonic_number,
     materialised_density_counts,
     materialised_fiber_hit_sum,
@@ -114,6 +117,27 @@ def test_bits_equal_one_shot_oracle(n, nbits):
     want = one_shot_bits(crng.words(11, 3, ns), nbits)
     assert got.dtype == want.dtype and got.shape == want.shape == (n, nbits)
     assert np.array_equal(got, want)
+
+
+@given(hst.data())
+@settings(max_examples=60, deadline=None)
+def test_counter_words_match_the_array_key_oracle(data):
+    # the (seed, lane) key mixed as Python ints and the words mixed in place
+    # give the bytes of the 1-element-array key and the step-by-step mix
+    seed = data.draw(hst.one_of(hst.sampled_from([0, -5, 2**63, 2**64 - 1]),
+                                hst.integers(-(2**70), 2**70)), label="seed")
+    lane = data.draw(hst.integers(0, 5), label="lane")
+    indices = data.draw(hst.sampled_from(["scalar", "empty", "block"]), label="indices")
+    indices = {"scalar": data.draw(hst.integers(0, 2**64 - 1), label="index"),
+               "empty": np.arange(0), "block": np.arange(1, 2**16 + 1)}[indices]
+    nbits = data.draw(hst.integers(1, 64), label="nbits")
+    for got, want in ((crng.words(seed, lane, indices), array_key_words(seed, lane, indices)),
+                      (crng.uniform01(seed, lane, indices),
+                       array_key_uniform01(seed, lane, indices)),
+                      (crng.bits(seed, lane, indices, nbits),
+                       array_key_bits(seed, lane, indices, nbits))):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("nbits", [0, 65])
@@ -1027,6 +1051,29 @@ def test_verdict_torus_power_law(torus2):
     assert by_name["method-agreement"] == "PASS"
     assert by_name["cover-domination"] == "PASS"
     assert by_name["fiber-divergence"] == "SKIPPED"  # t* < s_1
+
+
+def test_verdict_slopes_walk_the_terms_once(monkeypatch, torus2):
+    # both slope probes read one walk's log-radii; their slopes are the bits
+    # of one estimate_sum_growth walk per probe
+    sched = PowerLawSchedule((2, 3))
+    blocks = FAST_VERDICT.slope_blocks
+    rows = []
+    real = PowerLawSchedule.log_radii
+    monkeypatch.setattr(PowerLawSchedule, "log_radii",
+                        lambda self, ns: rows.append(len(ns)) or real(self, ns))
+    rep = dimension_verdict(sched, (1, 1), torus2, [101], FAST_VERDICT)
+    walked = sum(rows)
+    # the tail covers read the window's radii once per t probe
+    assert walked - 3 * FAST_VERDICT.cover_window[1] == blocks[-1]
+    monkeypatch.undo()
+    by_name = {c.name: c.detail for c in rep.checks}
+    for name, t in (("divergent-slope", 0.25), ("convergent-slope", 1.625)):
+        slope = estimate_sum_growth(sched, (1, 1), t, blocks)
+        assert by_name[name].startswith(f"t={t!r} slope={slope!r} ")
+    probes = [0.25, 1.625, 0.0, 2.0]
+    assert [v.hex() for v in svf._growth_slopes(sched, (1, 1), probes, blocks)] == [
+        estimate_sum_growth(sched, (1, 1), t, blocks).hex() for t in probes]
 
 
 def test_verdict_cantor_square():

@@ -14,6 +14,7 @@ from limsupdim import (
     CantorPoint,
     Circle,
     Interval,
+    PowerLawSchedule,
     ProductSpace,
     cover_ball,
     cover_rectangle,
@@ -34,6 +35,7 @@ from oracles import (
     interval_distance,
     recursive_cantor_net,
     recursive_cylinders_in,
+    scan_greedy_sorted,
     searchsorted_greedy,
 )
 
@@ -450,25 +452,48 @@ def test_sparse_shuffled_variant_valid(space, rng):
 
 
 @given(st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_sorted_scan_matches_searchsorted_greedy(data):
-    kind = data.draw(st.sampled_from(["interval", "circle", "cantor"]), label="kind")
-    if kind == "cantor":
-        space = Cantor(data.draw(st.floats(0.05, 0.49), label="lam"))
-        x0 = space.point(data.draw(st.lists(st.integers(0, 1), max_size=12), label="digits"))
-    else:
-        space = Interval() if kind == "interval" else Circle()
-        x0 = data.draw(st.floats(0.0, 1.0), label="x0")
-    # R = diameter is the whole circle, where wrap_clash decides
-    R = data.draw(st.one_of(st.just(space.diameter), st.floats(1e-3, space.diameter)),
-                  label="R")
-    r = R * data.draw(st.floats(0.02, 2.0), label="r/R")
-    # nets at r/4, as the library builds them, and at r, r/2 and r/7, where
-    # more net gaps add up to r within a few ulps
+    # the walk from successor to successor accepts what the one-step-per-point
+    # scan and the searchsorted-jump greedy accept
+    kind = data.draw(st.sampled_from(["interval", "circle", "cantor", "tail", "short"]),
+                     label="kind")
     step = data.draw(st.sampled_from([1.0, 2.0, 4.0, 7.0]), label="r/resolution")
-    coords, points = space.net(x0, R, r / step)
-    assert _greedy_sorted(space, coords, points, r) == searchsorted_greedy(
-        space, coords, points, r)
+    if kind == "short":
+        # nets of 1-3 points, where the successors' bracket is cut short
+        space = data.draw(st.sampled_from([Interval(), Circle()]), label="space")
+        coords = np.array(sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1,
+                                                    max_size=3), label="coords")))
+        points = coords if space.period is None else coords % 1.0
+        r = data.draw(st.floats(1e-3, 1.0), label="r")
+    elif kind == "tail":
+        # an interval^2 tail cover's factor: side n^-2 over cube radius
+        # rho = n^-3 is the integer n, and the net at rho/4 has 8n gaps
+        space = Interval()
+        n = data.draw(st.integers(1, 128), label="n")
+        R, r = PowerLawSchedule((2, 3)).radius_tuple(n).values
+        x0 = data.draw(st.floats(0.0, 1.0), label="x0")
+        coords, points = space.net(x0, R, r / step)
+    else:
+        if kind == "cantor":
+            space = Cantor(data.draw(st.floats(0.05, 0.49), label="lam"))
+            x0 = space.point(data.draw(st.lists(st.integers(0, 1), max_size=12),
+                                       label="digits"))
+        else:
+            space = Interval() if kind == "interval" else Circle()
+            x0 = data.draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+                [0.0, math.nextafter(1.0, 0.0)])), label="x0")
+        # R = diameter is the whole circle, where the wrap decides, and r = 2R
+        # leaves room for one point
+        R = data.draw(st.one_of(st.just(space.diameter), st.floats(1e-3, space.diameter)),
+                      label="R")
+        r = R * data.draw(st.one_of(st.floats(0.02, 2.0), st.just(2.0)), label="r/R")
+        # nets at r/4, as the library builds them, and at r, r/2 and r/7,
+        # where more net gaps add up to r within a few ulps
+        coords, points = space.net(x0, R, r / step)
+    want = scan_greedy_sorted(space, coords, points, r)
+    assert _greedy_sorted(space, coords, points, r) == want
+    assert searchsorted_greedy(space, coords, points, r) == want
 
 
 @given(st.data())
