@@ -29,12 +29,11 @@ from .svf import (
     _checkpoint_chunks,
     _growth_slopes,
     _integer,
-    _phi_terms,
     closed_form_dimension,
     critical_exponent_series,
     exponent_profile,
     log_phi_rows,
-    partial_sums,  # unused; benchmarks/test_benchmarks.py traces mc.partial_sums
+    partial_sums,
     prefix_fsums,
     running_fsums,
     sorted_checkpoints,
@@ -183,12 +182,12 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
     factors' kinds and parameters, the anchor, u and the checkpoints, never
     on the stream's seed.  A one-entry memo (``_last_curves``) keeps the
     last call's curves under those values, so the seeds of one run share
-    them: on a hit the walk skips the terms Phi(t_u), the ball masses and
-    their two sums.  On a miss the log-radii first give the lower curve's
-    terms Phi(t_u), and the radii the exact terms.  Each curve is an exact
-    accumulator (``svf._ExactSum``), so the walk's memory is O(chunk)
-    whatever the horizon is, and each sum equals math.fsum of its terms (the
-    lower curve is partial_sums at t_u times c).  Past the call, the memo
+    them: on a hit the walk skips the ball masses and their sum, and no
+    series is summed.  On a miss the radii also give the exact terms, added
+    to an exact accumulator (``svf._ExactSum``) as the observed ones are,
+    so the walk's memory is O(chunk) whatever the horizon is and each sum
+    equals math.fsum of its terms; the lower curve is c times
+    ``partial_sums`` at t_u, a walk of its own.  Past the call, the memo
     keeps the schedule it was given and two floats per checkpoint.
     """
     space = stream.space
@@ -216,19 +215,17 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
     curves = last[1] if last is not None and last[0] == key else None
     t_u = min(math.fsum(sv[:-1]) + u, math.fsum(sv))
     c_const = math.prod(1.0 / f.c for f in space.factors[:-1])
-    observed, expected, series = _ExactSum(), _ExactSum(), _ExactSum()
-    partials, exact, lower, hit_count = [], [], [], 0
+    observed, expected = _ExactSum(), _ExactSum()
+    partials, exact, hit_count = [], [], 0
     for ns, N in _checkpoint_chunks(cps):
         log_r = sched.log_radii(ns)
-        if curves is None:
-            series.add(_phi_terms(log_r, sv, t_u))
         radii = np.exp(log_r, out=log_r)
         hits = np.ones(ns.size, dtype=bool)
         for i, factor in enumerate(space.factors[:-1]):
             # coordinates and distances die here, so the arrays made after
             # them reuse their memory
-            hits &= factor.distance_to_array(
-                stream.factor_coords(i, ns), anchor[i]) <= radii[:, i]
+            hits &= factor.distances(stream.factor_coords(i, ns),
+                                     factor.coordinate(anchor[i])) <= radii[:, i]
         weights = radii[:, -1] ** u
         if curves is None:
             exact_terms = weights
@@ -247,9 +244,9 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
             partials.append((N, observed.value()))
             if curves is None:
                 exact.append((N, expected.value()))
-                lower.append((N, c_const * series.value()))
     if curves is None:
-        curves = (tuple(exact), tuple(lower))
+        lower = zip(cps, partial_sums(sched, sv, t_u, cps))
+        curves = (tuple(exact), tuple((N, c_const * v) for N, v in lower))
         _last_curves = (key, curves)
     return FiberSumResult(
         anchor=anchor,

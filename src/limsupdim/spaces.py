@@ -21,10 +21,11 @@ Products carry the max metric, under which a rectangle with equal side radii
 is exactly a ball (a cube).  Sparse subsets and covers are constructed
 greedily over finite probe nets of resolution r/4; maximality and cover
 soundness are certified against the same nets.  A net's points are an array
-of floats on the interval and the circle, and a lazy sequence on C(lam),
-which builds each CantorPoint only when it is read.  The sorted greedy steps
-from each accepted net point to its successor: the first later point whose
-rounded coordinate difference from it is >= r.
+of floats on the interval and the circle, and on C(lam) an object that
+decodes the CantorPoints at given indices (``take``).  The greedies read
+only the net's sorted coordinates; the sorted one steps from each accepted
+net point to its successor: the first later point whose rounded coordinate
+difference from it is >= r.
 verify_cover sorts each factor's centres and tests every net point first
 against its nearest centres in that order (and, on a metric that wraps
 around, the first and last), then against every centre only for a net point
@@ -36,19 +37,23 @@ class, so the Monte Carlo layer and the CLI never name a kind.  A new
 regular factor subclasses RegularSpace; sets kind, params (the constructor
 arguments, read from descriptors and from CLI tokens such as "cantor:0.25"),
 c, s and diameter; and implements embed, validate_point, net (sorted
-coordinates as an array, their points as an array or a lazy sequence),
-ball_measure and ball_measure_array (one radius and a whole array of radii,
-bit for bit the same masses), sample, the counter stream (stream_coords, stream_point),
+coordinates as an array, and the points at them), ball_measure and
+ball_measure_array (one radius and a whole array of radii, bit for bit the
+same masses), sample, the counter stream (stream_coords, stream_point),
 density cells (cell_count, stream_cells), text (parse_point, format_point)
-and anchor.  Defaults serve the rest: the line metric |embed(x) - embed(y)|
-(distance, and coordinate with the elementwise distances behind
-distance_to_array), which the circle overrides; period, set only by a metric
-that wraps around; and descriptor, built from kind, params, c and s.  A
-metric is a function of the rounded difference of two coordinates that
-grows away from zero (on a line) or from each multiple of the period, up to
-the midpoint between two of them: the sparse-set greedies test a candidate
-against a few sorted neighbours on that account, and the sorted one finds
-each net point's successor by comparing shifted slices of the coordinates.
+and anchor.  Defaults serve the rest: coordinate (the float the metric
+reads for a point, embed's) and distances (the line metric |a - b| between
+coordinates, elementwise over arrays), which the circle overrides; distance,
+``distances`` of one point's coordinate, as a one-element array, against
+another's; period, set only by a metric that wraps around; and descriptor,
+built from kind, params, c and s.  A metric is a function of the rounded
+difference of two coordinates that grows away from zero (on a line) or from
+each multiple of the period, up to the midpoint between two of them: the
+sparse-set greedies test a candidate against a few sorted neighbours on
+that account, and the sorted one finds each net point's successor by
+comparing shifted slices of the coordinates.  On a metric with a period, a
+candidate's coordinate enters the metric reduced mod the period: the float
+that the circle's net returns as its point.
 Each kind's ball_measure is one call of its ball_measure_array, which checks
 the centre and, by one rule (``_checked_radii``), the radii: closed forms for
 Interval and Circle, and for Cantor a walk down the centre's digit path.
@@ -58,7 +63,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -103,7 +107,7 @@ class CantorPoint:
     def __post_init__(self):
         # each digit equals 0 or 1, counted by == as ``in`` tests
         if self.digits.count(0) + self.digits.count(1) != len(self.digits):
-            raise ValueError("Cantor digits must be 0 or 1")
+            raise ValueError(f"Cantor digits must be 0 or 1, got {self.digits!r}")
 
 
 class RegularSpace:
@@ -123,22 +127,18 @@ class RegularSpace:
         raise NotImplementedError
 
     def distance(self, x, y) -> float:
-        """The line metric |embed(x) - embed(y)|."""
-        return abs(self.embed(x) - self.embed(y))
+        """The metric between two points: ``distances`` of their coordinates."""
+        return float(self.distances(np.array([self.coordinate(x)]), self.coordinate(y))[0])
 
     def coordinate(self, point) -> float:
-        """The float that ``distance_to_array`` reads for a point."""
+        """The float that ``distances`` reads for a point."""
         return self.embed(point)
 
     def distances(self, a, b) -> np.ndarray:
         """Elementwise distances between coordinates, one array or both
-        (broadcast), by the float operations of ``distance``."""
+        (broadcast): the line metric |a - b|."""
         delta = np.subtract(a, b)
         return np.abs(delta, out=delta)
-
-    def distance_to_array(self, coords: np.ndarray, y) -> np.ndarray:
-        """Distances from an array of coordinates to one point."""
-        return self.distances(coords, self.coordinate(y))
 
     def validate_point(self, point) -> None:
         raise NotImplementedError
@@ -174,11 +174,12 @@ class RegularSpace:
     def net(self, x0, R: float, resolution: float):
         """Probe net of the closed ball B(x0, R): points of the space inside
         the ball such that every ball point is within ``resolution`` of the
-        net (up to the boundary slack discussed in the construction notes).
+        net.
 
         Returns (coords, points): sorted coordinates and the aligned points,
-        an array of floats or a lazy sequence that builds each point when it
-        is read.  ``verify_cover`` reads only the coordinates.
+        an array of floats or a ``_CantorNet`` that decodes the points at
+        given indices.  The greedies and ``verify_cover`` read only the
+        coordinates.
         """
         raise NotImplementedError
 
@@ -292,10 +293,6 @@ class Circle(_UnitCoordinateSpace):
     def embed(self, point) -> float:
         return float(point) % 1.0
 
-    def distance(self, x, y) -> float:
-        delta = abs(float(x) - float(y)) % 1.0
-        return min(delta, 1.0 - delta)
-
     def coordinate(self, point) -> float:
         # the metric reduces mod 1 itself: it reads the float as given, not
         # embed's reduced one (-1e-20 % 1.0 rounds to 1.0)
@@ -375,20 +372,17 @@ class Cantor(RegularSpace):
         return self._weights if depth <= self.default_depth else self.weights(depth).tolist()
 
     def embed_digits(self, digits) -> float:
-        """The embedding of one point's digits (ints): each digit times its
-        weight, added in digit order.  ``_embed_rows`` does the same float
-        operations on arrays of points, so a value depends neither on its
-        block nor on the route (stream, net, point, text) that built it, as
-        a BLAS dot product's does."""
-        value = 0.0
-        for d, w in zip(digits, self._weights_to(len(digits))):
-            value = value + d * w
-        return value
+        """The embedding of one point's digits (ints): ``_embed_rows`` over
+        one column."""
+        column = np.asarray(digits, dtype=float)[:, None]
+        return float(self._embed_rows(column, column.shape[0], 1)[0])
 
     def _embed_rows(self, rows, depth: int, size: int) -> np.ndarray:
         """The embeddings of ``size`` points whose digit k is the 0/1 integer
-        array rows[k], k < depth: digit * w_k added row after row, the float
-        operations of ``embed_digits`` on each point."""
+        array rows[k], k < depth: digit * w_k added row after row, in digit
+        order, so a value depends neither on its block nor on the route
+        (stream, net, point, text) that built it, as a BLAS dot product's
+        does."""
         value, term = np.zeros(size), np.empty(size)
         for digit, w in zip(rows, self._weights_to(depth)):
             value += np.multiply(digit, w, out=term)
@@ -578,8 +572,10 @@ class Cantor(RegularSpace):
 
     def parse_point(self, token: str) -> CantorPoint:
         # digit string, optionally after "digits:"; "()" is the empty string
-        text = token[len("digits:"):] if token.startswith("digits:") else token
-        return self.point(int(c) for c in ("" if text == "()" else text))
+        text = token.removeprefix("digits:")
+        if text.strip("01") and text != "()":
+            raise ValueError(f"Cantor point {token!r} is not a string of 0s and 1s (or ())")
+        return self.point(map(int, text.strip("()")))
 
     def format_point(self, point) -> str:
         return "".join(str(d) for d in point.digits) or "()"
@@ -605,26 +601,16 @@ def _code_digits(codes: np.ndarray, depth: int) -> list[tuple[int, ...]]:
     return list(map(tuple, digits.tolist()))
 
 
-class _CantorNet(Sequence):
-    """The points of a Cantor probe net, each built when it is read from its
-    cylinder code's digits and its value (``_embed_rows`` of those digits,
-    taken for the whole net at once)."""
+class _CantorNet:
+    """The points of a Cantor probe net, kept as their cylinder codes and
+    values (``_embed_rows`` of the codes' digits, taken for the whole net at
+    once) until ``take`` builds the ones asked for."""
 
     def __init__(self, codes: np.ndarray, values: np.ndarray, depth: int):
         self._codes, self._values, self._depth = codes, values, depth
 
-    def __len__(self) -> int:
-        return self._codes.size
-
-    def __getitem__(self, i) -> CantorPoint:
-        i = operator.index(i)  # one point per read: no slices
-        code = int(self._codes[i])
-        return CantorPoint(tuple(code >> k & 1 for k in range(self._depth - 1, -1, -1)),
-                           float(self._values[i]))
-
     def take(self, indices) -> list[CantorPoint]:
-        """The points at ``indices``, their digits decoded in one array pass
-        (a single read decodes its code in Python, without array calls)."""
+        """The points at ``indices``, their digits decoded in one array pass."""
         at = np.asarray(indices, dtype=np.intp)
         return [CantorPoint(digits, value) for digits, value in zip(
             _code_digits(self._codes[at], self._depth), self._values[at].tolist())]
@@ -764,8 +750,7 @@ def _successors(coords: np.ndarray, r: float) -> np.ndarray:
     return np.minimum(succ, n, out=succ)
 
 
-def _greedy_sorted(space: RegularSpace, coords: np.ndarray, points: Sequence,
-                   r: float) -> list[int]:
+def _greedy_sorted(space: RegularSpace, coords: np.ndarray, r: float) -> list[int]:
     """First-fit greedy over a sorted net; exact float distance checks.
     Returns the accepted indices, ascending.
 
@@ -779,8 +764,7 @@ def _greedy_sorted(space: RegularSpace, coords: np.ndarray, points: Sequence,
     accepted point, the net's first, since the wrap gap to it is what
     shrinks along the arc, or to the latest: both tests run as arrays, at
     every point's successor.  Where one fails, the walk scans on from that
-    successor one point at a time, as the plain first-fit does.  On a line
-    the walk reads no point, so a lazy net builds none.
+    successor one point at a time, as the plain first-fit does.
     """
     n = coords.size
     if not n:
@@ -796,9 +780,9 @@ def _greedy_sorted(space: RegularSpace, coords: np.ndarray, points: Sequence,
             add(k)
             k = after[k]
         return accepted
-    # the circle's points are the floats that ``coordinate`` reads; a point
-    # without a successor gets a test of the last point, never read
-    ys = np.asarray(points, dtype=float)
+    # a metric with a period reads the coordinates reduced mod the period;
+    # a point without a successor gets a test of the last point, never read
+    ys = coords % space.period
     clear = ~(space.distances(ys, ys[0]) < r)
     nxt = np.minimum(succ, n - 1)
     fits = memoryview(clear[nxt] & ~(space.distances(ys[nxt], ys) < r))
@@ -807,7 +791,7 @@ def _greedy_sorted(space: RegularSpace, coords: np.ndarray, points: Sequence,
         prev = accepted[-1]
         if not fits[prev]:
             k += 1
-            while k < n and (not clear[k] or space.distance(points[k], points[prev]) < r):
+            while k < n and (not clear[k] or space.distance(ys[k], ys[prev]) < r):
                 k += 1
             if k == n:
                 break
@@ -816,18 +800,20 @@ def _greedy_sorted(space: RegularSpace, coords: np.ndarray, points: Sequence,
     return accepted
 
 
-def _greedy_shuffled(space: RegularSpace, coords: np.ndarray, points: Sequence,
-                     r: float, rng: np.random.Generator) -> list[int]:
+def _greedy_shuffled(space: RegularSpace, coords: np.ndarray, r: float,
+                     rng: np.random.Generator) -> list[int]:
     """Greedy in random candidate order: a candidate is accepted when every
-    accepted coordinate lies at least r from it by ``distance_to_array``.
+    accepted coordinate lies at least r from it by ``distances``.
     Returns the accepted indices in the order accepted.  The accepted
-    coordinates are kept sorted, and ``_clashes`` tests a few of them."""
+    coordinates are kept sorted, and ``_clashes`` tests a few of them
+    against the candidate's, reduced mod the period on a metric with one."""
     order = rng.permutation(coords.size).tolist()
     vals = coords.tolist()
+    keys = vals if space.period is None else (coords % space.period).tolist()
     kept: list[int] = []
     ys: list[float] = []  # the accepted coordinates, ascending
     for idx in order:
-        if ys and _clashes(space, ys, space.coordinate(points[idx]), r):
+        if ys and _clashes(space, ys, keys[idx], r):
             continue
         kept.append(idx)
         bisect.insort(ys, vals[idx])
@@ -868,8 +854,8 @@ def _sparse_indices(space: RegularSpace, x0, R: float, r: float,
     indices of those the greedy accepts."""
     coords, points = space.net(x0, min(R, space.diameter), r / 4.0)
     if rng is None:
-        return points, _greedy_sorted(space, coords, points, r)
-    return points, _greedy_shuffled(space, coords, points, r, rng)
+        return points, _greedy_sorted(space, coords, r)
+    return points, _greedy_shuffled(space, coords, r, rng)
 
 
 def _sparse_greedy(space: RegularSpace, x0, R: float, r: float,
@@ -981,7 +967,7 @@ def verify_cover(space: RegularSpace | ProductSpace, report: CoverReport) -> boo
     factor, ``_net_covered`` tests each net point against its nearest sorted
     centres, then against every centre only if those leave it uncovered: the
     verdict is that of the comparison with every centre, bit for bit.  Only
-    the nets' coordinates are read, never their (possibly lazy) points.
+    the nets' coordinates are read, never their points.
     """
     if report.count > report.bound * (1.0 + 1e-12):
         return False
@@ -999,8 +985,8 @@ def verify_cover(space: RegularSpace | ProductSpace, report: CoverReport) -> boo
 
 
 def _net_covered(factor: RegularSpace, coords: np.ndarray, centers, limit) -> bool:
-    """Whether each coordinate lies within ``limit`` of some centre, by the
-    float operations of ``distance_to_array``.  The centres are sorted by
+    """Whether each coordinate lies within ``limit`` of some centre, by
+    ``distances``.  The centres are sorted by
     position (mod the period on a metric that wraps around), and one
     searchsorted finds each coordinate's two neighbours among them; a wrap
     adds the first and last.  Candidates only speed the test up: a point

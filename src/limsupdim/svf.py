@@ -516,6 +516,17 @@ class ExponentProfile:
         return ts[-1]
 
 
+def _sorted_power_law(sched, s) -> tuple[np.ndarray, np.ndarray]:
+    """The alphas of a power-law schedule and the exponents, checked against
+    its dimension, both in the stable ascending order of the alphas."""
+    sv = _exponents(s)
+    if sv.size != sched.dim:
+        raise ValueError(f"dimension mismatch: {sched.dim} alphas vs {sv.size} exponents")
+    alphas = np.asarray(sched.alphas, dtype=float)
+    order = np.argsort(alphas, kind="stable")
+    return alphas[order], sv[order]
+
+
 def exponent_profile(sched: PowerLawSchedule,
                      s: Sequence[float]) -> ExponentProfile:
     """Exponent profile of a power-law schedule.
@@ -523,13 +534,7 @@ def exponent_profile(sched: PowerLawSchedule,
     Exact when all prefactors are 1; otherwise it describes the asymptotic
     exponent.
     """
-    sv = _exponents(s)
-    if sv.size != sched.dim:
-        raise ValueError(f"dimension mismatch: {sched.dim} alphas vs {sv.size} exponents")
-    alphas = np.asarray(sched.alphas, dtype=float)
-    order = np.argsort(alphas, kind="stable")
-    a_sorted = alphas[order]
-    s_sorted = sv[order]
+    a_sorted, s_sorted = _sorted_power_law(sched, s)
     ts = [0.0]
     es = [0.0]
     for k in range(a_sorted.size):
@@ -591,18 +596,12 @@ def closed_form_dimension(sched: PowerLawSchedule,
     capped at sum(s).  Must agree with critical_exponent_series within the
     bisection tolerance on every valid schedule.
     """
-    sv = _exponents(s)
-    if sv.size != sched.dim:
-        raise ValueError(f"dimension mismatch: {sched.dim} alphas vs {sv.size} exponents")
-    alphas = np.asarray(sched.alphas, dtype=float)
-    order = np.argsort(alphas, kind="stable")
-    a = alphas[order]
-    ss = sv[order]
+    a, ss = _sorted_power_law(sched, s)
     best = math.inf
     for i in range(a.size):
         val = 1.0 / a[i] + math.fsum(ss[j] * (1.0 - a[j] / a[i]) for j in range(i))
         best = min(best, float(val))
-    return min(best, math.fsum(sv))
+    return min(best, math.fsum(ss))
 
 
 # ---------------------------------------------------------------------------

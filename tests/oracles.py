@@ -31,7 +31,9 @@ the Cantor net's numpy frontier.  The shuffled sparse-set greedy that tests
 each candidate against every accepted point is the reference of the one that
 tests a few sorted neighbours, and the Cantor stream embedding that adds one
 strided column of the ``rng.bits`` matrix per digit is the reference of the
-one that reads the digits from the hash words' bytes.
+one that reads the digits from the hash words' bytes.  The Python loop that
+embedded one Cantor point's digits is the reference of ``embed_digits``,
+which runs the row kernel over one column.
 """
 
 import itertools
@@ -255,6 +257,15 @@ def exact_cantor_mass(space, x, r, below=64):
     return Fraction(units, 1 << (cap + 1))
 
 
+def loop_embed_digits(space, digits):
+    """The embedding of one Cantor point's digits by a Python loop: each
+    digit times its weight, added to a float in digit order."""
+    value = 0.0
+    for d, w in zip(digits, space.weights(len(digits)).tolist()):
+        value = value + d * w
+    return value
+
+
 def scan_greedy_sorted(space, coords, points, r):
     """First-fit greedy over a sorted net, one Python step per net point:
     a candidate is accepted when its coordinate minus the latest accepted
@@ -327,7 +338,7 @@ def every_pair_shuffled_greedy(space, coords, points, r, rng):
         if not accepted:
             ok = True
         else:
-            d = space.distance_to_array(np.asarray(accepted_coords), points[idx])
+            d = space.distances(np.asarray(accepted_coords), space.coordinate(points[idx]))
             ok = bool(np.all(d >= r))
         if ok:
             accepted.append(points[idx])
@@ -447,7 +458,7 @@ def materialised_fiber_hit_sum(stream, sched, s, anchor, u, checkpoints):
     radii = np.exp(sched.log_radii(ns))
     hits = np.ones(ns.size, dtype=bool)
     for i, factor in enumerate(space.factors[:-1]):
-        dist = factor.distance_to_array(stream.factor_coords(i, ns), anchor[i])
+        dist = factor.distances(stream.factor_coords(i, ns), factor.coordinate(anchor[i]))
         hits &= dist <= radii[:, i]
     weights = radii[:, -1] ** u
     exact_terms = weights.copy()
@@ -511,8 +522,8 @@ def unmemoised_fiber_hit_sum(stream, sched, s, anchor, u, checkpoints):
         for i, factor in enumerate(space.factors[:-1]):
             # coordinates and distances die here, so the arrays made after
             # them reuse their memory
-            hits &= factor.distance_to_array(
-                stream.factor_coords(i, ns), anchor[i]) <= radii[:, i]
+            hits &= factor.distances(stream.factor_coords(i, ns),
+                                     factor.coordinate(anchor[i])) <= radii[:, i]
         weights = radii[:, -1] ** u
         exact_terms = weights
         for i, factor in enumerate(space.factors[:-1]):
@@ -595,7 +606,7 @@ def per_n_tail_cover_sum(stream, sched, s, t, window):
 
 
 def every_centre_verify_cover(space, report):
-    """``verify_cover`` by one distance_to_array pass over the whole net per
+    """``verify_cover`` by one ``distances`` pass over the whole net per
     centre, until the net is covered.  The library tests its nearest sorted
     centres first, so the two must give the same verdict on every cover."""
     if report.count > report.bound * (1.0 + 1e-12):
@@ -610,7 +621,7 @@ def every_centre_verify_cover(space, report):
             continue
         covered = np.zeros(coords.size, dtype=bool)
         for c in centers:
-            covered |= factor.distance_to_array(coords, c) <= report.radius + slack
+            covered |= factor.distances(coords, factor.coordinate(c)) <= report.radius + slack
             if covered.all():
                 break
         if not covered.all():

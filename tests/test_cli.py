@@ -259,6 +259,21 @@ def test_mc_tail_cover_refuses_a_cantor_net_finer_than_floats_exit_2(runner):
     assert elapsed < 2.0
 
 
+@pytest.mark.parametrize("args, token", [
+    (["mc", "fiber-sum", "--space", "cantor:0.25,interval", "--alphas", "1,2",
+      "--coefficients", "3,1", "--s", "0.5,1", "--u", "0.5", "--anchor", "01x",
+      "--checkpoints", "100", "--seed", "3"], "01x"),
+    (["sparse", "--space", "cantor:0.25", "--x", "0102", "--big-radius", "0.3",
+      "--radius", "0.01"], "0102"),
+], ids=["fiber-anchor", "sparse-centre"])
+def test_cantor_point_text_error_names_the_token_exit_2(runner, args, token):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    (error,) = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert f"Cantor point {token!r}" in error
+
+
 @pytest.mark.parametrize("window", ["1:10.5", "1:nan", "1:inf", "1:1e3", "1:x", "1:2:3", "16"])
 def test_mc_tail_cover_window_not_two_integers_exit_2(runner, window):
     result = runner.invoke(main, [

@@ -494,9 +494,9 @@ def test_a_change_of_one_key_part_misses_the_memo(part, change):
 ], ids=["power-law", "explicit"])
 def test_equal_values_share_the_memo(monkeypatch, first, second):
     # a second Cantor(0.25) and the schedule built again with floats are the
-    # same values: the second call walks no Phi terms
+    # same values: the second call sums no series
     calls = []
-    monkeypatch.setattr(mc, "_phi_terms", lambda *a: calls.append(1) or svf._phi_terms(*a))
+    monkeypatch.setattr(mc, "partial_sums", lambda *a: calls.append(1) or svf.partial_sums(*a))
     for seed, sched in ((1, first), (2, second)):
         space = ProductSpace((Cantor(0.25), Cantor(0.25)))
         args = (sched, space.s_vector, (space.factors[0].point((1, 0, 1)),), 0.0, [500])
@@ -508,7 +508,7 @@ def test_equal_values_share_the_memo(monkeypatch, first, second):
 def test_memo_keeps_only_the_last_curves(monkeypatch, torus2):
     # two keys in turn each walk their curves again: the memo holds one
     calls = []
-    monkeypatch.setattr(mc, "_phi_terms", lambda *a: calls.append(1) or svf._phi_terms(*a))
+    monkeypatch.setattr(mc, "partial_sums", lambda *a: calls.append(1) or svf.partial_sums(*a))
     args = (PowerLawSchedule((1, 2)), (1, 1), (0.5,), 0.0)
     for seed, cps in enumerate([[10], [10], [20], [10], [10]]):
         got = fiber_hit_sum(OmegaStream(seed, torus2), *args, cps)

@@ -33,6 +33,7 @@ from oracles import (
     every_centre_verify_cover,
     exact_cantor_mass,
     interval_distance,
+    loop_embed_digits,
     recursive_cantor_net,
     recursive_cylinders_in,
     scan_greedy_sorted,
@@ -51,6 +52,13 @@ def probe_points(space, rng, count=6):
     else:
         pts += [0.0, 0.25, 0.99]
     return pts
+
+
+def _net_points(coords, points):
+    """A net's points as a list: a Cantor net's decoded by ``take``."""
+    if isinstance(points, spaces._CantorNet):
+        return points.take(range(coords.size))
+    return list(points)
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +118,19 @@ _COORDS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(coords=st.lists(_COORDS, min_size=1, max_size=50), y=_COORDS)
 def test_distance_to_array_bit_identical_to_oracle(space, oracle, coords, y):
+    # the distances from an array of coordinates to one point, and the
+    # scalar distance of each pair, which is a one-element array's
     coords = np.array(coords)
     given_coords = coords.copy()
-    got = space.distance_to_array(coords, y)
+    got = space.distances(coords, space.coordinate(y))
     want = oracle(coords, y)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert np.array_equal(coords, given_coords)
+    for x, w in zip(coords.tolist(), want):
+        d = space.distance(x, y)
+        assert type(d) is float
+        assert np.array([d]).tobytes() == oracle(np.array([x]), y).tobytes() == w.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -125,7 +139,7 @@ def test_distance_to_array_bit_identical_to_oracle(space, oracle, coords, y):
 def test_cantor_distance_to_array_is_the_interval_one_on_embedded_points(coords, digits):
     space = Cantor(1 / 3)
     y = space.point(digits)
-    got = space.distance_to_array(np.array(coords), y)
+    got = space.distances(np.array(coords), space.coordinate(y))
     want = interval_distance(np.array(coords), space.embed(y))
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -137,19 +151,20 @@ def test_cantor_distance_to_array_is_the_interval_one_on_embedded_points(coords,
 @given(data=st.data())
 def test_elementwise_distances_are_distance_to_array_bit_for_bit(space, data):
     # verify_cover reads the metric through distances: one coordinate array
-    # against another, against one centre, and one coordinate against all
+    # against another, against one centre, and one coordinate against all,
+    # each entry the scalar distance of its pair
     coords = np.array(data.draw(st.lists(_COORDS, min_size=1, max_size=30), label="coords"))
     points = (st.lists(st.integers(0, 1), max_size=40).map(space.point)
               if isinstance(space, Cantor) else _COORDS)
     ys = data.draw(st.lists(points, min_size=coords.size, max_size=coords.size), label="ys")
     yc = np.array([space.coordinate(y) for y in ys])
-    rows = [space.distance_to_array(coords[i:i + 1], y) for i, y in enumerate(ys)]
-    want = np.concatenate(rows)
+    xs = coords.tolist()
+    want = np.array([space.distance(x, y) for x, y in zip(xs, ys)])
     got = space.distances(coords, yc)
     assert got.tobytes() == want.tobytes()
-    assert space.distances(coords, yc[0]).tobytes() == space.distance_to_array(
-        coords, ys[0]).tobytes()
-    column = np.concatenate([space.distance_to_array(coords[:1], y) for y in ys])
+    assert space.distances(coords, yc[0]).tobytes() == np.array(
+        [space.distance(x, ys[0]) for x in xs]).tobytes()
+    column = np.array([space.distance(xs[0], y) for y in ys])
     assert space.distances(coords[0], yc).tobytes() == column.tobytes()
 
 
@@ -351,8 +366,10 @@ def test_ball_measure_array_checks_centre_and_radii(space):
 
 
 def test_cantor_point_validation(cantor_third):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"got \(0, 2\)"):
         CantorPoint((0, 2), 0.0)
+    with pytest.raises(ValueError, match=r"got \(3,\)"):
+        cantor_third.point((3,))
     p = cantor_third.point((0, 1, 1))
     assert p.value == pytest.approx((2 / 3) * (1 / 3 + 1 / 9))
 
@@ -436,7 +453,7 @@ def test_sparse_pairwise_and_maximality(space, rng):
             assert space.distance(a, b) >= r
         # maximality against the canonical probe net
         coords, net_pts = space.net(x0, space.diameter, r / 4.0)
-        for p in net_pts:
+        for p in _net_points(coords, net_pts):
             assert min(space.distance(p, q) for q in pts) < r or p in pts
 
 
@@ -492,7 +509,7 @@ def test_sorted_scan_matches_searchsorted_greedy(data):
         # where more net gaps add up to r within a few ulps
         coords, points = space.net(x0, R, r / step)
     want = scan_greedy_sorted(space, coords, points, r)
-    assert _greedy_sorted(space, coords, points, r) == want
+    assert _greedy_sorted(space, coords, r) == want
     assert searchsorted_greedy(space, coords, points, r) == want
 
 
@@ -512,8 +529,9 @@ def test_shuffled_greedy_matches_every_pair_check(data):
     r = R * data.draw(st.floats(0.02, 2.0), label="r/R")
     step = data.draw(st.sampled_from([1.0, 2.0, 4.0, 7.0]), label="r/resolution")
     seed = data.draw(st.integers(0, 2**32), label="seed")
-    coords, points = space.net(x0, R, r / step)
-    got = _greedy_shuffled(space, coords, points, r, np.random.default_rng(seed))
+    coords, net = space.net(x0, R, r / step)
+    points = _net_points(coords, net)
+    got = _greedy_shuffled(space, coords, r, np.random.default_rng(seed))
     want = every_pair_shuffled_greedy(space, coords, points, r, np.random.default_rng(seed))
     assert [points[i] for i in got] == want
 
@@ -592,17 +610,14 @@ def test_cantor_net_is_the_recursive_walk(data):
     R = data.draw(st.one_of(st.just(1.0), st.floats(1e-6, 1.0)), label="R")
     resolution = R * data.draw(st.one_of(st.sampled_from([1 / 28, 1 / 4, 1.0, 4.0]),
                                           st.floats(1e-3, 2.0)), label="resolution/R")
-    coords, points = space.net(x0, R, resolution)
+    coords, net = space.net(x0, R, resolution)
     want_coords, want_points = recursive_cantor_net(space, x0, R, resolution)
     assert coords.tobytes() == want_coords.tobytes()
-    assert len(points) == len(want_points) and list(points) == want_points
+    points = net.take(range(coords.size))
+    assert points == want_points
     assert all(type(p) is CantorPoint for p in points)
     if want_points:
-        assert points[-1] == want_points[-1] and points[np.int64(0)] == want_points[0]
-    with pytest.raises(IndexError):
-        points[len(want_points)]
-    with pytest.raises(TypeError):
-        points[0:1]
+        assert net.take([-1, np.int64(0)]) == [want_points[-1], want_points[0]]
     # the cylinder walk the net starts from is the recursive one, at every
     # depth, also when [a, b] ends exactly on cylinder ends, where one ulp in
     # a child's left end decides whether it meets [a, b]
@@ -630,6 +645,35 @@ def test_cantor_stream_is_the_column_embedding(data):
     assert got.tobytes() == want.tobytes()
     for n, v in zip(ns[:5].tolist(), got.tolist()):
         assert space.stream_point(seed, lane, n).value == v
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.25, 1 / 3, 0.49])
+def test_embed_digits_is_the_retired_loop(lam):
+    # 0 to 64 digits, past the sampling depth too, where the weights are
+    # taken afresh: the row kernel over one column adds as the loop did
+    space = Cantor(lam)
+    rng = np.random.default_rng(11)
+    for size in range(65):
+        for digits in (rng.integers(0, 2, size).tolist(), [1] * size):
+            want = loop_embed_digits(space, digits)
+            got = space.embed_digits(tuple(digits))
+            assert type(got) is float and got.hex() == want.hex()
+            assert space.point(digits).value.hex() == want.hex()
+    assert space.default_depth < 64
+
+
+@pytest.mark.parametrize("seed", [None, 3], ids=["sorted", "seeded"])
+def test_cantor_sparse_set_builds_only_its_points(monkeypatch, seed):
+    # the greedies read the net's coordinates: the only CantorPoints built
+    # are the accepted ones, decoded by the net's take
+    cantor = Cantor(0.45)
+    x = cantor.point((0, 1, 0, 1))
+    built = []
+    check = CantorPoint.__post_init__
+    monkeypatch.setattr(CantorPoint, "__post_init__", lambda p: built.append(p) or check(p))
+    rng = None if seed is None else np.random.default_rng(seed)
+    got = max_sparse_subset(cantor, x, 0.3, 0.002, rng)
+    assert len(got) > 100 and built == got
 
 
 @pytest.mark.parametrize("space, x0, R, resolution", [
@@ -826,7 +870,7 @@ def test_verify_cover_tests_every_centre_for_a_point_its_nearest_miss(circle):
     # with every centre finds that 1e17 covers it
     report = cover_ball(circle, 0.5, 0.5, 0.1)
     report = dataclasses.replace(report, factor_centers=((0.0, 0.3, 1e17),), count=3)
-    assert circle.distance_to_array(np.array([0.6]), 1e17)[0] == 0.0
+    assert circle.distance(0.6, 1e17) == 0.0
     assert every_centre_verify_cover(circle, report)
     assert verify_cover(circle, report)
 
