@@ -45,6 +45,7 @@ from .mc import (
 from .spaces import (
     MAX_NET_POINTS,
     ProductSpace,
+    _parse_number,
     cover_ball,
     cover_rectangle,
     factor_from_token,
@@ -232,13 +233,11 @@ def _expectations(cfg: RunConfig) -> np.ndarray:
     text = cfg.p.strip()
     if text == "harmonic":
         return 1.0 / n
-    if text.startswith("constant:"):
-        val = float(text.split(":", 1)[1])
-        return np.full(cfg.N, val)
-    if text.startswith("power:"):
-        expo = float(text.split(":", 1)[1])
-        return np.minimum(1.0, n**-expo)
-    raise ValueError(f"unknown expectation model {text!r}")
+    model, colon, number = text.partition(":")
+    if model not in ("constant", "power") or not colon:
+        raise ValueError(f"unknown expectation model {text!r}")
+    val = _parse_number(number, f"expectation model {text!r}: value")
+    return np.full(cfg.N, val) if model == "constant" else np.minimum(1.0, n**-val)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ from .svf import (
     _ExactSum,
     _checkpoint_chunks,
     _growth_slopes,
+    _index,
+    _indices,
     _integer,
     closed_form_dimension,
     critical_exponent_series,
@@ -65,7 +67,8 @@ class OmegaStream:
     is irrelevant and distinct indices are statistically independent.
     The seed and the indices are counts (``svf.sorted_checkpoints``): an
     integral float such as 1e3 is that int, and anything else is refused.
-    Indices run from 1 to 2**63 - 1.
+    Indices run from 1 to 2**63 - 1, by the rule of schedule indices, which
+    lives in ``svf`` (``_index``, ``_indices``).
     """
 
     seed: int
@@ -76,35 +79,13 @@ class OmegaStream:
 
     def factor_coords(self, i: int, ns: np.ndarray) -> np.ndarray:
         """Embedded coordinates of factor i for the given indices."""
-        return self.space.factors[i].stream_coords(self.seed, i, _stream_indices(ns))
+        return self.space.factors[i].stream_coords(self.seed, i, _indices(ns))
 
     def omega(self, n: int) -> tuple:
         """The n-th center as a tuple of factor points."""
-        n = _stream_index(n)
+        n = _index(n)
         return tuple(f.stream_point(self.seed, i, n)
                      for i, f in enumerate(self.space.factors))
-
-
-_INDEX_RULE = "stream indices must be integers in [1, 2**63), got"
-
-
-def _stream_index(n) -> int:
-    """One stream index as an int, by ``_integer``'s rule, in [1, 2**63)."""
-    i = _integer(n, _INDEX_RULE)
-    if not 1 <= i < 2**63:
-        raise ValueError(f"{_INDEX_RULE} {n}")
-    return i
-
-
-def _stream_indices(ns) -> np.ndarray:
-    """Stream indices as an int64 array.  An integer array is range-checked
-    by its least and greatest entries; any other, or one out of range, is
-    checked index by index, and the first refused one is named."""
-    ns = np.asarray(ns)
-    if ns.dtype.kind in "iu" and (ns.size == 0 or (ns.min() >= 1 and ns.max() < 2**63)):
-        return ns.astype(np.int64, copy=False)
-    return np.array([_stream_index(n) for n in ns.ravel().tolist()],
-                    dtype=np.int64).reshape(ns.shape)
 
 
 def _require_matching_regularity(space: ProductSpace, s: Sequence[float]) -> np.ndarray:

@@ -20,12 +20,13 @@ both conventions; covers are built from closed balls.
 Products carry the max metric, under which a rectangle with equal side radii
 is exactly a ball (a cube).  Sparse subsets and covers are constructed
 greedily over finite probe nets of resolution r/4; maximality and cover
-soundness are certified against the same nets.  A net's points are an array
-of floats on the interval and the circle, and on C(lam) an object that
-decodes the CantorPoints at given indices (``take``).  The greedies read
-only the net's sorted coordinates; the sorted one steps from each accepted
-net point to its successor: the first later point whose rounded coordinate
-difference from it is >= r.
+soundness are certified against the same nets.  A net is built about the
+centre's embedded float, and comes as its sorted coordinates and a decoder,
+``take``, that builds the points at given indices: floats on the interval,
+floats reduced mod 1 on the circle, CantorPoints on C(lam).  The greedies
+read only the coordinates, and only the accepted points are decoded; the
+sorted greedy steps from each accepted net point to its successor: the
+first later point whose rounded coordinate difference from it is >= r.
 verify_cover sorts each factor's centres and tests every net point first
 against its nearest centres in that order (and, on a metric that wraps
 around, the first and last), then against every centre only for a net point
@@ -36,8 +37,8 @@ Factor protocol.  Everything that differs between kinds lives on the kind's
 class, so the Monte Carlo layer and the CLI never name a kind.  A new
 regular factor subclasses RegularSpace; sets kind, params (the constructor
 arguments, read from descriptors and from CLI tokens such as "cantor:0.25"),
-c, s and diameter; and implements embed, validate_point, net (sorted
-coordinates as an array, and the points at them), ball_measure and
+c, s and diameter; and implements embed, validate_point, net (an embedded
+centre in; sorted coordinates and their decoder out), ball_measure and
 ball_measure_array (one radius and a whole array of radii, bit for bit the
 same masses), sample, the counter stream (stream_coords, stream_point),
 density cells (cell_count, stream_cells), text (parse_point, format_point)
@@ -53,7 +54,7 @@ sparse-set greedies test a candidate against a few sorted neighbours on
 that account, and the sorted one finds each net point's successor by
 comparing shifted slices of the coordinates.  On a metric with a period, a
 candidate's coordinate enters the metric reduced mod the period: the float
-that the circle's net returns as its point.
+that the circle's net decodes as its point.
 Each kind's ball_measure is one call of its ball_measure_array, which checks
 the centre and, by one rule (``_checked_radii``), the radii: closed forms for
 Interval and Circle, and for Cantor a walk down the centre's digit path.
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,7 @@ __all__ = [
     "factor_from_token",
 ]
 
-_MASS_DEPTH_CAP = 60  # the deepest cylinder level of a Cantor probe net
+_NET_CODE_DIGITS = 60  # the most digits that a Cantor probe net's int64 codes hold
 _MASS_BLOCK = 1 << 14  # radii per ball-mass kernel pass: its memory is O(block)
 # the most points a probe net may hold; a finer net is a domain error raised
 # from a count taken before anything is allocated
@@ -171,15 +172,14 @@ class RegularSpace:
         """Cell index in [0, cell_count(delta)) of each stream index."""
         raise NotImplementedError
 
-    def net(self, x0, R: float, resolution: float):
-        """Probe net of the closed ball B(x0, R): points of the space inside
-        the ball such that every ball point is within ``resolution`` of the
-        net.
+    def net(self, x: float, R: float, resolution: float):
+        """Probe net of the closed ball B(x, R) about the embedded centre x
+        (``embed``'s float): points of the space inside the ball such that
+        every ball point is within ``resolution`` of the net.
 
-        Returns (coords, points): sorted coordinates and the aligned points,
-        an array of floats or a ``_CantorNet`` that decodes the points at
-        given indices.  The greedies and ``verify_cover`` read only the
-        coordinates.
+        Returns (coords, take): the sorted coordinates as an array, and a
+        function that builds the points at given indices as a list.  The
+        greedies and ``verify_cover`` read only the coordinates.
         """
         raise NotImplementedError
 
@@ -233,7 +233,7 @@ class _UnitCoordinateSpace(RegularSpace):
         return 0.5
 
     def parse_point(self, token: str) -> float:
-        return float(token)
+        return _parse_number(token, f"{self.kind} point")
 
     def format_point(self, point) -> str:
         return format(float(point), ".17g")
@@ -260,25 +260,21 @@ class Interval(_UnitCoordinateSpace):
 
     def ball_measure_array(self, x, rs: np.ndarray) -> np.ndarray:
         # min(r, x) + min(r, 1 - x), each side measured from the centre, so
-        # an interior ball weighs 2r exactly however small r is; clamped to
-        # [0, 1], one array per side
+        # an interior ball weighs 2r exactly however small r is; capped at 1,
+        # one array per side.  Both sides are >= 0 for r >= 0 and x in [0, 1]
         self.validate_point(x)
         rs = _checked_radii(rs, self.diameter)
         xv = float(x)
         mass = np.minimum(rs, xv)
         mass += np.minimum(rs, 1.0 - xv)
         np.minimum(mass, 1.0, out=mass)
-        np.maximum(mass, 0.0, out=mass)
-        # np.maximum may return either zero on a tie; adding 0.0 gives a
-        # radius of -0.0 the mass +0.0, as the circle does
+        # adding 0.0 gives a radius of -0.0 the mass +0.0, as the circle does
         mass += 0.0
         return mass
 
-    def net(self, x0, R: float, resolution: float):
-        lo = max(0.0, float(x0) - R)
-        hi = min(1.0, float(x0) + R)
-        coords = _linspace_net(lo, hi, resolution)
-        return coords, coords
+    def net(self, x: float, R: float, resolution: float):
+        coords = _linspace_net(max(0.0, x - R), min(1.0, x + R), resolution)
+        return coords, lambda at: coords[at].tolist()
 
 
 class Circle(_UnitCoordinateSpace):
@@ -325,11 +321,11 @@ class Circle(_UnitCoordinateSpace):
         mass += 0.0
         return mass
 
-    def net(self, x0, R: float, resolution: float):
+    def net(self, x: float, R: float, resolution: float):
+        # the unrolled arc about x; only the points taken are reduced mod 1
         R = min(R, self.diameter)
-        x = self.embed(x0)
         coords = _linspace_net(x - R, x + R, resolution)
-        return coords, coords % 1.0
+        return coords, lambda at: (coords[at] % 1.0).tolist()
 
 
 class Cantor(RegularSpace):
@@ -353,38 +349,44 @@ class Cantor(RegularSpace):
         self.c = 2.0 * (1.0 + lam) / (1.0 - lam)
         # digits beyond this depth cannot move the float embedding
         self.default_depth = min(64, math.ceil(53.0 * math.log(2.0) / math.log(1.0 / lam)) + 2)
-        self._weights = self.weights(self.default_depth).tolist()
-        self._pow = np.power(lam, np.arange(_MASS_DEPTH_CAP + 2))
+        # the one table of lam^k, k = 0 .. K, up to the first power that
+        # underflows to 0.0 (lam^k < 2^-1075 past the bound): every cylinder
+        # length, digit weight and digit-path power is read from it
+        pw = np.power(lam, np.arange(math.ceil(1075.0 * math.log(2.0) / -math.log(lam)) + 2))
+        self._pow = pw[:np.flatnonzero(pw == 0.0)[0] + 1]
+        # the weight (1 - lam) lam^k of each digit position the table holds:
+        # a later digit weighs 0.0
+        self._weights = ((1.0 - lam) * self._pow).tolist()
         # the right child [(1 - lam) lam^k, lam^k] of each cylinder [0, lam^k]
         # with lam^(k+1) > 0, deepest first, as rows far, near, size and mass
-        k = np.arange(math.ceil(1075.0 * math.log(2.0) / -math.log(lam)), -1, -1)
-        far = np.power(lam, k)
+        k = np.arange(self._pow.size - 1, -1, -1)
+        far = self._pow[::-1]
         tail = np.array([far, (1 - lam) * far, lam * far, np.ldexp(1.0, -k - 1)])
         self._tail = tail[:, lam * far > 0]
 
+    def _powers(self, count: int) -> np.ndarray:
+        """lam^k for k < count, read from the table; 0.0 past it."""
+        out = np.zeros(count)
+        out[:self._pow.size] = self._pow[:count]
+        return out
+
     def weights(self, depth: int) -> np.ndarray:
         """Embedding weights (1-lam) * lam^k for digit positions k < depth."""
-        return (1.0 - self.lam) * np.power(self.lam, np.arange(depth))
-
-    def _weights_to(self, depth: int) -> list[float]:
-        """The weights of digit positions k < depth as floats: the sampling
-        depth's, or taken afresh for a deeper digit string."""
-        return self._weights if depth <= self.default_depth else self.weights(depth).tolist()
+        return (1.0 - self.lam) * self._powers(depth)
 
     def embed_digits(self, digits) -> float:
         """The embedding of one point's digits (ints): ``_embed_rows`` over
         one column."""
-        column = np.asarray(digits, dtype=float)[:, None]
-        return float(self._embed_rows(column, column.shape[0], 1)[0])
+        return float(self._embed_rows(np.asarray(digits, dtype=float)[:, None], 1)[0])
 
-    def _embed_rows(self, rows, depth: int, size: int) -> np.ndarray:
+    def _embed_rows(self, rows, size: int) -> np.ndarray:
         """The embeddings of ``size`` points whose digit k is the 0/1 integer
-        array rows[k], k < depth: digit * w_k added row after row, in digit
-        order, so a value depends neither on its block nor on the route
-        (stream, net, point, text) that built it, as a BLAS dot product's
-        does."""
+        array rows[k]: digit * w_k added row after row, in digit order, so a
+        value depends neither on its block nor on the route (stream, net,
+        point, text) that built it, as a BLAS dot product's does.  A row past
+        the weights would add digit * 0.0, which moves no value."""
         value, term = np.zeros(size), np.empty(size)
-        for digit, w in zip(rows, self._weights_to(depth)):
+        for digit, w in zip(rows, self._weights):
             value += np.multiply(digit, w, out=term)
         return value
 
@@ -393,9 +395,8 @@ class Cantor(RegularSpace):
         return CantorPoint(digs, self.embed_digits(digs))
 
     def embed(self, point) -> float:
-        if isinstance(point, CantorPoint):
-            return point.value
-        return float(point)
+        self.validate_point(point)
+        return point.value
 
     def validate_point(self, point) -> None:
         if not isinstance(point, CantorPoint):
@@ -442,7 +443,7 @@ class Cantor(RegularSpace):
         distances to the ends of x's depth-(k+1) cylinder.  Near is never far - size."""
         depth = max((k + 1 for k, d in enumerate(digits) if d), default=0)
         lam = self.lam
-        pw = np.power(lam, np.arange(depth + 1)).tolist()
+        pw = self._powers(depth + 1).tolist()
         ends = [pw[depth], 0.0]
         sides = ([], [])
         for k in range(depth - 1, -1, -1):
@@ -488,7 +489,7 @@ class Cantor(RegularSpace):
         words = crng.words(seed, lane, ns).astype("<u8", copy=False)
         octets = np.ascontiguousarray(
             words.view(np.uint8).reshape(-1, 8)[:, :(depth + 7) // 8].T)
-        return self._embed_rows(_bit_rows(octets, depth), depth, words.size)
+        return self._embed_rows(_bit_rows(octets, depth), words.size)
 
     def stream_point(self, seed: int, lane: int, n: int) -> CantorPoint:
         digits = crng.bits(seed, lane, np.array([n]), self.default_depth)[0].tolist()
@@ -523,7 +524,7 @@ class Cantor(RegularSpace):
         prefix.  Level by level, a cylinder [lo, hi = lo + lam^d] that meets
         [a, b] splits into its children at lo and hi - lam^(d+1), written
         side by side into the next level's arrays."""
-        pw = self._pow
+        pw = self._powers(depth + 1)
         codes, lo = np.zeros(1, dtype=np.int64), np.zeros(1)
         for d in range(depth + 1):
             hi = lo + pw[d]
@@ -541,31 +542,43 @@ class Cantor(RegularSpace):
         """Digit prefixes of all depth-``depth`` cylinders meeting [a, b]."""
         return _code_digits(self._cylinder_codes(a, b, depth), depth)
 
-    def net(self, x0, R: float, resolution: float):
-        depth = 0
-        while self._pow[depth] > resolution and depth < _MASS_DEPTH_CAP:
-            depth += 1
-        # the depth-k cylinders meeting the ball lie in B(x0, R + lam^k) and
-        # weigh 2^-k each, so regularity bounds their number by this count
-        _check_net_size(self.c * (R + self._pow[depth]) ** self.s * 2.0**depth, resolution)
-        x = self.embed(x0)
+    def net(self, x: float, R: float, resolution: float):
+        if not resolution > 0.0:
+            raise ValueError(f"net resolution must be positive, got {resolution}")
+        # the first depth whose cylinders are no longer than the resolution;
+        # the table ends at lam^K = 0.0
+        depth = int(np.argmax(self._pow <= resolution))
         # cylinders shorter than the float spacing about the ball have ends
         # that round together: both children of each one would meet the ball,
-        # and the walk would double per level past the count above
+        # and the walk would double per level past the count below
         spacing = math.ulp(abs(x) + R)
         if self._pow[depth] < spacing:
             raise ValueError(
                 f"a Cantor probe net at resolution {resolution!r} about the centre "
                 f"{x!r} needs cylinders of length {self._pow[depth]:.6g}, below the "
                 f"float spacing {spacing:.6g} there")
+        if depth > _NET_CODE_DIGITS:
+            raise ValueError(
+                f"a Cantor probe net at resolution {resolution!r} needs {depth} digits, "
+                f"more than the {_NET_CODE_DIGITS} that a net code holds")
+        # the depth-k cylinders meeting the ball lie in B(x, R + lam^k) and
+        # weigh 2^-k each, so regularity bounds their number by this count
+        _check_net_size(self.c * (R + self._pow[depth]) ** self.s * 2.0**depth, resolution)
         codes = self._cylinder_codes(x - R, x + R, depth)
         # each cylinder's left end, the point of its prefix: one row per
         # digit, first digit highest in the code (depth 0: the one point 0)
         values = self._embed_rows(((codes >> k) & 1 for k in range(depth - 1, -1, -1)),
-                                  depth, codes.size)
+                                  codes.size)
         inside = np.flatnonzero(np.abs(values - x) <= R)
         order = inside[np.argsort(values[inside], kind="stable")]
-        return values[order], _CantorNet(codes[order], values[order], depth)
+        codes, values = codes[order], values[order]
+
+        def take(at) -> list[CantorPoint]:
+            # the points at ``at``, their digits decoded in one array pass
+            at = np.asarray(at, dtype=np.intp)
+            return [CantorPoint(digits, value) for digits, value in zip(
+                _code_digits(codes[at], depth), values[at].tolist())]
+        return values, take
 
     def anchor(self) -> CantorPoint:
         return self.point(())
@@ -599,21 +612,6 @@ def _code_digits(codes: np.ndarray, depth: int) -> list[tuple[int, ...]]:
     one array pass."""
     digits = (codes[:, None] >> np.arange(depth - 1, -1, -1)) & 1
     return list(map(tuple, digits.tolist()))
-
-
-class _CantorNet:
-    """The points of a Cantor probe net, kept as their cylinder codes and
-    values (``_embed_rows`` of the codes' digits, taken for the whole net at
-    once) until ``take`` builds the ones asked for."""
-
-    def __init__(self, codes: np.ndarray, values: np.ndarray, depth: int):
-        self._codes, self._values, self._depth = codes, values, depth
-
-    def take(self, indices) -> list[CantorPoint]:
-        """The points at ``indices``, their digits decoded in one array pass."""
-        at = np.asarray(indices, dtype=np.intp)
-        return [CantorPoint(digits, value) for digits, value in zip(
-            _code_digits(self._codes[at], self._depth), self._values[at].tolist())]
 
 
 _KINDS = {cls.kind: cls for cls in (Interval, Circle, Cantor)}
@@ -848,24 +846,22 @@ def _clashes(space: RegularSpace, ys: list[float], q: float, r: float) -> bool:
     return not (space.distances(np.array([ys[i] for i in near]), q) >= r).all()
 
 
-def _sparse_indices(space: RegularSpace, x0, R: float, r: float,
-                    rng: np.random.Generator | None) -> tuple[Sequence, list[int]]:
-    """The probe net's points of B(x0, R), clamped to the space, and the
-    indices of those the greedy accepts."""
-    coords, points = space.net(x0, min(R, space.diameter), r / 4.0)
+def _sparse_indices(space: RegularSpace, x: float, R: float, r: float,
+                    rng: np.random.Generator | None) -> tuple[Callable, list[int]]:
+    """The probe net of B(x, R) about the embedded centre x, clamped to the
+    space: its decoder, and the indices of the points the greedy accepts."""
+    coords, take = space.net(x, min(R, space.diameter), r / 4.0)
     if rng is None:
-        return points, _greedy_sorted(space, coords, r)
-    return points, _greedy_shuffled(space, coords, r, rng)
+        return take, _greedy_sorted(space, coords, r)
+    return take, _greedy_shuffled(space, coords, r, rng)
 
 
 def _sparse_greedy(space: RegularSpace, x0, R: float, r: float,
                    rng: np.random.Generator | None) -> list:
-    """The points the greedy over the probe net of B(x0, R) accepts, read
-    from the net in one pass: a Cantor net's decoded, an array's as floats."""
-    points, kept = _sparse_indices(space, x0, R, r, rng)
-    if isinstance(points, _CantorNet):
-        return points.take(kept)
-    return points[kept].tolist()
+    """The points the greedy over the probe net of B(x0, R) accepts, decoded
+    by the net in one pass."""
+    take, kept = _sparse_indices(space, space.embed(x0), R, r, rng)
+    return take(kept)
 
 
 def max_sparse_subset(space: RegularSpace, x0, R: float, r: float,
@@ -978,7 +974,8 @@ def verify_cover(space: RegularSpace | ProductSpace, report: CoverReport) -> boo
     center = report.center if isinstance(space, ProductSpace) else (report.center,)
     for factor, x_i, R_i, centers in zip(factors, center, report.target_radii,
                                          report.factor_centers):
-        coords = factor.net(x_i, min(R_i, factor.diameter), report.radius / 4.0)[0]
+        coords = factor.net(factor.embed(x_i), min(R_i, factor.diameter),
+                            report.radius / 4.0)[0]
         if coords.size and not _net_covered(factor, coords, centers, limit):
             return False
     return True
@@ -1016,4 +1013,13 @@ def factor_from_token(token: str) -> RegularSpace:
     cls = _KINDS.get(kind)
     if cls is None or len(args) != len(cls.params):
         raise ValueError(f"unknown space factor {token!r}")
-    return cls(*(float(a) for a in args))
+    return cls(*(_parse_number(a, f"space factor {token!r}: {p}")
+                 for a, p in zip(args, cls.params)))
+
+
+def _parse_number(token: str, what: str) -> float:
+    """float(token), or a ValueError that names the token as ``what``."""
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"{what} {token!r} is not a number") from None

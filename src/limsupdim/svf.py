@@ -301,36 +301,29 @@ class PowerLawSchedule:
     coefficients: tuple[float, ...] = ()
 
     def __post_init__(self):
-        alphas = tuple(float(a) for a in self.alphas)
-        if not alphas:
-            raise ValueError("schedule needs at least one decay exponent")
-        if any(a <= 0 or not math.isfinite(a) for a in alphas):
-            raise ValueError(f"decay exponents must be finite and > 0, got {alphas}")
-        coeffs = self.coefficients or tuple(1.0 for _ in alphas)
-        coeffs = tuple(float(k) for k in coeffs)
+        # both by the rule of radii: finite and > 0
+        alphas = _as_array(self.alphas, ("decay exponents", *_RADII[1:])).tolist()
+        coeffs = _as_array(self.coefficients or [1.0] * len(alphas),
+                           ("coefficients", *_RADII[1:])).tolist()
         if len(coeffs) != len(alphas):
             raise ValueError("coefficients and alphas must have equal length")
-        if any(k <= 0 or not math.isfinite(k) for k in coeffs):
-            raise ValueError(f"coefficients must be finite and > 0, got {coeffs}")
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "alphas", tuple(alphas))
+        object.__setattr__(self, "coefficients", tuple(coeffs))
 
     @property
     def dim(self) -> int:
         return len(self.alphas)
 
     def log_radii(self, ns: np.ndarray) -> np.ndarray:
-        """(N, d) array of log r_{n,i} for the given indices (any n >= 1), a
-        fresh array that the caller owns and may overwrite.
+        """(N, d) array of log r_{n,i} for the given indices (``_indices``),
+        a fresh array that the caller owns and may overwrite.
 
         The array is column-major: each factor's column is contiguous, the
         layout the column-wise kernels read.  It is the only array made: the
         last column holds log n until each column in turn is written as
         log kappa_i - alpha_i log n, the last one last.
         """
-        ns = np.ravel(ns)
-        if np.any(ns < 1):
-            raise ValueError("schedule indices start at 1")
+        ns = np.ravel(_indices(ns))
         out = np.empty((ns.size, self.dim), order="F")
         logn = out[:, -1]
         np.log(ns, out=logn, dtype=float)
@@ -342,9 +335,8 @@ class PowerLawSchedule:
         return out
 
     def radius_tuple(self, n: int) -> RadiusTuple:
-        return RadiusTuple(
-            k * float(n) ** -a for a, k in zip(self.alphas, self.coefficients)
-        )
+        n = float(_index(n))
+        return RadiusTuple(k * n ** -a for a, k in zip(self.alphas, self.coefficients))
 
     @property
     def power_model(self) -> PowerLawSchedule:
@@ -421,9 +413,7 @@ class ExplicitSchedule:
     def log_radii(self, ns: np.ndarray) -> np.ndarray:
         """(N, d) array of log r_{n,i} for the given indices, a fresh array
         that the caller owns and may overwrite."""
-        ns = np.asarray(ns, dtype=np.int64)
-        if np.any(ns < 1):
-            raise ValueError("schedule indices start at 1")
+        ns = _indices(ns)
         k = len(self.tuples)
         rest = ns > k
         if self.tail is None and rest.any():
@@ -437,8 +427,7 @@ class ExplicitSchedule:
         return out
 
     def radius_tuple(self, n: int) -> RadiusTuple:
-        if n < 1:
-            raise ValueError("schedule indices start at 1")
+        n = _index(n)
         k = len(self.tuples)
         if n > k and self.tail is None:
             raise ValueError(f"index beyond the {k} explicit tuples and no tail model")
@@ -731,6 +720,29 @@ def _integer(value, rule: str) -> int:
     return n
 
 
+# the rule for the indices n of schedules and streams
+_INDEX_RULE = "indices must be integers in [1, 2**63), got"
+
+
+def _index(n) -> int:
+    """One index as an int, by ``_integer``'s rule, in [1, 2**63)."""
+    i = _integer(n, _INDEX_RULE)
+    if not 1 <= i < 2**63:
+        raise ValueError(f"{_INDEX_RULE} {n}")
+    return i
+
+
+def _indices(ns) -> np.ndarray:
+    """Indices as an int64 array.  An integer array is range-checked by its
+    least and greatest entries; any other, or one out of range, is checked
+    index by index, and the first refused one is named."""
+    ns = np.asarray(ns)
+    if ns.dtype.kind in "iu" and (ns.size == 0 or (ns.min() >= 1 and ns.max() < 2**63)):
+        return ns.astype(np.int64, copy=False)
+    return np.array([_index(n) for n in ns.ravel().tolist()],
+                    dtype=np.int64).reshape(ns.shape)
+
+
 def sorted_checkpoints(Ns: Iterable[int], upper: int | None = None) -> list[int]:
     """Checkpoints as sorted distinct ints, at least one, each in [1, upper]
     (no upper limit when ``upper`` is None).
@@ -826,10 +838,8 @@ def estimate_sum_growth(sched: RadiusSchedule,
     """Least-squares slope of log S_N(t) against log N over the given blocks.
 
     For power-law schedules this estimates max(0, 1 - e(t)).  Blocks must be
-    strictly increasing with at least 3 entries.  A strictly decreasing S_N
-    violates term positivity and raises; equal consecutive values (a fully
-    converged sum at float resolution) are tolerated and simply flatten the
-    slope.
+    strictly increasing with at least 3 entries.  Equal consecutive values (a
+    fully converged sum at float resolution) flatten the slope.
     """
     blocks = _growth_blocks(blocks)
     return _growth_slope(blocks, partial_sums(sched, s, t, blocks))
@@ -851,9 +861,6 @@ def _growth_blocks(blocks: Sequence[int]) -> list[int]:
 
 
 def _growth_slope(blocks: list[int], sums: list[float]) -> float:
-    for s1, s2 in zip(sums, sums[1:]):
-        if s2 < s1:
-            raise RuntimeError("partial sums decreased; terms must be positive")
     x = np.log(np.asarray(blocks, dtype=float))
     y = np.log(np.asarray(sums, dtype=float))
     return float(np.polyfit(x, y, 1)[0])

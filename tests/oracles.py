@@ -49,7 +49,7 @@ from limsupdim.mc import (
     TailCoverProfile,
     _require_matching_regularity,
 )
-from limsupdim.spaces import _MASS_DEPTH_CAP, ProductSpace, cover_rectangle
+from limsupdim.spaces import ProductSpace, cover_rectangle
 from limsupdim.svf import (
     _checkpoint_chunks,
     _ExactSum,
@@ -616,7 +616,8 @@ def every_centre_verify_cover(space, report):
     center = report.center if isinstance(space, ProductSpace) else (report.center,)
     for factor, x_i, R_i, centers in zip(factors, center, report.target_radii,
                                          report.factor_centers):
-        coords, points = factor.net(x_i, min(R_i, factor.diameter), report.radius / 4.0)
+        coords = factor.net(factor.embed(x_i), min(R_i, factor.diameter),
+                            report.radius / 4.0)[0]
         if coords.size == 0:
             continue
         covered = np.zeros(coords.size, dtype=bool)
@@ -653,7 +654,7 @@ def recursive_cantor_net(space, x0, R, resolution):
     the ball, filtered to the ball and stably sorted by value (no domain
     checks).  ``Cantor.net`` must give the same coordinates and points."""
     depth = 0
-    while space._pow[depth] > resolution and depth < _MASS_DEPTH_CAP:
+    while space._pow[depth] > resolution:
         depth += 1
     x = space.embed(x0)
     pts = [space.point(p) for p in recursive_cylinders_in(space, x - R, x + R, depth)]

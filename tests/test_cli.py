@@ -274,6 +274,72 @@ def test_cantor_point_text_error_names_the_token_exit_2(runner, args, token):
     assert f"Cantor point {token!r}" in error
 
 
+_FIBER = ["mc", "fiber-sum", "--alphas", "1,2", "--s", "1,1", "--checkpoints", "10",
+          "--seed", "1"]
+_DIVERGENCE = ["mc", "divergence", "--n", "10", "--trials", "10", "--seed", "1"]
+
+
+@pytest.mark.parametrize("args, files, message", [
+    (["svf", "eval", "--r", "0.5,abc", "--s", "1,1", "--t", "1"], {},
+     "expected comma-separated floats, got '0.5,abc'"),
+    (["mc", "tail-cover", "--config", "run.json"],
+     {"run.json": '{"command": "mc-tail-cover", "space": "circle,circle", "schedule": '
+                  '"explicit", "s": "1,1", "t": "0.5", "window": "1:4", "seed": 1}'},
+     "explicit schedule requires 'tuples'"),
+    (["cover", "rect", "--space", "interval,interval", "--x", "0.5", "--r", "0.1,0.1",
+      "--radius", "0.01"], {}, "expected 2 coordinates, got 1"),
+    (_DIVERGENCE + ["--p", "geometric"], {}, "unknown expectation model 'geometric'"),
+    (["svf", "eval", "--r", "0.5", "--s", "1", "--t", "0.1,0.2"], {},
+     "svf-eval takes a single t"),
+    (["dim", "predict", "--alphas", "1,2", "--s", "1,1", "--method", ","], {},
+     "no applicable method among []"),
+    (["sparse", "--space", "interval,interval", "--x", "0.5,0.5", "--big-radius", "0.5",
+      "--radius", "0.1"], {}, "sparse subsets are built per factor space"),
+    (_FIBER[:4] + ["--s", "1", "--space", "circle", "--u", "0", "--anchor", "0.5"]
+     + _FIBER[6:], {}, "fiber sums need a product space"),
+    (_FIBER + ["--space", "circle,circle", "--u", "0,1", "--anchor", "0.5"], {},
+     "mc-fiber-sum takes a single u"),
+    (["report", "missing.jsonl"], {}, "manifest file not found: missing.jsonl"),
+    (["report", "empty.jsonl"], {"empty.jsonl": ""}, "no manifests found in the given files"),
+    (["report", "density.jsonl"], {"density.jsonl": '{"operation": "mc-density"}\n'},
+     "report supports fiber-sum and tail-cover manifests, got mc-density"),
+    (["mc", "fiber-sum", "--config", "run.json"],
+     {"run.json": '{"command": "mc-density", "space": "circle", "delta": 0.25, '
+                  '"horizon": 100, "seed": 3}'},
+     "run.json: config command 'mc-density' does not match 'mc-fiber-sum'"),
+    # the float parsers name the token and what it should be
+    (["cover", "ball", "--space", "interval", "--x", "abc", "--big-radius", "0.5",
+      "--radius", "0.1"], {}, "interval point 'abc' is not a number"),
+    (_FIBER + ["--space", "circle,circle", "--u", "0", "--anchor", "x"], {},
+     "circle point 'x' is not a number"),
+    (["cover", "ball", "--space", "cantor:abc", "--x", "()", "--big-radius", "0.5",
+      "--radius", "0.1"], {}, "space factor 'cantor:abc': lam 'abc' is not a number"),
+    (_DIVERGENCE + ["--p", "constant:x"], {},
+     "expectation model 'constant:x': value 'x' is not a number"),
+    (_DIVERGENCE + ["--p", "power:"], {}, "expectation model 'power:': value '' is not a number"),
+    # a Cantor probe net deeper than a net code's 60 digits
+    (["sparse", "--space", "cantor:0.3333333333333333", "--x", "()", "--big-radius", "1e-29",
+      "--radius", "1e-30"], {}, "resolution 2.5e-31 needs 65 digits, more than the 60"),
+    (["cover", "ball", "--space", "cantor:0.3333333333333333", "--x", "()",
+      "--big-radius", "1e-29", "--radius", "1e-30"], {},
+     "resolution 2.5e-31 needs 65 digits, more than the 60"),
+], ids=["list-item", "explicit-without-tuples", "coordinate-count", "unknown-p",
+        "svf-eval-two-t", "no-method", "sparse-product", "fiber-one-factor", "fiber-two-u",
+        "report-missing", "report-empty", "report-density", "config-for-another-command",
+        "interval-point", "circle-anchor", "cantor-parameter", "p-constant", "p-power",
+        "sparse-cantor-net-digits", "cover-cantor-net-digits"])
+def test_bad_input_is_a_domain_error_naming_it_exit_2(runner, tmp_path, monkeypatch,
+                                                      args, files, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        Path(name).write_text(text, encoding="utf-8")
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output and result.exception.__class__ is SystemExit
+    (error,) = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert message in error
+
+
 @pytest.mark.parametrize("window", ["1:10.5", "1:nan", "1:inf", "1:1e3", "1:x", "1:2:3", "16"])
 def test_mc_tail_cover_window_not_two_integers_exit_2(runner, window):
     result = runner.invoke(main, [

@@ -180,7 +180,7 @@ def test_stream_refuses_indices_outside_the_count_rule(space, bad):
     # -5 used to wrap through uint64 and 1.5 to read index 1; 2**63 ended in
     # numpy's OverflowError
     st = OmegaStream(5, space)
-    rule = r"stream indices must be integers in \[1, 2\*\*63\), got"
+    rule = r"^indices must be integers in \[1, 2\*\*63\), got"
     shown = repr(bad) if isinstance(bad, str) else str(bad)
     with pytest.raises(ValueError, match=rf"{rule} {re.escape(shown)}$"):
         st.omega(bad)

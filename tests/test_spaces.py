@@ -54,11 +54,11 @@ def probe_points(space, rng, count=6):
     return pts
 
 
-def _net_points(coords, points):
-    """A net's points as a list: a Cantor net's decoded by ``take``."""
-    if isinstance(points, spaces._CantorNet):
-        return points.take(range(coords.size))
-    return list(points)
+def _net(space, x0, R, resolution):
+    """The probe net about the point x0: its coordinates and every point,
+    decoded by the net's ``take``."""
+    coords, take = space.net(space.embed(x0), R, resolution)
+    return coords, take(range(coords.size))
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +153,12 @@ def test_elementwise_distances_are_distance_to_array_bit_for_bit(space, data):
     # verify_cover reads the metric through distances: one coordinate array
     # against another, against one centre, and one coordinate against all,
     # each entry the scalar distance of its pair
-    coords = np.array(data.draw(st.lists(_COORDS, min_size=1, max_size=30), label="coords"))
     points = (st.lists(st.integers(0, 1), max_size=40).map(space.point)
               if isinstance(space, Cantor) else _COORDS)
-    ys = data.draw(st.lists(points, min_size=coords.size, max_size=coords.size), label="ys")
+    xs = data.draw(st.lists(points, min_size=1, max_size=30), label="xs")
+    ys = data.draw(st.lists(points, min_size=len(xs), max_size=len(xs)), label="ys")
+    coords = np.array([space.coordinate(x) for x in xs])
     yc = np.array([space.coordinate(y) for y in ys])
-    xs = coords.tolist()
     want = np.array([space.distance(x, y) for x, y in zip(xs, ys)])
     got = space.distances(coords, yc)
     assert got.tobytes() == want.tobytes()
@@ -452,8 +452,7 @@ def test_sparse_pairwise_and_maximality(space, rng):
         for a, b in itertools.combinations(pts, 2):
             assert space.distance(a, b) >= r
         # maximality against the canonical probe net
-        coords, net_pts = space.net(x0, space.diameter, r / 4.0)
-        for p in _net_points(coords, net_pts):
+        for p in _net(space, x0, space.diameter, r / 4.0)[1]:
             assert min(space.distance(p, q) for q in pts) < r or p in pts
 
 
@@ -490,7 +489,7 @@ def test_sorted_scan_matches_searchsorted_greedy(data):
         n = data.draw(st.integers(1, 128), label="n")
         R, r = PowerLawSchedule((2, 3)).radius_tuple(n).values
         x0 = data.draw(st.floats(0.0, 1.0), label="x0")
-        coords, points = space.net(x0, R, r / step)
+        coords, points = _net(space, x0, R, r / step)
     else:
         if kind == "cantor":
             space = Cantor(data.draw(st.floats(0.05, 0.49), label="lam"))
@@ -507,7 +506,7 @@ def test_sorted_scan_matches_searchsorted_greedy(data):
         r = R * data.draw(st.one_of(st.floats(0.02, 2.0), st.just(2.0)), label="r/R")
         # nets at r/4, as the library builds them, and at r, r/2 and r/7,
         # where more net gaps add up to r within a few ulps
-        coords, points = space.net(x0, R, r / step)
+        coords, points = _net(space, x0, R, r / step)
     want = scan_greedy_sorted(space, coords, points, r)
     assert _greedy_sorted(space, coords, r) == want
     assert searchsorted_greedy(space, coords, points, r) == want
@@ -529,8 +528,7 @@ def test_shuffled_greedy_matches_every_pair_check(data):
     r = R * data.draw(st.floats(0.02, 2.0), label="r/R")
     step = data.draw(st.sampled_from([1.0, 2.0, 4.0, 7.0]), label="r/resolution")
     seed = data.draw(st.integers(0, 2**32), label="seed")
-    coords, net = space.net(x0, R, r / step)
-    points = _net_points(coords, net)
+    coords, points = _net(space, x0, R, r / step)
     got = _greedy_shuffled(space, coords, r, np.random.default_rng(seed))
     want = every_pair_shuffled_greedy(space, coords, points, r, np.random.default_rng(seed))
     assert [points[i] for i in got] == want
@@ -588,18 +586,42 @@ def test_probe_net_capped_before_allocation(space, x0, R, r):
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("R, resolution", [(1e-18, 1e-20), (1e-200, 2.5e-301)])
-def test_cantor_net_finer_than_the_float_spacing_is_refused(R, resolution):
-    # about 0.0125 floats are 1.7e-18 apart: the depth-34 (and the capped
-    # depth-60) cylinders round together, and a net there is one float
+@pytest.mark.parametrize("R, resolution, built_at_zero",
+                         [(1e-18, 1e-20, True), (1e-200, 2.5e-301, False)],
+                         ids=["1e-18-1e-20", "1e-200-2.5e-301"])
+def test_cantor_net_finer_than_the_float_spacing_is_refused(R, resolution, built_at_zero):
+    # about 0.0125 floats are 1.7e-18 apart: the depth-34 (and the depth-500)
+    # cylinders round together, and a net there is one float
     cantor = Cantor(0.25)
-    x = cantor.point((0, 0, 0, 1, 0, 1))
+    x = cantor.point((0, 0, 0, 1, 0, 1)).value
     with pytest.raises(ValueError, match=f"resolution {resolution!r} about the centre "
-                                         f"{x.value!r} .* below the float spacing"):
+                                         f"{x!r} .* below the float spacing"):
         cantor.net(x, R, resolution)
-    # at the left end 0 the floats resolve those cylinders: the net is built
-    coords = cantor.net(cantor.point(()), R, resolution)[0]
-    assert coords[0] == 0.0 and np.all(np.diff(coords) > 0.0)
+    # at the left end 0 the floats resolve the depth-34 cylinders and the net
+    # is built; about 1e-200 they are 1e-216 apart, wider than the depth-500
+    # cylinders, and the net is refused there too
+    if built_at_zero:
+        coords = cantor.net(0.0, R, resolution)[0]
+        assert coords[0] == 0.0 and np.all(np.diff(coords) > 0.0)
+    else:
+        with pytest.raises(ValueError, match="below the float spacing"):
+            cantor.net(0.0, R, resolution)
+
+
+def test_cantor_net_past_the_code_digits_is_refused():
+    # lam^64 > r/4 = 2.5e-31 >= lam^65: the net needs 65 digits, more than an
+    # int64 code holds.  A net cut at 60 digits held the one point 0 and
+    # missed, among others, the ball point below at 5.24e-30 >= r from it
+    cantor = Cantor(0.3333333333333333)
+    missed = cantor.point((0,) * 61 + (1,))
+    assert 1e-30 <= missed.value <= 1e-29
+    message = r"resolution 2.5e-31 needs 65 digits, more than the 60 that a net code holds"
+    with pytest.raises(ValueError, match=message):
+        max_sparse_subset(cantor, cantor.point(()), 1e-29, 1e-30)
+    with pytest.raises(ValueError, match=message):
+        cover_ball(cantor, cantor.point(()), 1e-29, 1e-30)
+    # one digit less is built: lam^60 is below 4 r
+    assert len(max_sparse_subset(cantor, cantor.point(()), 1e-27, 4e-28)) > 1
 
 
 @given(st.data())
@@ -610,14 +632,14 @@ def test_cantor_net_is_the_recursive_walk(data):
     R = data.draw(st.one_of(st.just(1.0), st.floats(1e-6, 1.0)), label="R")
     resolution = R * data.draw(st.one_of(st.sampled_from([1 / 28, 1 / 4, 1.0, 4.0]),
                                           st.floats(1e-3, 2.0)), label="resolution/R")
-    coords, net = space.net(x0, R, resolution)
+    coords, take = space.net(x0.value, R, resolution)
     want_coords, want_points = recursive_cantor_net(space, x0, R, resolution)
     assert coords.tobytes() == want_coords.tobytes()
-    points = net.take(range(coords.size))
+    points = take(range(coords.size))
     assert points == want_points
     assert all(type(p) is CantorPoint for p in points)
     if want_points:
-        assert net.take([-1, np.int64(0)]) == [want_points[-1], want_points[0]]
+        assert take([-1, np.int64(0)]) == [want_points[-1], want_points[0]]
     # the cylinder walk the net starts from is the recursive one, at every
     # depth, also when [a, b] ends exactly on cylinder ends, where one ulp in
     # a child's left end decides whether it meets [a, b]
@@ -662,6 +684,41 @@ def test_embed_digits_is_the_retired_loop(lam):
     assert space.default_depth < 64
 
 
+@pytest.mark.parametrize("lam", [1e-10, 0.01, 0.25, 1 / 3, 0.45, 0.49])
+def test_weights_are_read_from_one_table_of_powers(lam):
+    # the old formula, one np.power call per depth, bit for bit: also past
+    # K, the first power that underflows to 0.0, where the table ends
+    space = Cantor(lam)
+    K = space._pow.size - 1
+    assert space._pow[K] == 0.0 < space._pow[K - 1]
+    for depth in (0, 1, space.default_depth, K - 1, K, K + 1, K + 40):
+        want = (1.0 - lam) * np.power(lam, np.arange(depth))
+        assert space.weights(depth).tobytes() == want.tobytes()
+    assert space._weights == space.weights(K + 1).tolist()
+
+
+@pytest.mark.parametrize("space, x0, R, resolution", [
+    (Interval(), 0.3, 0.2, 0.013), (Interval(), 1.0, 1.0, 0.1),
+    (Circle(), 0.9, 0.5, 0.01), (Circle(), -0.25, 0.3, 0.007),
+    (Cantor(1 / 3), Cantor(1 / 3).point((0, 1)), 0.4, 1e-3),
+    (Cantor(0.45), Cantor(0.45).point((1, 0, 1)), 0.05, 1e-4),
+], ids=["interval", "interval-whole", "circle", "circle-unreduced-centre", "cantor",
+        "cantor-0.45"])
+def test_take_builds_the_points_that_nets_listed(space, x0, R, resolution):
+    # the points a net listed beside its coordinates: the floats on the
+    # interval, the floats mod 1 on the circle and one CantorPoint per
+    # cylinder on C(lam) (the recursive walk); at any indices, in their order
+    coords, take = space.net(space.embed(x0), R, resolution)
+    if isinstance(space, Cantor):
+        listed = recursive_cantor_net(space, x0, R, resolution)[1]
+    else:
+        listed = (coords if space.period is None else coords % 1.0).tolist()
+    at = [coords.size - 1, 0, coords.size // 2, 1, 1]
+    got = take(at)
+    assert [repr(p) for p in got] == [repr(listed[i]) for i in at]
+    assert take(np.arange(coords.size)) == listed and take([]) == []
+
+
 @pytest.mark.parametrize("seed", [None, 3], ids=["sorted", "seeded"])
 def test_cantor_sparse_set_builds_only_its_points(monkeypatch, seed):
     # the greedies read the net's coordinates: the only CantorPoints built
@@ -684,13 +741,14 @@ def test_cantor_sparse_set_builds_only_its_points(monkeypatch, seed):
 def test_probe_net_count_bounds_the_net(monkeypatch, space, x0, R, resolution):
     # the pre-walk count is never below the net it admits: a cap of one point
     # less than the net holds rejects it (exactly at the cap for a linspace net)
-    n = space.net(x0, R, resolution)[0].size
+    x = space.embed(x0)
+    n = space.net(x, R, resolution)[0].size
     if not isinstance(space, Cantor):
         monkeypatch.setattr(spaces, "MAX_NET_POINTS", n)
-        assert space.net(x0, R, resolution)[0].size == n
+        assert space.net(x, R, resolution)[0].size == n
     monkeypatch.setattr(spaces, "MAX_NET_POINTS", n - 1)
     with pytest.raises(ValueError, match=f"more than MAX_NET_POINTS = {n - 1}"):
-        space.net(x0, R, resolution)
+        space.net(x, R, resolution)
 
 
 def test_sparse_circle_wraparound(circle):

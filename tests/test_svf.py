@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,10 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limsupdim import (
+    Cantor,
+    Circle,
     ExplicitSchedule,
+    Interval,
+    OmegaStream,
     PowerLawSchedule,
+    ProductSpace,
     RadiusTuple,
     closed_form_dimension,
+    cover_rectangle,
     critical_exponent_series,
     estimate_sum_growth,
     exponent_profile,
@@ -896,3 +903,82 @@ def test_exact_sum_copies_a_strided_view_chunk_by_chunk():
         tracemalloc.stop()
     assert acc.value() == 1e6
     assert peak < 4 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# one index rule for schedules and streams
+# ---------------------------------------------------------------------------
+
+_RULE = r"^indices must be integers in \[1, 2\*\*63\), got"
+_SCHEDULES = [
+    PowerLawSchedule((1, 2), (3, 1)),
+    ExplicitSchedule((RadiusTuple((0.5, 0.25)),), tail=PowerLawSchedule((1, 2))),
+    ExplicitSchedule((RadiusTuple((0.5, 0.25)), RadiusTuple((0.4, 0.1))), tail="constant"),
+]
+
+
+@pytest.mark.parametrize("sched", _SCHEDULES, ids=["power", "explicit-power", "explicit-constant"])
+@pytest.mark.parametrize("bad", [0, -1, 1.5, 2.5, math.nan, math.inf, 2**63])
+def test_schedules_and_streams_refuse_indices_by_one_rule(sched, bad):
+    # radius_tuple(0) on a power law ended in ZeroDivisionError, 1.5 gave a
+    # tuple for an index that does not exist, and an explicit schedule's
+    # log_radii read the tail at 2 for 2.5 where its radius_tuple read 2.5
+    with pytest.raises(ValueError, match=rf"{_RULE} {re.escape(str(bad))}$"):
+        sched.radius_tuple(bad)
+    for ns in ([bad], np.array([3, bad]), [2.0, bad]):
+        with pytest.raises(ValueError, match=_RULE):
+            sched.log_radii(ns)
+    stream = OmegaStream(5, ProductSpace((Circle(), Cantor(0.25))))
+    with pytest.raises(ValueError, match=rf"{_RULE} {re.escape(str(bad))}$"):
+        stream.omega(bad)
+    with pytest.raises(ValueError, match=_RULE):
+        stream.factor_coords(1, [1, bad])
+
+
+@pytest.mark.parametrize("sched", _SCHEDULES, ids=["power", "explicit-power", "explicit-constant"])
+def test_schedules_take_int_uint64_and_integral_float_indices(sched):
+    ns = [1, 2, 3, 7, 2**40]
+    want = sched.log_radii(np.array(ns, dtype=np.int64))
+    for given_ns in (ns, np.array(ns, dtype=np.uint64), np.array(ns, dtype=float)):
+        assert sched.log_radii(given_ns).tobytes() == want.tobytes()
+    for n in ns:
+        tup = sched.radius_tuple(n)
+        assert sched.radius_tuple(float(n)) == tup == sched.radius_tuple(np.uint64(n))
+
+
+def _cover_rect(center, radii, r):
+    return cover_rectangle(ProductSpace((Interval(), Interval())), center, radii, r)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Cantor(0.7), "contraction ratio must be in (0, 1/2), got 0.7"),
+    (lambda: ProductSpace(()), "product space needs at least one factor"),
+    (lambda: _cover_rect((0.5, 0.5), (0.1, 0.1), 0.0),
+     "cube radius must be positive and finite, got 0.0"),
+    (lambda: _cover_rect((0.5,), (0.1, 0.1), 0.01),
+     "center/radii dimension mismatch with the product space"),
+    (lambda: _cover_rect((0.5, 0.5), (0.1, math.inf), 0.01),
+     "rectangle side radii must be positive and finite, got inf"),
+    (lambda: RadiusTuple(()), "radius tuple must be non-empty"),
+    (lambda: PowerLawSchedule(()), "decay exponents must form a non-empty 1-d sequence"),
+    (lambda: PowerLawSchedule((1, -2.0)), "all decay exponents must be finite and > 0, got -2.0"),
+    (lambda: PowerLawSchedule((1, 2), (1,)), "coefficients and alphas must have equal length"),
+    (lambda: PowerLawSchedule((1, 2), (1, math.nan)),
+     "all coefficients must be finite and > 0, got nan"),
+    (lambda: ExplicitSchedule(()), "explicit schedule needs at least one tuple"),
+    (lambda: ExplicitSchedule(((0.5, 0.25), (0.5,))),
+     "all radius tuples must have the same dimension"),
+    (lambda: ExplicitSchedule(((0.5,),), tail="linear"), "unknown tail model 'linear'"),
+    (lambda: ExplicitSchedule(((0.5,),), tail=PowerLawSchedule((1, 2))),
+     "tail model dimension mismatch"),
+    (lambda: closed_form_dimension(PowerLawSchedule((1, 2)), (1,)),
+     "dimension mismatch: 2 alphas vs 1 exponents"),
+    (lambda: critical_exponent_series(PowerLawSchedule((1, 2)), (1, 1), tol=0),
+     "tol must be positive and finite, got 0"),
+], ids=["cantor-ratio", "empty-product", "cube-radius", "rect-dimension", "side-radius",
+        "empty-tuple", "no-alphas", "alpha", "coefficient-count", "coefficient",
+        "no-tuples", "tuple-dimension", "tail-kind", "tail-dimension", "closed-form-dimension",
+        "bisection-tol"])
+def test_library_domain_errors_name_the_input(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
