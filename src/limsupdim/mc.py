@@ -170,6 +170,11 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
     equals math.fsum of its terms; the lower curve is c times
     ``partial_sums`` at t_u, a walk of its own.  Past the call, the memo
     keeps the schedule it was given and two floats per checkpoint.
+
+    Unlike the series walk, this walk takes no workspace of chunk buffers:
+    its calls are short, and buffers made per call pay their first touch on
+    every call.  Over 20 seeds of 1e5 terms, such a workspace raised the
+    minor page faults of a round from 12,820 to 19,900.
     """
     space = stream.space
     d = space.dim

@@ -42,7 +42,11 @@ walk their indices once, in chunks of ``_CHUNK`` cut at the checkpoints
 whatever the horizon N is, plus the density check's cell counts.  The
 fiber hit sum reads each chunk's log-radii once, for its observed curve
 and, unless its memo already holds them, its two expectation curves.
-The chunk kernels make each array once and work in place.
+The series walk (``_probe_sums``) makes its chunk arrays once per walk --
+the log-radii block, one terms block and one word buffer -- and refills
+them chunk after chunk through the kernels' ``out=`` and ``work=``, so its
+pages are faulted in once, not once a chunk; its indices are ranges, never
+arrays.  The other walks make their arrays per chunk and work in place.
 """
 
 from __future__ import annotations
@@ -153,12 +157,18 @@ def _piecewise_linear(breakpoints: Sequence[tuple[float, float]],
     return breakpoints[i - 1][1] + (t - ts[i - 1]) * slopes[i - 1]
 
 
-def log_phi_rows(log_r: np.ndarray, s: np.ndarray, t: float) -> np.ndarray:
+def log_phi_rows(log_r: np.ndarray, s: np.ndarray, t: float,
+                 out: np.ndarray | None = None,
+                 work: np.ndarray | None = None) -> np.ndarray:
     """log Phi for a batch of radius tuples given as rows of log-radii.
 
     ``log_r`` has shape (N, d); ``s`` has shape (d,).  Each row is sorted
     non-increasingly by radius (stable, so ties keep original order) and the
-    piecewise product is accumulated in log space.  Returns shape (N,).
+    piecewise product is accumulated in log space.  Returns shape (N,): a
+    fresh array, or ``out``, a float array of shape (N,), when given.
+    ``work``, when given, is a contiguous array of at least 8 N bytes that
+    the kernel overwrites: it holds the running sums, then the row-order
+    masks, which are otherwise made afresh.
 
     The batch takes the last row's stable order, which power-law rows keep
     from some n on: with the columns and exponents in that order the piece
@@ -185,19 +195,23 @@ def log_phi_rows(log_r: np.ndarray, s: np.ndarray, t: float) -> np.ndarray:
     # leftmost piece k with csum_s[k] >= t
     piece = min(sum(c < t for c in csum_s), d - 1)
     prev_s, prev_sl = 0.0, 0.0
-    out = np.empty(n)
+    out = np.empty(n) if out is None else out
+    work = (np.empty(n) if work is None else work).reshape(-1).view(np.uint8)
     for k in range(piece):
         prev_s = csum_s[k]
         if k == 0:
-            prev_sl = ss[0] * ls[0]
+            prev_sl = np.multiply(ss[0], ls[0], out=work[:8 * n].view(float))
         else:
             np.add(prev_sl, np.multiply(ss[k], ls[k], out=out), out=prev_sl)
     np.add(prev_sl, np.multiply(t - prev_s, ls[piece], out=out), out=out)
     # a row is in another order when it puts the right column of a pair
-    # first: by a larger value, or by an equal one from an earlier column
-    stray = np.zeros(n, dtype=bool)
+    # first: by a larger value, or by an equal one from an earlier column;
+    # the running sums are spent, so the masks take their bytes
+    stray, pair = work[:n].view(bool), work[n:2 * n].view(bool)
+    stray.fill(False)
     for i, j in zip(perm, perm[1:]):
-        stray |= log_r[:, i] < log_r[:, j] if i < j else log_r[:, i] <= log_r[:, j]
+        (np.less if i < j else np.less_equal)(log_r[:, i], log_r[:, j], out=pair)
+        stray |= pair
     if stray.any():
         log_r = log_r[stray]
         order = np.argsort(-log_r, axis=1, kind="stable")
@@ -286,6 +300,10 @@ def svf_profile(r: RadiusTuple | Sequence[float],
 # ---------------------------------------------------------------------------
 
 
+# indices per float block of a run's log n in PowerLawSchedule.log_radii
+_LOG_N_BLOCK = 1 << 13
+
+
 @dataclass(frozen=True)
 class PowerLawSchedule:
     """Radii r_{n,i} = kappa_i * n^{-alpha_i} with alpha_i > 0, kappa_i > 0.
@@ -314,19 +332,31 @@ class PowerLawSchedule:
     def dim(self) -> int:
         return len(self.alphas)
 
-    def log_radii(self, ns: np.ndarray) -> np.ndarray:
+    def log_radii(self, ns: np.ndarray | range, out: np.ndarray | None = None) -> np.ndarray:
         """(N, d) array of log r_{n,i} for the given indices (``_indices``),
-        a fresh array that the caller owns and may overwrite.
+        a fresh array that the caller owns and may overwrite, or ``out``, an
+        (N, d) float array whose columns are contiguous, when given.
 
         The array is column-major: each factor's column is contiguous, the
         layout the column-wise kernels read.  It is the only array made: the
         last column holds log n until each column in turn is written as
-        log kappa_i - alpha_i log n, the last one last.
+        log kappa_i - alpha_i log n, the last one last.  For a ``range`` of
+        indices (``_index_run``) no index array is made either: n is taken as
+        floats, a block at a time.
         """
-        ns = np.ravel(_indices(ns))
-        out = np.empty((ns.size, self.dim), order="F")
+        run = _index_run(ns)
+        if run is None:
+            ns = np.ravel(_indices(ns))
+        if out is None:
+            out = np.empty((len(ns), self.dim), order="F")
         logn = out[:, -1]
-        np.log(ns, out=logn, dtype=float)
+        if run is None:
+            np.log(ns, out=logn, dtype=float)
+        else:
+            # exact below 2^53, so their logs are the int64 indices' logs
+            for lo in range(run.start, run.stop, _LOG_N_BLOCK):
+                hi = min(lo + _LOG_N_BLOCK, run.stop)
+                np.log(np.arange(lo, hi, dtype=float), out=logn[lo - run.start: hi - run.start])
         log_k = np.log(self.coefficients)
         for i, alpha in enumerate(self.alphas):
             col = out[:, i]
@@ -410,9 +440,10 @@ class ExplicitSchedule:
     def dim(self) -> int:
         return len(self.tuples[0])
 
-    def log_radii(self, ns: np.ndarray) -> np.ndarray:
+    def log_radii(self, ns: np.ndarray | range, out: np.ndarray | None = None) -> np.ndarray:
         """(N, d) array of log r_{n,i} for the given indices, a fresh array
-        that the caller owns and may overwrite."""
+        that the caller owns and may overwrite, or ``out``, an (N, d) float
+        array, when given."""
         ns = _indices(ns)
         k = len(self.tuples)
         rest = ns > k
@@ -421,7 +452,7 @@ class ExplicitSchedule:
                 f"index beyond the {k} explicit tuples and no tail model declared"
             )
         # the constant tail is the last listed row, repeated
-        out = self._log_table[np.minimum(ns, k) - 1]
+        out = np.take(self._log_table, np.minimum(ns, k) - 1, axis=0, out=out)
         if self.power_model is not None and rest.any():
             out[rest] = self.power_model.log_radii(ns[rest])
         return out
@@ -597,14 +628,17 @@ def closed_form_dimension(sched: PowerLawSchedule,
 # Partial sums and growth diagnostics
 # ---------------------------------------------------------------------------
 
-# indices per chunk of every streaming loop; _ExactSum adds integer words
-# below 2^27, so with at most 2^16 values in a chunk every run sum and every
-# bin sum stays below 2^43, exact in floats in any order of adding
+# indices per chunk of every streaming loop; _ExactSum bins 32-bit halves
+# of at most 2^16 run sums, so every bin sum stays below 2^48, exact in
+# floats in any order of adding
 _CHUNK = 1 << 16
 
-_MASK26 = np.uint64((1 << 26) - 1)
-_HIGH26 = _MASK26 << np.uint64(26)
-_EXP26 = np.uint64(1023 + 26) << np.uint64(52)
+# _ExactSum's runs hold at most _RUN fractions, each below 2^52, so that a
+# run sum stays below 2^64, exact in uint64
+_RUN = 1 << 12
+_FRACTION = np.uint64((1 << 52) - 1)
+_BIN = np.uint64(1 << 52)
+_LOW32 = np.uint64((1 << 32) - 1)
 
 
 class _ExactSum:
@@ -612,19 +646,20 @@ class _ExactSum:
 
     A binned superaccumulator (Neal 2015, arXiv:1505.05571): each chunk of
     values is viewed as uint64 words, whose top 12 bits (sign and biased
-    exponent) pick one of 4096 bins.  Each bin gets two sums: of the high 26
-    mantissa bits plus the implicit leading bit (weight 2^26), and of the
-    low 26 bits.  Series and prefix terms are monotone in n, so long runs
-    of consecutive values share a bin: each run is summed with
-    ``np.add.reduceat`` and a bincount over the runs alone folds the run
-    sums into the bins.  Every word is an integer below 2^27 and a chunk
-    holds at most 2^16 of them, so every run sum and bin sum stays below
-    2^43 and is exact in any order of adding.  The zero and subnormal
-    bins, 0 and 2048, have no implicit bit: their count times 2^26 comes
-    off their high sum again.  The non-empty bins fold into one Python int,
-    the sum scaled by 2^1074 (subnormals scale like exponent 1 and have no
-    implicit bit; bins from 2048 on are negative).  ``value`` divides that
-    int by 2^1074, which CPython rounds correctly, half to even, so it
+    exponent) pick one of 4096 bins, and whose low 52 bits are the
+    fraction.  Series and prefix terms are monotone in n, so long runs of
+    consecutive values share a bin: two neighbours do when their words
+    differ below bit 52 only.  Each run, cut every _RUN values, sums its
+    fractions in uint64 with ``np.add.reduceat``, exactly, since _RUN
+    fractions stay below 2^64.  Bincounts over the runs alone fold their
+    lengths and the high and low 32 bits of their sums into the bins; a
+    chunk holds at most 2^16 runs, so every bin sum stays below 2^48 and is
+    exact in any order of adding.  A normal bin adds the implicit bit,
+    2^52, once per value, its count times 2^52; the zero and subnormal
+    bins, 0 and 2048, have no implicit bit.  The non-empty bins
+    fold into one Python int, the sum scaled by 2^1074 (subnormals scale
+    like exponent 1; bins from 2048 on are negative).  ``value`` divides
+    that int by 2^1074, which CPython rounds correctly, half to even, so it
     equals ``math.fsum`` of every value added, in O(chunk) memory whatever
     the count.  Values of any shape are added as their ravel: the sum does
     not depend on order.
@@ -635,9 +670,14 @@ class _ExactSum:
     "intermediate overflow" when a running sum of mixed signs passes the
     float range, as in [1e308, 1e308, -1e308], while the exact sum, 1e308,
     is returned here.
+
+    ``words``, when given, is a uint64 array of at least min(_CHUNK, values
+    added at once) entries that every ``add`` works in, in place of a
+    fresh one; the accumulators of one walk share it.
     """
 
-    def __init__(self):
+    def __init__(self, words: np.ndarray | None = None):
+        self._words = words
         self._total = 0
         # fsum's own bookkeeping of non-finite values
         self._special = 0.0
@@ -649,37 +689,38 @@ class _ExactSum:
         for lo in range(0, values.size, _CHUNK):
             chunk = np.ascontiguousarray(values[lo: lo + _CHUNK])
             bits = chunk.view(np.uint64)
-            # the shifted words are below 4096: their intp view is the bin
-            index = (bits >> np.uint64(52)).view(np.intp)
-            new_run = np.empty(chunk.size, dtype=bool)
-            new_run[:1] = True
-            np.not_equal(index[1:], index[:-1], out=new_run[1:])
+            n = chunk.size
+            words = np.empty(n, np.uint64) if self._words is None else self._words[:n]
+            # new_run[i]: value i starts a run; new_run[n] closes the last
+            new_run = np.empty(n + 1, dtype=bool)
+            np.bitwise_xor(bits[1:], bits[:-1], out=words[1:])
+            np.greater_equal(words[1:], _BIN, out=new_run[1:n])
+            new_run[::_RUN] = True
+            new_run[n] = True
             # summing runs of one bin beats a bincount over the values,
             # whose updates of one bin wait on each other
-            starts = np.flatnonzero(new_run)
-            run_bins = index[starts]
-            # the high bits given exponent 26 are the float 2^26 + high
-            # bits: the high word with its implicit bit, made without a cast
-            words = np.bitwise_and(bits, _HIGH26)
-            words |= _EXP26
-            high = np.bincount(run_bins, np.add.reduceat(words.view(float), starts), 4096)
-            np.bitwise_and(bits, _MASK26, out=words)
-            low = np.bincount(run_bins, np.add.reduceat(words, starts), 4096)
-            # every value adds at least 2^26 to its bin's high sum
-            bins = np.flatnonzero(high)
-            for b, h, l in zip(bins.tolist(), high[bins].tolist(), low[bins].tolist()):
+            ends = np.flatnonzero(new_run)
+            starts = ends[:-1]
+            run_bins = (bits[starts] >> np.uint64(52)).view(np.intp)
+            sums = np.add.reduceat(np.bitwise_and(bits, _FRACTION, out=words), starts)
+            count = np.bincount(run_bins, ends[1:] - starts, 4096)
+            high = np.bincount(run_bins, sums >> np.uint64(32), 4096)
+            low = np.bincount(run_bins, sums & _LOW32, 4096)
+            # numpy finds the nonzero entries of a bool array many times
+            # faster than those of a float one
+            bins = np.flatnonzero(count > 0)
+            for b, c, h, l in zip(bins.tolist(), count[bins].tolist(),
+                                  high[bins].tolist(), low[bins].tolist()):
                 e = b & 0x7FF
                 if e == 0x7FF:  # inf or NaN
-                    for v in np.unique(chunk[index == b]).tolist():
+                    for v in np.unique(chunk[bits >> np.uint64(52) == b]).tolist():
                         self._special += v
                         if math.isinf(v):
                             self._infs += v
                     continue
-                m = (int(h) << 26) + int(l)
-                if e:
-                    m <<= e - 1
-                else:  # zeros and subnormals have no implicit bit
-                    m -= int(np.count_nonzero(index == b)) << 52
+                m = (int(h) << 32) + int(l)
+                if e:  # zeros and subnormals have no implicit bit
+                    m = (m + (int(c) << 52)) << (e - 1)
                 self._total += -m if b >> 11 else m
 
     def value(self) -> float:
@@ -702,10 +743,12 @@ def running_fsums(values: Iterable[float]) -> Iterator[float]:
             for total in accumulate(n << (1075 - d.bit_length()) for n, d in ratios))
 
 
-def _phi_terms(log_r: np.ndarray, sv: np.ndarray, t: float) -> np.ndarray:
-    """Phi(t) of each row of log-radii, exponentiated in place; the array
-    is the caller's and dies with the expression that adds it to a sum."""
-    terms = log_phi_rows(log_r, sv, t)
+def _phi_terms(log_r: np.ndarray, sv: np.ndarray, t: float,
+               out: np.ndarray | None = None,
+               work: np.ndarray | None = None) -> np.ndarray:
+    """Phi(t) of each row of log-radii, ``log_phi_rows`` (into ``out``,
+    with ``work``) exponentiated in place."""
+    terms = log_phi_rows(log_r, sv, t, out, work)
     return np.exp(terms, out=terms)
 
 
@@ -732,10 +775,21 @@ def _index(n) -> int:
     return i
 
 
+def _index_run(ns) -> range | None:
+    """``ns`` if it is a range of step 1 of indices below 2^53, where every
+    index is exact as a float, else None."""
+    if isinstance(ns, range) and ns.step == 1 and 1 <= ns.start and ns.stop <= 2**53:
+        return ns
+    return None
+
+
 def _indices(ns) -> np.ndarray:
     """Indices as an int64 array.  An integer array is range-checked by its
-    least and greatest entries; any other, or one out of range, is checked
-    index by index, and the first refused one is named."""
+    least and greatest entries, a run of indices (``_index_run``) by its
+    ends; any other, or one out of range, is checked index by index, and
+    the first refused one is named."""
+    if _index_run(ns) is not None:
+        return np.arange(ns.start, ns.stop, dtype=np.int64)
     ns = np.asarray(ns)
     if ns.dtype.kind in "iu" and (ns.size == 0 or (ns.min() >= 1 and ns.max() < 2**63)):
         return ns.astype(np.int64, copy=False)
@@ -761,16 +815,22 @@ def sorted_checkpoints(Ns: Iterable[int], upper: int | None = None) -> list[int]
     return cps
 
 
-def _checkpoint_chunks(cps: list[int]):
-    """Indices 1..cps[-1] as int64 arrays of at most _CHUNK, each cut at the
-    sorted checkpoints ``cps``; yields (ns, N) with N the checkpoint the
-    chunk ends on, or None."""
+def _checkpoint_ranges(cps: list[int]):
+    """Indices 1..cps[-1] as ranges of at most _CHUNK, each cut at the
+    sorted checkpoints ``cps``; yields (run, N) with N the checkpoint the
+    run ends on, or None."""
     start = 1
     for N in cps:
         for lo in range(start, N + 1, _CHUNK):
             hi = min(lo + _CHUNK - 1, N)
-            yield np.arange(lo, hi + 1, dtype=np.int64), (N if hi == N else None)
+            yield range(lo, hi + 1), (N if hi == N else None)
         start = N + 1
+
+
+def _checkpoint_chunks(cps: list[int]):
+    """``_checkpoint_ranges`` with each run as an int64 array."""
+    for run, N in _checkpoint_ranges(cps):
+        yield np.arange(run.start, run.stop, dtype=np.int64), N
 
 
 def prefix_fsums(values: np.ndarray, ends: Iterable[int]) -> list[float]:
@@ -813,20 +873,28 @@ def _probe_sums(sched: RadiusSchedule, s: Sequence[float],
                 ts: Sequence[float], Ns: Sequence[int] | None) -> list[list[float]]:
     """``partial_sums`` at each exponent of ``ts``, in one walk over the
     chunks: a chunk's log-radii are made once and give every probe's terms,
-    then each probe's terms go to its own ``_ExactSum``."""
+    then each probe's terms go to its own ``_ExactSum``.
+
+    The walk makes its chunk arrays once: the log-radii block, one terms
+    block that each probe fills, exponentiates and adds in turn, and one
+    word buffer that ``log_phi_rows`` works in and every accumulator bins
+    in.  Arrays made afresh per chunk can be handed back to the kernel by
+    glibc and faulted in again chunk after chunk: 8,512 minor faults for a
+    1e6-term verdict walk with two probes, in a process whose allocations
+    have not raised glibc's trim threshold."""
     if Ns is None or len(Ns) == 0:
         return [[] for _ in ts]
     sv, ts = _exponents(s), [float(t) for t in ts]
-    accs, sums = [_ExactSum() for _ in ts], [{} for _ in ts]
-    for ns, N in _checkpoint_chunks(sorted_checkpoints(Ns)):
-        # freeing each array once read keeps a d = 2 chunk's peak low
-        # enough that glibc does not trim the heap and fault it in again
-        log_r = sched.log_radii(ns)
-        del ns
-        terms = [_phi_terms(log_r, sv, t) for t in ts]
-        del log_r
-        for acc, found in zip(accs, sums):
-            acc.add(terms.pop(0))
+    cps = sorted_checkpoints(Ns)
+    size = min(_CHUNK, cps[-1])
+    log_r, terms = np.empty((size, sched.dim), order="F"), np.empty(size)
+    words = np.empty(size, np.uint64)
+    accs, sums = [_ExactSum(words) for _ in ts], [{} for _ in ts]
+    for run, N in _checkpoint_ranges(cps):
+        k = len(run)
+        chunk = sched.log_radii(run, out=log_r[:k])
+        for t, acc, found in zip(ts, accs, sums):
+            acc.add(_phi_terms(chunk, sv, t, out=terms[:k], work=words))
             if N is not None:
                 found[N] = acc.value()
     return [[found[int(N)] for N in Ns] for found in sums]

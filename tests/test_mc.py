@@ -1061,7 +1061,7 @@ def test_verdict_slopes_walk_the_terms_once(monkeypatch, torus2):
     rows = []
     real = PowerLawSchedule.log_radii
     monkeypatch.setattr(PowerLawSchedule, "log_radii",
-                        lambda self, ns: rows.append(len(ns)) or real(self, ns))
+                        lambda self, ns, out=None: rows.append(len(ns)) or real(self, ns, out))
     rep = dimension_verdict(sched, (1, 1), torus2, [101], FAST_VERDICT)
     walked = sum(rows)
     # the tail covers read the window's radii once per t probe

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -660,6 +663,72 @@ def test_partial_sums_in_small_chunks(monkeypatch, chunk):
         v.hex() for v in materialised_partial_sums(sched, (1, 1, 1), 1.3, Ns)]
 
 
+# one schedule per dimension, an explicit head with a power tail, and a
+# power law whose rows change order at n = 3 (r = 3/n^2 against 1/n), so
+# its first chunk holds rows in both orders and takes the stray path
+_WALKS = {
+    "d1": (PowerLawSchedule((1.5,)), (1,), (0.0, 0.4, 1.0)),
+    "d2": (PowerLawSchedule((1, 2)), (1, 1), (0.5, 1.5, 2.0)),
+    "d3": (PowerLawSchedule((0.5, 1, 2), (2, 1, 0.5)), (1, 1, 1), (0.7, 1.9, 2.5)),
+    "explicit-power-tail": (ExplicitSchedule(_TUPLES, tail=PowerLawSchedule((1, 2, 3))),
+                            (1, 1, 1), (0.3, 1.3)),
+    "both-orders": (PowerLawSchedule((2, 1), (3, 1)), (1, 1), (0.5, 1.5)),
+}
+
+
+def _fsum_of_materialised_terms(sched, s, t, Ns):
+    terms = svf._phi_terms(sched.log_radii(np.arange(1, max(Ns) + 1)), svf._exponents(s), t)
+    return [math.fsum(terms[:N].tolist()).hex() for N in Ns]
+
+
+@pytest.mark.parametrize("chunk", [8, 64, None])
+@pytest.mark.parametrize("name", list(_WALKS))
+def test_walk_reusing_its_buffers_equals_fsum_of_materialised_terms(monkeypatch, name, chunk):
+    # every probe of a walk refills one terms block, and a full chunk is
+    # followed by a short one: a stale tail of a buffer would be summed
+    if chunk is not None:
+        monkeypatch.setattr(svf, "_CHUNK", chunk)
+    sched, s, ts = _WALKS[name]
+    full = svf._CHUNK
+    Ns = [1, full - 1, full, full + full // 2 + 3]
+    got = svf._probe_sums(sched, s, ts, Ns)
+    assert [[v.hex() for v in sums] for sums in got] == [
+        _fsum_of_materialised_terms(sched, s, t, Ns) for t in ts]
+
+
+def test_back_to_back_walks_each_equal_the_walk_alone(monkeypatch):
+    monkeypatch.setattr(svf, "_CHUNK", 64)
+    long_3d = (*_WALKS["d3"], [200])
+    short_2d = (*_WALKS["both-orders"], [37])
+    alone = [svf._probe_sums(*short_2d), svf._probe_sums(*long_3d)]
+    assert [svf._probe_sums(*long_3d), svf._probe_sums(*short_2d)] == alone[::-1]
+    assert [v.hex() for v in alone[0][1]] == _fsum_of_materialised_terms(
+        _WALKS["both-orders"][0], (1, 1), 1.5, [37])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor faults are read from Linux rusage")
+def test_verdict_walk_takes_few_page_faults_in_a_warm_process():
+    # arrays made afresh per chunk were handed back to the kernel and
+    # faulted in again: 8,512 minor faults a walk, where the walk's own
+    # buffers take none once warm.  A fresh interpreter, since what this
+    # process allocated before moves glibc's trim thresholds.
+    code = (
+        "import resource\n"
+        "from limsupdim.svf import PowerLawSchedule, _growth_slopes\n"
+        "args = (PowerLawSchedule((1, 2)), (1, 1), (0.5, 1.5), (10**4, 10**5, 10**6))\n"
+        "_growth_slopes(*args)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "_growth_slopes(*args)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(svf.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env=env, timeout=120)
+    faults = int(out.stdout)
+    assert faults <= 2500, faults
+
+
 def test_partial_sums_peak_memory():
     # the materialised terms and fsum of each prefix peaked at 48.5 MB here
     tracemalloc.start()
@@ -792,10 +861,10 @@ def _inside_a_run(base, inside):
     return values
 
 
-# one full chunk of a value with all significand bits set is one run with
-# the largest run and per-bin sums; zeros and subnormals take 2^26 per value
-# off their high sums; a few other values inside a run of one split it; a
-# shuffled chunk over 600 binades is nearly all runs of one value
+# one full chunk of a value with all significand bits set is one bin with
+# the largest run and per-bin sums; zeros and subnormals add no implicit
+# bit; a few other values inside a run of one split it; a shuffled chunk
+# over 600 binades is nearly all runs of one value
 _FULL_CHUNKS = {
     "all-bits-set": np.full(_FULL, np.nextafter(2.0, 0.0)),
     "minus-all-bits-set": np.full(_FULL, -np.nextafter(2.0, 0.0)),
