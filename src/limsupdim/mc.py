@@ -26,7 +26,7 @@ from .svf import (
     PowerLawSchedule,
     RadiusSchedule,
     _ExactSum,
-    _checkpoint_chunks,
+    _checkpoint_ranges,
     _growth_slopes,
     _index,
     _indices,
@@ -203,7 +203,8 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
     c_const = math.prod(1.0 / f.c for f in space.factors[:-1])
     observed, expected = _ExactSum(), _ExactSum()
     partials, exact, hit_count = [], [], 0
-    for ns, N in _checkpoint_chunks(cps):
+    for run, N in _checkpoint_ranges(cps):
+        ns = _indices(run)
         log_r = sched.log_radii(ns)
         radii = np.exp(log_r, out=log_r)
         hits = np.ones(ns.size, dtype=bool)
@@ -504,7 +505,8 @@ def density_check(stream: OmegaStream, delta: float, horizon: int) -> DensityRep
     half = horizon // 2
     # counts is rebound, not added to in place, so counts_half stays a snapshot
     counts = counts_half = np.zeros(total_cells, dtype=np.int64)
-    for ns, N in _checkpoint_chunks(sorted({half, horizon} - {0})):
+    for run, N in _checkpoint_ranges(sorted({half, horizon} - {0})):
+        ns = _indices(run)
         index = np.ravel_multi_index([factor.stream_cells(stream.seed, i, ns, delta)
                                       for i, factor in enumerate(space.factors)], cells)
         counts = counts + np.bincount(index, minlength=total_cells)

@@ -827,12 +827,6 @@ def _checkpoint_ranges(cps: list[int]):
         start = N + 1
 
 
-def _checkpoint_chunks(cps: list[int]):
-    """``_checkpoint_ranges`` with each run as an int64 array."""
-    for run, N in _checkpoint_ranges(cps):
-        yield np.arange(run.start, run.stop, dtype=np.int64), N
-
-
 def prefix_fsums(values: np.ndarray, ends: Iterable[int]) -> list[float]:
     """math.fsum of values[:end] for each end, exactly rounded, so a sum does
     not depend on how its terms were computed or partitioned.  One

@@ -51,8 +51,9 @@ from limsupdim.mc import (
 )
 from limsupdim.spaces import ProductSpace, cover_rectangle
 from limsupdim.svf import (
-    _checkpoint_chunks,
+    _checkpoint_ranges,
     _ExactSum,
+    _indices,
     _phi_terms,
     log_phi_rows,
     sorted_checkpoints,
@@ -514,7 +515,8 @@ def unmemoised_fiber_hit_sum(stream, sched, s, anchor, u, checkpoints):
     c_const = math.prod(1.0 / f.c for f in space.factors[:-1])
     observed, expected, series = _ExactSum(), _ExactSum(), _ExactSum()
     partials, exact, lower, hit_count = [], [], [], 0
-    for ns, N in _checkpoint_chunks(cps):
+    for run, N in _checkpoint_ranges(cps):
+        ns = _indices(run)
         log_r = sched.log_radii(ns)
         series.add(_phi_terms(log_r, sv, t_u))
         radii = np.exp(log_r, out=log_r)
