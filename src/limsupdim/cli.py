@@ -350,8 +350,7 @@ def _run_cover_rect(cfg: RunConfig) -> RunOutcome:
 
 def _run_sparse(cfg: RunConfig) -> RunOutcome:
     factor, x0 = _single_factor(cfg, "sparse subsets are built per factor space")
-    rng = np.random.default_rng(cfg.seed) if cfg.seed is not None else None
-    points = max_sparse_subset(factor, x0, cfg.R, cfg.radius, rng)
+    points = max_sparse_subset(factor, x0, cfg.R, cfg.radius, cfg.seed)
     lo, hi = sparse_bounds(factor, cfg.R, cfg.radius)
     rows = [[i, factor.format_point(p)] for i, p in enumerate(points)]
     body = csv_body(["index", "point"], rows)
@@ -386,6 +385,11 @@ def _run_fiber_sum(cfg: RunConfig) -> RunOutcome:
 
 
 def _run_divergence(cfg: RunConfig) -> RunOutcome:
+    # numpy's own refusals of these name no flag
+    if cfg.N < 1:
+        raise ValueError(f"--n must be a positive integer, got {cfg.N}")
+    if cfg.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {cfg.seed}")
     p = _expectations(cfg)
     checkpoints = _values(cfg.checkpoints, int) if cfg.checkpoints else None
     rng = np.random.default_rng(cfg.seed)

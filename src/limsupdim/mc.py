@@ -28,7 +28,6 @@ from .svf import (
     _ExactSum,
     _checkpoint_ranges,
     _growth_slopes,
-    _index,
     _indices,
     _integer,
     closed_form_dimension,
@@ -68,7 +67,8 @@ class OmegaStream:
     The seed and the indices are counts (``svf.sorted_checkpoints``): an
     integral float such as 1e3 is that int, and anything else is refused.
     Indices run from 1 to 2**63 - 1, by the rule of schedule indices, which
-    lives in ``svf`` (``_index``, ``_indices``).
+    lives in ``svf`` (``_index``, ``_indices``).  The stream gives embedded
+    coordinates only (``factor_coords``): it decodes no points.
     """
 
     seed: int
@@ -80,12 +80,6 @@ class OmegaStream:
     def factor_coords(self, i: int, ns: np.ndarray) -> np.ndarray:
         """Embedded coordinates of factor i for the given indices."""
         return self.space.factors[i].stream_coords(self.seed, i, _indices(ns))
-
-    def omega(self, n: int) -> tuple:
-        """The n-th center as a tuple of factor points."""
-        n = _index(n)
-        return tuple(f.stream_point(self.seed, i, n)
-                     for i, f in enumerate(self.space.factors))
 
 
 def _require_matching_regularity(space: ProductSpace, s: Sequence[float]) -> np.ndarray:

@@ -40,14 +40,14 @@ arguments, read from descriptors and from CLI tokens such as "cantor:0.25"),
 c, s and diameter; and implements embed, validate_point, net (an embedded
 centre in; sorted coordinates and their decoder out), ball_measure and
 ball_measure_array (one radius and a whole array of radii, bit for bit the
-same masses), sample, the counter stream (stream_coords, stream_point),
-density cells (cell_count, stream_cells), text (parse_point, format_point)
-and anchor.  Defaults serve the rest: coordinate (the float the metric
-reads for a point, embed's) and distances (the line metric |a - b| between
-coordinates, elementwise over arrays), which the circle overrides; distance,
-``distances`` of one point's coordinate, as a one-element array, against
-another's; period, set only by a metric that wraps around; and descriptor,
-built from kind, params, c and s.  A metric is a function of the rounded
+same masses), the counter stream (stream_coords: coordinates only, no
+points), density cells (cell_count, stream_cells), text (parse_point,
+format_point) and anchor.  Defaults serve the rest: coordinate (the float
+the metric reads for a point, embed's) and distances (the line metric
+|a - b| between coordinates, elementwise over arrays), which the circle
+overrides; distance, ``distances`` of one point's coordinate, as a
+one-element array, against another's; period, set only by a metric that
+wraps around; and descriptor, built from kind, params, c and s.  A metric is a function of the rounded
 difference of two coordinates that grows away from zero (on a line) or from
 each multiple of the period, up to the midpoint between two of them: the
 sparse-set greedies test a candidate against a few sorted neighbours on
@@ -151,16 +151,9 @@ class RegularSpace:
         """Exact ball measures mu(B(x, r)) over a 1-d array of radii."""
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator):
-        raise NotImplementedError
-
     def stream_coords(self, seed: int, lane: int, ns: np.ndarray) -> np.ndarray:
         """Embedded coordinates of the counter stream keyed (seed, lane) at
         the indices ns; each value is a function of (seed, lane, n) alone."""
-        raise NotImplementedError
-
-    def stream_point(self, seed: int, lane: int, n: int):
-        """The stream's point at index n; it embeds to stream_coords' value."""
         raise NotImplementedError
 
     def cell_count(self, delta: float) -> int:
@@ -205,17 +198,11 @@ class RegularSpace:
 
 class _UnitCoordinateSpace(RegularSpace):
     """Kinds whose points are floats and whose measure is uniform on [0, 1):
-    the interval and the circle share sampling, the counter stream, density
-    cells of equal length, the anchor 0.5 and the text form."""
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.random())
+    the interval and the circle share the counter stream, density cells of
+    equal length, the anchor 0.5 and the text form."""
 
     def stream_coords(self, seed: int, lane: int, ns: np.ndarray) -> np.ndarray:
         return crng.uniform01(seed, lane, ns)
-
-    def stream_point(self, seed: int, lane: int, n: int) -> float:
-        return float(self.stream_coords(seed, lane, np.array([n]))[0])
 
     def cell_count(self, delta: float) -> int:
         cells = 1.0 / delta
@@ -370,9 +357,11 @@ class Cantor(RegularSpace):
         out[:self._pow.size] = self._pow[:count]
         return out
 
-    def weights(self, depth: int) -> np.ndarray:
-        """Embedding weights (1-lam) * lam^k for digit positions k < depth."""
-        return (1.0 - self.lam) * self._powers(depth)
+    def _depth(self, length: float) -> int:
+        """The first depth k whose cylinders, of length lam^k, are no longer
+        than ``length``: the one depth rule of nets and density cells.  The
+        table ends at lam^K = 0.0."""
+        return int(np.argmax(self._pow <= length))
 
     def embed_digits(self, digits) -> float:
         """The embedding of one point's digits (ints): ``_embed_rows`` over
@@ -443,7 +432,8 @@ class Cantor(RegularSpace):
         distances to the ends of x's depth-(k+1) cylinder.  Near is never far - size."""
         depth = max((k + 1 for k, d in enumerate(digits) if d), default=0)
         lam = self.lam
-        pw = self._powers(depth + 1).tolist()
+        m = max(depth, self._tail.shape[1])
+        pw = self._powers(m + 1).tolist()
         ends = [pw[depth], 0.0]
         sides = ([], [])
         for k in range(depth - 1, -1, -1):
@@ -453,8 +443,7 @@ class Cantor(RegularSpace):
                              2.0 ** -(k + 1)))
             ends[d] = far
         right, left = (np.array(pieces + [(math.inf, math.inf, 1.0, 0.0)]).T for pieces in sides)
-        m = max(depth, self._tail.shape[1])
-        whole = [[lam**m], [0.0], [lam**m], [2.0**-m]]
+        whole = [[pw[m]], [0.0], [pw[m]], [2.0**-m]]
         right = np.concatenate((whole, self._tail[:, :m - depth], right), axis=1)
         return [(*t, np.concatenate(([0.0], np.cumsum(t[3, :-1])))) for t in (right, left)]
 
@@ -477,30 +466,22 @@ class Cantor(RegularSpace):
             rho, weight, found, at = rho[on], weight[on], found[on], at[on]
         return total
 
-    def sample(self, rng: np.random.Generator) -> CantorPoint:
-        return self.point(rng.integers(0, 2, size=self.default_depth))
-
     def stream_coords(self, seed: int, lane: int, ns: np.ndarray) -> np.ndarray:
         """Digit k of the point at index n is bit k of its hash word: bit
         k mod 8 of byte k // 8, little-endian, as ``crng.bits`` reads it.
-        The digits come row by row from the words' leading bytes, transposed
-        into one contiguous (ceil(depth / 8), N) array."""
+        The digits come row by row from the words' leading bytes
+        (``_octets``)."""
         depth = self.default_depth
-        words = crng.words(seed, lane, ns).astype("<u8", copy=False)
-        octets = np.ascontiguousarray(
-            words.view(np.uint8).reshape(-1, 8)[:, :(depth + 7) // 8].T)
-        return self._embed_rows(_bit_rows(octets, depth), words.size)
-
-    def stream_point(self, seed: int, lane: int, n: int) -> CantorPoint:
-        digits = crng.bits(seed, lane, np.array([n]), self.default_depth)[0].tolist()
-        return self.point(digits)
+        # the words stay referenced through the embedding: freed before it,
+        # a 2^16-index call ran ~15 % slower
+        words = crng.words(seed, lane, ns)
+        return self._embed_rows(_bit_rows(_octets(words, depth), depth), words.size)
 
     def _cell_depth(self, delta: float) -> int:
-        """Digits that resolve cylinders of diameter <= delta; a depth past
-        the stream's sampling depth is a domain error."""
-        depth = 0
-        while self.lam**depth > delta:
-            depth += 1
+        """Digits that resolve cylinders of diameter <= delta, by the nets'
+        depth rule; a depth past the stream's sampling depth is a domain
+        error."""
+        depth = self._depth(delta)
         if depth > self.default_depth:
             raise ValueError(
                 f"delta={delta} needs {depth} digits of {self!r}, more than "
@@ -513,10 +494,15 @@ class Cantor(RegularSpace):
 
     def stream_cells(self, seed: int, lane: int, ns: np.ndarray,
                      delta: float) -> np.ndarray:
+        # the leading digits of stream_coords' points read as a binary
+        # number, first digit highest: shifted in one digit row at a time
         depth = self._cell_depth(delta)
-        digits = crng.bits(seed, lane, ns, self.default_depth)[:, :depth]
-        # the leading digits read as a binary number, first digit highest
-        return digits.astype(np.int64) @ (1 << np.arange(depth - 1, -1, -1))
+        words = crng.words(seed, lane, ns)
+        cells = np.zeros(words.size, dtype=np.int64)
+        for digit in _bit_rows(_octets(words, depth), depth):
+            cells <<= 1
+            cells |= digit
+        return cells
 
     def _cylinder_codes(self, a: float, b: float, depth: int) -> np.ndarray:
         """The depth-``depth`` cylinders meeting [a, b], ascending, as codes:
@@ -545,9 +531,7 @@ class Cantor(RegularSpace):
     def net(self, x: float, R: float, resolution: float):
         if not resolution > 0.0:
             raise ValueError(f"net resolution must be positive, got {resolution}")
-        # the first depth whose cylinders are no longer than the resolution;
-        # the table ends at lam^K = 0.0
-        depth = int(np.argmax(self._pow <= resolution))
+        depth = self._depth(resolution)
         # cylinders shorter than the float spacing about the ball have ends
         # that round together: both children of each one would meet the ball,
         # and the walk would double per level past the count below
@@ -597,6 +581,14 @@ class Cantor(RegularSpace):
         return f"Cantor(lam={self.lam}, c={self.c:.6g}, s={self.s:.6g})"
 
 
+def _octets(words: np.ndarray, depth: int) -> np.ndarray:
+    """The leading ceil(depth / 8) bytes of each hash word, little-endian,
+    transposed into one contiguous (ceil(depth / 8), N) array: digit k of a
+    stream point is bit k mod 8 of row k // 8, as ``crng.bits`` reads it."""
+    words = words.astype("<u8", copy=False)
+    return np.ascontiguousarray(words.view(np.uint8).reshape(-1, 8)[:, :(depth + 7) // 8].T)
+
+
 def _bit_rows(octets: np.ndarray, depth: int):
     """Digit rows k = 0 .. depth-1 of byte rows: digit k is bit k mod 8 of
     row k // 8.  Each row is written into one scratch array, so a row is
@@ -640,9 +632,6 @@ class ProductSpace:
     def s_vector(self) -> tuple[float, ...]:
         return tuple(f.s for f in self.factors)
 
-    def distance(self, x: Sequence, y: Sequence) -> float:
-        return max(f.distance(a, b) for f, a, b in zip(self.factors, x, y))
-
     def validate_point(self, point: Sequence) -> None:
         if len(point) != self.dim:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.dim}")
@@ -654,9 +643,6 @@ class ProductSpace:
         the midpoint 0.5 of the interval and the circle and the left
         endpoint 0 (the empty digit string) of a Cantor set."""
         return tuple(f.anchor() for f in self.factors)
-
-    def sample(self, rng: np.random.Generator) -> tuple:
-        return tuple(f.sample(rng) for f in self.factors)
 
     def descriptor(self) -> dict:
         return {"kind": "product", "factors": [f.descriptor() for f in self.factors]}
@@ -799,13 +785,16 @@ def _greedy_sorted(space: RegularSpace, coords: np.ndarray, r: float) -> list[in
 
 
 def _greedy_shuffled(space: RegularSpace, coords: np.ndarray, r: float,
-                     rng: np.random.Generator) -> list[int]:
+                     seed: int) -> list[int]:
     """Greedy in random candidate order: a candidate is accepted when every
     accepted coordinate lies at least r from it by ``distances``.
-    Returns the accepted indices in the order accepted.  The accepted
-    coordinates are kept sorted, and ``_clashes`` tests a few of them
-    against the candidate's, reduced mod the period on a metric with one."""
-    order = rng.permutation(coords.size).tolist()
+    Returns the accepted indices in the order accepted.  The order is a
+    stable argsort of the counter words keyed (seed, lane 0) at the indices
+    1..len(coords).  The accepted coordinates are kept sorted, and
+    ``_clashes`` tests a few of them against the candidate's, reduced mod
+    the period on a metric with one."""
+    order = np.argsort(crng.words(seed, 0, np.arange(1, coords.size + 1)),
+                       kind="stable").tolist()
     vals = coords.tolist()
     keys = vals if space.period is None else (coords % space.period).tolist()
     kept: list[int] = []
@@ -847,39 +836,41 @@ def _clashes(space: RegularSpace, ys: list[float], q: float, r: float) -> bool:
 
 
 def _sparse_indices(space: RegularSpace, x: float, R: float, r: float,
-                    rng: np.random.Generator | None) -> tuple[Callable, list[int]]:
+                    seed: int | None) -> tuple[Callable, list[int]]:
     """The probe net of B(x, R) about the embedded centre x, clamped to the
     space: its decoder, and the indices of the points the greedy accepts."""
     coords, take = space.net(x, min(R, space.diameter), r / 4.0)
-    if rng is None:
+    if seed is None:
         return take, _greedy_sorted(space, coords, r)
-    return take, _greedy_shuffled(space, coords, r, rng)
+    return take, _greedy_shuffled(space, coords, r, seed)
 
 
 def _sparse_greedy(space: RegularSpace, x0, R: float, r: float,
-                   rng: np.random.Generator | None) -> list:
+                   seed: int | None) -> list:
     """The points the greedy over the probe net of B(x0, R) accepts, decoded
     by the net in one pass."""
-    take, kept = _sparse_indices(space, space.embed(x0), R, r, rng)
+    take, kept = _sparse_indices(space, space.embed(x0), R, r, seed)
     return take(kept)
 
 
 def max_sparse_subset(space: RegularSpace, x0, R: float, r: float,
-                      rng: np.random.Generator | None = None) -> list:
+                      seed: int | None = None) -> list:
     """Maximal r-sparse subset of the closed ball B(x0, R).
 
     Pairwise distances are >= r exactly; maximality is certified against the
     canonical probe net at resolution r/4 (no net point of the ball can be
     added).  Any maximal set satisfies the cardinality bounds of
-    sparse_bounds.  With ``rng`` the candidate order is shuffled, giving a
-    different (equally valid) maximal set; without it the construction is the
-    deterministic first-fit over the sorted net.
+    sparse_bounds.  With ``seed`` the candidates are taken in the order of
+    the counter words keyed (seed, lane 0) at the net indices 1, 2, ...,
+    giving a different (equally valid) maximal set that replays on any numpy
+    version; without it the construction is the deterministic first-fit
+    over the sorted net.
     """
     _check_radii(R, r)
     if R > space.diameter:
         raise ValueError(f"need R <= diameter, got R={R} > {space.diameter}")
     space.validate_point(x0)
-    return _sparse_greedy(space, x0, R, r, rng)
+    return _sparse_greedy(space, x0, R, r, seed)
 
 
 @dataclass(frozen=True)
@@ -907,7 +898,7 @@ def cover_ball(space: RegularSpace, x, R: float, r: float) -> CoverReport:
     """
     _check_radii(R, r)
     space.validate_point(x)
-    centers = _sparse_greedy(space, x, R, r, rng=None)
+    centers = _sparse_greedy(space, x, R, r, seed=None)
     return CoverReport(
         center=x,
         target_radii=(R,),
@@ -938,7 +929,7 @@ def cover_rectangle(space: ProductSpace, center: Sequence, radii, r: float) -> C
         if not 0.0 < r_i < math.inf:
             raise ValueError(f"rectangle side radii must be positive and finite, got {r_i}")
         if r_i > r:
-            centers = _sparse_greedy(factor, x_i, r_i, r, rng=None)
+            centers = _sparse_greedy(factor, x_i, r_i, r, seed=None)
             bound *= sparse_bounds(factor, r_i, r)[1]
         else:
             centers = [x_i]

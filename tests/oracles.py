@@ -30,10 +30,13 @@ cylinder walk that builds one CantorPoint per net point is the reference of
 the Cantor net's numpy frontier.  The shuffled sparse-set greedy that tests
 each candidate against every accepted point is the reference of the one that
 tests a few sorted neighbours, and the Cantor stream embedding that adds one
-strided column of the ``rng.bits`` matrix per digit is the reference of the
-one that reads the digits from the hash words' bytes.  The Python loop that
-embedded one Cantor point's digits is the reference of ``embed_digits``,
-which runs the row kernel over one column.
+strided column of the ``rng.bits`` matrix per digit, and the density cells
+that multiply that matrix's leading columns by powers of 2, are the
+references of the ones that read the digits from the hash words' bytes.
+The Python loop that embedded one Cantor point's digits is the reference of
+``embed_digits``, which runs the row kernel over one column.  The library's
+streams give coordinates only, so points are drawn (``sample``) and decoded
+from the counter stream (``stream_point``, ``omega``) here.
 """
 
 import itertools
@@ -49,7 +52,7 @@ from limsupdim.mc import (
     TailCoverProfile,
     _require_matching_regularity,
 )
-from limsupdim.spaces import ProductSpace, cover_rectangle
+from limsupdim.spaces import Cantor, ProductSpace, cover_rectangle
 from limsupdim.svf import (
     _checkpoint_ranges,
     _ExactSum,
@@ -262,9 +265,42 @@ def loop_embed_digits(space, digits):
     """The embedding of one Cantor point's digits by a Python loop: each
     digit times its weight, added to a float in digit order."""
     value = 0.0
-    for d, w in zip(digits, space.weights(len(digits)).tolist()):
+    for d, w in zip(digits, cantor_weights(space, len(digits)).tolist()):
         value = value + d * w
     return value
+
+
+def cantor_weights(space, depth):
+    """Embedding weights (1 - lam) lam^k of the digit positions k < depth,
+    from the space's table of powers (0.0 past its end)."""
+    return (1.0 - space.lam) * space._powers(depth)
+
+
+def sample(space, rng):
+    """A random point of a factor kind or a product from a numpy Generator:
+    a uniform float in [0, 1), or the CantorPoint of default_depth fair
+    digits; a product's point is the tuple of its factors' points."""
+    if isinstance(space, ProductSpace):
+        return tuple(sample(f, rng) for f in space.factors)
+    if isinstance(space, Cantor):
+        return space.point(rng.integers(0, 2, size=space.default_depth))
+    return float(rng.random())
+
+
+def stream_point(space, seed, lane, n):
+    """The counter stream's point at index n: the float ``stream_coords``
+    gives, or on C(lam) the CantorPoint whose digits are the low
+    default_depth bits of the hash word, lowest first (``rng.bits``)."""
+    if isinstance(space, Cantor):
+        digits = crng.bits(seed, lane, np.array([n]), space.default_depth)[0]
+        return space.point(digits.tolist())
+    return float(space.stream_coords(seed, lane, np.array([n]))[0])
+
+
+def omega(stream, n):
+    """The n-th centre of an ``OmegaStream`` as a tuple of factor points."""
+    return tuple(stream_point(f, stream.seed, i, n)
+                 for i, f in enumerate(stream.space.factors))
 
 
 def scan_greedy_sorted(space, coords, points, r):
@@ -329,10 +365,13 @@ def searchsorted_greedy(space, coords, points, r):
     return accepted
 
 
-def every_pair_shuffled_greedy(space, coords, points, r, rng):
+def every_pair_shuffled_greedy(space, coords, points, r, seed):
     """Greedy in random candidate order with full pairwise distance checks:
-    each candidate against every accepted point.  Returns the points."""
-    order = rng.permutation(coords.size)
+    each candidate against every accepted point.  The order sorts the net
+    indices by their counter words keyed (seed, lane 0) at 1..n, ties by
+    index.  Returns the points."""
+    words = crng.words(seed, 0, np.arange(1, coords.size + 1)).tolist()
+    order = sorted(range(coords.size), key=lambda i: (words[i], i))
     accepted_coords = []
     accepted = []
     for idx in order:
@@ -372,9 +411,17 @@ def column_stream_coords(space, seed, lane, ns):
     digit order."""
     value = 0.0
     columns = crng.bits(seed, lane, ns, space.default_depth).T
-    for d, w in zip(columns, space.weights(space.default_depth).tolist()):
+    for d, w in zip(columns, cantor_weights(space, space.default_depth).tolist()):
         value = value + d * w
     return value
+
+
+def bits_stream_cells(space, seed, lane, ns, depth):
+    """Cantor density cells from the (len, depth) matrix of ``rng.bits``:
+    the leading ``depth`` digits as a binary number, first digit highest,
+    by an int64 matrix product."""
+    digits = crng.bits(seed, lane, ns, space.default_depth)[:, :depth]
+    return digits.astype(np.int64) @ (1 << np.arange(depth - 1, -1, -1))
 
 
 def _array_mix(z):
@@ -595,7 +642,7 @@ def per_n_tail_cover_sum(stream, sched, s, t, window):
         order = np.argsort(-vals, kind="stable")
         piece = min(int((np.cumsum(sv[order]) < t).sum()), len(vals) - 1)
         rho = float(vals[order[piece]])
-        report = cover_rectangle(space, stream.omega(n), radii, rho)
+        report = cover_rectangle(space, omega(stream, n), radii, rho)
         per_n.append((n, report.count, rho, report.count * (2.0 * rho) ** t,
                       float(phi[offset])))
     return TailCoverProfile(

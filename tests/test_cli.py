@@ -168,6 +168,17 @@ def test_sparse_command(runner):
     assert "count=5" in result.output
 
 
+def test_sparse_takes_any_integer_seed(runner):
+    # the seed keys counter words, as every other seeded command's does:
+    # -1 is the key 2**64 - 1
+    args = ["sparse", "--space", "interval", "--x", "0.5", "--big-radius", "0.5",
+            "--radius", "0.01", "--seed"]
+    runs = [runner.invoke(main, args + [seed]) for seed in ("-1", str(2**64 - 1), "1")]
+    assert [run.exit_code for run in runs] == [0, 0, 0], runs[0].output
+    assert "ok=True" in runs[0].output
+    assert runs[0].output == runs[1].output != runs[2].output
+
+
 def test_mc_requires_seed(runner):
     result = runner.invoke(main, ["mc", "density", "--space", "circle",
                                   "--delta", "0.1", "--horizon", "100"])
@@ -323,11 +334,17 @@ _DIVERGENCE = ["mc", "divergence", "--n", "10", "--trials", "10", "--seed", "1"]
     (["cover", "ball", "--space", "cantor:0.3333333333333333", "--x", "()",
       "--big-radius", "1e-29", "--radius", "1e-30"], {},
      "resolution 2.5e-31 needs 65 digits, more than the 60"),
+    # numpy's refusals of these named no flag
+    (["mc", "divergence", "--p", "constant:0.5", "--n", "-5", "--trials", "10", "--seed", "1"],
+     {}, "--n must be a positive integer, got -5"),
+    (_DIVERGENCE[:-1] + ["-1", "--p", "constant:0.5"], {},
+     "--seed must be a non-negative integer, got -1"),
 ], ids=["list-item", "explicit-without-tuples", "coordinate-count", "unknown-p",
         "svf-eval-two-t", "no-method", "sparse-product", "fiber-one-factor", "fiber-two-u",
         "report-missing", "report-empty", "report-density", "config-for-another-command",
         "interval-point", "circle-anchor", "cantor-parameter", "p-constant", "p-power",
-        "sparse-cantor-net-digits", "cover-cantor-net-digits"])
+        "sparse-cantor-net-digits", "cover-cantor-net-digits", "divergence-n",
+        "divergence-seed"])
 def test_bad_input_is_a_domain_error_naming_it_exit_2(runner, tmp_path, monkeypatch,
                                                       args, files, message):
     monkeypatch.chdir(tmp_path)

@@ -35,6 +35,7 @@ from oracles import (
     harmonic_number,
     materialised_density_counts,
     materialised_fiber_hit_sum,
+    omega,
     one_shot_bits,
     per_n_tail_cover_sum,
     poisson_binomial_pmf,
@@ -49,15 +50,18 @@ from oracles import (
 
 def test_omega_deterministic(torus2):
     st = OmegaStream(123, torus2)
-    assert st.omega(7) == st.omega(7)
+    for i in range(torus2.dim):
+        assert st.factor_coords(i, [7]) == st.factor_coords(i, [7])
+        assert st.factor_coords(i, [7]) == OmegaStream(123, torus2).factor_coords(i, [7])
 
 
 def test_omega_random_access_order_independent(torus2):
     a = OmegaStream(5, torus2)
-    first_then_late = (a.omega(1), a.omega(10**6))
     b = OmegaStream(5, torus2)
-    late_then_first = (b.omega(10**6), b.omega(1))
-    assert first_then_late == (late_then_first[1], late_then_first[0])
+    for i in range(torus2.dim):
+        first_then_late = a.factor_coords(i, [1, 10**6])
+        late_then_first = b.factor_coords(i, [10**6, 1])
+        assert first_then_late.tolist() == late_then_first[::-1].tolist()
 
 
 def test_omega_block_matches_scalar(torus2):
@@ -69,7 +73,7 @@ def test_omega_block_matches_scalar(torus2):
         for i, factor in enumerate(space.factors):
             block = st.factor_coords(i, ns)
             for n, v in zip(ns, block):
-                assert factor.embed(st.omega(int(n))[i]) == v
+                assert factor.embed(omega(st, int(n))[i]) == v
 
 
 def test_omega_coordinates_independent_chisquare(torus2):
@@ -182,9 +186,9 @@ def test_stream_refuses_indices_outside_the_count_rule(space, bad):
     st = OmegaStream(5, space)
     rule = r"^indices must be integers in \[1, 2\*\*63\), got"
     shown = repr(bad) if isinstance(bad, str) else str(bad)
-    with pytest.raises(ValueError, match=rf"{rule} {re.escape(shown)}$"):
-        st.omega(bad)
     for i in range(space.dim):
+        with pytest.raises(ValueError, match=rf"{rule} {re.escape(shown)}$"):
+            st.factor_coords(i, [bad])
         with pytest.raises(ValueError, match=rule):
             st.factor_coords(i, [2, bad, 3])
 
@@ -201,9 +205,9 @@ def test_stream_block_names_the_first_refused_index(torus2, ns):
 def test_stream_reads_integral_floats_and_the_last_index():
     space = ProductSpace((Cantor(1 / 3), Circle()))
     st = OmegaStream(5, space)
-    assert st.omega(1e3) == st.omega(1000)
-    last = st.omega(2**63 - 1)
+    last = omega(st, 2**63 - 1)
     for i, factor in enumerate(space.factors):
+        assert st.factor_coords(i, [1e3]) == st.factor_coords(i, [1000])
         assert np.array_equal(st.factor_coords(i, [2.0, 3.0]), st.factor_coords(i, [2, 3]))
         assert st.factor_coords(i, np.array([], dtype=float)).size == 0
         coords = st.factor_coords(i, np.array([1, 2**63 - 1], dtype=np.uint64))
@@ -337,7 +341,7 @@ def test_fiber_partials_count_the_hits_up_to_each_checkpoint(torus2):
     sched = PowerLawSchedule((1, 2))
     st = OmegaStream(4, torus2)
     circle = torus2.factors[0]
-    hits = [circle.distance(st.omega(n)[0], 0.5) <= sched.radius_tuple(n)[0]
+    hits = [circle.distance(omega(st, n)[0], 0.5) <= sched.radius_tuple(n)[0]
             for n in range(1, 301)]
     cps = [1, 2, 50, 137, 300]
     res = fiber_hit_sum(st, sched, (1, 1), (0.5,), 0.0, cps)

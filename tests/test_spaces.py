@@ -14,6 +14,7 @@ from limsupdim import (
     CantorPoint,
     Circle,
     Interval,
+    OmegaStream,
     PowerLawSchedule,
     ProductSpace,
     cover_ball,
@@ -22,10 +23,11 @@ from limsupdim import (
     sparse_bounds,
     verify_cover,
 )
-from limsupdim import spaces
+from limsupdim import rng as crng, spaces, svf
 from limsupdim.spaces import _clashes, _greedy_shuffled, _greedy_sorted, factor_from_token
 
 from oracles import (
+    bits_stream_cells,
     cantor_mass_bruteforce,
     circle_distance,
     column_stream_coords,
@@ -36,15 +38,17 @@ from oracles import (
     loop_embed_digits,
     recursive_cantor_net,
     recursive_cylinders_in,
+    sample,
     scan_greedy_sorted,
     searchsorted_greedy,
+    stream_point,
 )
 
 ALL_KINDS = [Interval(), Circle(), Cantor(1 / 3), Cantor(0.25), Cantor(0.4)]
 
 
 def probe_points(space, rng, count=6):
-    pts = [space.sample(rng) for _ in range(count)]
+    pts = [sample(space, rng) for _ in range(count)]
     if isinstance(space, Cantor):
         pts += [space.point(()), space.point((1,) * 8), space.point((0, 1) * 4)]
     elif isinstance(space, Interval):
@@ -172,7 +176,7 @@ def _centres(space):
     """Stream points, and for Cantor digit points and the two ends (0, and
     the left end of the last cylinder of the sampling depth), else the ends
     of [0, 1], a few fixed points and any coordinate."""
-    stream = st.builds(lambda seed, n: space.stream_point(seed, 0, n),
+    stream = st.builds(lambda seed, n: stream_point(space, seed, 0, n),
                        st.integers(0, 2**31), st.integers(1, 10**6))
     if isinstance(space, Cantor):
         return st.one_of(
@@ -215,7 +219,7 @@ def test_ball_measure_rejects_negative_radius(interval):
 def test_cantor_mass_matches_bruteforce_enumeration(lam, rng):
     space = Cantor(lam)
     for _ in range(8):
-        x = space.sample(rng)
+        x = sample(space, rng)
         k = int(rng.integers(0, 8))
         # radii aligned with depth-k cylinder endpoints resolve exactly at
         # enumeration depth 10
@@ -321,7 +325,7 @@ def test_cantor_masses_across_kernel_blocks_within_the_exact_bracket(monkeypatch
 
 
 def test_cantor_mass_kernel_memory_does_not_grow_with_n(cantor_third, rng):
-    x = cantor_third.sample(rng)
+    x = sample(cantor_third, rng)
     peaks = []
     for n in (20_000, 200_000):
         rs = 10.0 ** np.random.default_rng(7).uniform(-12.0, 0.0, n)
@@ -379,28 +383,27 @@ def test_cantor_point_validation(cantor_third):
 # ---------------------------------------------------------------------------
 
 
-def test_interval_sample_support(interval, rng):
-    xs = [interval.sample(rng) for _ in range(1000)]
-    assert all(0.0 <= x <= 1.0 for x in xs)
+def test_interval_sample_support(interval):
+    # the counter stream is the library's one sampling path
+    xs = interval.stream_coords(20260810, 0, np.arange(1, 1001))
+    assert np.all((0.0 <= xs) & (xs <= 1.0))
 
 
-def test_cantor_digit_frequencies(cantor_third, rng):
-    draws = rng.integers(0, 2, size=(10**5, cantor_third.default_depth))
-    # library sampling path uses the same digit law; spot-check via sample()
-    pts = [cantor_third.sample(rng) for _ in range(2000)]
-    freq = np.mean([p.digits[0] for p in pts])
-    assert abs(freq - 0.5) < 0.05
-    # bulk check on the vectorised reference draws
-    assert np.all(np.abs(draws.mean(axis=0) - 0.5) < 0.01)
+def test_cantor_digit_frequencies(cantor_third):
+    # the first digit of stream points, as depth-1 cells, and every digit
+    # of the sampling depth as the stream reads it from the hash words
+    ns = np.arange(1, 10**5 + 1)
+    first = cantor_third.stream_cells(20260810, 0, ns[:2000], cantor_third._pow[1])
+    assert abs(first.mean() - 0.5) < 0.05
+    digits = crng.bits(20260810, 0, ns, cantor_third.default_depth)
+    assert np.all(np.abs(digits.mean(axis=0) - 0.5) < 0.01)
 
 
-def test_product_sample_quadrant_measure(unit_square, rng):
-    hits = 0
+def test_product_sample_quadrant_measure(unit_square):
     n = 10**5
-    for _ in range(n):
-        x, y = unit_square.sample(rng)
-        if x <= 0.5 and y <= 0.5:
-            hits += 1
+    stream = OmegaStream(20260810, unit_square)
+    x, y = (stream.factor_coords(i, np.arange(1, n + 1)) for i in range(2))
+    hits = np.count_nonzero((x <= 0.5) & (y <= 0.5))
     assert abs(hits / n - 0.25) < 0.01
 
 
@@ -457,10 +460,10 @@ def test_sparse_pairwise_and_maximality(space, rng):
 
 
 @pytest.mark.parametrize("space", ALL_KINDS, ids=lambda s: repr(s))
-def test_sparse_shuffled_variant_valid(space, rng):
+def test_sparse_shuffled_variant_valid(space):
     x0 = space.point(()) if isinstance(space, Cantor) else 0.7
     r = 2.0**-4
-    pts = max_sparse_subset(space, x0, space.diameter, r, rng)
+    pts = max_sparse_subset(space, x0, space.diameter, r, 20260810)
     lo, hi = sparse_bounds(space, space.diameter, r)
     assert lo <= len(pts) <= hi
     for a, b in itertools.combinations(pts, 2):
@@ -527,10 +530,10 @@ def test_shuffled_greedy_matches_every_pair_check(data):
                   label="R")
     r = R * data.draw(st.floats(0.02, 2.0), label="r/R")
     step = data.draw(st.sampled_from([1.0, 2.0, 4.0, 7.0]), label="r/resolution")
-    seed = data.draw(st.integers(0, 2**32), label="seed")
+    seed = data.draw(st.integers(-(2**64), 2**64), label="seed")
     coords, points = _net(space, x0, R, r / step)
-    got = _greedy_shuffled(space, coords, r, np.random.default_rng(seed))
-    want = every_pair_shuffled_greedy(space, coords, points, r, np.random.default_rng(seed))
+    got = _greedy_shuffled(space, coords, r, seed)
+    want = every_pair_shuffled_greedy(space, coords, points, r, seed)
     assert [points[i] for i in got] == want
 
 
@@ -666,7 +669,51 @@ def test_cantor_stream_is_the_column_embedding(data):
     assert got.dtype == want.dtype and got.shape == want.shape == ns.shape
     assert got.tobytes() == want.tobytes()
     for n, v in zip(ns[:5].tolist(), got.tolist()):
-        assert space.stream_point(seed, lane, n).value == v
+        assert stream_point(space, seed, lane, n).value == v
+
+
+@pytest.mark.parametrize("lam", [1 / 3, 0.4, 0.45])
+def test_density_cells_and_nets_share_one_depth_rule(lam):
+    # at a length that is a power of the table, both resolve it at that
+    # depth; numpy's lam^2 at lam = 1/3 lies one ulp below Python's, where
+    # the cells once took a third digit
+    space = Cantor(lam)
+    for k in range(space.default_depth + 1):
+        delta = float(space._pow[k])
+        coords, take = space.net(0.0, 0.0, delta)
+        (point,) = take([0])
+        assert len(point.digits) == k
+        assert space.cell_count(delta) == 2**k
+
+
+@pytest.mark.parametrize("lam", [1 / 3, 0.25, 0.45])
+def test_stream_cells_are_the_bits_matrix_cells(monkeypatch, lam):
+    # chunk by chunk, as the density check walks, with chunks cut small
+    monkeypatch.setattr(svf, "_CHUNK", 777)
+    space = Cantor(lam)
+    N = 3000
+    for seed, lane in ((7, 0), (2**64 - 1, 3)):
+        for k in range(1, space.default_depth + 1):
+            delta = float(space._pow[k])
+            got = np.concatenate([space.stream_cells(seed, lane, svf._indices(run), delta)
+                                  for run, _ in svf._checkpoint_ranges([N])])
+            want = bits_stream_cells(space, seed, lane, np.arange(1, N + 1), k)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert space.cell_count(delta) == 2**k
+
+
+@pytest.mark.parametrize("delta", [0.05, 1e-6, 1e-9])
+def test_stream_cells_peak_memory(delta):
+    # the (N, 36) bits matrix and its int64 copy peaked at 4.25-12.25 MB
+    space = Cantor(1 / 3)
+    ns = np.arange(1, 2**16 + 1)
+    tracemalloc.start()
+    try:
+        space.stream_cells(5, 1, ns, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 @pytest.mark.parametrize("lam", [0.01, 0.25, 1 / 3, 0.49])
@@ -692,9 +739,10 @@ def test_weights_are_read_from_one_table_of_powers(lam):
     K = space._pow.size - 1
     assert space._pow[K] == 0.0 < space._pow[K - 1]
     for depth in (0, 1, space.default_depth, K - 1, K, K + 1, K + 40):
-        want = (1.0 - lam) * np.power(lam, np.arange(depth))
-        assert space.weights(depth).tobytes() == want.tobytes()
-    assert space._weights == space.weights(K + 1).tolist()
+        want = np.power(lam, np.arange(depth))
+        assert space._powers(depth).tobytes() == want.tobytes()
+    want = (1.0 - lam) * np.power(lam, np.arange(K + 1))
+    assert space._weights == want.tolist()
 
 
 @pytest.mark.parametrize("space, x0, R, resolution", [
@@ -728,8 +776,7 @@ def test_cantor_sparse_set_builds_only_its_points(monkeypatch, seed):
     built = []
     check = CantorPoint.__post_init__
     monkeypatch.setattr(CantorPoint, "__post_init__", lambda p: built.append(p) or check(p))
-    rng = None if seed is None else np.random.default_rng(seed)
-    got = max_sparse_subset(cantor, x, 0.3, 0.002, rng)
+    got = max_sparse_subset(cantor, x, 0.3, 0.002, seed)
     assert len(got) > 100 and built == got
 
 
@@ -948,16 +995,18 @@ def test_cover_ball_sound_across_scales(space):
 
 
 def test_cube_identity_max_metric(rng):
+    # rectangle with equal radii == ball of that radius in the max metric,
+    # with each factor's distance read through its elementwise form
     space = ProductSpace((Interval(), Circle(), Cantor(1 / 3)))
     for _ in range(50):
-        x = space.sample(rng)
-        y = space.sample(rng)
-        d = space.distance(x, y)
-        assert d == max(f.distance(a, b) for f, a, b in zip(space.factors, x, y))
-        # rectangle with equal radii == ball of that radius
+        x = sample(space, rng)
+        y = sample(space, rng)
+        sides = [f.distances(np.array([f.coordinate(a)]), f.coordinate(b))[0]
+                 for f, a, b in zip(space.factors, x, y)]
+        assert sides == [f.distance(a, b) for f, a, b in zip(space.factors, x, y)]
         r = float(rng.uniform(0.01, 0.5))
         in_cube = all(f.distance(a, b) <= r for f, a, b in zip(space.factors, x, y))
-        assert in_cube == (d <= r)
+        assert in_cube == (max(sides) <= r)
 
 
 def test_point_validation(interval, cantor_third):
@@ -982,7 +1031,7 @@ PROTOCOL_KINDS = [Interval(), Circle(), Cantor(1 / 3), Cantor(0.2)]
 def test_factor_protocol_conformance(space, rng):
     anchor = space.anchor()
     space.validate_point(anchor)
-    sampled = space.sample(rng)
+    sampled = sample(space, rng)
 
     # ball measures: the array form is the scalar one, bit for bit, and a
     # radius of -0.0 weighs +0.0
@@ -1000,7 +1049,7 @@ def test_factor_protocol_conformance(space, rng):
     ns = np.arange(1, 301)
     block = space.stream_coords(9, 2, ns)
     for n, v in zip(ns, block):
-        point = space.stream_point(9, 2, int(n))
+        point = stream_point(space, 9, 2, int(n))
         space.validate_point(point)
         assert space.embed(point) == space.stream_coords(9, 2, np.array([n]))[0] == v
         assert space.parse_point(space.format_point(point)) == point

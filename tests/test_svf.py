@@ -999,7 +999,7 @@ def test_schedules_and_streams_refuse_indices_by_one_rule(sched, bad):
             sched.log_radii(ns)
     stream = OmegaStream(5, ProductSpace((Circle(), Cantor(0.25))))
     with pytest.raises(ValueError, match=rf"{_RULE} {re.escape(str(bad))}$"):
-        stream.omega(bad)
+        stream.factor_coords(0, [bad])
     with pytest.raises(ValueError, match=_RULE):
         stream.factor_coords(1, [1, bad])
 
