@@ -384,10 +384,16 @@ def _run_fiber_sum(cfg: RunConfig) -> RunOutcome:
     return RunOutcome(0, lines, csv=body, manifest=manifest)
 
 
+# expectations and temporaries take ~24 bytes an index: ~0.4 GB at the cap
+MAX_DIVERGENCE_N = 1 << 24
+
+
 def _run_divergence(cfg: RunConfig) -> RunOutcome:
     # numpy's own refusals of these name no flag
     if cfg.N < 1:
         raise ValueError(f"--n must be a positive integer, got {cfg.N}")
+    if cfg.N > MAX_DIVERGENCE_N:
+        raise ValueError(f"--n={cfg.N}, more than the cap of {MAX_DIVERGENCE_N}")
     if cfg.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {cfg.seed}")
     p = _expectations(cfg)

@@ -24,14 +24,9 @@ soundness are certified against the same nets.  A net is built about the
 centre's embedded float, and comes as its sorted coordinates and a decoder,
 ``take``, that builds the points at given indices: floats on the interval,
 floats reduced mod 1 on the circle, CantorPoints on C(lam).  The greedies
-read only the coordinates, and only the accepted points are decoded; the
-sorted greedy steps from each accepted net point to its successor: the
-first later point whose rounded coordinate difference from it is >= r.
-verify_cover sorts each factor's centres and tests every net point first
-against its nearest centres in that order (and, on a metric that wraps
-around, the first and last), then against every centre only for a net point
-those leave uncovered: its verdict is the full probe-net comparison's, bit
-for bit, without its O(net x centres) cost.
+read only the coordinates, and only the accepted points are decoded.
+``_greedy_sorted`` steps between successors and ``verify_cover`` tests the
+nearest centres first, each bit for bit what the full scan decides.
 
 Factor protocol.  Everything that differs between kinds lives on the kind's
 class, so the Monte Carlo layer and the CLI never name a kind.  A new

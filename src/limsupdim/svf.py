@@ -32,21 +32,14 @@ Every exactly rounded partial sum in the package -- series sums here, fiber
 hit sums and their expectations, the divergence table's means -- comes from
 one exact accumulator, ``_ExactSum``, a binned superaccumulator that equals
 ``math.fsum`` of everything added to it, at checkpoints checked by one rule,
-``sorted_checkpoints``.  Monotone terms stay in one exponent bin for long
-runs, and the accumulator adds each such run as one exact sum.  A table of
-every running sum, such as the tail cover's, reads the accumulator's scaled
-int once per row through ``running_fsums``.
+``sorted_checkpoints``.  A table of every running sum, such as the tail
+cover's, reads the accumulator's scaled int once per row through
+``running_fsums``.
 ``partial_sums``, ``prefix_fsums``, the fiber hit sum and the density check
-walk their indices once, in chunks of ``_CHUNK`` cut at the checkpoints
-(the density check's are its two horizons), so their memory is O(chunk)
-whatever the horizon N is, plus the density check's cell counts.  The
-fiber hit sum reads each chunk's log-radii once, for its observed curve
-and, unless its memo already holds them, its two expectation curves.
-The series walk (``_probe_sums``) makes its chunk arrays once per walk --
-the log-radii block, one terms block and one word buffer -- and refills
-them chunk after chunk through the kernels' ``out=`` and ``work=``, so its
-pages are faulted in once, not once a chunk; its indices are ranges, never
-arrays.  The other walks make their arrays per chunk and work in place.
+walk their indices once, in chunks of ``_CHUNK`` cut at the checkpoints,
+so their memory is O(chunk) whatever the horizon N is, plus the density
+check's cell counts; the series walk (``_probe_sums``) makes its chunk
+arrays once per walk, the others once per chunk.
 """
 
 from __future__ import annotations

@@ -339,12 +339,17 @@ _DIVERGENCE = ["mc", "divergence", "--n", "10", "--trials", "10", "--seed", "1"]
      {}, "--n must be a positive integer, got -5"),
     (_DIVERGENCE[:-1] + ["-1", "--p", "constant:0.5"], {},
      "--seed must be a non-negative integer, got -1"),
+    # refused before the 745 GiB that their expectations or counts take
+    (["mc", "divergence", "--p", "harmonic", "--n", "100000000000", "--trials", "1000",
+      "--seed", "1"], {}, "--n=100000000000, more than the cap of 16777216"),
+    (["mc", "divergence", "--p", "harmonic", "--n", "10", "--trials", "100000000000",
+      "--seed", "1"], {}, "trials x checkpoints = 100000000000 x 1, more than the cap of 8388608"),
 ], ids=["list-item", "explicit-without-tuples", "coordinate-count", "unknown-p",
         "svf-eval-two-t", "no-method", "sparse-product", "fiber-one-factor", "fiber-two-u",
         "report-missing", "report-empty", "report-density", "config-for-another-command",
         "interval-point", "circle-anchor", "cantor-parameter", "p-constant", "p-power",
         "sparse-cantor-net-digits", "cover-cantor-net-digits", "divergence-n",
-        "divergence-seed"])
+        "divergence-seed", "divergence-n-cap", "divergence-trials-cap"])
 def test_bad_input_is_a_domain_error_naming_it_exit_2(runner, tmp_path, monkeypatch,
                                                       args, files, message):
     monkeypatch.chdir(tmp_path)

@@ -321,6 +321,26 @@ def test_fiber_sum_requires_matching_regularity(torus2):
                       (0.5,), 0.0, [10])
 
 
+_REGULARITY_CALLERS = {
+    "fiber": lambda space, s: fiber_hit_sum(OmegaStream(1, space), PowerLawSchedule((1, 2)),
+                                            s, (0.5,), 0.0, [10]),
+    "tail-cover": lambda space, s: tail_cover_sum(OmegaStream(1, space),
+                                                  PowerLawSchedule((1, 2)), s, 0.5, (1, 4)),
+    "verdict": lambda space, s: dimension_verdict(PowerLawSchedule((1, 2)), s, space, [1],
+                                                  FAST_VERDICT),
+}
+
+
+@pytest.mark.parametrize("caller", list(_REGULARITY_CALLERS))
+def test_regularity_vector_matches_to_a_relative_1e_12(torus2, caller):
+    call = _REGULARITY_CALLERS[caller]
+    call(torus2, (1.0 + 5e-13, 1.0))
+    for s in [(1.0 + 2e-12, 1.0), (1.0, 1.0 - 2e-12), (math.nan, 1.0), (1.0,), (1.0, 1.0, 1.0)]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"regularity vector {list(s)} does not match the space's [1.0, 1.0]")):
+            call(torus2, s)
+
+
 def test_fiber_sum_anchor_dimension(torus2):
     with pytest.raises(ValueError):
         fiber_hit_sum(OmegaStream(1, torus2), PowerLawSchedule((1, 2)), (1, 1),
@@ -646,9 +666,7 @@ def _chi_square_p(counts, pmf):
     return float(stats.chi2.sf(np.sum((o - e) ** 2 / e), len(e) - 1))
 
 
-@pytest.mark.parametrize("seed", [3, 41, 505])
-@pytest.mark.parametrize("name", list(SAMPLER_CASES))
-def test_bernoulli_counts_fit_the_poisson_binomial_law(monkeypatch, name, seed):
+def _check_poisson_binomial_law(monkeypatch, name, seed):
     p, cps = SAMPLER_CASES[name]
     # a small draw budget makes many row chunks; 3001 trials is a multiple
     # of no chunk size
@@ -659,6 +677,21 @@ def test_bernoulli_counts_fit_the_poisson_binomial_law(monkeypatch, name, seed):
         kmax = min(N, int(mean + 10.0 * math.sqrt(mean) + 10))
         pmf = poisson_binomial_pmf(p[:N], kmax)
         assert _chi_square_p(sums[:, j], pmf) > 1e-3, (name, seed, N)
+
+
+@pytest.mark.parametrize("seed", [3, 41, 505])
+@pytest.mark.parametrize("name", list(SAMPLER_CASES))
+def test_bernoulli_counts_fit_the_poisson_binomial_law(monkeypatch, name, seed):
+    _check_poisson_binomial_law(monkeypatch, name, seed)
+
+
+@pytest.mark.parametrize("seed", [3, 41, 505])
+@pytest.mark.parametrize("name", list(SAMPLER_CASES))
+def test_bernoulli_counts_fit_the_law_one_candidate_a_pass(monkeypatch, name, seed):
+    # nearly every trial of a thinned block takes many passes, so each pass
+    # going on from its trial's last candidate is tested on its own
+    monkeypatch.setattr(mc, "_pass_width", lambda q, size: 1)
+    _check_poisson_binomial_law(monkeypatch, name, seed)
 
 
 def test_bernoulli_counts_keep_no_zero_expectation():
@@ -705,6 +738,35 @@ def test_bernoulli_counts_memory_stays_near_the_draw_budget(monkeypatch, value):
     finally:
         tracemalloc.stop()
     assert peak <= budget + (1 << 17)
+
+
+class _CountingGenerator:
+    """A numpy Generator that counts the random numbers that ``random`` and
+    ``geometric``, the only methods the divergence kernel calls, return."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def random(self, size=None):
+        out = self._rng.random(size)
+        self.draws += np.size(out)
+        return out
+
+    def geometric(self, p, size=None):
+        out = self._rng.geometric(p, size)
+        self.draws += np.size(out)
+        return out
+
+
+def test_divergence_draws_about_what_thinning_needs():
+    # each thinned block of harmonic p expects about one candidate a trial;
+    # passes of a fixed 9 columns took 1.91e6 random numbers here
+    p = _harmonic(10**4)
+    rng = _CountingGenerator(1)
+    res = divergence_tail_bound_test(p, 10**4, rng)
+    assert res == divergence_tail_bound_test(p, 10**4, np.random.default_rng(1))
+    assert res.passed and rng.draws < 1e6
 
 
 @pytest.mark.parametrize("p", [_harmonic(10**4), np.full(10**4, 0.05)],
