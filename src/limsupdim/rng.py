@@ -50,7 +50,11 @@ def words(seed: int, lane: int, indices: np.ndarray | int) -> np.ndarray:
     shape.  Distinct (seed, lane, index) triples give statistically
     independent words.
     """
-    idx = np.atleast_1d(np.asarray(indices, dtype=np.uint64))
+    if isinstance(indices, np.ndarray) and indices.dtype == np.int64:
+        # an int64 index has the bits of its uint64 cast: a view, not a copy
+        idx = np.atleast_1d(indices).view(np.uint64)
+    else:
+        idx = np.atleast_1d(np.asarray(indices, dtype=np.uint64))
     # the (seed, lane) key takes the array path's operations on one word
     key = _mix_int(_mix_int(seed & _U64_MASK) ^ ((lane + 1) * _LANE_SALT & _U64_MASK))
     z = np.multiply(idx, _GAMMA)

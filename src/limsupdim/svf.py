@@ -357,6 +357,12 @@ class PowerLawSchedule:
             np.subtract(log_k[i], col, out=col)
         return out
 
+    def log_radius_bound(self, run: range) -> np.ndarray:
+        """Per factor, the largest log r_{n,i} over the indices of ``run``, a
+        non-empty range of step 1: the ``log_radii`` row of its first index,
+        since every alpha_i > 0."""
+        return self.log_radii([run.start])[0]
+
     def radius_tuple(self, n: int) -> RadiusTuple:
         n = float(_index(n))
         return RadiusTuple(k * n ** -a for a, k in zip(self.alphas, self.coefficients))
@@ -450,6 +456,27 @@ class ExplicitSchedule:
             out[rest] = self.power_model.log_radii(ns[rest])
         return out
 
+    def log_radius_bound(self, run: range) -> np.ndarray:
+        """Per factor, the largest log r_{n,i} over the indices of ``run``, a
+        non-empty range of step 1.  Listed radii may rise with n, so the
+        run's first row is no bound: the run takes its greatest listed row,
+        and past the listed tuples the tail's bound (the last row for the
+        constant tail)."""
+        k = len(self.tuples)
+        bound = np.full(self.dim, -np.inf)
+        if run.start <= k:
+            bound = self._log_table[run.start - 1: min(run.stop - 1, k)].max(axis=0)
+        if run.stop - 1 > k:
+            if self.tail is None:
+                raise ValueError(
+                    f"index beyond the {k} explicit tuples and no tail model declared"
+                )
+            tail = self._log_table[-1]
+            if self.power_model is not None:
+                tail = self.power_model.log_radius_bound(range(max(run.start, k + 1), run.stop))
+            bound = np.maximum(bound, tail)
+        return bound
+
     def radius_tuple(self, n: int) -> RadiusTuple:
         n = _index(n)
         k = len(self.tuples)
@@ -481,8 +508,8 @@ class ExplicitSchedule:
         }
 
 
-# Both kinds answer power_model and check_non_increasing(), so
-# callers never test which kind they hold.
+# Both kinds answer power_model, check_non_increasing() and
+# log_radius_bound(), so callers never test which kind they hold.
 RadiusSchedule = PowerLawSchedule | ExplicitSchedule
 
 

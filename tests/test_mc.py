@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from scipy import stats
 
@@ -142,6 +142,22 @@ def test_counter_words_match_the_array_key_oracle(data):
                        array_key_bits(seed, lane, indices, nbits))):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("values", [[1, 2, 3], [0, 2**62, 2**63 - 1], [7]])
+@pytest.mark.parametrize("shape", ["array", "strided", "scalar"])
+def test_words_of_int64_indices_equal_those_of_uint64_and_python_ints(values, shape):
+    # an int64 array is read as its uint64 view: the same bits, no copy
+    signed = np.array(values, dtype=np.int64)
+    if shape == "strided":
+        signed = np.repeat(signed, 2)[::2]
+    elif shape == "scalar":
+        signed = signed[:1].reshape(())
+    want = crng.words(5, 2, signed.astype(np.uint64))
+    for indices in (signed, signed.tolist()):
+        got = crng.words(5, 2, indices)
+        assert got.dtype == np.uint64 and got.tobytes() == want.tobytes()
+    assert signed.tolist() == (values[0] if shape == "scalar" else values)
 
 
 @pytest.mark.parametrize("nbits", [0, 65])
@@ -453,14 +469,21 @@ def _bits(res):
                      min_size=2, max_size=2),
     digits=hst.lists(hst.integers(0, 1), max_size=8),
     u_share=hst.one_of(hst.just(0.0), hst.just(-0.0), hst.floats(0.0, 1.0)),
-    sched_kind=hst.sampled_from(["power", "prefactors", "explicit"]),
+    sched_kind=hst.sampled_from(["power", "prefactors", "explicit", "rising"]),
     cps=hst.lists(hst.one_of(hst.integers(1, 300), hst.sampled_from([65535, 65536, 65537])),
                   min_size=1, max_size=4),
     seeds=hst.lists(hst.integers(0, 40), min_size=1, max_size=3),
 )
+@example(kinds=["circle", "circle"], lam=0.25, coords=[0.5, 0.5], digits=[], u_share=0.0,
+         sched_kind="rising", cps=[100, 65535, 65536, 65537], seeds=[3])
+@example(kinds=["cantor", "interval", "circle"], lam=1 / 3, coords=[0.25, 0.7],
+         digits=[0, 1, 1], u_share=0.5, sched_kind="prefactors", cps=[65535, 65536, 65537],
+         seeds=[5, 6])
+@example(kinds=["interval", "cantor"], lam=0.45, coords=[0.0, 0.0], digits=[1, 0],
+         u_share=1.0, sched_kind="rising", cps=[70, 65537], seeds=[2])
 def test_memoised_fiber_sum_equals_the_unmemoised_oracle(kinds, lam, coords, digits, u_share,
                                                          sched_kind, cps, seeds):
-    # cold for the first seed, warm for the rest, in any order (repeats too)
+    # cold for a seed of its own, then warm for every drawn seed (repeats too)
     kind = {"interval": Interval, "circle": Circle, "cantor": lambda: Cantor(lam)}
     space = ProductSpace(tuple(kind[k]() for k in kinds))
     d = space.dim
@@ -473,13 +496,34 @@ def test_memoised_fiber_sum_equals_the_unmemoised_oracle(kinds, lam, coords, dig
         "prefactors": PowerLawSchedule(alphas, (3.0, 1.0, 0.5)[:d]),
         "explicit": ExplicitSchedule(((0.9, 0.5, 0.5)[:d], (0.4, 0.3, 0.2)[:d]),
                                      PowerLawSchedule(alphas, (2.0, 1.0, 1.0)[:d])),
+        # listed radii that rise with n: a bound read at a run's first index
+        # would miss the hits of tuples 51 to 100
+        "rising": ExplicitSchedule(((1e-3,) * d,) * 50 + ((0.4, 0.3, 0.2)[:d],) * 50,
+                                   PowerLawSchedule(alphas)),
     }[sched_kind]
-    mc._last_curves = None
-    for seed in seeds:
-        args = (sched, space.s_vector, anchor, u, cps)
+    args = (sched, space.s_vector, anchor, u, cps)
+    mc._last_curves, memo = None, None
+    for seed in (41, *seeds):
         got = fiber_hit_sum(OmegaStream(seed, space), *args)
         assert _bits(got) == _bits(unmemoised_fiber_hit_sum(OmegaStream(seed, space), *args))
         assert mc._last_curves[1] == (got.expectation_exact, got.expectation_lower)
+        # each call after the first is a memo hit, which keeps the entry
+        assert memo is None or mc._last_curves is memo
+        memo = mc._last_curves
+
+
+def test_a_warm_walk_computes_radii_at_candidates_only(monkeypatch, torus2):
+    # past the first run, 1..1000, a chunk's bound is r at its first index,
+    # and few indices come within twice that of the anchor
+    args = (PowerLawSchedule((1, 2)), (1, 1), (0.5,), 0.0, [1000, 10**4, 10**5])
+    fiber_hit_sum(OmegaStream(1, torus2), *args)
+    rows = []
+    real = PowerLawSchedule.log_radii
+    monkeypatch.setattr(PowerLawSchedule, "log_radii",
+                        lambda self, ns, out=None: rows.append(len(ns)) or real(self, ns, out))
+    got = fiber_hit_sum(OmegaStream(2, torus2), *args)
+    assert 0 < got.hit_count <= sum(rows) < 2000
+    assert _bits(got) == _bits(unmemoised_fiber_hit_sum(OmegaStream(2, torus2), *args))
 
 
 _BASE_CALL = dict(lam=0.25, sched=PowerLawSchedule((1, 2), (2, 1)), s=None,

@@ -550,6 +550,39 @@ def test_check_non_increasing_compares_radii_not_their_logs():
     ExplicitSchedule(((high, low),), "constant").check_non_increasing()
 
 
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_log_radius_bound_is_the_largest_log_radius_of_a_run(data):
+    # listed radii rise and fall at random, and runs straddle the last listed
+    # tuple: the bound is the run's greatest log_radii row, so its exp is at
+    # least every radius of the run
+    kind = data.draw(st.sampled_from(["power", "prefactors", "power-tail", "constant"]),
+                     label="kind")
+    d = data.draw(st.integers(1, 3), label="d")
+    coefficients = () if kind == "power" else (1.0, 3.0, 0.25)[:d]
+    tail = PowerLawSchedule((0.5, 1.0, 2.0)[:d], coefficients)
+    k = data.draw(st.integers(1, 40), label="listed")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    table = np.random.default_rng(seed).uniform(1e-4, 3.0, size=(k, d)).tolist()
+    sched = {"power": tail, "prefactors": tail,
+             "power-tail": ExplicitSchedule(table, tail),
+             "constant": ExplicitSchedule(table, "constant")}[kind]
+    ends = st.one_of(st.integers(1, 3 * k + 20), st.sampled_from([k, k + 1, k + 2]))
+    lo, hi = sorted(data.draw(st.sets(ends, min_size=2, max_size=2), label="run"))
+    bound = sched.log_radius_bound(range(lo, hi))
+    log_r = sched.log_radii(np.arange(lo, hi))
+    assert bound.shape == (d,)
+    assert bound.tobytes() == log_r.max(axis=0).tobytes()
+    assert np.all(np.exp(log_r) <= np.exp(bound))
+
+
+def test_log_radius_bound_past_the_tuples_needs_a_tail():
+    sched = ExplicitSchedule(((0.5, 0.25), (0.4, 0.1)))
+    assert sched.log_radius_bound(range(2, 3)).tolist() == np.log([0.4, 0.1]).tolist()
+    with pytest.raises(ValueError, match="index beyond the 2 explicit tuples"):
+        sched.log_radius_bound(range(2, 4))
+
+
 # ---------------------------------------------------------------------------
 # partial sums and growth
 # ---------------------------------------------------------------------------
