@@ -110,13 +110,11 @@ class FiberSumResult:
     expectation_lower: tuple[tuple[int, float], ...]
     hit_count: int
 
-    def ratio(self, N: int | None = None) -> float | None:
-        """Observed / exact-expectation at checkpoint N (default: last).
-        None when the expectation is zero."""
-        idx = -1 if N is None else self.checkpoints.index(N)
-        obs = self.partials[idx][1]
-        exp = self.expectation_exact[idx][1]
-        return None if exp == 0.0 else obs / exp
+    def ratio(self) -> float | None:
+        """Observed / exact-expectation at the last checkpoint, None when
+        the expectation is zero."""
+        exp = self.expectation_exact[-1][1]
+        return None if exp == 0.0 else self.partials[-1][1] / exp
 
     def csv_rows(self) -> list[list]:
         rows = []
@@ -141,6 +139,51 @@ class FiberSumResult:
 _last_curves: tuple | None = None
 
 
+def _fiber_curves(sched: RadiusSchedule, sv: np.ndarray, space: ProductSpace,
+                  anchor: tuple, u: float, cps: list[int]) -> tuple:
+    """The exact and lower expectation curves of a fiber sum, as
+    (exact, lower), each a tuple of (N, value) at the checkpoints ``cps``.
+
+    They depend on the schedule, the exponents, the factors' kinds and
+    parameters, the anchor, u and the checkpoints, never on a stream.  A
+    one-entry memo (``_last_curves``) keeps the last curves under those
+    values, so the seeds of one run share them.  On a miss the indices are
+    walked once, a chunk at a time: each chunk's radii give the exact terms
+    mu'(rect(x', r_n')) * r_{n,d}^u, added to one exact accumulator
+    (``svf._ExactSum``), so the walk's memory is O(chunk) whatever the
+    horizon is and each sum equals math.fsum of its terms.  The lower curve
+    is c times ``partial_sums`` at t_u, a walk of its own.  Past the call,
+    the memo keeps the schedule it was given and two floats per checkpoint.
+    """
+    global _last_curves
+    # schedules are frozen dataclasses that compare their normalised floats;
+    # repr keeps -0.0 apart from 0.0 and 1 apart from 1.0, so equal keys give
+    # equal curves whatever objects carry the values
+    key = (repr((space.descriptor(), sv.tolist(), anchor, u, cps)), sched)
+    # one read of the global: the key test and the curves come from one entry
+    last = _last_curves
+    if last is not None and last[0] == key:
+        return last[1]
+    expected, exact = _ExactSum(), []
+    for run, N in _checkpoint_ranges(cps):
+        radii = sched.log_radii(run)
+        np.exp(radii, out=radii)
+        terms = radii[:, -1] ** u
+        for i, factor in enumerate(space.factors[:-1]):
+            # a prefactor can make a radius wider than 2 * diameter, and a
+            # ball that wide is the whole factor
+            wide = np.minimum(radii[:, i], 2.0 * factor.diameter, out=radii[:, i])
+            terms = terms * factor.ball_measure_array(anchor[i], wide)
+        expected.add(terms)
+        if N is not None:
+            exact.append((N, expected.value()))
+    t_u = min(math.fsum(sv[:-1]) + u, math.fsum(sv))
+    c_const = math.prod(1.0 / f.c for f in space.factors[:-1])
+    lower = tuple((N, c_const * v) for N, v in zip(cps, partial_sums(sched, sv, t_u, cps)))
+    _last_curves = (key, (tuple(exact), lower))
+    return _last_curves[1]
+
+
 def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
                   s: Sequence[float], anchor: Sequence, u: float,
                   checkpoints: Sequence[int]) -> FiberSumResult:
@@ -149,38 +192,33 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
     Requires d >= 2, u in [0, s_d], radii non-increasing per index (relabel
     the factors first if not), and an anchor in the first d-1 factors.
 
-    The indices are walked once, in chunks of the svf module's _CHUNK cut at
-    the checkpoints.  A hit needs every anchor factor's distance within its
-    radius, and mu'(rect(x', r_n')) ~ r_n^s', so almost every index misses.
-    The hit test is therefore lazy, and still exact.  Per chunk, the
-    schedule bounds each factor's log-radius over the chunk
-    (``log_radius_bound``).  Factor by factor, the coordinates and
-    distances are drawn at the indices still in play, and an index stays a
-    candidate only while its distance is within twice its factor's bound.
-    The log-radii, radii and weights r_{n,d}^u are computed at the last
-    candidates only, and the hits are taken there.  A radius is a function
-    of n alone and the sums below are exact, so the hits and sums are those
-    of a walk that computes every radius.  The factor 2 leaves room for the
-    rounding of log and exp, which need not be monotone in the last bit.  A
-    chunk from n = 1 keeps most of its indices, since its bound is r_1.
+    Two walks make the result.  The expectation curves come first, from
+    ``_fiber_curves``, which reads no stream and serves the seeds of one
+    run from its memo.  The hits come from one walk over the indices, in
+    chunks of the svf module's _CHUNK cut at the checkpoints.  A hit needs
+    every anchor factor's distance within its radius, and
+    mu'(rect(x', r_n')) ~ r_n^s', so almost every index misses.  The hit
+    test is therefore lazy, and still exact.  Per chunk, the schedule
+    bounds each factor's log-radius over the chunk (``log_radius_bound``).
+    Factor by factor, the coordinates and distances are drawn at the
+    indices still in play, and an index stays a candidate only while its
+    distance is within twice its factor's bound; the first factor draws at
+    the chunk's index range, so no chunk-long index array outlives its
+    draw.  The log-radii, radii and weights r_{n,d}^u are computed at the
+    last candidates only, and the hit weights are added to an exact
+    accumulator (``svf._ExactSum``).  A radius is a function of n alone and
+    the sums are exact, so the hits and sums are those of a walk that
+    computes every radius, in O(chunk) memory whatever the horizon is.  The
+    factor 2 leaves room for the rounding of log and exp, which need not be
+    monotone in the last bit.  A chunk from n = 1 keeps most of its
+    indices, since its bound is r_1.
 
-    The exact and lower expectation curves depend only on the schedule, the
-    exponents, the factors' kinds and parameters, the anchor, u and the
-    checkpoints, never on the stream's seed.  A one-entry memo
-    (``_last_curves``) keeps the last call's curves under those values, so
-    the seeds of one run share them: on a hit the walk computes no radii
-    past the candidates, no ball masses and no series.  On a miss each
-    chunk's radii are computed in full for the exact terms, added to an
-    exact accumulator (``svf._ExactSum``) as the observed ones are, so the
-    walk's memory is O(chunk) whatever the horizon is and each sum equals
-    math.fsum of its terms; the lower curve is c times ``partial_sums`` at
-    t_u, a walk of its own.  Past the call, the memo keeps the schedule it
-    was given and two floats per checkpoint.
-
-    Unlike the series walk, this walk takes no workspace of chunk buffers:
-    its calls are short, and buffers made per call pay their first touch on
-    every call.  Over 20 seeds of 1e5 terms, such a workspace raised the
-    minor page faults of a round from 12,820 to 19,900.
+    Unlike the series walk, the hit walk takes no workspace of chunk
+    buffers: its calls are short, and buffers made per call pay their first
+    touch on every call.  Over 20 seeds of 1e5 terms, such a workspace
+    raised the minor page faults of a round from 12,820 to 19,900 when the
+    two walks were one loop; a warm round of the hit walk alone takes
+    almost none.
     """
     space = stream.space
     d = space.dim
@@ -197,64 +235,35 @@ def fiber_hit_sum(stream: OmegaStream, sched: RadiusSchedule,
         factor.validate_point(coord)
     cps = sorted_checkpoints(checkpoints)
 
-    global _last_curves
-    # schedules are frozen dataclasses that compare their normalised floats;
-    # repr keeps -0.0 apart from 0.0 and 1 apart from 1.0, so equal keys give
-    # equal curves whatever objects carry the values
-    key = (repr((space.descriptor(), sv.tolist(), anchor, u, cps)), sched)
-    # one read of the global: the key test and the curves come from one entry
-    last = _last_curves
-    curves = last[1] if last is not None and last[0] == key else None
-    t_u = min(math.fsum(sv[:-1]) + u, math.fsum(sv))
-    c_const = math.prod(1.0 / f.c for f in space.factors[:-1])
+    # the curves before the hits: walked after them, a cold torus call to
+    # 1e7 took 38,300 minor faults past the import instead of 2,000
+    exact, lower = _fiber_curves(sched, sv, space, anchor, u, cps)
     centre = [f.coordinate(x) for f, x in zip(space.factors[:-1], anchor)]
-    observed, expected = _ExactSum(), _ExactSum()
-    partials, exact, hit_count = [], [], 0
+    observed, partials, hit_count = _ExactSum(), [], 0
     for run, N in _checkpoint_ranges(cps):
-        ns = _indices(run)
         reach = 2.0 * np.exp(sched.log_radius_bound(run))
-        near, candidates = [], ns
+        candidates, near = run, []
         for i, factor in enumerate(space.factors[:-1]):
             dist = factor.distances(stream.factor_coords(i, candidates), centre[i])
-            close = dist <= reach[i]
-            candidates = candidates[close]
-            near = [x[close] for x in near] + [dist[close]]
+            keep = np.flatnonzero(dist <= reach[i])
+            candidates = keep + run.start if i == 0 else candidates[keep]
+            near = [x[keep] for x in near] + [dist[keep]]
         radii = np.exp(sched.log_radii(candidates))
-        hits = np.ones(candidates.size, dtype=bool)
-        for i, dist in enumerate(near):
-            hits &= dist <= radii[:, i]
+        hits = np.logical_and.reduce([dist <= radii[:, i] for i, dist in enumerate(near)])
         # only the hit terms are added: the sums are exact and +0.0 terms
         # add nothing, so each equals the sum of the zero-filled terms
         weights = radii[hits, -1] ** u
         observed.add(weights)
         hit_count += weights.size
-        # the exact terms after the hits: with the full radii made first, a
-        # cold torus call to 1e5 took 1,150 minor faults instead of 480
-        if curves is None:
-            log_r = sched.log_radii(ns)
-            radii = np.exp(log_r, out=log_r)
-            exact_terms = radii[:, -1] ** u
-            for i, factor in enumerate(space.factors[:-1]):
-                # a prefactor can make a radius wider than 2 * diameter, and
-                # a ball that wide is the whole factor
-                wide = np.minimum(radii[:, i], 2.0 * factor.diameter, out=radii[:, i])
-                exact_terms = exact_terms * factor.ball_measure_array(anchor[i], wide)
-            expected.add(exact_terms)
         if N is not None:
             partials.append((N, observed.value()))
-            if curves is None:
-                exact.append((N, expected.value()))
-    if curves is None:
-        lower = zip(cps, partial_sums(sched, sv, t_u, cps))
-        curves = (tuple(exact), tuple((N, c_const * v) for N, v in lower))
-        _last_curves = (key, curves)
     return FiberSumResult(
         anchor=anchor,
         u=float(u),
         checkpoints=tuple(cps),
         partials=tuple(partials),
-        expectation_exact=curves[0],
-        expectation_lower=curves[1],
+        expectation_exact=exact,
+        expectation_lower=lower,
         hit_count=hit_count,
     )
 
@@ -788,13 +797,16 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
         probes = [t_minus] + ([predicted + 0.75 * (total - predicted)]
                               if predicted < total else [])
         slopes = _growth_slopes(sched, sv, probes, cfg.slope_blocks)
-        target = max(0.0, 1.0 - prof.value(t_minus))
-        check("divergent-slope", abs(slopes[0] - target) <= SLOPE_TOL,
-              f"t={t_minus!r} slope={slopes[0]!r} target={target!r}")
-        if len(probes) == 2:
-            check("convergent-slope", abs(slopes[1]) <= SLOPE_TOL,
-                  f"t={probes[1]!r} slope={slopes[1]!r} target=0.0")
-        else:
+        targets = [max(0.0, 1.0 - prof.value(t_minus)), 0.0]
+        for name, t, slope, target in zip(("divergent-slope", "convergent-slope"),
+                                          probes, slopes, targets):
+            if slope is None:
+                check(name, "INCONCLUSIVE",
+                      f"t={t!r}: a block sum is 0 or inf, outside the float range")
+            else:
+                check(name, abs(slope - target) <= SLOPE_TOL,
+                      f"t={t!r} slope={slope!r} target={target!r}")
+        if len(probes) == 1:
             check("convergent-slope", None, "series diverges up to total(s); no convergent side")
     else:
         check("divergent-slope", None, "no exponent profile")

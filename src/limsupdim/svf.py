@@ -28,14 +28,14 @@ stable argsort, row cumsums and a gather.  The first route does the
 second's float operations in the same order, so every term is the same
 bit for bit whichever route gives it.
 
-Every exactly rounded partial sum in the package -- series sums here, fiber
-hit sums and their expectations, the divergence table's means -- comes from
-one exact accumulator, ``_ExactSum``, a binned superaccumulator that equals
-``math.fsum`` of everything added to it, at checkpoints checked by one rule,
-``sorted_checkpoints``.  A table of every running sum, such as the tail
-cover's, reads the accumulator's scaled int once per row through
-``running_fsums``.
-``partial_sums``, ``prefix_fsums``, the fiber hit sum and the density check
+Every exactly rounded sum in the package equals ``math.fsum`` of its
+terms.  The streamed ones -- series sums here, fiber hit sums and their
+expectations, the divergence table's means -- come from one exact
+accumulator, ``_ExactSum``, a binned superaccumulator, at checkpoints
+checked by one rule, ``sorted_checkpoints``.  A window's tail-cover sums
+are ``math.fsum`` itself, and its table of every running sum reads one
+scaled int per row through ``running_fsums``.
+``partial_sums``, ``prefix_fsums``, both fiber walks and the density check
 walk their indices once, in chunks of ``_CHUNK`` cut at the checkpoints,
 so their memory is O(chunk) whatever the horizon N is, plus the density
 check's cell counts; the series walk (``_probe_sums``) makes its chunk
@@ -458,24 +458,9 @@ class ExplicitSchedule:
 
     def log_radius_bound(self, run: range) -> np.ndarray:
         """Per factor, the largest log r_{n,i} over the indices of ``run``, a
-        non-empty range of step 1.  Listed radii may rise with n, so the
-        run's first row is no bound: the run takes its greatest listed row,
-        and past the listed tuples the tail's bound (the last row for the
-        constant tail)."""
-        k = len(self.tuples)
-        bound = np.full(self.dim, -np.inf)
-        if run.start <= k:
-            bound = self._log_table[run.start - 1: min(run.stop - 1, k)].max(axis=0)
-        if run.stop - 1 > k:
-            if self.tail is None:
-                raise ValueError(
-                    f"index beyond the {k} explicit tuples and no tail model declared"
-                )
-            tail = self._log_table[-1]
-            if self.power_model is not None:
-                tail = self.power_model.log_radius_bound(range(max(run.start, k + 1), run.stop))
-            bound = np.maximum(bound, tail)
-        return bound
+        non-empty range of step 1: the greatest of its ``log_radii`` rows,
+        since listed radii may rise with n."""
+        return self.log_radii(run).max(axis=0)
 
     def radius_tuple(self, n: int) -> RadiusTuple:
         n = _index(n)
@@ -636,11 +621,13 @@ def closed_form_dimension(sched: PowerLawSchedule,
     capped at sum(s).  Must agree with critical_exponent_series within the
     bisection tolerance on every valid schedule.
     """
-    a, ss = _sorted_power_law(sched, s)
+    # Python floats: an alpha near 0 makes 1/alpha inf, as in numpy, with
+    # no overflow warning
+    a, ss = (v.tolist() for v in _sorted_power_law(sched, s))
     best = math.inf
-    for i in range(a.size):
+    for i in range(len(a)):
         val = 1.0 / a[i] + math.fsum(ss[j] * (1.0 - a[j] / a[i]) for j in range(i))
-        best = min(best, float(val))
+        best = min(best, val)
     return min(best, math.fsum(ss))
 
 
@@ -928,11 +915,17 @@ def estimate_sum_growth(sched: RadiusSchedule,
 
 
 def _growth_slopes(sched: RadiusSchedule, s: Sequence[float],
-                   ts: Sequence[float], blocks: Sequence[int]) -> list[float]:
+                   ts: Sequence[float], blocks: Sequence[int]) -> list[float | None]:
     """``estimate_sum_growth`` at each exponent of ``ts``, the sums of all of
-    them from one walk of ``_probe_sums``."""
+    them from one walk of ``_probe_sums``.  An exponent whose block sums
+    are not all in (0, inf) gets None: past the float range its terms
+    round to 0 or overflow to inf, silently here, and such sums have no
+    log to fit."""
     blocks = _growth_blocks(blocks)
-    return [_growth_slope(blocks, sums) for sums in _probe_sums(sched, s, ts, blocks)]
+    with np.errstate(over="ignore"):
+        probes = _probe_sums(sched, s, ts, blocks)
+    return [_growth_slope(blocks, sums) if all(0.0 < v < math.inf for v in sums) else None
+            for sums in probes]
 
 
 def _growth_blocks(blocks: Sequence[int]) -> list[int]:

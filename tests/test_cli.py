@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -81,6 +84,17 @@ def test_dim_predict_disagreement_is_exit_1(runner):
                                   "--s", "1,1", "--tol", "1e-18"])
     assert result.exit_code == 1
     assert "DISAGREE" in result.output
+
+
+def test_dim_predict_takes_an_alpha_near_zero_without_a_warning(runner):
+    # 1 / 1e-320 is past the float range: on numpy scalars the closed form
+    # warned "overflow encountered in scalar divide", an exit 1 under -W error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, ["dim", "predict", "--alphas", "1e-320,1", "--s", "1,1"])
+    assert result.exit_code == 0, result.output
+    assert "\ndimension=2\n" in result.output
+    assert "agreement=ok" in result.output
 
 
 def test_dim_predict_closed_form_only_for_a_power_law():
@@ -1136,3 +1150,36 @@ def test_divergence_power_expectations():
     assert outcome.manifest.statistics == want.statistics()
     assert outcome.csv == cli.csv_body(["N", "M", "statistic", "reference", "ratio"],
                                        want.csv_rows())
+
+
+_CANTOR2 = ("mc fiber-sum --space cantor:0.3333333333333333,cantor:0.3333333333333333 "
+            "--alphas 1,2 --s 0.6309297535714574,0.6309297535714574 --u 0 "
+            "--anchor 0110101100101011 --checkpoints 100,1000,10000 --seed 7").split()
+
+
+def test_cantor_fiber_sum_replays_across_simd_dispatch(tmp_path):
+    # numpy's AVX-512 log, exp and power differ from libm's in the last bit,
+    # so the floats may move with the dispatch, by about 16 ulps at the
+    # N = 1e4 reference, while every hit stays where it is
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(limsupdim.__file__))
+    runs = []
+    for name, extra in (("default", {}),
+                        ("libm", {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})):
+        out = tmp_path / name
+        proc = subprocess.run([sys.executable, "-m", "limsupdim.cli", *_CANTOR2, "--out", str(out)],
+                              capture_output=True, text=True, env={**env, **extra}, timeout=120)
+        if extra and proc.returncode and "cannot disable CPU feature" in proc.stderr:
+            pytest.skip(f"numpy keeps its AVX-512 dispatch here: {proc.stderr.strip()}")
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((out / "manifest.jsonl").read_text().splitlines()[0])
+        runs.append(manifest["statistics"])
+    stats, stats_off = runs
+    assert stats["hit_count"] == stats_off["hit_count"] == 94
+    # u = 0, so each observed sum is the count of hits so far
+    assert stats["observed"] == stats_off["observed"] == [13.0, 31.0, 94.0]
+    for key in ("expectation_exact", "expectation_lower"):
+        assert len(stats[key]) == len(stats_off[key]) == 3
+        assert all(math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+                   for a, b in zip(stats[key], stats_off[key])), (stats[key], stats_off[key])

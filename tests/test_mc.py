@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -510,6 +511,20 @@ def test_memoised_fiber_sum_equals_the_unmemoised_oracle(kinds, lam, coords, dig
         # each call after the first is a memo hit, which keeps the entry
         assert memo is None or mc._last_curves is memo
         memo = mc._last_curves
+
+
+def test_fiber_curves_take_no_stream(monkeypatch, torus2):
+    # the curves are a function of the schedule and the fiber alone: walked
+    # once with no stream, they serve a later fiber sum from the memo
+    sched, cps = PowerLawSchedule((0.5, 1), (3, 1)), [100, 65537]
+    curves = mc._fiber_curves(sched, np.array([1.0, 1.0]), torus2, (0.5,), 0.25, cps)
+    monkeypatch.setattr(mc, "partial_sums", lambda *a: pytest.fail("a second curve walk"))
+    monkeypatch.setattr(Circle, "ball_measure_array", lambda *a: pytest.fail("a ball mass"))
+    got = fiber_hit_sum(OmegaStream(1, torus2), sched, (1, 1), (0.5,), 0.25, cps)
+    monkeypatch.undo()
+    assert (got.expectation_exact, got.expectation_lower) == curves
+    assert _bits(got) == _bits(unmemoised_fiber_hit_sum(OmegaStream(1, torus2), sched, (1, 1),
+                                                        (0.5,), 0.25, cps))
 
 
 def test_a_warm_walk_computes_radii_at_candidates_only(monkeypatch, torus2):
@@ -1258,6 +1273,26 @@ def test_verdict_cover_domination_fails_on_a_violation(monkeypatch, torus2):
 def test_verdict_rejects_no_seeds(torus2):
     with pytest.raises(ValueError, match="seeds must hold at least one seed"):
         dimension_verdict(PowerLawSchedule((1, 2)), (1, 1), torus2, [], FAST_VERDICT)
+
+
+@pytest.mark.parametrize("kappa, status", [
+    (1e-300, "INCONCLUSIVE"), (1e-250, "INCONCLUSIVE"), (1e-180, "PASS"),
+    (1e175, "PASS"), (1e180, "INCONCLUSIVE"), (1e200, "INCONCLUSIVE"),
+])
+def test_verdict_slope_sums_past_the_float_range_are_inconclusive(torus2, kappa, status):
+    # the convergent probe's terms at t = 1.75 are kappa^1.75 * n^-2.5: the
+    # small prefactors round every one to 0 and the large ones overflow the
+    # first ones, where the slope was nan: a FAIL under a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = dimension_verdict(PowerLawSchedule((1, 2), (kappa, kappa)), (1, 1), torus2, [1])
+    by_name = {c.name: c for c in rep.checks}
+    assert by_name["divergent-slope"].status == "PASS"
+    assert by_name["convergent-slope"].status == status
+    if status == "INCONCLUSIVE":
+        assert by_name["convergent-slope"].detail == (
+            "t=1.75: a block sum is 0 or inf, outside the float range")
+    assert rep.passed
 
 
 def test_verdict_when_the_series_diverges_up_to_the_total(torus2):
