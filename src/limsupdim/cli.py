@@ -56,7 +56,6 @@ from .spaces import (
 from .svf import (
     ExplicitSchedule,
     PowerLawSchedule,
-    RadiusTuple,
     closed_form_dimension,
     critical_exponent_series,
     singular_value,
@@ -196,7 +195,7 @@ def parse_schedule(cfg: RunConfig):
     if text == "explicit":
         if not cfg.tuples:
             raise ValueError("explicit schedule requires 'tuples'")
-        tups = tuple(RadiusTuple(_values(part)) for part in cfg.tuples.split(";"))
+        tups = tuple(_values(part) for part in cfg.tuples.split(";"))
         tail_text = (cfg.tail or "none").strip()
         if tail_text == "none":
             tail = None

@@ -616,10 +616,12 @@ def tail_cover_sum(stream: OmegaStream, sched: RadiusSchedule,
                    window: tuple[int, int]) -> TailCoverProfile:
     """Construct the window's rectangle covers and sum their contributions.
 
-    The window is batched: radius tuples, pieces and cube radii rho come as
-    arrays, each factor's centres from one stream draw.  A factor is covered,
-    by the greedy of ``cover_rectangle``, only where its radius exceeds rho.
-    A side past its factor's diameter covers the whole factor: the greedy
+    The window is batched: its ``log_radii`` are made once, and Phi, the
+    cover sides (the radii, their ``np.exp``), the pieces and the cube radii
+    rho all come from that one array, so each index has one rectangle.  Each
+    factor's centres come from one stream draw.  A factor is covered, by the
+    greedy of ``cover_rectangle``, only where its radius exceeds rho.  A
+    side past its factor's diameter covers the whole factor: the greedy
     clamps it there, so domination holds for any radii, from n = 1 on.
 
     A window longer than MAX_COVER_WINDOW is a domain error raised before
@@ -636,10 +638,10 @@ def tail_cover_sum(stream: OmegaStream, sched: RadiusSchedule,
 
     c_big = math.prod(4.0**f.s * f.c**2 for f in space.factors)
     ns = np.arange(n0, n1 + 1, dtype=np.int64)
+    log_r = sched.log_radii(ns)
     with np.errstate(over="ignore"):
-        phi = np.exp(log_phi_rows(sched.log_radii(ns), sv, float(t))).tolist()
-
-    radii = np.array([sched.radius_tuple(n).values for n in ns.tolist()])
+        phi = np.exp(log_phi_rows(log_r, sv, float(t))).tolist()
+        radii = np.exp(log_r, out=log_r)
     order = np.argsort(-radii, axis=1, kind="stable")
     piece = np.minimum((np.cumsum(sv[order], axis=1) < t).sum(axis=1), space.dim - 1)
     rows = np.arange(ns.size)
@@ -748,7 +750,10 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
     swallowed.  The cover window is ``cfg.cover_window`` whatever the
     prefactors: a side past its factor's diameter covers the whole factor.
     A window whose cover sums pass the float range raises the ValueError of
-    ``tail_cover_sum``, naming the window and t.
+    ``tail_cover_sum``, naming the window and t.  When the fiber check will
+    run (d >= 2 and t* - sum(s') > 0), radii out of order per index raise
+    the ValueError of ``check_non_increasing`` right after t*, before any
+    walk.
     """
     cfg = config or VerdictConfig()
     if len(seeds) == 0:
@@ -774,6 +779,11 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
             predicted = cf
     else:
         check("method-agreement", None, "no power-law model to cross-check")
+    d = space.dim
+    u_star = predicted - math.fsum(sv[:-1])
+    if d >= 2 and u_star > 0.0:
+        # the fiber check needs non-increasing radii: refuse before any walk
+        sched.check_non_increasing()
 
     # tail-cover domination on a modest constructed window
     t_probes = sorted({v for v in (0.5 * predicted, predicted,
@@ -813,8 +823,6 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
         check("convergent-slope", None, "no exponent profile")
 
     # fiber hit-sum divergence below t*
-    d = space.dim
-    u_star = predicted - math.fsum(sv[:-1])
     if d >= 2 and u_star > 0.0:
         u = 0.5 * u_star
         anchor = space.center()[: d - 1]

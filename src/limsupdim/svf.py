@@ -20,6 +20,11 @@ exponent profile; the series converges iff e(t) > 1, so t* solves e(t) = 1.
 Two independent routes to t* are provided: bisection on e(t) = 1 and a
 closed-form minimum over pieces.  Everything here is pure and deterministic.
 
+A radius schedule (``RadiusSchedule``: a power law, or explicit tuples with
+a tail) gives the radii of rectangle n by their logs alone, ``log_radii``:
+series terms, fiber sums and tail covers all read that one array, so each
+index has one rectangle.
+
 Series terms are evaluated in batches of rows by ``log_phi_rows``.  It
 works on the d columns taken in the last row's stable order, the order
 power-law rows keep from some n on: running sums added column after column
@@ -52,7 +57,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 __all__ = [
-    "RadiusTuple",
     "SingularValueProfile",
     "PowerLawSchedule",
     "ExplicitSchedule",
@@ -70,45 +74,14 @@ __all__ = [
 DEFAULT_BISECTION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class RadiusTuple:
-    """Side radii of a rectangle, one entry per factor space, each finite
-    and > 0 (the ``_RADII`` rule), with no upper limit: a side past its
-    factor's diameter covers the whole factor, and covers and ball masses
-    clamp it there.  Radii near the float range can overflow a window's
-    cover sums, which ``tail_cover_sum`` refuses with a ValueError.
-    """
-
-    values: tuple[float, ...]
-
-    def __init__(self, values: Iterable[float]):
-        vals = tuple(float(v) for v in values)
-        if not vals:
-            raise ValueError("radius tuple must be non-empty")
-        # a loop over Python floats: tail covers build one tuple per rectangle
-        for v in vals:
-            if not 0.0 < v < math.inf:  # false for NaN too
-                raise ValueError(f"all radii must be finite and > 0, got {v}")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
-
-
 # (name, entry check, domain text) of the arrays that _as_array accepts; each
 # check is false for NaN
 _RADII = ("radii", lambda v: (v > 0.0) & (v < math.inf), "finite and > 0")
 _EXPONENTS = ("regularity exponents", lambda v: (v >= 0.0) & (v < math.inf), "finite and >= 0")
 
 
-def _as_array(values: RadiusTuple | Sequence[float], spec: tuple) -> np.ndarray:
-    """A tuple or sequence as a non-empty 1-d float array, entries checked."""
+def _as_array(values: Sequence[float], spec: tuple) -> np.ndarray:
+    """A sequence as a non-empty 1-d float array, entries checked."""
     name, ok, domain = spec
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or vals.size == 0:
@@ -220,7 +193,7 @@ def log_phi_rows(log_r: np.ndarray, s: np.ndarray, t: float,
     return out
 
 
-def singular_value(r: RadiusTuple | Sequence[float],
+def singular_value(r: Sequence[float],
                    s: Sequence[float],
                    t: float) -> float:
     """Evaluate the singular value function Phi_r^s(t).
@@ -270,7 +243,7 @@ class SingularValueProfile:
         return float(np.exp(self.log_value(t)))
 
 
-def svf_profile(r: RadiusTuple | Sequence[float],
+def svf_profile(r: Sequence[float],
                 s: Sequence[float]) -> SingularValueProfile:
     """Full piecewise-linear profile of log Phi_r^s, breakpoints included."""
     rv, sv = _radii_and_exponents(r, s)
@@ -301,11 +274,12 @@ _LOG_N_BLOCK = 1 << 13
 class PowerLawSchedule:
     """Radii r_{n,i} = kappa_i * n^{-alpha_i} with alpha_i > 0, kappa_i > 0.
 
-    Every index n >= 1 has its tuple, whatever the prefactors: a radius
+    Every index n >= 1 has its radii, whatever the prefactors: a radius
     past its factor's diameter covers the whole factor, and finitely many
-    rectangles never change the limsup set or t*.  A prefactor near the
-    float range can overflow a window's cover sums, which ``tail_cover_sum``
-    refuses with a ValueError.
+    rectangles never change the limsup set or t*.  The radii are given by
+    their logs only (``log_radii``): every caller, tail covers included,
+    exponentiates those.  A prefactor near the float range can overflow a
+    window's cover sums, which ``tail_cover_sum`` refuses with a ValueError.
     """
 
     alphas: tuple[float, ...]
@@ -363,10 +337,6 @@ class PowerLawSchedule:
         since every alpha_i > 0."""
         return self.log_radii([run.start])[0]
 
-    def radius_tuple(self, n: int) -> RadiusTuple:
-        n = float(_index(n))
-        return RadiusTuple(k * n ** -a for a, k in zip(self.alphas, self.coefficients))
-
     @property
     def power_model(self) -> PowerLawSchedule:
         """The power law that decides t*: the schedule itself."""
@@ -396,7 +366,10 @@ class PowerLawSchedule:
 class ExplicitSchedule:
     """A finite list of radius tuples plus a declared tail model.
 
-    tail is one of:
+    Each tuple is a non-empty sequence of radii, each finite and > 0 (the
+    ``_RADII`` rule, with no upper limit: a side past its factor's diameter
+    covers the whole factor), all of one length; they are kept as tuples of
+    floats.  tail is one of:
       * None -- nothing is known past the listed tuples; no critical exponent
         can be claimed, only growth diagnostics on the finite part.
       * a PowerLawSchedule -- the sequence continues as that power law for
@@ -405,31 +378,35 @@ class ExplicitSchedule:
         the series diverges at every t).
     """
 
-    tuples: tuple[RadiusTuple, ...]
+    tuples: tuple[tuple[float, ...], ...]
     tail: PowerLawSchedule | str | None = None
     # log-radii of the listed tuples, one row each, taken once: the streaming
     # sums call log_radii once per chunk
     _log_table: np.ndarray = field(init=False, repr=False, compare=False)
+    # row i: per factor, the largest log-radius of listed rows i, i+1, ...
+    _log_suffix_max: np.ndarray = field(init=False, repr=False, compare=False)
     # number (from 1) of the first listed tuple whose radii increase, 0 if
     # none: found once, raised by each check_non_increasing call
     _first_increase: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        tups = tuple(
-            t if isinstance(t, RadiusTuple) else RadiusTuple(t) for t in self.tuples
-        )
+        tups = tuple(tuple(map(float, t)) for t in self.tuples)
         if not tups:
             raise ValueError("explicit schedule needs at least one tuple")
         d = len(tups[0])
         if any(len(t) != d for t in tups):
             raise ValueError("all radius tuples must have the same dimension")
+        # every radius at once, by the one rule of radii
+        values = _as_array(np.ravel(tups), _RADII).reshape(len(tups), d)
         if isinstance(self.tail, str) and self.tail != "constant":
             raise ValueError(f"unknown tail model {self.tail!r}")
         if isinstance(self.tail, PowerLawSchedule) and self.tail.dim != d:
             raise ValueError("tail model dimension mismatch")
         object.__setattr__(self, "tuples", tups)
-        values = np.array([t.values for t in tups])
-        object.__setattr__(self, "_log_table", np.log(values))
+        log_table = np.log(values)
+        object.__setattr__(self, "_log_table", log_table)
+        object.__setattr__(self, "_log_suffix_max",
+                           np.maximum.accumulate(log_table[::-1], axis=0)[::-1])
         # the radii themselves, not their logs: np.log can round two distinct
         # radii to one float and hide an increase
         rises = np.flatnonzero((values[:, 1:] > values[:, :-1]).any(axis=1))
@@ -446,31 +423,33 @@ class ExplicitSchedule:
         ns = _indices(ns)
         k = len(self.tuples)
         rest = ns > k
-        if self.tail is None and rest.any():
-            raise ValueError(
-                f"index beyond the {k} explicit tuples and no tail model declared"
-            )
+        past_list = rest.any()
+        self._check_listed(past_list)
         # the constant tail is the last listed row, repeated
         out = np.take(self._log_table, np.minimum(ns, k) - 1, axis=0, out=out)
-        if self.power_model is not None and rest.any():
+        if self.power_model is not None and past_list:
             out[rest] = self.power_model.log_radii(ns[rest])
         return out
 
-    def log_radius_bound(self, run: range) -> np.ndarray:
-        """Per factor, the largest log r_{n,i} over the indices of ``run``, a
-        non-empty range of step 1: the greatest of its ``log_radii`` rows,
-        since listed radii may rise with n."""
-        return self.log_radii(run).max(axis=0)
+    def _check_listed(self, past_list: bool) -> None:
+        """Refuse indices past the listed tuples when no tail is declared."""
+        if past_list and self.tail is None:
+            raise ValueError(f"index beyond the {len(self.tuples)} explicit tuples "
+                             "and no tail model declared")
 
-    def radius_tuple(self, n: int) -> RadiusTuple:
-        n = _index(n)
+    def log_radius_bound(self, run: range) -> np.ndarray:
+        """Per factor, an upper bound of log r_{n,i} over the indices of
+        ``run``, a non-empty range of step 1, since listed radii may rise
+        with n: the largest listed row from the run's first index on (the
+        last row for a constant tail), and past the list the power tail's
+        bound, its first row there, which is exact."""
         k = len(self.tuples)
-        if n > k and self.tail is None:
-            raise ValueError(f"index beyond the {k} explicit tuples and no tail model")
-        if n > k and self.power_model is not None:
-            return self.power_model.radius_tuple(n)
-        # the constant tail is the last listed tuple, repeated
-        return self.tuples[min(n, k) - 1]
+        self._check_listed(run.stop - 1 > k)
+        bound = self._log_suffix_max[min(run.start, k) - 1]
+        if self.power_model is None or run.stop - 1 <= k:
+            return bound
+        tail = self.power_model.log_radius_bound(range(max(run.start, k + 1), run.stop))
+        return tail if run.start > k else np.maximum(bound, tail)
 
     @property
     def power_model(self) -> PowerLawSchedule | None:
@@ -488,13 +467,14 @@ class ExplicitSchedule:
     def descriptor(self) -> dict:
         return {
             "kind": "explicit",
-            "tuples": [list(t.values) for t in self.tuples],
+            "tuples": [list(t) for t in self.tuples],
             "tail": self.power_model.descriptor() if self.power_model is not None else self.tail,
         }
 
 
-# Both kinds answer power_model, check_non_increasing() and
-# log_radius_bound(), so callers never test which kind they hold.
+# The schedule protocol, which both kinds answer so that callers never test
+# which kind they hold: dim, log_radii(ns, out), log_radius_bound(run),
+# power_model, check_non_increasing() and descriptor().
 RadiusSchedule = PowerLawSchedule | ExplicitSchedule
 
 
@@ -908,24 +888,27 @@ def estimate_sum_growth(sched: RadiusSchedule,
 
     For power-law schedules this estimates max(0, 1 - e(t)).  Blocks must be
     strictly increasing with at least 3 entries.  Equal consecutive values (a
-    fully converged sum at float resolution) flatten the slope.
+    fully converged sum at float resolution) flatten the slope.  A block sum
+    of 0 or inf, as prefactors near the float range give, has no log to fit:
+    a ValueError naming t.
     """
     blocks = _growth_blocks(blocks)
-    return _growth_slope(blocks, partial_sums(sched, s, t, blocks))
+    with np.errstate(over="ignore"):
+        slope = _growth_slope(blocks, partial_sums(sched, s, t, blocks))
+    if slope is None:
+        raise ValueError(f"t={t!r}: a block sum is 0 or inf, outside the float range")
+    return slope
 
 
 def _growth_slopes(sched: RadiusSchedule, s: Sequence[float],
                    ts: Sequence[float], blocks: Sequence[int]) -> list[float | None]:
     """``estimate_sum_growth`` at each exponent of ``ts``, the sums of all of
-    them from one walk of ``_probe_sums``.  An exponent whose block sums
-    are not all in (0, inf) gets None: past the float range its terms
-    round to 0 or overflow to inf, silently here, and such sums have no
-    log to fit."""
+    them from one walk of ``_probe_sums``; an exponent whose block sums
+    leave the float range gets None (``_growth_slope``)."""
     blocks = _growth_blocks(blocks)
     with np.errstate(over="ignore"):
         probes = _probe_sums(sched, s, ts, blocks)
-    return [_growth_slope(blocks, sums) if all(0.0 < v < math.inf for v in sums) else None
-            for sums in probes]
+    return [_growth_slope(blocks, sums) for sums in probes]
 
 
 def _growth_blocks(blocks: Sequence[int]) -> list[int]:
@@ -935,7 +918,13 @@ def _growth_blocks(blocks: Sequence[int]) -> list[int]:
     return blocks
 
 
-def _growth_slope(blocks: list[int], sums: list[float]) -> float:
+def _growth_slope(blocks: list[int], sums: list[float]) -> float | None:
+    """The least-squares slope of log sums against log blocks, or None
+    unless every sum is in (0, inf): past the float range the terms round
+    to 0 or overflow to inf, silently under the callers' errstate, and
+    such sums have no log to fit."""
+    if not all(0.0 < v < math.inf for v in sums):
+        return None
     x = np.log(np.asarray(blocks, dtype=float))
     y = np.log(np.asarray(sums, dtype=float))
     return float(np.polyfit(x, y, 1)[0])

@@ -22,6 +22,8 @@ the in-place kernels replaced are kept too, as bit-for-bit references of
 those kernels (a Cantor distance is the interval's on embedded points),
 and so is the per-index tail cover loop, one argsort and one
 ``cover_rectangle`` per rectangle, as the reference of the batched window.
+Schedule radii by their definition, kappa n^-alpha in Python floats or
+the listed tuples, are the reference of ``log_radii`` within rounding.
 The streamed fiber hit sum that computes its seed-independent expectation
 curves on every call is kept as the reference of the memoised one.  The
 probe-net cover check that compares every net point with every centre is
@@ -138,6 +140,22 @@ def broadcast_log_radii(sched, ns):
     logn = np.log(np.asarray(ns, dtype=float))[None, :]
     return (np.log(sched.coefficients)[:, None]
             - np.asarray(sched.alphas)[:, None] * logn).T
+
+
+def definition_radii(sched, ns):
+    """Radii r_{n,i} of a schedule by its definition, row by row in Python
+    floats: kappa_i * n^-alpha_i for a power law and for an explicit
+    schedule's power tail past its list, the listed tuple, and the last one
+    for a constant tail (no domain checks).  ``log_radii`` takes logs in
+    numpy, so its exp must match these within rounding."""
+    rows, listed = [], getattr(sched, "tuples", ())
+    for n in ns:
+        if n <= len(listed) or getattr(sched, "tail", None) == "constant":
+            rows.append(listed[min(n, len(listed)) - 1])
+        else:
+            power = sched.power_model
+            rows.append([k * float(n) ** -a for a, k in zip(power.alphas, power.coefficients)])
+    return np.array(rows, dtype=float)
 
 
 def interval_distance(coords, y):
@@ -626,19 +644,20 @@ def materialised_density_counts(stream, delta, horizon):
 
 def per_n_tail_cover_sum(stream, sched, s, t, window):
     """The tail cover profile built one rectangle at a time: each index
-    draws its centre, sorts its radius tuple and runs ``cover_rectangle``
-    (no domain checks).  ``limsupdim.mc.tail_cover_sum`` batches the window,
-    so the two must agree bit for bit."""
+    draws its centre, sorts its radii, the exp of its ``log_radii`` row, and
+    runs ``cover_rectangle`` (no domain checks).
+    ``limsupdim.mc.tail_cover_sum`` batches the window, so the two must
+    agree bit for bit."""
     space = stream.space
     sv = np.asarray(s, dtype=float)
     n0, n1 = window
     c_big = math.prod(4.0**f.s * f.c**2 for f in space.factors)
     ns = np.arange(n0, n1 + 1, dtype=np.int64)
-    phi = np.exp(log_phi_rows(sched.log_radii(ns), sv, float(t)))
+    log_r = sched.log_radii(ns)
+    phi = np.exp(log_phi_rows(log_r, sv, float(t)))
     per_n = []
-    for offset, n in enumerate(ns.tolist()):
-        radii = sched.radius_tuple(n)
-        vals = np.asarray(radii.values)
+    for offset, (n, vals) in enumerate(zip(ns.tolist(), np.exp(log_r))):
+        radii = tuple(vals.tolist())
         order = np.argsort(-vals, kind="stable")
         piece = min(int((np.cumsum(sv[order]) < t).sum()), len(vals) - 1)
         rho = float(vals[order[piece]])

@@ -279,9 +279,26 @@ def test_mc_tail_cover_refuses_a_cantor_net_finer_than_floats_exit_2(runner):
     assert result.exit_code == 2
     assert "Traceback" not in result.output
     (error,) = [line for line in result.output.splitlines() if line.startswith("Error:")]
-    assert "resolution 2.5e-301" in error and "centre 0.014706417962077667" in error
+    # the cube radius is exp(log(1e-300)), so the resolution, a quarter of
+    # it, is not 2.5e-301 in its last bits
+    assert "resolution 2.5000000000000593e-301" in error
+    assert "centre 0.014706417962077667" in error
     assert "below the float spacing" in error
     assert elapsed < 2.0
+
+
+def test_mc_verdict_refuses_unsorted_radii_before_its_walks_exit_2(runner):
+    # t* = 1.5 leaves the fiber check a positive u, and that check needs
+    # radii in non-increasing order: refused at once, with no walk
+    start = time.perf_counter()
+    result = runner.invoke(main, [
+        "mc", "verdict", "--space", "circle,circle", "--alphas", "1,0.5",
+        "--coefficients", "1,14.106735979665885", "--s", "1,1", "--seeds", "1"])
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "sort decay exponents ascending" in result.output
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("args, token", [

@@ -18,7 +18,6 @@ from limsupdim import (
     OmegaStream,
     PowerLawSchedule,
     ProductSpace,
-    RadiusTuple,
     VerdictConfig,
     density_check,
     dimension_verdict,
@@ -33,6 +32,7 @@ from oracles import (
     array_key_bits,
     array_key_uniform01,
     array_key_words,
+    definition_radii,
     harmonic_number,
     materialised_density_counts,
     materialised_fiber_hit_sum,
@@ -307,7 +307,7 @@ def test_fiber_sum_convergent_increments_small():
 
 def test_fiber_sum_zero_hits_reported():
     sched = ExplicitSchedule(
-        tuple(RadiusTuple((1e-6, 1e-6)) for _ in range(50)), tail="constant"
+        ((1e-6, 1e-6),) * 50, tail="constant"
     )
     res = fiber_hit_sum(_torus_stream(1), sched, (1, 1), (0.5,), 0.0, [50])
     assert res.hit_count == 0
@@ -378,8 +378,8 @@ def test_fiber_partials_count_the_hits_up_to_each_checkpoint(torus2):
     sched = PowerLawSchedule((1, 2))
     st = OmegaStream(4, torus2)
     circle = torus2.factors[0]
-    hits = [circle.distance(omega(st, n)[0], 0.5) <= sched.radius_tuple(n)[0]
-            for n in range(1, 301)]
+    radii = definition_radii(sched, range(1, 301))[:, 0]
+    hits = [circle.distance(omega(st, n)[0], 0.5) <= r for n, r in enumerate(radii, 1)]
     cps = [1, 2, 50, 137, 300]
     res = fiber_hit_sum(st, sched, (1, 1), (0.5,), 0.0, cps)
     assert res.partials == tuple((N, float(sum(hits[:N]))) for N in cps)
@@ -976,10 +976,11 @@ def test_density_rejects_delta_whose_inverse_overflows(factor, delta):
 
 def test_tail_cover_single_rectangle_reference(unit_square):
     st = OmegaStream(11, unit_square)
-    sched = ExplicitSchedule((RadiusTuple((0.4, 0.05)),), tail="constant")
+    sched = ExplicitSchedule(((0.4, 0.05),), tail="constant")
     prof = tail_cover_sum(st, sched, (1, 1), 1.5, (1, 1))
     (n, count, rho, contribution, phi) = prof.per_n[0]
-    assert rho == 0.05
+    # the side is the exp of the schedule's log-radius, one rounding off
+    assert rho == np.exp(np.log(0.05)) == pytest.approx(0.05, rel=1e-15)
     assert count <= 128
     assert contribution <= 128 * 0.1**1.5
     assert phi == pytest.approx(0.05**0.5 * 0.4, rel=1e-12)
@@ -990,7 +991,7 @@ def test_tail_cover_single_rectangle_reference(unit_square):
 
 def test_tail_cover_t_zero(unit_square):
     st = OmegaStream(11, unit_square)
-    sched = ExplicitSchedule((RadiusTuple((0.4, 0.05)),), tail="constant")
+    sched = ExplicitSchedule(((0.4, 0.05),), tail="constant")
     prof = tail_cover_sum(st, sched, (1, 1), 0.0, (1, 4))
     assert prof.value == sum(c for _, c, _, _, _ in prof.per_n)
     assert prof.reference == pytest.approx((4 * 4) ** 2 * 4)
@@ -1081,6 +1082,37 @@ def test_prefactor_tail_covers_from_one_are_dominated_and_finite(data):
     assert prof.ok
     assert math.isfinite(prof.value) and math.isfinite(prof.reference)
     assert all(math.isfinite(row[3]) for row in prof.per_n)
+
+
+@given(hst.data())
+@settings(max_examples=40, deadline=None)
+def test_tail_cover_radius_is_the_exp_of_one_log_radius(data):
+    # one rectangle per index: each row's cube radius is the exp of one
+    # entry of its log_radii row, whatever the schedule, and the covers
+    # dominate their reference
+    d = data.draw(hst.integers(1, 3), label="d")
+    factors = tuple(data.draw(hst.sampled_from(_ALL_FACTORS)) for _ in range(d))
+    power = PowerLawSchedule(
+        tuple(data.draw(hst.floats(0.25, 3.0)) for _ in range(d)),
+        tuple(math.exp(data.draw(hst.floats(-3.0, 3.0))) for _ in range(d)))
+    if data.draw(hst.booleans(), label="explicit"):
+        k = data.draw(hst.integers(1, 10), label="k")
+        rows = [[data.draw(hst.floats(1e-4, 2.0)) for _ in range(d)] for _ in range(k)]
+        sched = ExplicitSchedule(rows, data.draw(hst.sampled_from(["constant", power])))
+    else:
+        sched = power
+    space = ProductSpace(factors)
+    s = space.s_vector
+    t = data.draw(hst.floats(0.0, math.fsum(s)), label="t")
+    n0 = data.draw(hst.integers(1, 20), label="n0")
+    window = (n0, n0 + data.draw(hst.integers(0, 24), label="length"))
+    stream = OmegaStream(data.draw(hst.integers(0, 2**32 - 1)), space)
+    prof = tail_cover_sum(stream, sched, s, t, window)
+    assert prof.ok
+    radii = np.exp(sched.log_radii(range(window[0], window[1] + 1)))
+    assert len(prof.per_n) == len(radii)
+    for (n, _, rho, _, _), row, want_n in zip(prof.per_n, radii, itertools.count(n0)):
+        assert n == want_n and rho in row.tolist()
 
 
 def test_tail_cover_window_cap(torus2):
@@ -1213,8 +1245,27 @@ def test_verdict_cantor_square():
     assert rep.passed
 
 
+@pytest.mark.parametrize("sched", [
+    PowerLawSchedule((1, 0.5), (1, 14.106735979665885)),
+    ExplicitSchedule(((0.5, 0.25), (0.1, 0.4)), PowerLawSchedule((0.5, 1))),
+], ids=["power", "explicit"])
+def test_verdict_refuses_unsorted_radii_before_its_walks(torus2, monkeypatch, sched):
+    # the fiber check needs non-increasing radii, and the verdict says so
+    # before the tail covers and the slope walk, not after them
+    def walk(*args, **kwargs):
+        raise AssertionError("a walk ran before the order check")
+
+    monkeypatch.setattr(mc, "tail_cover_sum", walk)
+    monkeypatch.setattr(mc, "_growth_slopes", walk)
+    with pytest.raises(ValueError) as refused:
+        dimension_verdict(sched, (1, 1), torus2, [1], FAST_VERDICT)
+    with pytest.raises(ValueError) as checked:
+        sched.check_non_increasing()
+    assert str(refused.value) == str(checked.value)
+
+
 def test_verdict_constant_radius_schedule(torus2):
-    sched = ExplicitSchedule((RadiusTuple((0.25, 0.25)),), tail="constant")
+    sched = ExplicitSchedule(((0.25, 0.25),), tail="constant")
     rep = dimension_verdict(sched, (1, 1), torus2, [3, 4], FAST_VERDICT)
     assert rep.predicted_dimension == 2.0
     assert rep.passed
@@ -1222,7 +1273,7 @@ def test_verdict_constant_radius_schedule(torus2):
 
 def test_verdict_fiber_inconclusive_on_zero_hits(torus2):
     sched = ExplicitSchedule(
-        tuple(RadiusTuple((1e-9, 1e-9)) for _ in range(4)), tail="constant"
+        ((1e-9, 1e-9),) * 4, tail="constant"
     )
     cfg = VerdictConfig(fiber_checkpoints=(4,), cover_window=(1, 4),
                         slope_blocks=(10, 100, 1000))

@@ -30,6 +30,7 @@ from oracles import (
     bits_stream_cells,
     cantor_mass_bruteforce,
     circle_distance,
+    definition_radii,
     column_stream_coords,
     every_pair_shuffled_greedy,
     every_centre_verify_cover,
@@ -486,11 +487,12 @@ def test_sorted_scan_matches_searchsorted_greedy(data):
         points = coords if space.period is None else coords % 1.0
         r = data.draw(st.floats(1e-3, 1.0), label="r")
     elif kind == "tail":
-        # an interval^2 tail cover's factor: side n^-2 over cube radius
-        # rho = n^-3 is the integer n, and the net at rho/4 has 8n gaps
+        # an interval^2 tail cover's factor, radii by their definition:
+        # side n^-2 over cube radius rho = n^-3 is the integer n, and the net
+        # at rho/4 has 8n gaps
         space = Interval()
         n = data.draw(st.integers(1, 128), label="n")
-        R, r = PowerLawSchedule((2, 3)).radius_tuple(n).values
+        R, r = definition_radii(PowerLawSchedule((2, 3)), [n])[0].tolist()
         x0 = data.draw(st.floats(0.0, 1.0), label="x0")
         coords, points = _net(space, x0, R, r / step)
     else:

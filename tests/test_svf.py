@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from limsupdim import (
     OmegaStream,
     PowerLawSchedule,
     ProductSpace,
-    RadiusTuple,
     closed_form_dimension,
     cover_rectangle,
     critical_exponent_series,
@@ -37,6 +37,7 @@ from oracles import (
     allocation_oracle,
     argsort_log_phi_rows,
     broadcast_log_radii,
+    definition_radii,
     dyadic_block_divergence,
     materialised_partial_sums,
     memoryview_prefix_fsums,
@@ -85,24 +86,24 @@ def test_nonpositive_radius_raises():
     with pytest.raises(ValueError):
         singular_value((0.5, 0.0), (1, 1), 0.5)
     with pytest.raises(ValueError):
-        RadiusTuple((0.5, -1.0))
+        ExplicitSchedule(((0.5, -1.0),))
 
 
 def test_radius_above_one_accepted_in_tuple():
     # a side past its factor's diameter covers the whole factor: any finite
     # radius > 0 is a side
-    assert RadiusTuple((1.5, 3e300)).values == (1.5, 3e300)
-    for bad in (math.inf, math.nan, 0.0, -1.0):
-        with pytest.raises(ValueError, match=f"all radii must be finite and > 0, got {bad}"):
-            RadiusTuple((0.5, bad))
+    sched = ExplicitSchedule(((1.5, 3e300), (1, 2)))
+    assert sched.tuples == ((1.5, 3e300), (1.0, 2.0))
+    assert all(type(r) is float for row in sched.tuples for r in row)
+    assert sched == ExplicitSchedule([np.array([1.5, 3e300]), [1.0, 2.0]])
 
 
 def test_prefactors_reach_tuples_from_n_one():
     # prefactors past 1 give radii past 1 at small n, not a missing tuple
     sched = PowerLawSchedule((1.0, 2.0), (3.0, 1.0))
-    assert sched.radius_tuple(1).values == (3.0, 1.0)
-    assert sched.radius_tuple(2).values == (1.5, 0.25)
-    assert max(sched.radius_tuple(3).values) <= 1.0
+    radii = np.exp(sched.log_radii([1, 2, 3]))
+    assert radii[:2] == pytest.approx(np.array([[3.0, 1.0], [1.5, 0.25]]), rel=1e-15)
+    assert radii[2].max() <= 1.0
 
 
 @given(
@@ -410,19 +411,19 @@ def test_critical_exponent_worked_values():
 
 
 def test_critical_exponent_constant_tail_gives_total():
-    sched = ExplicitSchedule((RadiusTuple((0.5, 0.5)),), tail="constant")
+    sched = ExplicitSchedule(((0.5, 0.5),), tail="constant")
     assert critical_exponent_series(sched, (1, 1)) == 2.0
 
 
 def test_critical_exponent_no_tail_raises():
-    sched = ExplicitSchedule((RadiusTuple((0.5, 0.5)),))
+    sched = ExplicitSchedule(((0.5, 0.5),))
     with pytest.raises(ValueError):
         critical_exponent_series(sched, (1, 1))
 
 
 def test_critical_exponent_power_tail_uses_tail():
     sched = ExplicitSchedule(
-        (RadiusTuple((0.9, 0.9)),), tail=PowerLawSchedule((2, 3))
+        ((0.9, 0.9),), tail=PowerLawSchedule((2, 3))
     )
     assert critical_exponent_series(sched, (1, 1)) == pytest.approx(0.5, abs=1e-8)
 
@@ -477,7 +478,7 @@ def test_prefactor_past_the_float_range_builds_its_schedule():
     # 3^1000, once the first index with radius <= 1, overflows a float; the
     # schedule needs no such index, and t* never reads the prefactors
     sched = PowerLawSchedule((0.001,), (3.0,))
-    assert sched.radius_tuple(1).values == (3.0,)
+    assert np.exp(sched.log_radii([1]))[0] == pytest.approx([3.0], rel=1e-15)
     assert critical_exponent_series(sched, (1,)) == critical_exponent_series(
         PowerLawSchedule((0.001,)), (1,))
 
@@ -497,14 +498,35 @@ def test_schedule_answers_unbuildable_and_power_model(sched, power, last):
     # past 1 included, up to the last listed tuple of a schedule without a
     # tail
     assert not hasattr(sched, "unbuildable")
+    assert not hasattr(sched, "radius_tuple")
     assert sched.power_model is power
     sched.check_non_increasing()
-    for n in range(1, last + 1):
-        got = np.log(sched.radius_tuple(n).values)
-        assert got == pytest.approx(sched.log_radii(np.array([n]))[0], rel=1e-12, abs=1e-12)
+    ns = range(1, last + 1)
+    assert np.exp(sched.log_radii(ns)) == pytest.approx(definition_radii(sched, ns), rel=1e-13)
     if last < 5:
         with pytest.raises(ValueError, match="no tail model"):
-            sched.radius_tuple(last + 1)
+            sched.log_radii([last + 1])
+        with pytest.raises(ValueError, match="no tail model"):
+            sched.log_radius_bound(range(last, last + 2))
+
+
+_HEAD3 = ((0.9, 0.5, 0.5), (1e-3, 2.0, 1e-300), (0.4, 0.3, 0.2))
+_FAR = [1, 2, 3, 4, 5, 17, 1000, 65537, 2**30, 2**40]
+
+
+@pytest.mark.parametrize("sched, ns", [
+    (PowerLawSchedule((0.5, 1.5, 3.0), (0.05, 1.0, 20.0)), _FAR),
+    (ExplicitSchedule(_HEAD3, "constant"), _FAR),
+    (ExplicitSchedule(_HEAD3, PowerLawSchedule((1.0, 2.0, 2.5), (3.0, 0.7, 1.0))), _FAR),
+    (ExplicitSchedule(_HEAD3), [1, 2, 3]),
+], ids=["power", "explicit-constant-tail", "explicit-power-tail", "explicit-no-tail"])
+def test_log_radii_match_the_definition(sched, ns):
+    # the radii every caller reads are the exp of log_radii: kappa n^-alpha
+    # (its own, or a power tail's past the list), or the listed tuple, or
+    # the last one repeated, within a few roundings of log and exp
+    want = definition_radii(sched, ns)
+    assert np.exp(sched.log_radii(ns)) == pytest.approx(want, rel=1e-13, abs=0)
+    assert np.exp(sched.log_radii(range(1, 4))) == pytest.approx(want[:3], rel=1e-13, abs=0)
 
 
 @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
@@ -517,7 +539,7 @@ def test_constant_tail_is_the_last_row_repeated(k, d, seed):
     tail = sched.log_radii(np.array([k + 1, k + 5, 2**40]))
     want = np.log(np.array(table[-1]))
     assert all(row.tobytes() == want.tobytes() for row in tail)
-    assert sched.radius_tuple(k + 3) is sched.tuples[-1]
+    assert sched.tuples[-1] == tuple(table[-1])
 
 
 @pytest.mark.parametrize("sched, message", [
@@ -554,8 +576,10 @@ def test_check_non_increasing_compares_radii_not_their_logs():
 @settings(max_examples=150, deadline=None)
 def test_log_radius_bound_is_the_largest_log_radius_of_a_run(data):
     # listed radii rise and fall at random, and runs straddle the last listed
-    # tuple: the bound is the run's greatest log_radii row, so its exp is at
-    # least every radius of the run
+    # tuple: the bound is at least the run's greatest log_radii row, from the
+    # listed rows' suffix maxima and a power tail's first row past the list,
+    # so its exp is at least every radius of the run; a power law's bound,
+    # and an explicit one's past the list, is that greatest row
     kind = data.draw(st.sampled_from(["power", "prefactors", "power-tail", "constant"]),
                      label="kind")
     d = data.draw(st.integers(1, 3), label="d")
@@ -572,7 +596,9 @@ def test_log_radius_bound_is_the_largest_log_radius_of_a_run(data):
     bound = sched.log_radius_bound(range(lo, hi))
     log_r = sched.log_radii(np.arange(lo, hi))
     assert bound.shape == (d,)
-    assert bound.tobytes() == log_r.max(axis=0).tobytes()
+    assert np.all(bound >= log_r.max(axis=0))
+    if kind in ("power", "prefactors") or lo > k:
+        assert bound.tobytes() == log_r.max(axis=0).tobytes()
     assert np.all(np.exp(log_r) <= np.exp(bound))
 
 
@@ -629,12 +655,12 @@ def test_partial_sum_harmonic():
 
 
 def test_partial_sum_explicit_single_tuple():
-    sched = ExplicitSchedule((RadiusTuple((0.5, 0.25)),))
+    sched = ExplicitSchedule(((0.5, 0.25),))
     assert partial_sum(sched, (1, 1), 1.5, 1) == pytest.approx(0.25, rel=1e-14)
 
 
 def test_partial_sum_beyond_explicit_requires_tail():
-    sched = ExplicitSchedule((RadiusTuple((0.5, 0.25)),))
+    sched = ExplicitSchedule(((0.5, 0.25),))
     with pytest.raises(ValueError):
         partial_sum(sched, (1, 1), 1.5, 2)
 
@@ -648,10 +674,8 @@ def test_partial_sums_checkpoints_match_single_calls():
 
 # explicit tuples: both routes take the log of the same radii, so every term
 # is the same float and the exactly rounded sums must be equal
-_TUPLES = tuple(
-    RadiusTuple(r) for r in np.random.default_rng(7).choice(
-        [1.0, 0.77, 0.5, 0.3, 0.01, 1e-5], size=(60, 3))
-)
+_TUPLES = np.random.default_rng(7).choice(
+    [1.0, 0.77, 0.5, 0.3, 0.01, 1e-5], size=(60, 3)).tolist()
 
 
 @pytest.mark.parametrize("s, t", [
@@ -661,15 +685,14 @@ _TUPLES = tuple(
 def test_partial_sums_match_fsum_of_singular_values(s, t):
     sched = ExplicitSchedule(_TUPLES, tail="constant")
     Ns = [1, 2, 7, 60, 80]
-    terms = [singular_value(sched.radius_tuple(n), s, t) for n in range(1, Ns[-1] + 1)]
+    terms = [singular_value(r, s, t) for r in definition_radii(sched, range(1, Ns[-1] + 1))]
     assert partial_sums(sched, s, t, Ns) == [math.fsum(terms[:N]) for N in Ns]
     assert partial_sum(sched, s, t, Ns[-1]) == math.fsum(terms)
 
 
 # checkpoints on both sides of 2^16, a chunk boundary
 _CHUNK_CHECKPOINTS = [65535, 65536, 65537, 200000]
-_HEAD = tuple(RadiusTuple(r) for r in
-              np.random.default_rng(3).uniform(0.05, 0.95, size=(70_000, 2)))
+_HEAD = np.random.default_rng(3).uniform(0.05, 0.95, size=(70_000, 2)).tolist()
 
 
 @pytest.mark.parametrize("sched, s, t", [
@@ -785,6 +808,18 @@ def test_growth_slope_convergent():
         PowerLawSchedule((2, 3)), (1, 1), 1.0, (10**3, 10**4, 10**5)
     )
     assert abs(slope) <= 0.05
+
+
+@pytest.mark.parametrize("kappa", [1e-300, 1e200])
+def test_growth_slope_past_the_float_range_names_t(kappa):
+    # the sums round to 0 or overflow to inf: no log to fit, so a domain
+    # error naming t in place of nan after a RuntimeWarning
+    sched = PowerLawSchedule((1, 2), (kappa, kappa))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^t=1\.75: a block sum is 0 or inf, "
+                                             r"outside the float range$"):
+            estimate_sum_growth(sched, (1, 1), 1.75, [1e4, 1e5, 1e6])
 
 
 def test_growth_slope_at_zero_is_one():
@@ -1014,20 +1049,19 @@ def test_exact_sum_copies_a_strided_view_chunk_by_chunk():
 _RULE = r"^indices must be integers in \[1, 2\*\*63\), got"
 _SCHEDULES = [
     PowerLawSchedule((1, 2), (3, 1)),
-    ExplicitSchedule((RadiusTuple((0.5, 0.25)),), tail=PowerLawSchedule((1, 2))),
-    ExplicitSchedule((RadiusTuple((0.5, 0.25)), RadiusTuple((0.4, 0.1))), tail="constant"),
+    ExplicitSchedule(((0.5, 0.25),), tail=PowerLawSchedule((1, 2))),
+    ExplicitSchedule(((0.5, 0.25), (0.4, 0.1)), tail="constant"),
 ]
 
 
 @pytest.mark.parametrize("sched", _SCHEDULES, ids=["power", "explicit-power", "explicit-constant"])
 @pytest.mark.parametrize("bad", [0, -1, 1.5, 2.5, math.nan, math.inf, 2**63])
 def test_schedules_and_streams_refuse_indices_by_one_rule(sched, bad):
-    # radius_tuple(0) on a power law ended in ZeroDivisionError, 1.5 gave a
-    # tuple for an index that does not exist, and an explicit schedule's
-    # log_radii read the tail at 2 for 2.5 where its radius_tuple read 2.5
+    # an index that does not exist, such as 1.5, names itself, and an
+    # explicit schedule does not read the tail at 2 for 2.5
     with pytest.raises(ValueError, match=rf"{_RULE} {re.escape(str(bad))}$"):
-        sched.radius_tuple(bad)
-    for ns in ([bad], np.array([3, bad]), [2.0, bad]):
+        sched.log_radii([bad])
+    for ns in (np.array([3, bad]), [2.0, bad]):
         with pytest.raises(ValueError, match=_RULE):
             sched.log_radii(ns)
     stream = OmegaStream(5, ProductSpace((Circle(), Cantor(0.25))))
@@ -1043,9 +1077,6 @@ def test_schedules_take_int_uint64_and_integral_float_indices(sched):
     want = sched.log_radii(np.array(ns, dtype=np.int64))
     for given_ns in (ns, np.array(ns, dtype=np.uint64), np.array(ns, dtype=float)):
         assert sched.log_radii(given_ns).tobytes() == want.tobytes()
-    for n in ns:
-        tup = sched.radius_tuple(n)
-        assert sched.radius_tuple(float(n)) == tup == sched.radius_tuple(np.uint64(n))
 
 
 def _cover_rect(center, radii, r):
@@ -1061,7 +1092,7 @@ def _cover_rect(center, radii, r):
      "center/radii dimension mismatch with the product space"),
     (lambda: _cover_rect((0.5, 0.5), (0.1, math.inf), 0.01),
      "rectangle side radii must be positive and finite, got inf"),
-    (lambda: RadiusTuple(()), "radius tuple must be non-empty"),
+    (lambda: ExplicitSchedule(((),)), "radii must form a non-empty 1-d sequence"),
     (lambda: PowerLawSchedule(()), "decay exponents must form a non-empty 1-d sequence"),
     (lambda: PowerLawSchedule((1, -2.0)), "all decay exponents must be finite and > 0, got -2.0"),
     (lambda: PowerLawSchedule((1, 2), (1,)), "coefficients and alphas must have equal length"),
@@ -1070,6 +1101,14 @@ def _cover_rect(center, radii, r):
     (lambda: ExplicitSchedule(()), "explicit schedule needs at least one tuple"),
     (lambda: ExplicitSchedule(((0.5, 0.25), (0.5,))),
      "all radius tuples must have the same dimension"),
+    (lambda: ExplicitSchedule(((0.5, 0.25), ())),
+     "all radius tuples must have the same dimension"),
+    # every listed radius passes the one rule of radii
+    (lambda: ExplicitSchedule(((0.5, 0.25), (0.5, 0.0))), "all radii must be finite and > 0, got 0.0"),
+    (lambda: ExplicitSchedule(((0.5, -1.0),)), "all radii must be finite and > 0, got -1.0"),
+    (lambda: ExplicitSchedule(((0.5, 0.25), (math.nan, 0.25))),
+     "all radii must be finite and > 0, got nan"),
+    (lambda: ExplicitSchedule(((0.5, math.inf),)), "all radii must be finite and > 0, got inf"),
     (lambda: ExplicitSchedule(((0.5,),), tail="linear"), "unknown tail model 'linear'"),
     (lambda: ExplicitSchedule(((0.5,),), tail=PowerLawSchedule((1, 2))),
      "tail model dimension mismatch"),
@@ -1079,7 +1118,8 @@ def _cover_rect(center, radii, r):
      "tol must be positive and finite, got 0"),
 ], ids=["cantor-ratio", "empty-product", "cube-radius", "rect-dimension", "side-radius",
         "empty-tuple", "no-alphas", "alpha", "coefficient-count", "coefficient",
-        "no-tuples", "tuple-dimension", "tail-kind", "tail-dimension", "closed-form-dimension",
+        "no-tuples", "tuple-dimension", "empty-row", "zero-radius", "negative-radius",
+        "nan-radius", "inf-radius", "tail-kind", "tail-dimension", "closed-form-dimension",
         "bisection-tol"])
 def test_library_domain_errors_name_the_input(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
