@@ -6,11 +6,14 @@ any experiment can be computed without replaying prefixes and identical runs
 reproduce bit-identical statistics.
 
 Almost-sure statements are replaced by falsifiable finite-sample surrogates
-with explicit error budgets (3-sigma rules); rectangle membership uses closed
-rectangles throughout.  Box-counting the limsup set itself is deliberately
-not offered as a dimension estimator: typical limsup sets are dense, so box
-counts saturate.  What is measured instead is what the dimension formula
-actually controls -- hit sums along fibers and cover sums along the tail.
+with explicit error budgets: the divergence table allows 3 sigma of binomial
+error, and the verdict's fiber check fails a true claim with at most the
+probability that the paper's divergence lemma bounds, which it states.
+Rectangle membership uses closed rectangles throughout.  Box-counting the
+limsup set itself is deliberately not offered as a dimension estimator:
+typical limsup sets are dense, so box counts saturate.  What is measured
+instead is what the dimension formula actually controls -- hit sums along
+fibers and cover sums along the tail.
 """
 
 from __future__ import annotations
@@ -676,18 +679,16 @@ def tail_cover_sum(stream: OmegaStream, sched: RadiusSchedule,
 # ---------------------------------------------------------------------------
 
 
-# verdict thresholds: the largest |slope - target| a growth slope may miss
-# by, the band of observed/expected fiber ratios that counts as in band, and
-# the share of conclusive seeds that must be in band
+# the largest |slope - target| a verdict growth slope may miss by
 SLOPE_TOL = 0.05
-RATIO_BAND = (0.25, 4.0)
-FIBER_PASS_FRACTION = 0.9
 
 
 @dataclass(frozen=True)
 class VerdictConfig:
     """Tolerance and sizes for dimension_verdict; defaults match the
-    acceptance budgets.  The pass thresholds are module constants."""
+    acceptance budgets.  The slope checks pass within the module constant
+    SLOPE_TOL; the fiber check has no threshold of its own, since the
+    divergence lemma bounds its false-FAIL probability from the inputs."""
 
     tol: float = 1e-9
     fiber_checkpoints: tuple[int, ...] = (1000, 10_000, 100_000)
@@ -705,9 +706,6 @@ class CheckResult:
     status: str  # PASS | FAIL | SKIPPED | INCONCLUSIVE
     detail: str
 
-    def as_row(self) -> list:
-        return [self.name, self.status, self.detail]
-
 
 @dataclass(frozen=True)
 class VerdictReport:
@@ -719,12 +717,12 @@ class VerdictReport:
         return all(c.status != "FAIL" for c in self.checks)
 
     def csv_rows(self) -> list[list]:
-        return [c.as_row() for c in self.checks]
+        return [[c.name, c.status, c.detail] for c in self.checks]
 
     def statistics(self) -> dict:
         return {
             "predicted_dimension": self.predicted_dimension,
-            "checks": [[c.name, c.status, c.detail] for c in self.checks],
+            "checks": self.csv_rows(),
             "passed": self.passed,
         }
 
@@ -753,12 +751,29 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
     ``tail_cover_sum``, naming the window and t.  When the fiber check will
     run (d >= 2 and t* - sum(s') > 0), radii out of order per index raise
     the ValueError of ``check_non_increasing`` right after t*, before any
-    walk.
+    walk.  A seed that repeats, once read as an int, is a ValueError naming
+    it, raised before any walk: two copies would be one walk counted twice.
+
+    The fiber check applies the paper's divergence lemma (for independent
+    xi_n in [0, 1], P{sum xi_n <= E/2} <= 4/E with E = sum E xi_n) to
+    xi_n = w_n 1{hit_n} / w_max, where w_n = r_{n,d}^u at u = u*/2 and w_max
+    = exp(u log_radius_bound) over n <= N, the last checkpoint.  With E the
+    exact expectation of the hit sum at N and k seeds, a true claim FAILs
+    with probability at most k * 4 * w_max / E.  When that bound is >= 1
+    (E = 0 included) the lemma bounds nothing and the check is
+    INCONCLUSIVE; otherwise it FAILs exactly when some seed's hit sum at N
+    is <= E/2.  The detail gives u, E, the seeds at or below E/2 and the
+    bound.
     """
     cfg = config or VerdictConfig()
     if len(seeds) == 0:
         raise ValueError("seeds must hold at least one seed")
     streams = [OmegaStream(seed, space) for seed in seeds]
+    distinct = set()
+    for stream in streams:
+        if stream.seed in distinct:
+            raise ValueError(f"seed {stream.seed} repeats: the seeds must be distinct")
+        distinct.add(stream.seed)
     window = _checked_window(cfg.cover_window)
     sv = _require_matching_regularity(space, s)
     total = math.fsum(sv)
@@ -822,25 +837,20 @@ def dimension_verdict(sched: RadiusSchedule, s: Sequence[float],
         check("divergent-slope", None, "no exponent profile")
         check("convergent-slope", None, "no exponent profile")
 
-    # fiber hit-sum divergence below t*
+    # fiber hit-sum divergence below t*, by the divergence lemma
     if d >= 2 and u_star > 0.0:
         u = 0.5 * u_star
         anchor = space.center()[: d - 1]
-        in_band = 0
-        conclusive = 0
-        for stream in streams:
-            res = fiber_hit_sum(stream, sched, sv, anchor, u, cfg.fiber_checkpoints)
-            if res.hit_count == 0:
-                continue
-            conclusive += 1
-            ratio = res.ratio()
-            if ratio is not None and RATIO_BAND[0] <= ratio <= RATIO_BAND[1]:
-                in_band += 1
-        if conclusive == 0:
-            check("fiber-divergence", "INCONCLUSIVE", f"u={u!r}: zero hits in every window")
-        else:
-            check("fiber-divergence", in_band / conclusive >= FIBER_PASS_FRACTION,
-                  f"u={u!r} in-band {in_band}/{conclusive} over seeds")
+        results = [fiber_hit_sum(stream, sched, sv, anchor, u, cfg.fiber_checkpoints)
+                   for stream in streams]
+        # the exact curve reads no stream: every seed has the same E
+        N, expected = results[0].expectation_exact[-1]
+        w_max = math.exp(u * sched.log_radius_bound(range(1, N + 1))[-1])
+        bound = 4.0 * len(streams) * w_max / expected if expected > 0.0 else math.inf
+        low = sum(res.partials[-1][1] <= 0.5 * expected for res in results)
+        check("fiber-divergence", low == 0 if bound < 1.0 else "INCONCLUSIVE",
+              f"u={u!r} E={expected!r}: {low}/{len(streams)} seeds at or below E/2, "
+              f"false-FAIL bound {bound!r}")
     else:
         check("fiber-divergence", None,
               f"t* - sum(s') = {u_star!r} not positive" if d >= 2 else "d = 1")

@@ -10,7 +10,8 @@ first-fit walk from successor to successor against the one-step-per-point
 scan and the searchsorted-jump greedy it replaced, the counter words,
 uniforms and bits against the ones whose (seed, lane) key was mixed as
 1-element arrays, simulated Bernoulli counts against
-the exact Poisson-binomial law, the byte unpacking of ``rng.bits`` against
+the exact Poisson-binomial law, the divergence lemma against the exact law
+of small weighted Bernoulli sums, the byte unpacking of ``rng.bits`` against
 the shift-and-mask expression it replaced, and the streamed exact sums of
 series and fiber hit sums against the materialising ``math.fsum`` routes
 they replaced.  Those last oracles share the library's term kernels on
@@ -421,6 +422,26 @@ def poisson_binomial_pmf(p, kmax):
         pmf[1:] = pmf[1:] * (1.0 - pn) + pmf[:-1] * pn
         pmf[0] *= 1.0 - pn
     return pmf
+
+
+def weighted_bernoulli_cdf(w, p, x):
+    """P{sum_n w_n X_n <= x} for independent X_n ~ Bernoulli(p_n), exact.
+
+    Every one of the 2^N outcomes is enumerated in rationals (``Fraction``
+    of each float), merged by the value of its sum as the indices are
+    added, so the result is the exact probability of the float inputs.
+    N is at most 12.
+    """
+    if len(w) != len(p) or len(w) > 12:
+        raise ValueError("need equal lengths of at most 12")
+    law = {Fraction(0): Fraction(1)}
+    for wn, pn in zip(map(Fraction, w), map(Fraction, p)):
+        step = {}
+        for total, prob in law.items():
+            step[total] = step.get(total, 0) + prob * (1 - pn)
+            step[total + wn] = step.get(total + wn, 0) + prob * pn
+        law = step
+    return sum((prob for total, prob in law.items() if total <= Fraction(x)), Fraction(0))
 
 
 def column_stream_coords(space, seed, lane, ns):

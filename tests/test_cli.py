@@ -301,6 +301,17 @@ def test_mc_verdict_refuses_unsorted_radii_before_its_walks_exit_2(runner):
     assert elapsed < 1.0
 
 
+def test_mc_verdict_refuses_a_repeated_seed_exit_2(runner):
+    # one seed twice would count one walk twice
+    result = runner.invoke(main, [
+        "mc", "verdict", "--space", "circle,circle", "--alphas", "0.5,1", "--s", "1,1",
+        "--seeds", "1,2,1"])
+    assert result.exit_code == 2
+    (error,) = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert error == "Error: seed 1 repeats: the seeds must be distinct"
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("args, token", [
     (["mc", "fiber-sum", "--space", "cantor:0.25,interval", "--alphas", "1,2",
       "--coefficients", "3,1", "--s", "0.5,1", "--u", "0.5", "--anchor", "01x",

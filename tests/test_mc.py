@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from scipy import stats
 
 from limsupdim import (
     Cantor,
+    CheckResult,
     Circle,
     ExplicitSchedule,
     Interval,
@@ -41,6 +44,7 @@ from oracles import (
     per_n_tail_cover_sum,
     poisson_binomial_pmf,
     unmemoised_fiber_hit_sum,
+    weighted_bernoulli_cdf,
 )
 
 
@@ -608,7 +612,7 @@ def test_verdict_seed_loop_walks_the_curves_once(monkeypatch, torus2):
                         lambda self, x, rs: masses.append(rs.size) or real(self, x, rs))
     rep = dimension_verdict(PowerLawSchedule((0.5, 1)), (1, 1), torus2, [1, 2, 3], FAST_VERDICT)
     fiber = next(c for c in rep.checks if c.name == "fiber-divergence")
-    assert fiber.status in ("PASS", "FAIL") and "/3 over seeds" in fiber.detail
+    assert fiber.status == "PASS" and ": 0/3 seeds at or below E/2, " in fiber.detail
     # one walk of the exact curve: its ball masses add up to one horizon
     assert sum(masses) == FAST_VERDICT.fiber_checkpoints[-1]
 
@@ -674,6 +678,28 @@ def test_divergence_validates_inputs(rng):
         divergence_tail_bound_test([0.5, 1.2], 1000, rng)
     with pytest.raises(ValueError):
         divergence_tail_bound_test([0.5], 10, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.lists(hst.tuples(hst.floats(1e-3, 1e3), hst.floats(0.0, 1.0)),
+                 min_size=1, max_size=12))
+def test_divergence_lemma_bounds_a_weighted_hit_sum(terms):
+    # the verdict's fiber rule: xi_n = w_n X_n / w_max lie in [0, 1], so the
+    # lemma gives P{sum w_n X_n <= E/2} <= 4 w_max / E, here in exact rationals
+    w, p = zip(*terms)
+    expected = sum(Fraction(wn) * Fraction(pn) for wn, pn in terms)
+    if expected > 0:
+        low = weighted_bernoulli_cdf(w, p, expected / 2)
+        assert low <= 4 * Fraction(max(w)) / expected
+
+
+def test_divergence_lemma_needs_the_largest_weight():
+    # one index of weight 100 hit with p = 0.9: E = 90, and the sum is 0, at
+    # or below E/2, with probability 0.1: more than 4/E, within 4 w_max/E
+    low = weighted_bernoulli_cdf([100.0], [0.9], 45.0)
+    expected = 100 * Fraction(0.9)
+    assert low == 1 - Fraction(0.9)
+    assert 4 / expected < low <= 4 * 100 / expected
 
 
 def _harmonic(N):
@@ -1197,6 +1223,86 @@ FAST_VERDICT = VerdictConfig(
     cover_window=(1, 48),
     slope_blocks=(10**3, 10**4, 10**5),
 )
+
+
+def _fiber_check(report):
+    return next(c for c in report.checks if c.name == "fiber-divergence")
+
+
+def test_verdict_fiber_check_states_the_lemma_bound(torus2):
+    # t* = 1.5 and u = 0.25; r_{n,2} = 2/n, so every weight is at most
+    # w_max = 2^u and 3 seeds bound the false-FAIL chance by 12 w_max / E
+    sched = PowerLawSchedule((0.5, 1), (4, 2))
+    rep = dimension_verdict(sched, (1, 1), torus2, [1, 2, 3], FAST_VERDICT)
+    res = fiber_hit_sum(OmegaStream(1, torus2), sched, (1, 1), (0.5,), 0.25,
+                        FAST_VERDICT.fiber_checkpoints)
+    N, expected = res.expectation_exact[-1]
+    w_max = math.exp(0.25 * sched.log_radius_bound(range(1, N + 1))[-1])
+    assert w_max == pytest.approx(2**0.25, rel=1e-15)
+    bound = 4.0 * 3 * w_max / expected
+    assert bound < 0.05
+    assert _fiber_check(rep) == CheckResult(
+        "fiber-divergence", "PASS",
+        f"u=0.25 E={expected!r}: 0/3 seeds at or below E/2, false-FAIL bound {bound!r}")
+
+
+@pytest.mark.parametrize("above, status", [(False, "FAIL"), (True, "PASS")])
+def test_verdict_fiber_check_fails_a_seed_at_half_the_expectation(
+        monkeypatch, torus2, above, status):
+    # seed 2's hit sum at N is set to E/2, or to the next float above it
+    real = mc.fiber_hit_sum
+
+    def patched(stream, *args):
+        res = real(stream, *args)
+        if stream.seed != 2:
+            return res
+        N, expected = res.expectation_exact[-1]
+        value = math.nextafter(0.5 * expected, math.inf) if above else 0.5 * expected
+        return dataclasses.replace(res, partials=res.partials[:-1] + ((N, value),))
+
+    monkeypatch.setattr(mc, "fiber_hit_sum", patched)
+    rep = dimension_verdict(PowerLawSchedule((0.5, 1)), (1, 1), torus2, [1, 2, 3], FAST_VERDICT)
+    fiber = _fiber_check(rep)
+    assert fiber.status == status
+    assert f": {0 if above else 1}/3 seeds at or below E/2, " in fiber.detail
+    assert rep.passed == above
+
+
+def test_verdict_fiber_check_is_inconclusive_when_the_lemma_bounds_nothing(
+        monkeypatch, torus2):
+    # to N = 10 the seeds hit 7-10 times, yet 12 w_max / E = 1.98: the
+    # lemma bounds nothing, so even hit sums of 0 do not FAIL
+    real = mc.fiber_hit_sum
+
+    def no_hits(*args):
+        res = real(*args)
+        return dataclasses.replace(res, partials=((10, 0.0),))
+
+    cfg = dataclasses.replace(FAST_VERDICT, fiber_checkpoints=(10,))
+    rep = dimension_verdict(PowerLawSchedule((0.5, 1)), (1, 1), torus2, [1, 2, 3], cfg)
+    assert _fiber_check(rep).status == "INCONCLUSIVE"
+    assert _fiber_check(rep).detail.endswith("false-FAIL bound 1.982352541236757")
+    monkeypatch.setattr(mc, "fiber_hit_sum", no_hits)
+    rep = dimension_verdict(PowerLawSchedule((0.5, 1)), (1, 1), torus2, [1, 2, 3], cfg)
+    assert _fiber_check(rep).status == "INCONCLUSIVE"
+    assert ": 3/3 seeds at or below E/2, " in _fiber_check(rep).detail
+    assert rep.passed
+
+
+@pytest.mark.parametrize("seeds, repeated", [
+    ([1, 1], 1), ([3, 1, 3.0], 3), ([np.int64(5), 4, 5], 5),
+])
+def test_verdict_refuses_a_repeated_seed_before_its_walks(monkeypatch, torus2, seeds, repeated):
+    # one seed twice is one walk counted twice: refused, by the seed as an int
+    def walk(*args, **kwargs):
+        raise AssertionError("a walk ran before the seed check")
+
+    for name in ("critical_exponent_series", "tail_cover_sum", "_growth_slopes",
+                 "fiber_hit_sum"):
+        monkeypatch.setattr(mc, name, walk)
+    with pytest.raises(ValueError) as refused:
+        dimension_verdict(PowerLawSchedule((0.5, 1)), (1, 1), torus2, seeds, FAST_VERDICT)
+    assert str(refused.value) == f"seed {repeated} repeats: the seeds must be distinct"
 
 
 def test_verdict_torus_power_law(torus2):
